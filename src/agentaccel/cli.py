@@ -20,7 +20,7 @@ from . import corpus, exspec, fixtures, lm, pipeline, simulator
 from .clusterplan import ClusterPlan, build_plan
 from .kvstore import KVStore, ModelGeometry
 from .tokenizer import Tokenizer
-from .weaver import Weaver
+from .weaver import Weaver, region_tokens
 
 CACHE_DIR_ENV = "AGENTACCEL_CACHE_DIR"
 
@@ -219,13 +219,8 @@ def cmd_decode(args) -> int:
     prompt_path = _require_file(args.prompt, "prompt file (weave --emit output)")
     doc = json.loads(prompt_path.read_text())
     segments = [(seg["kind"], tuple(seg["tokens"])) for seg in doc["segments"]]
-    from .weaver import FEWSHOT_REGION_KINDS
-
     prompt_tokens = [t for _, toks in segments for t in toks]
-    if args.extract == "all":
-        region = list(prompt_tokens)
-    else:
-        region = [t for kind, toks in segments if kind in FEWSHOT_REGION_KINDS for t in toks]
+    region = region_tokens(segments, args.extract)
 
     if args.model == "markov":
         bundle = pipeline.load_bundle(
@@ -360,17 +355,7 @@ def cmd_report(args) -> int:
     if args.format == "json":
         text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
     else:
-        lines = ["cell,stage,seconds,fraction"]
-        for cell in simulator.CELLS:
-            cell_doc = doc["cells"][cell]
-            for stage in simulator.STAGES:
-                lines.append(
-                    f"{cell},{stage},{cell_doc['seconds'][stage]:.9g},{cell_doc['fractions'][stage]:.9g}"
-                )
-            lines.append(f"{cell},total,{cell_doc['total']:.9g},1")
-        for name, value in doc["speedups"].items():
-            lines.append(f"{name},speedup,{value:.9g},")
-        text = "\n".join(lines) + "\n"
+        text = simulator.report_csv(doc)
     if args.out:
         _atomic_write(args.out, text)
         print(f"report written to {args.out}")

@@ -14,6 +14,7 @@ paying a multi-token verification pass that would likely reject everything.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .lm import ReferenceModel, greedy_decode
@@ -48,43 +49,28 @@ class NGramLUT:
 
 
 def build_lut(extraction_region, n: int = DEFAULT_N) -> NGramLUT:
-    """One linear pass over the stream, sliding an n-token window.
+    """One counting pass over the stream's n-token windows.
 
-    Streams shorter than n produce an empty (always-missing) table, which is
-    valid: decoding then falls back to plain autoregressive steps.
+    Counters keep first-occurrence order, so taking a successor only on a
+    strictly higher count keeps the earliest one on ties, and likewise for
+    the filler.  Streams shorter than n produce an empty (always-missing)
+    table, which is valid: decoding then falls back to plain autoregressive
+    steps.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     stream = list(extraction_region)
-    # (key, successor) -> [count, first occurrence index]
-    pair_stats: dict[tuple[tuple[int, ...], int], list[int]] = {}
-    for i in range(len(stream) - n + 1):
-        key = tuple(stream[i: i + n - 1])
-        nxt = stream[i + n - 1]
-        stat = pair_stats.get((key, nxt))
-        if stat is None:
-            pair_stats[(key, nxt)] = [1, i]
-        else:
-            stat[0] += 1
-
     table: dict[tuple[int, ...], tuple[int, int]] = {}
-    best_rank: dict[tuple[int, ...], tuple[int, int]] = {}
-    for (key, nxt), (count, first) in pair_stats.items():
-        rank = (-count, first)
-        if key not in best_rank or rank < best_rank[key]:
-            best_rank[key] = rank
-            table[key] = (nxt, count)
+    for gram, count in Counter(zip(*(stream[i:] for i in range(n)))).items():
+        key = gram[:-1]
+        best = table.get(key)
+        if best is None or count > best[1]:
+            table[key] = (gram[-1], count)
 
     filler = EOS_ID
     if stream:
-        tok_stats: dict[int, list[int]] = {}
-        for i, tok in enumerate(stream):
-            stat = tok_stats.get(tok)
-            if stat is None:
-                tok_stats[tok] = [1, i]
-            else:
-                stat[0] += 1
-        filler = min(tok_stats, key=lambda t: (-tok_stats[t][0], tok_stats[t][1]))
+        tok_counts = Counter(stream)
+        filler = max(tok_counts, key=tok_counts.__getitem__)
     return NGramLUT(n=n, table=table, filler=filler, source_token_count=len(stream))
 
 
@@ -99,10 +85,11 @@ def draft(lut: NGramLUT, context, n_draft: int) -> list[int] | None:
     """
     if n_draft < 1:
         raise ValueError("n_draft must be at least 1")
-    ctx = list(context)
-    first = lut.lookup(ctx)
+    first = lut.lookup(context)
     if first is None:
         return MISS
+    # Lookups only read the last n-1 tokens, so chain on that window alone.
+    ctx = list(context[-(lut.n - 1):])
     drafts = [first]
     ctx.append(first)
     while len(drafts) < n_draft:

@@ -61,6 +61,14 @@ IDEAL_TAX = TaxCurve([(1, 1.0)])  # multi-token pass costs the same as one token
 MEASURED_TAX = TaxCurve(DEFAULT_TAX_POINTS)
 
 
+def _lowest_argmax(dist: dict[int, float]) -> int:
+    """The most probable token, ties broken toward the lowest id; EOS if empty."""
+    if not dist:
+        return EOS_ID
+    best_p = max(dist.values())
+    return min(tok for tok, p in dist.items() if p == best_p)
+
+
 class ReferenceModel:
     """Shared behavior: greedy argmax choice and modeled step cost."""
 
@@ -72,11 +80,11 @@ class ReferenceModel:
         raise NotImplementedError
 
     def greedy_next(self, context) -> int:
-        dist = self.next_distribution(context)
-        if not dist:
-            return EOS_ID
-        best_p = max(dist.values())
-        return min(tok for tok, p in dist.items() if p == best_p)
+        return self._greedy_choice(context)
+
+    def _greedy_choice(self, context) -> int:
+        """Argmax of `next_distribution`; a model with an exact shortcut overrides this."""
+        return _lowest_argmax(self.next_distribution(context))
 
     def step_cost(self, k: int) -> float:
         """Modeled latency of one forward pass over k tokens."""
@@ -157,6 +165,9 @@ class MarkovModel(ReferenceModel):
     Unseen (or too-short) contexts back off to the order-0 unigram
     distribution, so the chain is total and decoding always terminates via
     the end-of-sequence counts appended during training.
+
+    The greedy step is a table lookup: the argmax successor of every context
+    is found once here, and `next_distribution` stays as its oracle.
     """
 
     def __init__(self, order: int, counts, unigram, vocab, smoothing: float = 0.0, **kwargs):
@@ -166,6 +177,30 @@ class MarkovModel(ReferenceModel):
         self.unigram = unigram  # Counter
         self.vocab = tuple(sorted(vocab))
         self.smoothing = smoothing
+        members = set(self.vocab)
+        self._argmax = {key: self._counter_argmax(counter, members) for key, counter in counts.items() if counter}
+        self._fallback = _lowest_argmax(self._distribution(unigram))
+
+    def _counter_argmax(self, counter: Counter, members: set[int]) -> int:
+        """Lowest-id argmax of `_distribution(counter)` without building it.
+
+        Smoothing adds the same constant to every count and all share one
+        total, so the most probable tokens are those with the highest count.
+        A positive top count also beats every vocabulary token the counter
+        lacks; any other counter goes through the distribution itself.
+        """
+        seen = [(count, tok) for tok, count in counter.items() if tok in members]
+        top = max((count for count, _ in seen), default=0)
+        if top > 0 and sum(counter.values()) + self.smoothing * len(self.vocab) > 0:
+            return min(tok for count, tok in seen if count == top)
+        return _lowest_argmax(self._distribution(counter))
+
+    def _greedy_choice(self, context) -> int:
+        if len(context) >= self.order:
+            tok = self._argmax.get(tuple(context[-self.order:]))
+            if tok is not None:
+                return tok
+        return self._fallback
 
     def _distribution(self, counter: Counter) -> dict[int, float]:
         total = sum(counter.values()) + self.smoothing * len(self.vocab)

@@ -310,16 +310,23 @@ class PipelineReport:
         }
 
     def to_csv(self) -> str:
-        lines = ["cell,stage,seconds,fraction"]
-        for name in CELLS:
-            bd = self.cells[name]
-            fr = bd.fractions
-            for stage in STAGES:
-                lines.append(f"{name},{stage},{bd.seconds[stage]:.9g},{fr[stage]:.9g}")
-            lines.append(f"{name},total,{bd.total:.9g},1")
-        for name, value in self.speedups.items():
-            lines.append(f"{name},speedup,{value:.9g},")
-        return "\n".join(lines) + "\n"
+        return report_csv(self.to_dict())
+
+
+def report_csv(doc: dict) -> str:
+    """CSV rendering of a report dict, as built by `PipelineReport.to_dict`.
+
+    Speedups are listed by name, the order of the saved (sort_keys) report.
+    """
+    lines = ["cell,stage,seconds,fraction"]
+    for name in CELLS:
+        cell = doc["cells"][name]
+        for stage in STAGES:
+            lines.append(f"{name},{stage},{cell['seconds'][stage]:.9g},{cell['fractions'][stage]:.9g}")
+        lines.append(f"{name},total,{cell['total']:.9g},1")
+    for name, value in sorted(doc["speedups"].items()):
+        lines.append(f"{name},speedup,{value:.9g},")
+    return "\n".join(lines) + "\n"
 
 
 def simulate_pipeline(records: list[TraceRecord], config: SimConfig) -> PipelineReport:

@@ -54,6 +54,17 @@ FEWSHOT_REGION_KINDS = frozenset(
     }
 )
 
+
+def region_tokens(segments, mode: str = "fewshot") -> list[int]:
+    """Token stream of `(kind, tokens)` segments the draft lookup table is built from.
+
+    `all` takes the whole prompt; `fewshot` the segments in FEWSHOT_REGION_KINDS.
+    """
+    if mode not in ("fewshot", "all"):
+        raise ValueError(f"unknown extraction mode '{mode}'")
+    return [t for kind, toks in segments if mode == "all" or kind in FEWSHOT_REGION_KINDS for t in toks]
+
+
 MAX_DYNAMIC_EXAMPLES = 4
 
 PLANNER_HEADER = (
@@ -180,15 +191,7 @@ class ReconstructedPrompt:
 
     def extraction_region(self, mode: str = "fewshot") -> list[int]:
         """Token stream the draft lookup table is built from."""
-        if mode == "all":
-            return self.tokens
-        if mode != "fewshot":
-            raise ValueError(f"unknown extraction mode '{mode}'")
-        out: list[int] = []
-        for kind, toks in self.segments:
-            if kind in FEWSHOT_REGION_KINDS:
-                out.extend(toks)
-        return out
+        return region_tokens(self.segments, mode)
 
     def to_dict(self) -> dict:
         return {

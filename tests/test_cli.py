@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -118,6 +119,24 @@ def test_simulate_and_report(workdir, tmp_path, capsys):
     lines = csv_out.read_text().splitlines()
     assert lines[0] == "cell,stage,seconds,fraction"
     assert any(line.startswith("pw_es,speedup,") for line in lines)
+
+
+def test_report_csv_equals_to_csv(workdir, tmp_path, capsys):
+    from agentaccel import simulator
+
+    trace = workdir / "trace.jsonl"
+    if not trace.exists():
+        assert run_cli("run", "--config", str(workdir / "run.json")) == 0
+    config = simulator.SimConfig(
+        device=simulator.device_presets()["m4-pro"],
+        geometry=simulator.geometry_presets()["7b-class"],
+    )
+    report = simulator.simulate_pipeline(simulator.load_trace(trace), config)
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n")
+    capsys.readouterr()
+    assert run_cli("report", "--report", str(report_path), "--format", "csv") == 0
+    assert capsys.readouterr().out == report.to_csv()
 
 
 def test_simulate_missing_trace_fails_cleanly(tmp_path, capsys):
@@ -255,6 +274,62 @@ def test_decode_scripted_with_script_file(workdir, tmp_path):
     lm.save_scripts(script_path, {(1, 2, 3): [5]})
     rc = run_cli("decode", "--prompt", str(emit), "--model", "scripted", "--script", str(script_path), "--stats", str(stats))
     assert rc != 0
+
+
+@pytest.mark.parametrize("extract", ["fewshot", "all"])
+def test_decode_stats_use_the_extraction_region(workdir, tmp_path, extract):
+    """`decode --stats` bytes, rebuilt here from the prompt file's segments."""
+    from agentaccel import exspec, lm
+    from agentaccel.weaver import FEWSHOT_REGION_KINDS
+
+    emit = tmp_path / "prompt.json"
+    assert (
+        run_cli(
+            "weave",
+            "--query", "open my reading list note",
+            "--plan", str(workdir / "plan.json"),
+            "--registry", str(workdir / "registry.json"),
+            "--dataset", str(workdir / "train.jsonl"),
+            "--examples", str(workdir / "examples.jsonl"),
+            "--vocab", str(workdir / "vocab.json"),
+            "--k", "1",
+            "--emit", str(emit),
+        )
+        == 0
+    )
+    segments = json.loads(emit.read_text())["segments"]
+    prompt_tokens = [t for seg in segments for t in seg["tokens"]]
+    region = [t for seg in segments if extract == "all" or seg["kind"] in FEWSHOT_REGION_KINDS for t in seg["tokens"]]
+    # Scripted from the static prefix, which only `all` puts in the table.
+    static = [t for seg in segments if seg["kind"] == "static_system" for t in seg["tokens"]]
+    script_path = tmp_path / "scripts.json"
+    lm.save_scripts(script_path, {tuple(prompt_tokens): static[:40]})
+    stats = tmp_path / "stats.json"
+    argv = ["decode", "--prompt", str(emit), "--model", "scripted", "--script", str(script_path)]
+    assert run_cli(*argv, "--extract", extract, "--stats", str(stats)) == 0
+
+    model = lm.KeyedScriptedModel(lm.load_scripts(script_path))
+    assert model.bind_prompt(prompt_tokens)
+    lut = exspec.build_lut(region, exspec.DEFAULT_N)
+    out, decode_stats = exspec.decode(model, prompt_tokens, lut, exspec.DEFAULT_DRAFT_LEN, True, 256)
+    reference, reference_cost = exspec.autoregressive_reference(model, prompt_tokens, 256)
+    expected = {
+        "output_tokens": out,
+        "matches_autoregressive": out == reference,
+        "autoregressive_cost": reference_cost,
+        "stats": decode_stats.to_dict(),
+        "provenance": {
+            "prompt_sha256": hashlib.sha256(emit.read_bytes()).hexdigest(),
+            "model": "scripted",
+            "n": exspec.DEFAULT_N,
+            "draft_len": exspec.DEFAULT_DRAFT_LEN,
+            "selective": "on",
+            "extract": extract,
+        },
+    }
+    assert stats.read_text() == json.dumps(expected, sort_keys=True, indent=1) + "\n"
+    assert out == static[:40]
+    assert (decode_stats.fallbacks > 20) == (extract == "fewshot")
 
 
 def test_cache_dir_env_variable(workdir, tmp_path, monkeypatch):

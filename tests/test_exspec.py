@@ -1,9 +1,47 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from agentaccel.exspec import MISS, build_lut, decode, draft, verify
+from agentaccel.exspec import MISS, NGramLUT, build_lut, decode, draft, verify
 from agentaccel.lm import ScriptedModel, greedy_decode, train_markov
+from agentaccel.tokenizer import EOS_ID
+
+
+def _reference_lut(extraction_region, n):
+    """Two-pass build: count every (key, successor) pair, then rank per key."""
+    stream = list(extraction_region)
+    # (key, successor) -> [count, first occurrence index]
+    pair_stats = {}
+    for i in range(len(stream) - n + 1):
+        key = tuple(stream[i: i + n - 1])
+        nxt = stream[i + n - 1]
+        stat = pair_stats.get((key, nxt))
+        if stat is None:
+            pair_stats[(key, nxt)] = [1, i]
+        else:
+            stat[0] += 1
+
+    table = {}
+    best_rank = {}
+    for (key, nxt), (count, first) in pair_stats.items():
+        rank = (-count, first)
+        if key not in best_rank or rank < best_rank[key]:
+            best_rank[key] = rank
+            table[key] = (nxt, count)
+
+    filler = EOS_ID
+    if stream:
+        tok_stats = {}
+        for i, tok in enumerate(stream):
+            stat = tok_stats.get(tok)
+            if stat is None:
+                tok_stats[tok] = [1, i]
+            else:
+                stat[0] += 1
+        filler = min(tok_stats, key=lambda t: (-tok_stats[t][0], tok_stats[t][1]))
+    return NGramLUT(n=n, table=table, filler=filler, source_token_count=len(stream))
 
 
 class TestBuildLut:
@@ -39,6 +77,31 @@ class TestBuildLut:
     def test_n_must_be_at_least_two(self):
         with pytest.raises(ValueError):
             build_lut([1, 2, 3], n=1)
+
+
+class TestBuildLutOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(stream=st.lists(st.integers(1, 4), max_size=60), n=st.integers(2, 4))
+    @example(stream=[], n=3)
+    @example(stream=[1, 2], n=3)
+    @example(stream=[1, 2, 4, 1, 2, 3, 2, 4], n=3)  # (1,2) tied between 4 and 3; 1, 2, 4 tied as filler
+    def test_matches_two_pass_reference(self, stream, n):
+        lut = build_lut(stream, n)
+        assert lut == _reference_lut(stream, n)
+        assert list(lut.table) == list(_reference_lut(stream, n).table)
+
+
+class TestDraftWindow:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stream=st.lists(st.integers(1, 3), max_size=40),
+        n=st.integers(2, 4),
+        context=st.lists(st.integers(1, 3), min_size=8, max_size=40),
+        n_draft=st.integers(1, 6),
+    )
+    def test_long_context_drafts_like_its_last_window(self, stream, n, context, n_draft):
+        lut = build_lut(stream, n)
+        assert draft(lut, context, n_draft) == draft(lut, context[-(n - 1):], n_draft)
 
 
 class TestDraft:

@@ -1,7 +1,13 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentaccel.lm import (
     MEASURED_TAX,
+    MarkovModel,
+    ReferenceModel,
     ScriptedModel,
     TaxCurve,
     greedy_decode,
@@ -87,6 +93,47 @@ class TestMarkov:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             train_markov([], order=1)
+
+
+def _lowest_id_argmax(dist):
+    best_p = max(dist.values())
+    return min(tok for tok, p in dist.items() if p == best_p)
+
+
+class TestMarkovGreedyTable:
+    """The precomputed argmax table against the full distribution it replaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        corpus_data=st.lists(st.lists(st.integers(1, 4), max_size=12), min_size=1, max_size=6),
+        order=st.integers(1, 3),
+        smoothing=st.sampled_from([0.0, 0.3, 1.0]),
+        unseen=st.lists(st.lists(st.integers(0, 6), max_size=5), max_size=6),
+    )
+    def test_greedy_next_is_lowest_id_argmax_of_distribution(self, corpus_data, order, smoothing, unseen):
+        # Tokens 1-4 make ties common; 5 and 6 never occur in the corpus.
+        model = train_markov(corpus_data, order=order, smoothing=smoothing)
+        seen = [list(key) for key in model.counts]
+        contexts = seen + [[6, 5] + ctx for ctx in seen] + unseen + [[], [1] * (order - 1)]
+        for ctx in contexts:
+            assert model.greedy_next(ctx) == _lowest_id_argmax(model.next_distribution(ctx)), ctx
+
+    def test_tie_between_successors_goes_to_lowest_id(self):
+        # After 1 come 3 and 2 once each: both equally likely.
+        model = train_markov([[1, 3], [1, 2]], order=1, smoothing=0.5)
+        assert model.greedy_next([1]) == 2
+
+    def test_hand_built_counts_outside_the_shortcut(self):
+        # Zero counts, successors outside the vocabulary, a non-positive total.
+        counts = {(1,): Counter({5: 0}), (2,): Counter({9: 4, 3: 0}), (3,): Counter({3: 1, 5: -10})}
+        model = MarkovModel(1, counts, Counter({3: 2}), vocab={0, 3, 5}, smoothing=0.5)
+        for ctx in ([1], [2], [3], [4], []):
+            assert model.greedy_next(ctx) == _lowest_id_argmax(model.next_distribution(ctx)), ctx
+
+    def test_greedy_step_is_not_overridden(self):
+        # One method takes every greedy step, so wrapping it observes them all.
+        assert all("greedy_next" not in vars(cls) for cls in (ScriptedModel, MarkovModel))
+        assert "greedy_next" in vars(ReferenceModel)
 
 
 class TestGreedy:
