@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import corpus, exspec, fixtures, lm, pipeline, simulator
 from .clusterplan import ClusterPlan, build_plan
-from .kvstore import KVStore, ModelGeometry
+from .kvstore import KVStore, ModelGeometry, StoreError
 from .tokenizer import Tokenizer
 from .weaver import Weaver, region_tokens
 
@@ -303,7 +303,6 @@ def cmd_run(args) -> int:
         "provenance": {
             "config_sha256": _sha256(args.config),
             "plan_sha256": _sha256(paths["plan"]),
-            "seed": args.seed,
             "settings": settings.__dict__,
         },
     }
@@ -445,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("scripted", "markov"))
     p.add_argument("--max-tokens", dest="max_tokens", type=int)
     p.add_argument("--jobs", type=int)
-    p.add_argument("--seed", type=int, help="recorded in provenance; the pipeline itself is deterministic")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("simulate", help="replay a trace under the cost model")
@@ -472,7 +470,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, corpus.LoadError, simulator.TraceError, ValueError, OSError) as exc:
+    except (CliError, corpus.LoadError, simulator.TraceError, StoreError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,9 @@ rebuilt byte-identically from its provenance block.
 
 from __future__ import annotations
 
+import heapq
 import json
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -240,7 +242,8 @@ def coverage(sequences, combos) -> int:
     """Total cached-prefix length over all activation sequences.
 
     Each sequence contributes the length of the longest element of
-    `combos` (plus the empty prefix) that is a prefix of it.
+    `combos` (plus the empty prefix) that is a prefix of it.  Selection does
+    not call this; it is the brute-force oracle the tests check against.
     """
     cached = set(tuple(c) for c in combos)
     total = 0
@@ -253,6 +256,15 @@ def coverage(sequences, combos) -> int:
     return total
 
 
+def prefix_counts(sequences) -> Counter:
+    """Number of sequences starting with each prefix, over the non-empty prefix closure."""
+    counts: Counter = Counter()
+    for seq in sequences:
+        seq = tuple(seq)
+        counts.update(seq[:length] for length in range(1, len(seq) + 1))
+    return counts
+
+
 def select_combinations(budget: int, sequences) -> list[tuple[int, ...]]:
     """Greedy prefix selection under a cluster-combination budget.
 
@@ -262,37 +274,27 @@ def select_combinations(budget: int, sequences) -> list[tuple[int, ...]]:
     the largest coverage gain; ties prefer shorter prefixes, then
     lexicographically smaller cluster-id tuples.  Returns the selections in
     pick order (at most `budget` of them; fewer if candidates run out).
+
+    Selections stay prefix-closed, so an eligible prefix's gain is exactly
+    its prefix count and never changes: each round pops the best
+    `(-count, length, prefix)` off a heap over the eligible frontier, then
+    pushes the pick's children.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    prefixes: set[tuple[int, ...]] = set()
-    for seq in sequences:
-        seq = tuple(seq)
-        for length in range(1, len(seq) + 1):
-            prefixes.add(seq[:length])
+    counts = prefix_counts(sequences)
+    children: dict[tuple[int, ...], list[tuple[int, ...]]] = defaultdict(list)
+    for p in counts:
+        children[p[:-1]].append(p)
 
+    frontier = [(-counts[p], len(p), p) for p in children[()]]
+    heapq.heapify(frontier)
     chosen: list[tuple[int, ...]] = []
-    chosen_set: set[tuple[int, ...]] = set()
-    current = coverage(sequences, chosen_set)
-    for _ in range(budget):
-        options = [
-            p
-            for p in prefixes
-            if p not in chosen_set and (len(p) == 1 or p[:-1] in chosen_set)
-        ]
-        if not options:
-            break
-        best = None
-        best_key = None
-        for p in options:
-            gain = coverage(sequences, chosen_set | {p}) - current
-            key = (-gain, len(p), p)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = p
+    while frontier and len(chosen) < budget:
+        _, _, best = heapq.heappop(frontier)
         chosen.append(best)
-        chosen_set.add(best)
-        current += -best_key[0]
+        for child in children[best]:
+            heapq.heappush(frontier, (-counts[child], len(child), child))
     return chosen
 
 

@@ -183,35 +183,32 @@ class KVStore:
 
     def _load_manifest(self):
         doc = json.loads(self.manifest_path.read_text())
-        self.geometry = ModelGeometry.from_dict(doc["geometry"])
-        for rec in doc["entries"]:
-            entry = CacheEntry(
-                key=tuple(rec["key"]),
-                token_count=rec["token_count"],
-                byte_size=rec["byte_size"],
-                tag=rec["tag"],
-                blob_name=rec["blob"],
-                checksum=rec["checksum"],
-            )
-            self.entries[entry.key_hash] = entry
+        try:
+            self.geometry = ModelGeometry.from_dict(doc["geometry"])
+            for rec in doc["entries"]:
+                entry = CacheEntry(
+                    key=tuple(rec["key"]),
+                    token_count=rec["token_count"],
+                    byte_size=rec["byte_size"],
+                    tag=rec["tag"],
+                    blob_name=rec["blob"],
+                    checksum=rec["checksum"],
+                )
+                self.entries[entry.key_hash] = entry
+        except KeyError as exc:
+            raise StoreError(f"manifest {self.manifest_path} is missing field {exc}") from exc
         self._rebuild_trie()
 
     def _rebuild_trie(self):
+        # Shortest (then smallest) key first: the first entry to reach a node
+        # is the one that node serves.
         self._trie = _TrieNode()
-        for entry in self.entries.values():
-            self._insert(entry)
-
-    def _insert(self, entry: CacheEntry):
-        def better(a: CacheEntry | None, b: CacheEntry) -> CacheEntry:
-            if a is None:
-                return b
-            return min(a, b, key=lambda e: (e.token_count, e.key))
-
-        node = self._trie
-        node.best = better(node.best, entry)
-        for tok in entry.key:
-            node = node.children.setdefault(tok, _TrieNode())
-            node.best = better(node.best, entry)
+        for entry in sorted(self.entries.values(), key=lambda e: (e.token_count, e.key)):
+            node = self._trie
+            node.best = node.best or entry
+            for tok in entry.key:
+                node = node.children.setdefault(tok, _TrieNode())
+                node.best = node.best or entry
 
     def precompute(self, prefixes, geometry: ModelGeometry, tag: str = TAG_STATIC) -> list[CacheEntry]:
         """Persist one entry per distinct prefix; idempotent.

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .clusterplan import select_combinations
+from .clusterplan import prefix_counts, select_combinations
 from .kvstore import ModelGeometry, kv_size
 from .lm import IDEAL_TAX, TaxCurve
 
@@ -214,10 +214,12 @@ class TraceRecord:
 
 def load_trace(path) -> list[TraceRecord]:
     records = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
         doc = json.loads(line)
+        if not isinstance(doc, dict):
+            raise TraceError(f"{path}: line {number} is not a JSON object")
         if doc.get("kind") == "header":
             continue
         records.append(TraceRecord.from_dict(doc))
@@ -366,37 +368,33 @@ def coverage_curve(
     entry embeds the static planner prefix ahead of its cluster examples).
 
     One greedy run at the largest budget supplies every smaller budget,
-    since the selection sequence is incremental.
+    since the selection sequence is incremental.  The selection is
+    prefix-closed, so each pick adds its last cluster's tokens once for every
+    sequence that starts with it, and both figures are running sums over the
+    picks.
     """
     sequences = [tuple(s) for s in sequences]
     budgets = sorted(set(int(b) for b in budgets))
     if budgets and budgets[0] < 0:
         raise ValueError("budgets must be non-negative")
+    counts = prefix_counts(sequences)
     full = select_combinations(budgets[-1] if budgets else 0, sequences)
 
-    def token_weight(seq) -> int:
-        return sum(cluster_tokens[cid] for cid in seq)
-
-    denom = sum(token_weight(seq) for seq in sequences)
+    denom = sum(n * cluster_tokens[p[-1]] for p, n in counts.items())
+    covered = [0]
+    storage = [kv_size(static_prefix_tokens + extra_static_tokens, geometry)]
+    for combo in full:
+        covered.append(covered[-1] + counts[combo] * cluster_tokens[combo[-1]])
+        weight = sum(cluster_tokens[cid] for cid in combo)
+        storage.append(storage[-1] + kv_size(static_prefix_tokens + weight, geometry))
     points = []
-    base_storage = kv_size(static_prefix_tokens + extra_static_tokens, geometry)
     for budget in budgets:
-        chosen = full[:budget]
-        chosen_set = set(chosen)
-        covered = 0
-        for seq in sequences:
-            for length in range(len(seq), 0, -1):
-                if seq[:length] in chosen_set:
-                    covered += token_weight(seq[:length])
-                    break
-        storage = base_storage
-        for combo in chosen:
-            storage += kv_size(static_prefix_tokens + token_weight(combo), geometry)
+        taken = min(budget, len(full))
         points.append(
             CoveragePoint(
                 budget=budget,
-                coverage_fraction=(covered / denom if denom else 0.0),
-                storage_bytes=storage,
+                coverage_fraction=(covered[taken] / denom if denom else 0.0),
+                storage_bytes=storage[taken],
             )
         )
     return points
@@ -408,12 +406,7 @@ def coverage_saturation_budget(sequences) -> int:
     Selection builds prefixes one extension at a time, so saturation needs
     the whole prefix closure of the distinct sequences.
     """
-    closure = set()
-    for seq in sequences:
-        seq = tuple(seq)
-        for length in range(1, len(seq) + 1):
-            closure.add(seq[:length])
-    return len(closure)
+    return len(prefix_counts(sequences))
 
 
 def calibration_trace() -> list[TraceRecord]:

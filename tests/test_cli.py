@@ -148,6 +148,42 @@ def test_simulate_missing_trace_fails_cleanly(tmp_path, capsys):
     assert err_lines[0].startswith("error: ")
 
 
+def _assert_single_error(rc, capsys):
+    assert rc == 1
+    err_lines = [l for l in capsys.readouterr().err.strip().splitlines() if l]
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: ")
+
+
+def test_precompute_into_store_of_other_geometry_fails_cleanly(workdir, capsys):
+    manifest = (workdir / "cache" / "manifest.json").read_bytes()
+    rc = run_cli(
+        "precompute-cache",
+        "--plan", str(workdir / "plan.json"),
+        "--registry", str(workdir / "registry.json"),
+        "--vocab", str(workdir / "vocab.json"),
+        "--geometry", "7b-class",
+        "--out", str(workdir / "cache"),
+    )
+    _assert_single_error(rc, capsys)
+    assert (workdir / "cache" / "manifest.json").read_bytes() == manifest
+
+
+def test_manifest_without_geometry_fails_cleanly(workdir, tmp_path, capsys):
+    doc = json.loads((workdir / "cache" / "manifest.json").read_text())
+    del doc["geometry"]
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    rc = run_cli("run", "--config", str(workdir / "run.json"), "--cache", str(tmp_path), "--trace", str(tmp_path / "t.jsonl"))
+    _assert_single_error(rc, capsys)
+
+
+def test_trace_line_not_an_object_fails_cleanly(tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("[1, 2]\n")
+    rc = run_cli("simulate", "--trace", str(trace), "--out", str(tmp_path / "r.json"))
+    _assert_single_error(rc, capsys)
+
+
 def test_weave_emits_prompt_accounting(workdir, tmp_path):
     emit = tmp_path / "prompt.json"
     assert (

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentaccel import corpus
 from agentaccel.clusterplan import (
@@ -14,6 +16,7 @@ from agentaccel.clusterplan import (
     label_theme,
     nmf_factorize,
     order_clusters,
+    prefix_counts,
     select_combinations,
 )
 from agentaccel.corpus import CoactivationMatrix
@@ -220,6 +223,49 @@ class TestCoverage:
             assert coverage(sequences, combos) == _brute_coverage(sequences, combos)
 
 
+def _reference_select(budget, sequences):
+    """Greedy selection by a full coverage recount for every candidate in every round."""
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
+    prefixes = set()
+    for seq in sequences:
+        seq = tuple(seq)
+        for length in range(1, len(seq) + 1):
+            prefixes.add(seq[:length])
+
+    chosen = []
+    chosen_set = set()
+    current = coverage(sequences, chosen_set)
+    for _ in range(budget):
+        options = [
+            p
+            for p in prefixes
+            if p not in chosen_set and (len(p) == 1 or p[:-1] in chosen_set)
+        ]
+        if not options:
+            break
+        best = None
+        best_key = None
+        for p in options:
+            gain = coverage(sequences, chosen_set | {p}) - current
+            key = (-gain, len(p), p)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = p
+        chosen.append(best)
+        chosen_set.add(best)
+        current += -best_key[0]
+    return chosen
+
+
+@st.composite
+def _sequence_lists(draw):
+    # A small pool drawn with replacement: repeated sequences, tied prefix
+    # counts, empty and unsorted sequences (repeated clusters included).
+    pool = draw(st.lists(st.lists(st.integers(0, 4), max_size=5).map(tuple), min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool), max_size=14))
+
+
 class TestSelection:
     def test_budget_zero(self):
         assert select_combinations(0, [(1, 2)]) == []
@@ -253,6 +299,15 @@ class TestSelection:
         sequences = [(2,), (1,)]
         got = select_combinations(1, sequences)
         assert got == [(1,)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(sequences=_sequence_lists(), budget=st.integers(0, 25))
+    def test_matches_reference_selection(self, sequences, budget):
+        assert select_combinations(budget, sequences) == _reference_select(budget, sequences)
+
+    def test_prefix_counts(self):
+        counts = prefix_counts([(1, 2), (1,), (), (1, 2), (2, 1)])
+        assert counts == {(1,): 3, (1, 2): 2, (2,): 1, (2, 1): 1}
 
     def _random_instance(self, rng):
         n_clusters = rng.randint(2, 6)

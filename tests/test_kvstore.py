@@ -174,8 +174,13 @@ class TestLongestPrefix:
                 prompt += [rng.randint(1, 9) for _ in range(rng.randint(0, 30))]
             else:
                 prompt = [rng.randint(1, 9) for _ in range(rng.randint(0, 60))]
-            _, match = store.longest_cached_prefix(prompt)
+            entry, match = store.longest_cached_prefix(prompt)
             assert match == _oracle_longest(entries, prompt)
+            # The served entry is the shortest, then smallest, sharing the head.
+            head = tuple(prompt[:match])
+            sharing = [e for e in entries if e.key[:match] == head]
+            expected = min(sharing, key=lambda e: (e.token_count, e.key)) if match else None
+            assert entry == expected
 
 
 class TestLoad:

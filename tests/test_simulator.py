@@ -1,7 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from agentaccel.clusterplan import select_combinations
+from agentaccel.kvstore import kv_size
 from agentaccel.lm import IDEAL_TAX, MEASURED_TAX, TaxCurve
 from agentaccel.simulator import (
     DeviceSpec,
@@ -285,3 +289,30 @@ class TestCoverageCurve:
                     best = combo
             covered += sum(cluster_tokens[c] for c in best)
         assert pts[0].coverage_fraction == pytest.approx(covered / denom)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sequences=st.lists(st.lists(st.integers(1, 5), max_size=4).map(tuple), max_size=12),
+        weights=st.lists(st.integers(0, 60), min_size=5, max_size=5),
+    )
+    def test_curve_equals_brute_recount_at_every_budget(self, sequences, weights):
+        # Oracle: at each budget, walk every sequence against the selection
+        # at that budget and sum storage per selected combination; exact.
+        cluster_tokens = dict(zip(range(1, 6), weights))
+        budgets = range(coverage_saturation_budget(sequences) + 2)
+        pts = coverage_curve(sequences, cluster_tokens, budgets, GEO_7B, 100, extra_static_tokens=7)
+
+        def weight(seq):
+            return sum(cluster_tokens[c] for c in seq)
+
+        denom = sum(weight(seq) for seq in sequences)
+        for point, budget in zip(pts, budgets):
+            chosen = select_combinations(budget, sequences)
+            covered = 0
+            for seq in sequences:
+                best = max((combo for combo in chosen if seq[: len(combo)] == combo), key=len, default=())
+                covered += weight(best)
+            storage = kv_size(107, GEO_7B) + sum(kv_size(100 + weight(combo), GEO_7B) for combo in chosen)
+            assert point.budget == budget
+            assert point.coverage_fraction == (covered / denom if denom else 0.0)
+            assert point.storage_bytes == storage
