@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -96,6 +97,14 @@ def _key_hash(prefix) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+def _common_head(a, b) -> int:
+    """Number of leading tokens `a` and `b` share."""
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            return i
+    return min(len(a), len(b))
+
+
 def _token_block(geometry: ModelGeometry, token: int, position: int) -> bytes:
     """Deterministic pseudo-KV bytes for one token position."""
     size = geometry.kv_bytes_per_token
@@ -117,10 +126,10 @@ def prefix_blob(prefix, geometry: ModelGeometry) -> bytes:
     return b"".join(_token_block(geometry, tok, pos) for pos, tok in enumerate(prefix))
 
 
-def _blob_file_bytes(prefix, geometry: ModelGeometry) -> bytes:
+def _blob_file_bytes(stream, geometry: ModelGeometry) -> bytes:
     header = MAGIC + VERSION.to_bytes(4, "little")
     descriptor = json.dumps(geometry.to_dict(), sort_keys=True).encode()
-    return header + len(descriptor).to_bytes(4, "little") + descriptor + prefix_blob(prefix, geometry)
+    return header + len(descriptor).to_bytes(4, "little") + descriptor + stream
 
 
 def _split_blob_file(raw: bytes) -> bytes:
@@ -165,7 +174,9 @@ class KVStore:
         self.root = Path(root)
         self.geometry: ModelGeometry | None = None
         self.entries: dict[str, CacheEntry] = {}
-        self._trie = _TrieNode()
+        # Built from `entries` at the first match; None whenever they change.
+        self._trie: _TrieNode | None = None
+        self._trie_lock = threading.Lock()
         if self.manifest_path.exists():
             self._load_manifest()
 
@@ -182,10 +193,19 @@ class KVStore:
         return sum(e.byte_size for e in self.entries.values())
 
     def _load_manifest(self):
+        where = f"manifest {self.manifest_path}"
         doc = json.loads(self.manifest_path.read_text())
+        if not isinstance(doc, dict):
+            raise StoreError(f"{where} is not a JSON object")
         try:
+            if not isinstance(doc["geometry"], dict):
+                raise StoreError(f"{where}: 'geometry' is not an object")
+            if not isinstance(doc["entries"], list):
+                raise StoreError(f"{where}: 'entries' is not a list")
             self.geometry = ModelGeometry.from_dict(doc["geometry"])
-            for rec in doc["entries"]:
+            for i, rec in enumerate(doc["entries"]):
+                if not isinstance(rec, dict):
+                    raise StoreError(f"{where}: entries[{i}] is not an object")
                 entry = CacheEntry(
                     key=tuple(rec["key"]),
                     token_count=rec["token_count"],
@@ -196,19 +216,30 @@ class KVStore:
                 )
                 self.entries[entry.key_hash] = entry
         except KeyError as exc:
-            raise StoreError(f"manifest {self.manifest_path} is missing field {exc}") from exc
-        self._rebuild_trie()
+            raise StoreError(f"{where} is missing field {exc}") from exc
+        except TypeError as exc:
+            raise StoreError(f"{where} has a field of the wrong type: {exc}") from exc
 
-    def _rebuild_trie(self):
+    def _rebuild_trie(self) -> _TrieNode:
         # Shortest (then smallest) key first: the first entry to reach a node
-        # is the one that node serves.
-        self._trie = _TrieNode()
-        for entry in sorted(self.entries.values(), key=lambda e: (e.token_count, e.key)):
-            node = self._trie
-            node.best = node.best or entry
-            for tok in entry.key:
-                node = node.children.setdefault(tok, _TrieNode())
+        # is the one that node serves.  Matches read `_trie` without the lock,
+        # so the root is published only once it is complete; the lock keeps
+        # concurrent first matches from each building their own.
+        with self._trie_lock:
+            if self._trie is not None:
+                return self._trie
+            root = _TrieNode()
+            for entry in sorted(self.entries.values(), key=lambda e: (e.token_count, e.key)):
+                node = root
                 node.best = node.best or entry
+                for tok in entry.key:
+                    child = node.children.get(tok)
+                    if child is None:  # setdefault would allocate a node per token
+                        child = node.children[tok] = _TrieNode()
+                    node = child
+                    node.best = node.best or entry
+            self._trie = root
+            return root
 
     def precompute(self, prefixes, geometry: ModelGeometry, tag: str = TAG_STATIC) -> list[CacheEntry]:
         """Persist one entry per distinct prefix; idempotent.
@@ -228,29 +259,40 @@ class KVStore:
             raise StoreError("store already holds blobs for a different geometry")
 
         self.blob_dir.mkdir(parents=True, exist_ok=True)
-        new_entries = dict(self.entries)
-        created = []
-        for prefix in dict.fromkeys(prefixes):  # dedup, first occurrence wins
+        unique = list(dict.fromkeys(prefixes))  # dedup, first occurrence wins
+        # In sorted order a key's longest common head with any earlier key is
+        # its head with its predecessor, so one running stream, cut back to
+        # that head and extended, synthesizes each shared block once.
+        block = geometry.kv_bytes_per_token
+        stream = bytearray()
+        previous: tuple[int, ...] = ()
+        made = {}
+        for prefix in sorted(unique):
+            head = _common_head(previous, prefix)
+            del stream[head * block:]
+            for pos in range(head, len(prefix)):
+                stream += _token_block(geometry, prefix[pos], pos)
+            previous = prefix
             khash = _key_hash(prefix)
-            raw = _blob_file_bytes(prefix, geometry)
+            raw = _blob_file_bytes(stream, geometry)
             blob_name = f"{khash}.kv"
-            stream_size = kv_size(len(prefix), geometry)
-            entry = CacheEntry(
+            made[prefix] = CacheEntry(
                 key=prefix,
                 token_count=len(prefix),
-                byte_size=stream_size,
+                byte_size=kv_size(len(prefix), geometry),
                 tag=tag,
                 blob_name=blob_name,
                 checksum=hashlib.sha256(raw).hexdigest(),
             )
             (self.blob_dir / blob_name).write_bytes(raw)
-            new_entries[khash] = entry
-            created.append(entry)
 
+        created = [made[prefix] for prefix in unique]
+        new_entries = dict(self.entries)
+        new_entries.update((entry.key_hash, entry) for entry in created)
         self._write_manifest(geometry, new_entries)
         self.geometry = geometry
         self.entries = new_entries
-        self._rebuild_trie()
+        self._trie = None
         return created
 
     def _write_manifest(self, geometry: ModelGeometry, entries: dict[str, CacheEntry]):
@@ -283,7 +325,7 @@ class KVStore:
         entry longer than the match still serves its matching head with the
         tail cut off.  Returns (None, 0) when nothing matches.
         """
-        node = self._trie
+        node = self._trie or self._rebuild_trie()
         depth = 0
         best_node = None
         for tok in prompt:

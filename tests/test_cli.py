@@ -177,6 +177,26 @@ def test_manifest_without_geometry_fails_cleanly(workdir, tmp_path, capsys):
     _assert_single_error(rc, capsys)
 
 
+@pytest.mark.parametrize("shape", ["not_an_object", "entry_not_an_object"])
+@pytest.mark.parametrize("command", ["run", "precompute-cache"])
+def test_manifest_of_wrong_shape_fails_cleanly(workdir, tmp_path, capsys, shape, command):
+    doc = json.loads((workdir / "cache" / "manifest.json").read_text())
+    bad = [] if shape == "not_an_object" else dict(doc, entries=[1])
+    (tmp_path / "manifest.json").write_text(json.dumps(bad))
+    if command == "run":
+        argv = ["run", "--config", str(workdir / "run.json"), "--cache", str(tmp_path), "--trace", str(tmp_path / "t.jsonl")]
+    else:
+        argv = [
+            "precompute-cache",
+            "--plan", str(workdir / "plan.json"),
+            "--registry", str(workdir / "registry.json"),
+            "--vocab", str(workdir / "vocab.json"),
+            "--geometry", "desk",
+            "--out", str(tmp_path),
+        ]
+    _assert_single_error(run_cli(*argv), capsys)
+
+
 def test_trace_line_not_an_object_fails_cleanly(tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     trace.write_text("[1, 2]\n")

@@ -1,9 +1,22 @@
+import hashlib
 import json
 import random
+import re
+import sys
+import tempfile
+import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import agentaccel.kvstore as kvmod
 from agentaccel.kvstore import (
+    TAG_ARBITER_STATIC,
+    TAG_CLUSTER_COMBINATION,
+    TAG_STATIC,
+    CacheEntry,
     IntegrityError,
     KVStore,
     ModelGeometry,
@@ -13,6 +26,8 @@ from agentaccel.kvstore import (
 )
 
 TINY = ModelGeometry(name="tiny", layers=1, kv_heads=1, head_dim=2, bytes_per_element=2, params_bytes=64)
+# 40 bytes per token: a block spans two sha256 digests, the second cut short.
+ODD = ModelGeometry(name="odd", layers=1, kv_heads=1, head_dim=10, bytes_per_element=2, params_bytes=64)
 
 
 @pytest.fixture()
@@ -111,10 +126,85 @@ class TestPrecompute:
         assert store.manifest_path.read_bytes() == before
         assert set(reopened.entries) == set(before_entries)
 
+    def test_each_shared_block_synthesized_once(self, store, monkeypatch):
+        calls = []
+        real = kvmod._token_block
+
+        def counting(geometry, token, position):
+            calls.append((token, position))
+            return real(geometry, token, position)
+
+        monkeypatch.setattr(kvmod, "_token_block", counting)
+        store.precompute([[1, 2, 3, 4], [1, 2, 3, 5], [1, 2], [1, 2, 3, 4]], TINY)
+        # (1, 2) makes 2 blocks, (1, 2, 3, 4) 2 more, (1, 2, 3, 5) 1; the duplicate none.
+        assert len(calls) == 5
+
     def test_byte_accounting_sums(self, store):
         store.precompute([[1], [1, 2], [3, 4, 5]], TINY)
         assert store.total_bytes == sum(e.byte_size for e in store.entries.values())
         assert store.total_bytes == kv_size(1, TINY) + kv_size(2, TINY) + kv_size(3, TINY)
+
+
+def _reference_precompute(store, prefixes, geometry, tag=TAG_STATIC):
+    """Per-entry synthesis: every entry's stream is built from scratch."""
+    store.blob_dir.mkdir(parents=True, exist_ok=True)
+    new_entries = dict(store.entries)
+    created = []
+    for prefix in dict.fromkeys(tuple(p) for p in prefixes):
+        khash = kvmod._key_hash(prefix)
+        raw = kvmod._blob_file_bytes(prefix_blob(prefix, geometry), geometry)
+        blob_name = f"{khash}.kv"
+        entry = CacheEntry(
+            key=prefix,
+            token_count=len(prefix),
+            byte_size=kv_size(len(prefix), geometry),
+            tag=tag,
+            blob_name=blob_name,
+            checksum=hashlib.sha256(raw).hexdigest(),
+        )
+        (store.blob_dir / blob_name).write_bytes(raw)
+        new_entries[khash] = entry
+        created.append(entry)
+    store._write_manifest(geometry, new_entries)
+    store.geometry = geometry
+    store.entries = new_entries
+    return created
+
+
+@st.composite
+def _precompute_calls(draw):
+    # Keys cut from one long base and extended by a short tail over a
+    # 3-token alphabet: duplicates, keys that are heads of other keys, long
+    # shared heads that then diverge, single-token keys, unsorted order.
+    base = draw(st.lists(st.integers(0, 2), min_size=1, max_size=40))
+
+    def key():
+        head = base[: draw(st.integers(0, len(base)))]
+        tail = draw(st.lists(st.integers(0, 2), min_size=0 if head else 1, max_size=5))
+        return head + tail
+
+    tags = draw(st.lists(st.sampled_from([TAG_STATIC, TAG_CLUSTER_COMBINATION, TAG_ARBITER_STATIC]), min_size=1, max_size=2, unique=True))
+    return [(tag, [key() for _ in range(draw(st.integers(1, 8)))]) for tag in tags]
+
+
+def _store_files(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestSharedHeadSynthesis:
+    @settings(max_examples=150, deadline=None)
+    @given(calls=_precompute_calls(), geometry=st.sampled_from([TINY, ODD]))
+    def test_matches_per_entry_reference(self, calls, geometry):
+        with tempfile.TemporaryDirectory() as tmp:
+            store = KVStore(Path(tmp) / "shared")
+            ref = KVStore(Path(tmp) / "reference")
+            for tag, prefixes in calls:
+                created = store.precompute(prefixes, geometry, tag=tag)
+                assert created == _reference_precompute(ref, prefixes, geometry, tag=tag)
+                assert list(store.entries.items()) == list(ref.entries.items())
+            assert _store_files(store.root) == _store_files(ref.root)
+            for entry in store.entries.values():
+                assert store.load_blob(entry) == prefix_blob(entry.key, geometry)
 
 
 def _oracle_longest(entries, prompt):
@@ -127,6 +217,15 @@ def _oracle_longest(entries, prompt):
             common += 1
         best_len = max(best_len, common)
     return best_len
+
+
+def _oracle_served(entries, prompt):
+    """Brute force: the shortest, then smallest, entry sharing the longest head."""
+    match = _oracle_longest(entries, prompt)
+    if not match:
+        return None, 0
+    head = tuple(prompt[:match])
+    return min((e for e in entries if e.key[:match] == head), key=lambda e: (e.token_count, e.key)), match
 
 
 class TestLongestPrefix:
@@ -174,13 +273,51 @@ class TestLongestPrefix:
                 prompt += [rng.randint(1, 9) for _ in range(rng.randint(0, 30))]
             else:
                 prompt = [rng.randint(1, 9) for _ in range(rng.randint(0, 60))]
-            entry, match = store.longest_cached_prefix(prompt)
-            assert match == _oracle_longest(entries, prompt)
-            # The served entry is the shortest, then smallest, sharing the head.
-            head = tuple(prompt[:match])
-            sharing = [e for e in entries if e.key[:match] == head]
-            expected = min(sharing, key=lambda e: (e.token_count, e.key)) if match else None
-            assert entry == expected
+            assert store.longest_cached_prefix(prompt) == _oracle_served(entries, prompt)
+
+    def test_concurrent_first_match_on_fresh_store(self, store):
+        rng = random.Random(7)
+        keys = [[rng.randint(1, 4) for _ in range(rng.randint(1, 300))] for _ in range(60)]
+        store.precompute(keys, TINY)
+        fresh = KVStore(store.root)
+        entries = list(fresh.entries.values())
+        prompts = [list(rng.choice(keys)[: rng.randint(0, 300)]) + [rng.randint(1, 4)] for _ in range(40)]
+        expected = [_oracle_served(entries, p) for p in prompts]
+        builds = []
+
+        class CountingEntries(dict):
+            def values(self):
+                builds.append(threading.current_thread().name)
+                return super().values()
+
+        fresh.entries = CountingEntries(fresh.entries)
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def worker(i):
+            barrier.wait(timeout=30)
+            results[i] = [fresh.longest_cached_prefix(p) for p in prompts]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * 4
+        assert len(builds) == 1
+
+    def test_match_after_precompute_sees_new_entries(self, store):
+        first = store.precompute([[1, 2, 3]], TINY)[0]
+        assert store.longest_cached_prefix([1, 2, 3, 4, 5]) == (first, 3)
+        longer = store.precompute([[1, 2, 3, 4, 5]], TINY)[0]
+        assert store.longest_cached_prefix([1, 2, 3, 4, 5]) == (longer, 5)
+        assert store.longest_cached_prefix([1, 2, 3]) == (first, 3)
 
 
 class TestLoad:
@@ -231,6 +368,23 @@ class TestLoad:
         entry = doc["entries"][0]
         for field in ("key_hash", "token_count", "byte_size", "tag", "blob", "checksum"):
             assert field in entry
+
+    @pytest.mark.parametrize(
+        "mangle, named",
+        [
+            (lambda doc: [], "not a JSON object"),
+            (lambda doc: dict(doc, geometry=[]), "'geometry'"),
+            (lambda doc: dict(doc, entries={}), "'entries'"),
+            (lambda doc: dict(doc, entries=[1]), "entries[0]"),
+            (lambda doc: dict(doc, entries=[dict(doc["entries"][0], key=5)]), "wrong type"),
+        ],
+    )
+    def test_manifest_of_wrong_shape_raises_store_error(self, store, mangle, named):
+        store.precompute([[1, 2]], TINY)
+        doc = json.loads(store.manifest_path.read_text())
+        store.manifest_path.write_text(json.dumps(mangle(doc)))
+        with pytest.raises(StoreError, match=re.escape(named)):
+            KVStore(store.root)
 
     def test_reader_snapshot_survives_concurrent_precompute(self, store):
         # A reader opened before a writer publishes keeps serving its
