@@ -92,6 +92,29 @@ class Cluster:
     example_tokens: tuple[int, ...]
 
 
+class PlanError(ValueError):
+    """A plan document failed schema validation."""
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, an int subclass, but are not ids or tokens.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list_of(value, valid) -> bool:
+    return isinstance(value, list) and all(valid(v) for v in value)
+
+
+# Field of a plan's cluster record, its check, and what the check expects.
+_CLUSTER_FIELDS = (
+    ("id", _is_int, "an integer"),
+    ("tools", lambda v: _list_of(v, lambda t: isinstance(t, str)), "a list of strings"),
+    ("theme", lambda v: isinstance(v, str), "a string"),
+    ("example_id", lambda v: isinstance(v, str), "a string"),
+    ("example_tokens", lambda v: _list_of(v, _is_int), "a list of integers"),
+)
+
+
 @dataclass(frozen=True)
 class ClusterPlan:
     """Ordered clusters plus the budgeted set of cached combination prefixes.
@@ -145,10 +168,23 @@ class ClusterPlan:
         return json.dumps(doc, sort_keys=True, indent=1)
 
     @classmethod
-    def from_json(cls, text: str) -> "ClusterPlan":
+    def from_json(cls, text: str, where: str = "plan") -> "ClusterPlan":
+        """Parse a `to_json` document; a document of another shape raises PlanError."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise PlanError(f"{where} is not a JSON object")
+        for key in ("clusters", "order", "cached_combinations"):
+            if key not in doc:
+                raise PlanError(f"{where} is missing field '{key}'")
+        if not _list_of(doc["clusters"], lambda rec: isinstance(rec, dict)):
+            raise PlanError(f"{where}: 'clusters' is not a list of objects")
         by_id = {}
-        for rec in doc["clusters"]:
+        for i, rec in enumerate(doc["clusters"]):
+            for key, valid, kind in _CLUSTER_FIELDS:
+                if key not in rec:
+                    raise PlanError(f"{where}: clusters[{i}] is missing field '{key}'")
+                if not valid(rec[key]):
+                    raise PlanError(f"{where}: clusters[{i}].{key} is not {kind}")
             by_id[rec["id"]] = Cluster(
                 id=rec["id"],
                 tool_ids=tuple(rec["tools"]),
@@ -156,13 +192,24 @@ class ClusterPlan:
                 example_id=rec["example_id"],
                 example_tokens=tuple(rec["example_tokens"]),
             )
+
+        def known(cid) -> bool:
+            return _is_int(cid) and cid in by_id
+
+        if not _list_of(doc["order"], known):
+            raise PlanError(f"{where}: 'order' is not a list of cluster ids")
+        if not _list_of(doc["cached_combinations"], lambda combo: _list_of(combo, known)):
+            raise PlanError(f"{where}: 'cached_combinations' is not a list of lists of cluster ids")
+        provenance = doc.get("provenance", {})
+        if not isinstance(provenance, dict):
+            raise PlanError(f"{where}: 'provenance' is not an object")
         clusters = tuple(by_id[cid] for cid in doc["order"])
         combos = tuple(tuple(c) for c in doc["cached_combinations"])
-        return cls(clusters=clusters, cached_combinations=combos, provenance=doc.get("provenance", {}))
+        return cls(clusters=clusters, cached_combinations=combos, provenance=provenance)
 
     @classmethod
     def load(cls, path) -> "ClusterPlan":
-        return cls.from_json(Path(path).read_text())
+        return cls.from_json(Path(path).read_text(), where=f"plan {path}")
 
 
 def assign_clusters(w: np.ndarray, matrix: CoactivationMatrix) -> dict[int, list[str]]:

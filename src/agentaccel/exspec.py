@@ -109,18 +109,22 @@ def verify(target: ReferenceModel, context, drafts) -> tuple[int, int]:
     Returns (accepted_count, corrected_token) where the corrected token is
     the target's choice at the first mismatch, or the next token after full
     acceptance.
+
+    `context` is a list that the accepted drafts are appended to while
+    verifying; it is cut back to its length on entry before returning.
     """
     if not drafts:
         raise ValueError("drafts must be non-empty")
-    ctx = list(context)
-    accepted = 0
-    for d in drafts:
-        choice = target.greedy_next(ctx)
-        if d != choice:
-            return accepted, choice
-        accepted += 1
-        ctx.append(d)
-    return accepted, target.greedy_next(ctx)
+    size = len(context)
+    try:
+        for d in drafts:
+            choice = target.greedy_next(context)
+            if d != choice:
+                return len(context) - size, choice
+            context.append(d)
+        return len(drafts), target.greedy_next(context)
+    finally:
+        del context[size:]
 
 
 @dataclass
@@ -165,16 +169,19 @@ def decode(
 ) -> tuple[list[int], DecodeStats]:
     """Speculative decoding loop; output always equals greedy_decode.
 
-    In selective mode a first-lookup miss costs one plain step.  In
-    non-selective mode every round drafts (fillers on a miss) and pays the
-    full verification pass, which is what makes the two modes comparable on
-    cost while identical on output.
+    The target is bound to the prompt once (`ReferenceModel.bind`) and every
+    step of the loop goes to the bound model.  In selective mode a
+    first-lookup miss costs one plain step.  In non-selective mode every
+    round drafts (fillers on a miss) and pays the full verification pass,
+    which is what makes the two modes comparable on cost while identical on
+    output.
     """
     if max_tokens < 0:
         raise ValueError("max_tokens must be non-negative")
     if n_draft < 1:
         raise ValueError("n_draft must be at least 1")
     stats = DecodeStats(selective=selective, draft_len=n_draft, lut_size=len(lut))
+    target = target.bind(prompt)
     context = list(prompt)
     out: list[int] = []
     done = False

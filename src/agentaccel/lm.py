@@ -8,6 +8,12 @@ asserted token for token.
 Decoding is greedy throughout: the next token is the argmax of the model's
 distribution, with ties broken toward the lowest token id, and token id 0 is
 the end-of-sequence sentinel.
+
+`ReferenceModel.bind(prompt)` gives a decode its per-prompt state: a model
+valid for every context that extends the prompt.  ScriptedModel resolves the
+script once there, so a bound step reads only the generated tail; the Markov
+step needs no such state and binds to itself.  `greedy_decode` never binds
+and stays the oracle that speculative output is checked against.
 """
 
 from __future__ import annotations
@@ -79,6 +85,15 @@ class ReferenceModel:
     def next_distribution(self, context) -> dict[int, float]:
         raise NotImplementedError
 
+    def bind(self, prompt) -> "ReferenceModel":
+        """This model's greedy step for contexts that extend `prompt`.
+
+        A decode binds once and steps the result, which may keep state
+        resolved from the prompt; contexts not extending `prompt` are
+        outside its contract.  Here there is no such state: `self`.
+        """
+        return self
+
     def greedy_next(self, context) -> int:
         return self._greedy_choice(context)
 
@@ -122,6 +137,46 @@ class ScriptedModel(ReferenceModel):
         if pos >= len(script) or context[len(best):] != script[:pos]:
             return {EOS_ID: 1.0}
         return {script[pos]: 1.0}
+
+    def bind(self, prompt) -> ReferenceModel:
+        """Resolve the longest registered prompt that prefixes `prompt` once.
+
+        Every context extending `prompt` then has that same winner, unless a
+        registered prompt extends `prompt` itself; in that case, and for a
+        subclass with its own distribution, the general step stays.
+        """
+        if type(self).next_distribution is not ScriptedModel.next_distribution:
+            return self
+        prompt = tuple(prompt)
+        n = len(prompt)
+        head, script = None, ()
+        for key, continuation in self._scripts.items():
+            if len(key) > n:
+                if key[:n] == prompt:
+                    return self
+            elif (head is None or len(key) > head) and prompt[: len(key)] == key:
+                head, script = len(key), continuation
+        return _BoundScript(self, n if head is None else head, script)
+
+
+class _BoundScript(ReferenceModel):
+    """A ScriptedModel bound to one prompt.
+
+    `script` continues the prompt's first `head` tokens.  A step compares
+    only `context[head:]`, the bound prompt's tail past the head plus the
+    generated tokens, against the script.
+    """
+
+    def __init__(self, model: ReferenceModel, head: int, script: tuple[int, ...]):
+        super().__init__(model.tax_curve, model.base_step_seconds)
+        self._head = head
+        self._script = script
+
+    def _greedy_choice(self, context) -> int:
+        pos = len(context) - self._head
+        if pos >= len(self._script) or tuple(context[self._head:]) != self._script[:pos]:
+            return EOS_ID
+        return self._script[pos]
 
 
 def prompt_script_key(prompt) -> str:
@@ -243,7 +298,10 @@ def train_markov(corpus, order: int, smoothing: float = 0.0, **kwargs) -> Markov
 
 
 def greedy_decode(model: ReferenceModel, prompt, max_tokens: int) -> list[int]:
-    """Plain autoregressive argmax decoding, the ground truth for all modes."""
+    """Plain autoregressive argmax decoding, the ground truth for all modes.
+
+    The model is stepped unbound, so this is also the oracle for `bind`.
+    """
     if max_tokens < 0:
         raise ValueError("max_tokens must be non-negative")
     context = list(prompt)

@@ -143,6 +143,13 @@ def specdec_speedup(
     return tokens_per_round / round_cost
 
 
+def _int_field(doc: dict, key: str, where: str) -> int:
+    try:
+        return int(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise TraceError(f"{where}: field '{key}' is not an integer") from exc
+
+
 @dataclass
 class RoleTrace:
     """Per-query token accounting and decode statistics for one LLM role."""
@@ -164,10 +171,15 @@ class RoleTrace:
 
     @classmethod
     def from_dict(cls, doc: dict, where: str) -> "RoleTrace":
+        if not isinstance(doc, dict):
+            raise TraceError(f"{where} is not an object")
         for key in cls._REQUIRED:
             if key not in doc:
                 raise TraceError(f"{where}: missing field '{key}'")
-        role = cls(**{k: int(doc[k]) for k in cls._REQUIRED}, decode=dict(doc.get("decode", {})))
+        decode = doc.get("decode", {})
+        if not isinstance(decode, dict):
+            raise TraceError(f"{where}: field 'decode' is not an object")
+        role = cls(**{k: _int_field(doc, k, where) for k in cls._REQUIRED}, decode=dict(decode))
         if role.baseline_uncacheable > role.baseline_total or role.weaver_uncacheable > role.weaver_total:
             raise TraceError(f"{where}: uncacheable tokens exceed prompt total")
         return role
@@ -198,7 +210,7 @@ class TraceRecord:
         qid = str(doc["query_id"])
         return cls(
             query_id=qid,
-            tool_count=int(doc["tool_count"]),
+            tool_count=_int_field(doc, "tool_count", f"record {qid}"),
             planner=RoleTrace.from_dict(doc["planner"], f"record {qid} planner"),
             arbiter=RoleTrace.from_dict(doc["arbiter"], f"record {qid} arbiter"),
         )
@@ -277,12 +289,12 @@ def _decode_seconds(role: RoleTrace, config: SimConfig, speculative: bool) -> fl
     for key in ("rounds", "fallbacks", "draft_len"):
         if key not in stats:
             raise TraceError(f"decode stats missing field '{key}'")
-    drafting_rounds = int(stats["rounds"]) - int(stats["fallbacks"])
+    rounds, fallbacks, draft_len = (_int_field(stats, k, "decode stats") for k in ("rounds", "fallbacks", "draft_len"))
+    drafting_rounds = rounds - fallbacks
     if drafting_rounds < 0:
         raise TraceError("decode stats: fallbacks exceed rounds")
-    width = int(stats["draft_len"]) + 1
-    pass_cost = verify_latency(width, config.geometry, config.device, config.verify_tax)
-    return drafting_rounds * pass_cost + int(stats["fallbacks"]) * t1
+    pass_cost = verify_latency(draft_len + 1, config.geometry, config.device, config.verify_tax)
+    return drafting_rounds * pass_cost + fallbacks * t1
 
 
 def _cell_breakdown(records: list[TraceRecord], config: SimConfig, reconstructed: bool, speculative: bool) -> LatencyBreakdown:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from agentaccel import simulator
 from agentaccel.cli import main
 
 
@@ -122,8 +123,6 @@ def test_simulate_and_report(workdir, tmp_path, capsys):
 
 
 def test_report_csv_equals_to_csv(workdir, tmp_path, capsys):
-    from agentaccel import simulator
-
     trace = workdir / "trace.jsonl"
     if not trace.exists():
         assert run_cli("run", "--config", str(workdir / "run.json")) == 0
@@ -202,6 +201,53 @@ def test_trace_line_not_an_object_fails_cleanly(tmp_path, capsys):
     trace.write_text("[1, 2]\n")
     rc = run_cli("simulate", "--trace", str(trace), "--out", str(tmp_path / "r.json"))
     _assert_single_error(rc, capsys)
+
+
+def _plan_without_clusters(doc):
+    del doc["clusters"]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda doc: [], id="not_an_object"),
+        pytest.param(lambda doc: {"clusters": 5, "order": [], "cached_combinations": []}, id="clusters_not_a_list"),
+        pytest.param(_plan_without_clusters, id="missing_clusters"),
+        pytest.param(lambda doc: dict(doc, order=[999]), id="order_names_unknown_cluster"),
+        pytest.param(lambda doc: dict(doc, cached_combinations=[7]), id="combination_not_a_list"),
+    ],
+)
+def test_plan_of_wrong_shape_fails_cleanly(workdir, tmp_path, capsys, corrupt):
+    (tmp_path / "plan.json").write_text(json.dumps(corrupt(json.loads((workdir / "plan.json").read_text()))))
+    cfg = json.loads((workdir / "run.json").read_text())
+    cfg["paths"] = {key: str(workdir / rel) for key, rel in cfg["paths"].items()}
+    cfg["paths"].update(plan=str(tmp_path / "plan.json"), trace=str(tmp_path / "t.jsonl"))
+    (tmp_path / "run.json").write_text(json.dumps(cfg))
+    _assert_single_error(run_cli("run", "--config", str(tmp_path / "run.json")), capsys)
+
+
+@pytest.mark.parametrize(
+    "role, field, value",
+    [
+        ("planner", None, 5),
+        ("arbiter", None, [1]),
+        ("planner", "decode", 5),
+        ("arbiter", "output_tokens", [1]),
+        ("planner", "decode", {"rounds": [1], "fallbacks": 0, "draft_len": 4}),
+    ],
+)
+def test_trace_record_of_wrong_shape_fails_cleanly(tmp_path, capsys, role, field, value):
+    doc = simulator.calibration_trace()[0].to_dict()
+    if field is None:
+        doc[role] = value
+    else:
+        doc[role][field] = value
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps(doc) + "\n")
+    rc = run_cli("simulate", "--trace", str(trace), "--out", str(tmp_path / "r.json"))
+    _assert_single_error(rc, capsys)
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_weave_emits_prompt_accounting(workdir, tmp_path):

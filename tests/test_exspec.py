@@ -4,8 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from agentaccel import pipeline
 from agentaccel.exspec import MISS, NGramLUT, build_lut, decode, draft, verify
-from agentaccel.lm import ScriptedModel, greedy_decode, train_markov
+from agentaccel.lm import ReferenceModel, ScriptedModel, greedy_decode, train_markov
 from agentaccel.tokenizer import EOS_ID
 
 
@@ -164,6 +165,53 @@ class TestVerify:
             else:
                 assert corrected == model.greedy_next(ctx)
             assert accepted == expected_accept
+
+
+class TestVerifyLeavesContext:
+    """Verification appends drafts to the caller's list and cuts them back."""
+
+    def test_after_full_acceptance(self):
+        ctx = [1]
+        assert verify(ScriptedModel({(1,): (5, 6, 7, 8)}), ctx, [5, 6, 7]) == (3, 8)
+        assert ctx == [1]
+
+    def test_after_early_mismatch(self):
+        ctx = [1, 5]
+        assert verify(ScriptedModel({(1,): (5, 6, 7, 8)}), ctx, [6, 9, 9]) == (1, 7)
+        assert ctx == [1, 5]
+
+    def test_when_the_target_raises_mid_group(self):
+        class Failing(ReferenceModel):
+            def next_distribution(self, context):
+                if len(context) >= 3:
+                    raise RuntimeError("target failed")
+                return {4: 1.0}
+
+        ctx = [1]
+        with pytest.raises(RuntimeError):
+            verify(Failing(), ctx, [4, 4, 4])
+        assert ctx == [1]
+
+
+# Greedy steps a fixture-corpus run takes, counted by wrapping
+# `ReferenceModel.greedy_next` the way the benchmark's `lm.greedy_next` span
+# does; binding the target and verifying in place must not change them.
+FIXTURE_GREEDY_CALLS = {"scripted": 2963, "markov": 10751}
+
+
+@pytest.mark.parametrize("model", sorted(FIXTURE_GREEDY_CALLS))
+def test_greedy_calls_on_fixture_corpus(bundle, plan, monkeypatch, model):
+    step = ReferenceModel.greedy_next
+    calls = 0
+
+    def counted(self, context):
+        nonlocal calls
+        calls += 1
+        return step(self, context)
+
+    monkeypatch.setattr(ReferenceModel, "greedy_next", counted)
+    pipeline.run_queries(bundle, plan, None, pipeline.RunSettings(model=model))
+    assert calls == FIXTURE_GREEDY_CALLS[model]
 
 
 def _verbatim_setup(n=3, draft_len=4):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agentaccel.exspec import build_lut, decode
 from agentaccel.lm import (
     MEASURED_TAX,
     MarkovModel,
@@ -131,19 +132,111 @@ class TestMarkovGreedyTable:
             assert model.greedy_next(ctx) == _lowest_id_argmax(model.next_distribution(ctx)), ctx
 
     def test_greedy_step_is_not_overridden(self):
-        # One method takes every greedy step, so wrapping it observes them all.
-        assert all("greedy_next" not in vars(cls) for cls in (ScriptedModel, MarkovModel))
+        # One method takes every greedy step, so wrapping it observes them all,
+        # the steps of a bound model included.
+        bound = type(ScriptedModel({(1,): (2,)}).bind([1]))
+        assert bound is not ScriptedModel and issubclass(bound, ReferenceModel)
+        assert all("greedy_next" not in vars(cls) for cls in (ScriptedModel, MarkovModel, bound))
         assert "greedy_next" in vars(ReferenceModel)
+
+
+tokens = st.integers(1, 3)
+token_runs = st.lists(tokens, max_size=5)
+
+
+@st.composite
+def bound_prompts(draw):
+    """A prompt and registered scripts around it.
+
+    Scripts are registered on heads of the prompt (the empty and the whole
+    prompt included), on an extension of it, and on unrelated prompts; any
+    of these may be missing and any script may be empty.  Tokens 1-3 make
+    unrelated prompts and off-script tails collide with the prompt often.
+    """
+    prompt = tuple(draw(st.lists(tokens, max_size=6)))
+    scripts = {}
+    for _ in range(draw(st.integers(0, 3))):
+        scripts[prompt[: draw(st.integers(0, len(prompt)))]] = tuple(draw(token_runs))
+    if draw(st.booleans()):
+        scripts[prompt + tuple(draw(st.lists(tokens, min_size=1, max_size=3)))] = tuple(draw(token_runs))
+    for other in draw(st.lists(token_runs, max_size=3)):
+        scripts[tuple(other)] = tuple(draw(token_runs))
+    return list(prompt), scripts
+
+
+def _tails(prompt, scripts, drawn):
+    """Tails after the prompt: on each script, past its end, off it, and empty."""
+    tails = [[]] + drawn
+    for key, script in scripts.items():
+        full = list(key + script)
+        if full[: len(prompt)] == prompt:
+            tails += [full[len(prompt): len(prompt) + k] for k in range(len(full) - len(prompt) + 3)]
+            tails += [t + [9] for t in tails[-3:]]
+    return tails
+
+
+class TestBoundScripted:
+    """`bind` against the unbound distribution, the oracle it replaces."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=bound_prompts(), drawn=st.lists(st.lists(tokens, max_size=8), max_size=4))
+    def test_bound_step_is_lowest_argmax_of_distribution(self, case, drawn):
+        prompt, scripts = case
+        model = ScriptedModel(scripts)
+        bound = model.bind(prompt)
+        for tail in _tails(prompt, scripts, drawn):
+            ctx = prompt + tail
+            assert bound.greedy_next(ctx) == _lowest_id_argmax(model.next_distribution(ctx)), (prompt, tail)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=bound_prompts(),
+        region=st.lists(tokens, max_size=20),
+        n=st.integers(2, 4),
+        n_draft=st.integers(1, 5),
+        max_tokens=st.integers(0, 12),
+    )
+    def test_decode_equals_unbound_greedy(self, case, region, n, n_draft, max_tokens):
+        prompt, scripts = case
+        model = ScriptedModel(scripts)
+        lut = build_lut(prompt + region, n)
+        expected = greedy_decode(model, prompt, max_tokens)
+        for selective in (True, False):
+            assert decode(model, prompt, lut, n_draft, selective, max_tokens)[0] == expected
+
+    def test_registered_extension_keeps_the_general_step(self):
+        model = ScriptedModel({(1,): (5, 6), (1, 5): (7,)})
+        assert model.bind([1]) is model
+        assert decode(model, [1], build_lut([], 3), 4, True, 5)[0] == greedy_decode(model, [1], 5) == [5, 7]
+
+    def test_bound_step_costs_like_the_model(self):
+        model = ScriptedModel({(1,): (5,)}, tax_curve=MEASURED_TAX, base_step_seconds=0.25)
+        bound = model.bind([1])
+        assert [bound.step_cost(k) for k in (1, 2, 3)] == [model.step_cost(k) for k in (1, 2, 3)]
+
+    def test_markov_binds_to_itself(self):
+        model = train_markov([[1, 2, 3]], order=2)
+        assert model.bind([1, 2]) is model
+
+
+class TieModel(ScriptedModel):
+    """Its own distribution: a tie between 7 and 3 for three steps, then EOS."""
+
+    def next_distribution(self, context):
+        return {7: 0.5, 3: 0.5} if len(context) < 4 else {EOS_ID: 1.0}
 
 
 class TestGreedy:
     def test_tie_breaks_to_lowest_token_id(self):
-        class TieModel(ScriptedModel):
-            def next_distribution(self, context):
-                return {7: 0.5, 3: 0.5}
-
         model = TieModel({})
         assert model.greedy_next([]) == 3
+
+    def test_subclass_distribution_survives_bind(self):
+        model = TieModel({(1,): (5, 6)})
+        assert model.bind([1]) is model
+        lut = build_lut([1, 3, 3, 3], n=2)
+        for selective in (True, False):
+            assert decode(model, [1], lut, 4, selective, 10)[0] == greedy_decode(model, [1], 10) == [3, 3, 3]
 
     def test_negative_max_tokens_rejected(self):
         with pytest.raises(ValueError):
