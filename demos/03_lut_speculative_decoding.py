@@ -28,7 +28,7 @@ sample = bundle.test[0]
 prompt = weaver.planner_prompt(sample.query_tokens, k=1,
                                retrieved=rag.retrieve_tools(sample.query_tokens, 0.5))
 script = bundle.tokenizer.tokenize(render_plan(sample.gt_plan))
-model = ScriptedModel({tuple(prompt.tokens): tuple(script)})
+model = ScriptedModel(prompt.tokens, script)
 
 region = prompt.extraction_region("fewshot")
 lut = build_lut(region, n=3)
@@ -56,7 +56,7 @@ for n in (2, 3, 4):
     for s in bundle.test:
         p = weaver.planner_prompt(s.query_tokens, k=1,
                                   retrieved=rag.retrieve_tools(s.query_tokens, 0.5))
-        m = ScriptedModel({tuple(p.tokens): tuple(bundle.tokenizer.tokenize(render_plan(s.gt_plan)))})
+        m = ScriptedModel(p.tokens, bundle.tokenizer.tokenize(render_plan(s.gt_plan)))
         _, st = decode(m, p.tokens, build_lut(p.extraction_region("fewshot"), n), 4, True, 160)
         gen += st.drafts_generated
         acc += st.drafts_accepted

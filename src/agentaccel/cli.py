@@ -19,7 +19,7 @@ from pathlib import Path
 from . import corpus, exspec, fixtures, lm, pipeline, simulator
 from .clusterplan import ClusterPlan, build_plan
 from .kvstore import KVStore, ModelGeometry, StoreError
-from .tokenizer import Tokenizer
+from .tokenizer import Tokenizer, is_token_ids
 from .weaver import Weaver, region_tokens
 
 CACHE_DIR_ENV = "AGENTACCEL_CACHE_DIR"
@@ -215,10 +215,21 @@ def cmd_weave(args) -> int:
     return 0
 
 
+def _prompt_segments(path: Path) -> list[tuple[str, tuple[int, ...]]]:
+    """The `(kind, tokens)` segments of a `weave --emit` prompt file."""
+    doc = json.loads(path.read_text())
+    segments = doc.get("segments") if isinstance(doc, dict) else None
+    if not isinstance(segments, list):
+        raise CliError(f"prompt file {path} has no 'segments' list")
+    for i, seg in enumerate(segments):
+        if not (isinstance(seg, dict) and isinstance(seg.get("kind"), str) and is_token_ids(seg.get("tokens"))):
+            raise CliError(f"prompt file {path}: segments[{i}] is not an object with a 'kind' and a list of token ids")
+    return [(seg["kind"], tuple(seg["tokens"])) for seg in segments]
+
+
 def cmd_decode(args) -> int:
     prompt_path = _require_file(args.prompt, "prompt file (weave --emit output)")
-    doc = json.loads(prompt_path.read_text())
-    segments = [(seg["kind"], tuple(seg["tokens"])) for seg in doc["segments"]]
+    segments = _prompt_segments(prompt_path)
     prompt_tokens = [t for _, toks in segments for t in toks]
     region = region_tokens(segments, args.extract)
 
@@ -232,10 +243,10 @@ def cmd_decode(args) -> int:
         )
         model = pipeline._build_markov(bundle)
     else:
-        script_path = _require_file(args.script, "script file")
-        model = lm.KeyedScriptedModel(lm.load_scripts(script_path))
-        if not model.bind_prompt(prompt_tokens):
+        script = lm.load_script(_require_file(args.script, "script file"), prompt_tokens)
+        if script is None:
             raise CliError("script file has no entry for this prompt")
+        model = lm.ScriptedModel(prompt_tokens, script)
 
     lut = exspec.build_lut(region, args.n)
     out, stats = exspec.decode(model, prompt_tokens, lut, args.draft_len, args.selective == "on", args.max_tokens)

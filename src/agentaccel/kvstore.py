@@ -25,13 +25,15 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
+from .tokenizer import is_token_ids, sequence_hash
+
 MAGIC = b"AGENTKVCACHE"  # 12 bytes; followed by a 4-byte version field
 VERSION = 1
 
 TAG_STATIC = "static"
 TAG_CLUSTER_COMBINATION = "cluster_combination"
 TAG_ARBITER_STATIC = "arbiter_static"
-_TAGS = {TAG_STATIC, TAG_CLUSTER_COMBINATION, TAG_ARBITER_STATIC}
+_TAGS = (TAG_STATIC, TAG_CLUSTER_COMBINATION, TAG_ARBITER_STATIC)
 
 
 class StoreError(RuntimeError):
@@ -92,11 +94,6 @@ def kv_size(token_count: int, geometry: ModelGeometry) -> int:
     return token_count * geometry.kv_bytes_per_token
 
 
-def _key_hash(prefix) -> str:
-    payload = ",".join(str(t) for t in prefix).encode()
-    return hashlib.sha256(payload).hexdigest()
-
-
 def _common_head(a, b) -> int:
     """Number of leading tokens `a` and `b` share."""
     for i, (x, y) in enumerate(zip(a, b)):
@@ -153,7 +150,23 @@ class CacheEntry:
 
     @property
     def key_hash(self) -> str:
-        return _key_hash(self.key)
+        return sequence_hash(self.key)
+
+
+def _entry_error(rec: dict, geometry: ModelGeometry) -> tuple[str, str] | None:
+    """The first field of one manifest entry that is wrong, and what it must be."""
+    if not is_token_ids(rec["key"]):
+        return "key", "a list of token ids"
+    if type(rec["token_count"]) is not int or rec["token_count"] != len(rec["key"]):
+        return "token_count", "the length of key"
+    if type(rec["byte_size"]) is not int or rec["byte_size"] != kv_size(rec["token_count"], geometry):
+        return "byte_size", "the KV size of token_count tokens"
+    if rec["tag"] not in _TAGS:
+        return "tag", f"one of {', '.join(_TAGS)}"
+    for field in ("blob", "checksum"):
+        if not isinstance(rec[field], str):
+            return field, "a string"
+    return None
 
 
 class _TrieNode:
@@ -206,6 +219,10 @@ class KVStore:
             for i, rec in enumerate(doc["entries"]):
                 if not isinstance(rec, dict):
                     raise StoreError(f"{where}: entries[{i}] is not an object")
+                error = _entry_error(rec, self.geometry)
+                if error is not None:
+                    field, expected = error
+                    raise StoreError(f"{where}: entries[{i}].{field} has the wrong type or value, expected {expected}")
                 entry = CacheEntry(
                     key=tuple(rec["key"]),
                     token_count=rec["token_count"],
@@ -273,7 +290,7 @@ class KVStore:
             for pos in range(head, len(prefix)):
                 stream += _token_block(geometry, prefix[pos], pos)
             previous = prefix
-            khash = _key_hash(prefix)
+            khash = sequence_hash(prefix)
             raw = _blob_file_bytes(stream, geometry)
             blob_name = f"{khash}.kv"
             made[prefix] = CacheEntry(
@@ -351,11 +368,3 @@ class KVStore:
         if len(stream) != entry.byte_size:
             raise IntegrityError(f"blob {entry.blob_name} has wrong payload size")
         return stream
-
-    def account(self, entry: CacheEntry, ssd_bandwidth: float) -> tuple[int, float]:
-        """(bytes, modeled SSD load seconds) for pulling `entry` into memory."""
-        if entry.key_hash not in self.entries:
-            raise StoreError("entry not present in manifest")
-        if ssd_bandwidth <= 0:
-            raise ValueError("ssd_bandwidth must be positive")
-        return entry.byte_size, entry.byte_size / ssd_bandwidth

@@ -1,28 +1,28 @@
 """Deterministic reference models for exact verification of decoding.
 
 Real weights never run in this package.  ScriptedModel replays a fixed
-continuation per prompt and MarkovModel is a count-based n-gram chain, both
-fully deterministic, so "speculative output equals greedy output" can be
-asserted token for token.
+continuation of one prompt and MarkovModel is a count-based n-gram chain,
+both fully deterministic, so "speculative output equals greedy output" can
+be asserted token for token.
 
 Decoding is greedy throughout: the next token is the argmax of the model's
 distribution, with ties broken toward the lowest token id, and token id 0 is
 the end-of-sequence sentinel.
 
 `ReferenceModel.bind(prompt)` gives a decode its per-prompt state: a model
-valid for every context that extends the prompt.  ScriptedModel resolves the
-script once there, so a bound step reads only the generated tail; the Markov
-step needs no such state and binds to itself.  `greedy_decode` never binds
-and stays the oracle that speculative output is checked against.
+valid for every context that extends the prompt.  ScriptedModel checks there,
+once, that the prompt extends its own, so a bound step reads only the tokens
+past it; the Markov step needs no such state and binds to itself.
+`greedy_decode` never binds and stays the oracle that speculative output is
+checked against.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import Counter
 
-from .tokenizer import EOS_ID
+from .tokenizer import EOS_ID, is_token_ids, sequence_hash
 
 # Single-token step cost is the unit; a k-token verification pass costs
 # tax(k) units.  Only k=1 and k=2 are measured on the reference runtime;
@@ -58,9 +58,6 @@ class TaxCurve:
                     return v0
                 return v0 + (v1 - v0) * (k - k0) / (k1 - k0)
         return pts[0][1]
-
-    def to_pairs(self) -> list[list[float]]:
-        return [[k, v] for k, v in self.points]
 
 
 IDEAL_TAX = TaxCurve([(1, 1.0)])  # multi-token pass costs the same as one token
@@ -107,70 +104,44 @@ class ReferenceModel:
 
 
 class ScriptedModel(ReferenceModel):
-    """Puts full probability mass on a scripted continuation of each prompt.
+    """Puts full probability mass on a scripted continuation of one prompt.
 
-    After the script is exhausted (or off-script), the model emits
-    end-of-sequence.
+    A context that does not extend the prompt, has left the script or has
+    run past its end gets end-of-sequence.
     """
 
-    def __init__(self, scripts: dict | None = None, **kwargs):
+    def __init__(self, prompt, script, **kwargs):
         super().__init__(**kwargs)
-        self._scripts: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for prompt, script in (scripts or {}).items():
-            self.add_script(prompt, script)
-
-    def add_script(self, prompt, script):
-        self._scripts[tuple(prompt)] = tuple(script)
+        self.prompt = tuple(prompt)
+        self.script = tuple(script)
 
     def next_distribution(self, context) -> dict[int, float]:
         context = tuple(context)
-        # Longest registered prompt that prefixes the context wins.
-        best: tuple[int, ...] | None = None
-        for prompt in self._scripts:
-            if len(prompt) <= len(context) and context[: len(prompt)] == prompt:
-                if best is None or len(prompt) > len(best):
-                    best = prompt
-        if best is None:
+        head = len(self.prompt)
+        pos = len(context) - head
+        if context[:head] != self.prompt or pos >= len(self.script) or context[head:] != self.script[:pos]:
             return {EOS_ID: 1.0}
-        script = self._scripts[best]
-        pos = len(context) - len(best)
-        if pos >= len(script) or context[len(best):] != script[:pos]:
-            return {EOS_ID: 1.0}
-        return {script[pos]: 1.0}
+        return {self.script[pos]: 1.0}
 
     def bind(self, prompt) -> ReferenceModel:
-        """Resolve the longest registered prompt that prefixes `prompt` once.
-
-        Every context extending `prompt` then has that same winner, unless a
-        registered prompt extends `prompt` itself; in that case, and for a
-        subclass with its own distribution, the general step stays.
-        """
-        if type(self).next_distribution is not ScriptedModel.next_distribution:
+        """A step reading only the tokens past the model's prompt, checked once
+        to hold for `prompt`; `self` when `prompt` does not extend the model's."""
+        if tuple(prompt[: len(self.prompt)]) != self.prompt:
             return self
-        prompt = tuple(prompt)
-        n = len(prompt)
-        head, script = None, ()
-        for key, continuation in self._scripts.items():
-            if len(key) > n:
-                if key[:n] == prompt:
-                    return self
-            elif (head is None or len(key) > head) and prompt[: len(key)] == key:
-                head, script = len(key), continuation
-        return _BoundScript(self, n if head is None else head, script)
+        return _BoundScript(self)
 
 
 class _BoundScript(ReferenceModel):
-    """A ScriptedModel bound to one prompt.
+    """A ScriptedModel bound to a prompt that extends its own.
 
-    `script` continues the prompt's first `head` tokens.  A step compares
-    only `context[head:]`, the bound prompt's tail past the head plus the
-    generated tokens, against the script.
+    A step compares only the tokens past the model's prompt against the
+    script.
     """
 
-    def __init__(self, model: ReferenceModel, head: int, script: tuple[int, ...]):
+    def __init__(self, model: ScriptedModel):
         super().__init__(model.tax_curve, model.base_step_seconds)
-        self._head = head
-        self._script = script
+        self._head = len(model.prompt)
+        self._script = model.script
 
     def _greedy_choice(self, context) -> int:
         pos = len(context) - self._head
@@ -179,39 +150,27 @@ class _BoundScript(ReferenceModel):
         return self._script[pos]
 
 
-def prompt_script_key(prompt) -> str:
-    """Stable key for script files: sha256 over the comma-joined token ids."""
-    return hashlib.sha256(",".join(str(t) for t in prompt).encode()).hexdigest()
-
-
 def save_scripts(path, scripts: dict) -> None:
-    doc = {prompt_script_key(p): list(s) for p, s in scripts.items()}
+    """Write `{prompt: script}` as a JSON object keyed by `sequence_hash(prompt)`."""
+    doc = {sequence_hash(p): list(s) for p, s in scripts.items()}
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
 
 
-def load_scripts(path) -> dict[str, tuple[int, ...]]:
-    with open(path) as fh:
-        return {k: tuple(v) for k, v in json.load(fh).items()}
+def load_script(path, prompt) -> list[int] | None:
+    """The script a file written by `save_scripts` holds for `prompt`, or None.
 
-
-class KeyedScriptedModel(ScriptedModel):
-    """ScriptedModel variant resolving scripts by prompt hash.
-
-    Used when scripts come from a JSON file keyed by `prompt_script_key`; the
-    prompt must be bound before decoding because hashes are not invertible.
+    Raises ValueError when the file is not such an object or that script is
+    not a list of token ids.
     """
-
-    def __init__(self, keyed_scripts: dict[str, tuple[int, ...]], **kwargs):
-        super().__init__(**kwargs)
-        self._keyed = dict(keyed_scripts)
-
-    def bind_prompt(self, prompt) -> bool:
-        key = prompt_script_key(prompt)
-        if key not in self._keyed:
-            return False
-        self.add_script(prompt, self._keyed[key])
-        return True
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"script file {path} is not a JSON object")
+    script = doc.get(sequence_hash(prompt))
+    if script is not None and not is_token_ids(script):
+        raise ValueError(f"script file {path}: the script for this prompt is not a list of token ids")
+    return script
 
 
 class MarkovModel(ReferenceModel):

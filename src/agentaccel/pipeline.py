@@ -133,8 +133,8 @@ def run_queries(
         arbiter_script = bundle.tokenizer.tokenize(ARBITER_VERDICT)
 
         if settings.model == "scripted":
-            planner_model = lm.ScriptedModel({tuple(wp.tokens): tuple(planner_script)})
-            arbiter_model = lm.ScriptedModel({tuple(ap.tokens): tuple(arbiter_script)})
+            planner_model = lm.ScriptedModel(wp.tokens, planner_script)
+            arbiter_model = lm.ScriptedModel(ap.tokens, arbiter_script)
         else:
             planner_model = markov
             arbiter_model = markov

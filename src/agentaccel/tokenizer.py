@@ -9,6 +9,7 @@ tokens, and all whitespace collapses to single spaces on detokenization.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -21,6 +22,16 @@ EOS_ID = 0
 # "get_email_address" stay single tokens); anything else that is not
 # whitespace becomes a one-character token.
 _TOKEN_RE = re.compile(r"[a-z0-9_]+|[^a-z0-9_\s]")
+
+
+def sequence_hash(tokens) -> str:
+    """sha256 over the comma-joined token ids: script-file keys and blob names."""
+    return hashlib.sha256(",".join(str(t) for t in tokens).encode()).hexdigest()
+
+
+def is_token_ids(value) -> bool:
+    """Whether a decoded JSON value is a list of token ids (ints, not bools)."""
+    return isinstance(value, list) and set(map(type, value)) <= {int}
 
 
 def split_words(text: str) -> list[str]:

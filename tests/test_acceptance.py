@@ -31,7 +31,7 @@ def test_criterion_01_speculative_equivalence():
     for _ in range(10):
         prompt = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 8)))
         script = tuple(rng.randint(1, 9) for _ in range(rng.randint(0, 25)))
-        scripted_pool.append((ScriptedModel({prompt: script}), list(prompt)))
+        scripted_pool.append((ScriptedModel(prompt, script), list(prompt)))
     markov_pool = []
     for order in (1, 2, 3):
         data = [[rng.randint(1, 9) for _ in range(rng.randint(5, 40))] for _ in range(10)]
@@ -169,7 +169,7 @@ def test_criterion_05_token_accounting(bundle, weaver, oracle_rag, populated_sto
 def test_criterion_06_selective_vs_non_selective():
     # Extraction region disjoint from everything the target will emit.
     script = tuple(range(100, 140))
-    model = ScriptedModel({(1, 2): script})
+    model = ScriptedModel((1, 2), script)
     region = [rng_tok for rng_tok in range(500, 560)]
     lut = exspec.build_lut(region, n=3)
     out_sel, sel = exspec.decode(model, [1, 2], lut, 4, selective=True, max_tokens=200)

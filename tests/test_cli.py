@@ -7,6 +7,7 @@ import pytest
 
 from agentaccel import simulator
 from agentaccel.cli import main
+from agentaccel.tokenizer import sequence_hash
 
 
 def run_cli(*argv):
@@ -147,11 +148,12 @@ def test_simulate_missing_trace_fails_cleanly(tmp_path, capsys):
     assert err_lines[0].startswith("error: ")
 
 
-def _assert_single_error(rc, capsys):
+def _assert_single_error(rc, capsys) -> str:
     assert rc == 1
     err_lines = [l for l in capsys.readouterr().err.strip().splitlines() if l]
     assert len(err_lines) == 1
     assert err_lines[0].startswith("error: ")
+    return err_lines[0]
 
 
 def test_precompute_into_store_of_other_geometry_fails_cleanly(workdir, capsys):
@@ -194,6 +196,29 @@ def test_manifest_of_wrong_shape_fails_cleanly(workdir, tmp_path, capsys, shape,
             "--out", str(tmp_path),
         ]
     _assert_single_error(run_cli(*argv), capsys)
+
+
+@pytest.mark.parametrize(
+    "field, corrupt",
+    [
+        pytest.param("key", lambda rec: {"key": [str(t) for t in rec["key"]]}, id="key_of_strings"),
+        pytest.param("key", lambda rec: {"key": 7}, id="key_not_a_list"),
+        pytest.param("key", lambda rec: {"key": [True] * len(rec["key"])}, id="key_of_bools"),
+        pytest.param("token_count", lambda rec: {"token_count": str(rec["token_count"])}, id="token_count_a_string"),
+        pytest.param("token_count", lambda rec: {"token_count": rec["token_count"] + 1}, id="token_count_not_key_length"),
+        pytest.param("byte_size", lambda rec: {"byte_size": str(rec["byte_size"])}, id="byte_size_a_string"),
+        pytest.param("tag", lambda rec: {"tag": "dynamic"}, id="unknown_tag"),
+        pytest.param("blob", lambda rec: {"blob": 5}, id="blob_not_a_string"),
+        pytest.param("checksum", lambda rec: {"checksum": None}, id="checksum_not_a_string"),
+    ],
+)
+def test_manifest_entry_of_wrong_type_fails_cleanly(workdir, tmp_path, capsys, field, corrupt):
+    doc = json.loads((workdir / "cache" / "manifest.json").read_text())
+    doc["entries"][0].update(corrupt(doc["entries"][0]))
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    rc = run_cli("run", "--config", str(workdir / "run.json"), "--cache", str(tmp_path), "--trace", str(tmp_path / "t.jsonl"))
+    assert f"entries[0].{field} " in _assert_single_error(rc, capsys)
+    assert not (tmp_path / "t.jsonl").exists()
 
 
 def test_trace_line_not_an_object_fails_cleanly(tmp_path, capsys):
@@ -335,7 +360,7 @@ def test_decode_on_woven_prompt_markov(workdir, tmp_path):
     assert doc["stats"]["rounds"] >= 1
 
 
-def test_decode_scripted_with_script_file(workdir, tmp_path):
+def test_decode_scripted_with_script_file(workdir, tmp_path, capsys):
     from agentaccel import lm
 
     emit = tmp_path / "prompt.json"
@@ -375,7 +400,32 @@ def test_decode_scripted_with_script_file(workdir, tmp_path):
     # A prompt absent from the script file is a clean error.
     lm.save_scripts(script_path, {(1, 2, 3): [5]})
     rc = run_cli("decode", "--prompt", str(emit), "--model", "scripted", "--script", str(script_path), "--stats", str(stats))
-    assert rc != 0
+    _assert_single_error(rc, capsys)
+
+
+_PROMPT = {"segments": [{"kind": "static_system", "tokens": [1, 2]}, {"kind": "query", "tokens": [3]}]}
+
+
+@pytest.mark.parametrize(
+    "prompt_doc, script_doc",
+    [
+        pytest.param({"tokens": [1, 2, 3]}, {}, id="prompt_without_segments"),
+        pytest.param([_PROMPT], {}, id="prompt_not_an_object"),
+        pytest.param({"segments": [{"kind": "query", "tokens": ["a"]}]}, {sequence_hash(["a"]): [5]}, id="prompt_token_not_an_int"),
+        pytest.param({"segments": [[1, 2, 3]]}, {}, id="segment_not_an_object"),
+        pytest.param({"segments": [{"kind": ["query"], "tokens": [1]}]}, {sequence_hash([1]): [5]}, id="segment_kind_not_a_string"),
+        pytest.param(_PROMPT, [[5, 6]], id="script_file_a_list"),
+        pytest.param(_PROMPT, {sequence_hash([1, 2, 3]): [5, "6"]}, id="script_token_not_an_int"),
+        pytest.param(_PROMPT, {sequence_hash([1, 2, 3]): 5}, id="script_not_a_list"),
+    ],
+)
+def test_decode_input_of_wrong_shape_fails_cleanly(tmp_path, capsys, prompt_doc, script_doc):
+    (tmp_path / "prompt.json").write_text(json.dumps(prompt_doc))
+    (tmp_path / "scripts.json").write_text(json.dumps(script_doc))
+    stats = tmp_path / "stats.json"
+    argv = ["--prompt", str(tmp_path / "prompt.json"), "--script", str(tmp_path / "scripts.json"), "--stats", str(stats)]
+    _assert_single_error(run_cli("decode", "--model", "scripted", *argv), capsys)
+    assert not stats.exists()
 
 
 @pytest.mark.parametrize("extract", ["fewshot", "all"])
@@ -410,8 +460,7 @@ def test_decode_stats_use_the_extraction_region(workdir, tmp_path, extract):
     argv = ["decode", "--prompt", str(emit), "--model", "scripted", "--script", str(script_path)]
     assert run_cli(*argv, "--extract", extract, "--stats", str(stats)) == 0
 
-    model = lm.KeyedScriptedModel(lm.load_scripts(script_path))
-    assert model.bind_prompt(prompt_tokens)
+    model = lm.ScriptedModel(prompt_tokens, lm.load_script(script_path, prompt_tokens))
     lut = exspec.build_lut(region, exspec.DEFAULT_N)
     out, decode_stats = exspec.decode(model, prompt_tokens, lut, exspec.DEFAULT_DRAFT_LEN, True, 256)
     reference, reference_cost = exspec.autoregressive_reference(model, prompt_tokens, 256)

@@ -130,26 +130,26 @@ class TestDraft:
 
 class TestVerify:
     def test_all_correct(self):
-        model = ScriptedModel({(1,): (5, 6, 7, 8)})
+        model = ScriptedModel((1,), (5, 6, 7, 8))
         accepted, corrected = verify(model, [1], [5, 6, 7])
         assert accepted == 3
         assert corrected == 8
 
     def test_first_wrong(self):
-        model = ScriptedModel({(1,): (5, 6)})
+        model = ScriptedModel((1,), (5, 6))
         accepted, corrected = verify(model, [1], [9, 9])
         assert accepted == 0
         assert corrected == 5
 
     def test_empty_drafts_rejected(self):
         with pytest.raises(ValueError):
-            verify(ScriptedModel({}), [1], [])
+            verify(ReferenceModel(), [1], [])
 
     def test_randomized_against_token_by_token_oracle(self):
         rng = random.Random(7)
         for _ in range(200):
             script = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 8)))
-            model = ScriptedModel({(1,): script})
+            model = ScriptedModel((1,), script)
             drafts = [rng.randint(1, 6) for _ in range(rng.randint(1, 6))]
             accepted, corrected = verify(model, [1], drafts)
             # Oracle: walk the greedy choice one token at a time.
@@ -172,12 +172,12 @@ class TestVerifyLeavesContext:
 
     def test_after_full_acceptance(self):
         ctx = [1]
-        assert verify(ScriptedModel({(1,): (5, 6, 7, 8)}), ctx, [5, 6, 7]) == (3, 8)
+        assert verify(ScriptedModel((1,), (5, 6, 7, 8)), ctx, [5, 6, 7]) == (3, 8)
         assert ctx == [1]
 
     def test_after_early_mismatch(self):
         ctx = [1, 5]
-        assert verify(ScriptedModel({(1,): (5, 6, 7, 8)}), ctx, [6, 9, 9]) == (1, 7)
+        assert verify(ScriptedModel((1,), (5, 6, 7, 8)), ctx, [6, 9, 9]) == (1, 7)
         assert ctx == [1, 5]
 
     def test_when_the_target_raises_mid_group(self):
@@ -223,7 +223,7 @@ def _verbatim_setup(n=3, draft_len=4):
     script = list(range(20, 40))
     region = [5, 6] + script + [7, 8]
     prompt = [1, 2, 3]
-    model = ScriptedModel({tuple(prompt): tuple(script)})
+    model = ScriptedModel(prompt, script)
     lut = build_lut(region, n=n)
     return model, prompt, lut, script
 
@@ -238,7 +238,7 @@ class TestDecode:
 
     def test_disjoint_region_selective_all_fallbacks(self):
         script = [20, 21, 22, 23]
-        model = ScriptedModel({(1,): tuple(script)})
+        model = ScriptedModel((1,), script)
         lut = build_lut([50, 51, 52, 53, 54], n=3)
         out, stats = decode(model, [1], lut, n_draft=4, selective=True, max_tokens=50)
         assert out == script
@@ -247,7 +247,7 @@ class TestDecode:
 
     def test_disjoint_region_non_selective_drafts_and_costs_more(self):
         script = [20, 21, 22, 23]
-        model = ScriptedModel({(1,): tuple(script)})
+        model = ScriptedModel((1,), script)
         lut = build_lut([50, 51, 52, 53, 54], n=3)
         out_sel, sel = decode(model, [1], lut, 4, selective=True, max_tokens=50)
         out_non, non = decode(model, [1], lut, 4, selective=False, max_tokens=50)
@@ -270,7 +270,7 @@ class TestDecode:
             assert out == greedy_decode(model, prompt, cap)
 
     def test_empty_lut_behaves(self):
-        model = ScriptedModel({(1,): (5, 6)})
+        model = ScriptedModel((1,), (5, 6))
         lut = build_lut([], n=3)
         out_sel, _ = decode(model, [1], lut, 4, True, 10)
         out_non, _ = decode(model, [1], lut, 4, False, 10)
@@ -283,7 +283,7 @@ def _random_models(rng):
     for _ in range(6):
         prompt = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 6)))
         script = tuple(rng.randint(1, 9) for _ in range(rng.randint(0, 20)))
-        models.append((ScriptedModel({prompt: script}), list(prompt)))
+        models.append((ScriptedModel(prompt, script), list(prompt)))
     for order in (1, 2, 3):
         corpus_data = [[rng.randint(1, 9) for _ in range(rng.randint(4, 30))] for _ in range(8)]
         model = train_markov(corpus_data, order=order, smoothing=rng.choice([0.0, 0.3]))
@@ -321,7 +321,7 @@ def per_n_stats(bundle, weaver, oracle_rag):
             retrieved = oracle_rag.retrieve_tools(sample.query_tokens, 0.5)
             prompt = weaver.planner_prompt(sample.query_tokens, k=1, retrieved=retrieved)
             script = bundle.tokenizer.tokenize(corpus_mod.render_plan(sample.gt_plan))
-            model = ScriptedModel({tuple(prompt.tokens): tuple(script)})
+            model = ScriptedModel(prompt.tokens, script)
             lut = build_lut(prompt.extraction_region("fewshot"), n)
             _, stats = decode(model, prompt.tokens, lut, 4, True, 160)
             gen += stats.drafts_generated

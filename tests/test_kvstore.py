@@ -24,6 +24,8 @@ from agentaccel.kvstore import (
     kv_size,
     prefix_blob,
 )
+from agentaccel.lm import save_scripts
+from agentaccel.tokenizer import sequence_hash
 
 TINY = ModelGeometry(name="tiny", layers=1, kv_heads=1, head_dim=2, bytes_per_element=2, params_bytes=64)
 # 40 bytes per token: a block spans two sha256 digests, the second cut short.
@@ -151,7 +153,7 @@ def _reference_precompute(store, prefixes, geometry, tag=TAG_STATIC):
     new_entries = dict(store.entries)
     created = []
     for prefix in dict.fromkeys(tuple(p) for p in prefixes):
-        khash = kvmod._key_hash(prefix)
+        khash = sequence_hash(prefix)
         raw = kvmod._blob_file_bytes(prefix_blob(prefix, geometry), geometry)
         blob_name = f"{khash}.kv"
         entry = CacheEntry(
@@ -340,21 +342,6 @@ class TestLoad:
         with pytest.raises(IntegrityError):
             store.load_blob(entries[0])
 
-    def test_account_arithmetic(self, store):
-        entries = store.precompute([[1, 2, 3, 4]], TINY)
-        byte_size, latency = store.account(entries[0], ssd_bandwidth=100.0)
-        assert byte_size == kv_size(4, TINY)
-        assert latency == pytest.approx(byte_size / 100.0)
-
-    def test_account_rejects_foreign_entry(self, store, tmp_path):
-        store.precompute([[1]], TINY)
-        other = KVStore(tmp_path / "other")
-        foreign = other.precompute([[9, 9]], TINY)[0]
-        from agentaccel.kvstore import StoreError
-
-        with pytest.raises(StoreError):
-            store.account(foreign, ssd_bandwidth=1.0)
-
     def test_manifest_round_trip_reload(self, store):
         store.precompute([[1, 2], [3]], TINY)
         reopened = KVStore(store.root)
@@ -396,3 +383,13 @@ class TestLoad:
         assert reader.load_blob(first) == prefix_blob([1, 2, 3], TINY)
         fresh = KVStore(store.root)
         assert len(fresh.entries) == 2
+
+
+def test_blob_names_and_script_keys_share_one_digest(tmp_path):
+    # sha256 of b"1,2,3": stores and script files already written name their
+    # blobs and scripts by it.
+    digest = "8a6ae15122001229edb8866f56e342af12ae8187203c3e3b33931743e7c0c48d"
+    assert sequence_hash([1, 2, 3]) == digest
+    assert KVStore(tmp_path / "store").precompute([[1, 2, 3]], TINY)[0].blob_name == f"{digest}.kv"
+    save_scripts(tmp_path / "scripts.json", {(1, 2, 3): [4]})
+    assert json.loads((tmp_path / "scripts.json").read_text()) == {digest: [4]}

@@ -12,35 +12,30 @@ from agentaccel.lm import (
     ScriptedModel,
     TaxCurve,
     greedy_decode,
-    prompt_script_key,
     train_markov,
 )
-from agentaccel.tokenizer import EOS_ID
+from agentaccel.tokenizer import EOS_ID, sequence_hash
 
 
 class TestScripted:
     def test_replays_script_exactly(self):
-        model = ScriptedModel({(1, 2): (10, 11, 12)})
+        model = ScriptedModel((1, 2), (10, 11, 12))
         assert greedy_decode(model, [1, 2], 10) == [10, 11, 12]
 
     def test_max_tokens_zero(self):
-        model = ScriptedModel({(1,): (5,)})
+        model = ScriptedModel((1,), (5,))
         assert greedy_decode(model, [1], 0) == []
 
     def test_truncation_at_max_tokens(self):
-        model = ScriptedModel({(1,): (5, 6, 7, 8)})
+        model = ScriptedModel((1,), (5, 6, 7, 8))
         assert greedy_decode(model, [1], 2) == [5, 6]
 
     def test_unknown_prompt_ends_immediately(self):
-        model = ScriptedModel({(1,): (5,)})
+        model = ScriptedModel((1,), (5,))
         assert greedy_decode(model, [9, 9], 5) == []
 
-    def test_longest_registered_prompt_wins(self):
-        model = ScriptedModel({(1,): (5,), (1, 2): (7,)})
-        assert greedy_decode(model, [1, 2], 5) == [7]
-
     def test_script_key_stability(self):
-        assert prompt_script_key([1, 2, 3]) == prompt_script_key((1, 2, 3))
+        assert sequence_hash([1, 2, 3]) == sequence_hash((1, 2, 3))
 
 
 class TestMarkov:
@@ -134,7 +129,7 @@ class TestMarkovGreedyTable:
     def test_greedy_step_is_not_overridden(self):
         # One method takes every greedy step, so wrapping it observes them all,
         # the steps of a bound model included.
-        bound = type(ScriptedModel({(1,): (2,)}).bind([1]))
+        bound = type(ScriptedModel((1,), (2,)).bind([1]))
         assert bound is not ScriptedModel and issubclass(bound, ReferenceModel)
         assert all("greedy_next" not in vars(cls) for cls in (ScriptedModel, MarkovModel, bound))
         assert "greedy_next" in vars(ReferenceModel)
@@ -146,32 +141,33 @@ token_runs = st.lists(tokens, max_size=5)
 
 @st.composite
 def bound_prompts(draw):
-    """A prompt and registered scripts around it.
+    """A decode prompt and a scripted model around it.
 
-    Scripts are registered on heads of the prompt (the empty and the whole
-    prompt included), on an extension of it, and on unrelated prompts; any
-    of these may be missing and any script may be empty.  Tokens 1-3 make
-    unrelated prompts and off-script tails collide with the prompt often.
+    The model's prompt is the decode prompt, a head of it (the empty one
+    included), an extension of it or an unrelated prompt, and its script
+    may be empty.  Tokens 1-3 make unrelated prompts and off-script tails
+    collide with the prompt often.
     """
     prompt = tuple(draw(st.lists(tokens, max_size=6)))
-    scripts = {}
-    for _ in range(draw(st.integers(0, 3))):
-        scripts[prompt[: draw(st.integers(0, len(prompt)))]] = tuple(draw(token_runs))
-    if draw(st.booleans()):
-        scripts[prompt + tuple(draw(st.lists(tokens, min_size=1, max_size=3)))] = tuple(draw(token_runs))
-    for other in draw(st.lists(token_runs, max_size=3)):
-        scripts[tuple(other)] = tuple(draw(token_runs))
-    return list(prompt), scripts
+    relation = draw(st.sampled_from(["equal", "head", "extension", "unrelated"]))
+    if relation == "equal":
+        key = prompt
+    elif relation == "head":
+        key = prompt[: draw(st.integers(0, len(prompt)))]
+    elif relation == "extension":
+        key = prompt + tuple(draw(st.lists(tokens, min_size=1, max_size=3)))
+    else:
+        key = tuple(draw(token_runs))
+    return list(prompt), ScriptedModel(key, draw(token_runs))
 
 
-def _tails(prompt, scripts, drawn):
-    """Tails after the prompt: on each script, past its end, off it, and empty."""
+def _tails(prompt, model, drawn):
+    """Tails after the prompt: on the script, past its end, off it, and empty."""
     tails = [[]] + drawn
-    for key, script in scripts.items():
-        full = list(key + script)
-        if full[: len(prompt)] == prompt:
-            tails += [full[len(prompt): len(prompt) + k] for k in range(len(full) - len(prompt) + 3)]
-            tails += [t + [9] for t in tails[-3:]]
+    full = list(model.prompt + model.script)
+    if full[: len(prompt)] == prompt:
+        tails += [full[len(prompt): len(prompt) + k] for k in range(len(full) - len(prompt) + 3)]
+        tails += [t + [9] for t in tails[-3:]]
     return tails
 
 
@@ -181,10 +177,11 @@ class TestBoundScripted:
     @settings(max_examples=400, deadline=None)
     @given(case=bound_prompts(), drawn=st.lists(st.lists(tokens, max_size=8), max_size=4))
     def test_bound_step_is_lowest_argmax_of_distribution(self, case, drawn):
-        prompt, scripts = case
-        model = ScriptedModel(scripts)
+        prompt, model = case
         bound = model.bind(prompt)
-        for tail in _tails(prompt, scripts, drawn):
+        # The bound step is taken exactly when the prompt extends the model's.
+        assert (bound is model) == (tuple(prompt[: len(model.prompt)]) != model.prompt)
+        for tail in _tails(prompt, model, drawn):
             ctx = prompt + tail
             assert bound.greedy_next(ctx) == _lowest_id_argmax(model.next_distribution(ctx)), (prompt, tail)
 
@@ -197,20 +194,14 @@ class TestBoundScripted:
         max_tokens=st.integers(0, 12),
     )
     def test_decode_equals_unbound_greedy(self, case, region, n, n_draft, max_tokens):
-        prompt, scripts = case
-        model = ScriptedModel(scripts)
+        prompt, model = case
         lut = build_lut(prompt + region, n)
         expected = greedy_decode(model, prompt, max_tokens)
         for selective in (True, False):
             assert decode(model, prompt, lut, n_draft, selective, max_tokens)[0] == expected
 
-    def test_registered_extension_keeps_the_general_step(self):
-        model = ScriptedModel({(1,): (5, 6), (1, 5): (7,)})
-        assert model.bind([1]) is model
-        assert decode(model, [1], build_lut([], 3), 4, True, 5)[0] == greedy_decode(model, [1], 5) == [5, 7]
-
     def test_bound_step_costs_like_the_model(self):
-        model = ScriptedModel({(1,): (5,)}, tax_curve=MEASURED_TAX, base_step_seconds=0.25)
+        model = ScriptedModel((1,), (5,), tax_curve=MEASURED_TAX, base_step_seconds=0.25)
         bound = model.bind([1])
         assert [bound.step_cost(k) for k in (1, 2, 3)] == [model.step_cost(k) for k in (1, 2, 3)]
 
@@ -219,7 +210,7 @@ class TestBoundScripted:
         assert model.bind([1, 2]) is model
 
 
-class TieModel(ScriptedModel):
+class TieModel(ReferenceModel):
     """Its own distribution: a tie between 7 and 3 for three steps, then EOS."""
 
     def next_distribution(self, context):
@@ -228,11 +219,11 @@ class TieModel(ScriptedModel):
 
 class TestGreedy:
     def test_tie_breaks_to_lowest_token_id(self):
-        model = TieModel({})
+        model = TieModel()
         assert model.greedy_next([]) == 3
 
     def test_subclass_distribution_survives_bind(self):
-        model = TieModel({(1,): (5, 6)})
+        model = TieModel()
         assert model.bind([1]) is model
         lut = build_lut([1, 3, 3, 3], n=2)
         for selective in (True, False):
@@ -240,17 +231,17 @@ class TestGreedy:
 
     def test_negative_max_tokens_rejected(self):
         with pytest.raises(ValueError):
-            greedy_decode(ScriptedModel({}), [], -1)
+            greedy_decode(ReferenceModel(), [], -1)
 
 
 class TestStepCost:
     def test_measured_ratio(self):
-        model = ScriptedModel({}, tax_curve=MEASURED_TAX)
+        model = ReferenceModel(tax_curve=MEASURED_TAX)
         assert model.step_cost(2) / model.step_cost(1) == pytest.approx(1.86)
 
     def test_monotonicity(self):
         curve = TaxCurve([(1, 1.0), (2, 1.86), (6, 2.4)])
-        model = ScriptedModel({}, tax_curve=curve)
+        model = ReferenceModel(tax_curve=curve)
         costs = [model.step_cost(k) for k in range(1, 10)]
         assert costs == sorted(costs)
 
