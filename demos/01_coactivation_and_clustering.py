@@ -3,16 +3,15 @@
 # theme ordering, and budgeted combination selection on the bundled corpus.
 
 import tempfile
-from pathlib import Path
 
 from agentaccel import build_coactivation, build_plan, fixtures, pipeline
 from agentaccel.simulator import coverage_curve, coverage_saturation_budget, geometry_presets
 
-workdir = Path(tempfile.mkdtemp(prefix="agentaccel-demo-"))
-paths = fixtures.write_fixtures(workdir)
-bundle = pipeline.load_bundle(
-    paths["registry"], paths["train"], paths["test"], paths["examples"], paths["vocab"]
-)
+with tempfile.TemporaryDirectory(prefix="agentaccel-demo-") as workdir:
+    paths = fixtures.write_fixtures(workdir)
+    bundle = pipeline.load_bundle(
+        paths["registry"], paths["train"], paths["test"], paths["examples"], paths["vocab"]
+    )
 print(f"corpus: {len(bundle.registry)} tools, {len(bundle.train)} training samples")
 
 matrix = build_coactivation(bundle.train, bundle.registry)

@@ -9,48 +9,48 @@ from pathlib import Path
 from agentaccel import KVStore, Weaver, build_coactivation, build_plan, fixtures, pipeline
 from agentaccel.simulator import geometry_presets
 
-workdir = Path(tempfile.mkdtemp(prefix="agentaccel-demo-"))
-paths = fixtures.write_fixtures(workdir)
-bundle = pipeline.load_bundle(
-    paths["registry"], paths["train"], paths["test"], paths["examples"], paths["vocab"]
-)
-matrix = build_coactivation(bundle.train, bundle.registry)
-plan = build_plan(matrix, bundle.registry, bundle.examples, bundle.train,
-                  budget=15, rank=8, seed=fixtures.DEFAULT_SEED)
+with tempfile.TemporaryDirectory(prefix="agentaccel-demo-") as tmp:
+    workdir = Path(tmp)
+    paths = fixtures.write_fixtures(workdir)
+    bundle = pipeline.load_bundle(
+        paths["registry"], paths["train"], paths["test"], paths["examples"], paths["vocab"]
+    )
+    matrix = build_coactivation(bundle.train, bundle.registry)
+    plan = build_plan(matrix, bundle.registry, bundle.examples, bundle.train,
+                      budget=15, rank=8, seed=fixtures.DEFAULT_SEED)
 
-rag = bundle.make_rag("oracle")
-weaver = Weaver(bundle.registry, bundle.tokenizer, plan, bundle.examples, rag)
+    rag = bundle.make_rag("oracle")
+    weaver = Weaver(bundle.registry, bundle.tokenizer, plan, bundle.examples, rag)
 
-store = KVStore(workdir / "cache")
-geometry = geometry_presets()["desk"]  # small synthetic blobs for the demo
-for tag, prefixes in weaver.cacheable_prefixes().items():
-    if prefixes:
+    store = KVStore(workdir / "cache")
+    geometry = geometry_presets()["desk"]  # small synthetic blobs for the demo
+    for tag, prefixes in weaver.cacheable_prefixes().items():
         store.precompute(prefixes, geometry, tag=tag)
-print(f"precomputed {len(store.entries)} prefixes ({store.total_bytes / 1e6:.1f} MB at demo geometry)")
+    print(f"precomputed {len(store.entries)} prefixes ({store.total_bytes / 1e6:.1f} MB at demo geometry)")
 
-sample = bundle.test[0]
-print(f"\nquery: {sample.query_text!r}")
-retrieved = rag.retrieve_tools(sample.query_tokens, tau=0.5)
-print(f"retrieved tools: {sorted(retrieved)}")
+    sample = bundle.test[0]
+    print(f"\nquery: {sample.query_text!r}")
+    retrieved = rag.retrieve_tools(sample.query_tokens, tau=0.5)
+    print(f"retrieved tools: {sorted(retrieved)}")
 
-baseline = weaver.baseline_prompt(sample.query_tokens, store=store, retrieved=retrieved)
-woven = weaver.planner_prompt(sample.query_tokens, k=1, store=store, retrieved=retrieved)
+    baseline = weaver.baseline_prompt(sample.query_tokens, store=store, retrieved=retrieved)
+    woven = weaver.planner_prompt(sample.query_tokens, k=1, store=store, retrieved=retrieved)
 
-print("\nconventional prompt order:")
-for kind, tokens in baseline.segments:
-    print(f"  {kind:22s} {len(tokens):5d} tokens")
-print(f"  -> {baseline.cacheable_tokens} cacheable / {baseline.uncacheable_tokens} uncacheable")
+    print("\nconventional prompt order:")
+    for kind, tokens in baseline.segments:
+        print(f"  {kind:22s} {len(tokens):5d} tokens")
+    print(f"  -> {baseline.cacheable_tokens} cacheable / {baseline.uncacheable_tokens} uncacheable")
 
-print("\nreconstructed prompt order:")
-for kind, tokens in woven.segments:
-    print(f"  {kind:22s} {len(tokens):5d} tokens")
-print(f"  -> {woven.cacheable_tokens} cacheable / {woven.uncacheable_tokens} uncacheable")
-print(f"  activated clusters: {woven.stats['activated_clusters']}")
+    print("\nreconstructed prompt order:")
+    for kind, tokens in woven.segments:
+        print(f"  {kind:22s} {len(tokens):5d} tokens")
+    print(f"  -> {woven.cacheable_tokens} cacheable / {woven.uncacheable_tokens} uncacheable")
+    print(f"  activated clusters: {woven.stats['activated_clusters']}")
 
-drop = 1 - woven.uncacheable_tokens / baseline.uncacheable_tokens
-print(f"\nonline prefill work drops by {drop:.0%} for this query")
+    drop = 1 - woven.uncacheable_tokens / baseline.uncacheable_tokens
+    print(f"\nonline prefill work drops by {drop:.0%} for this query")
 
-obs = bundle.tokenizer.tokenize(pipeline.observation_text(sample.gt_plan))
-arbiter = weaver.arbiter_prompt(obs, variant="a", store=store)
-frac = arbiter.cacheable_tokens / arbiter.total_tokens
-print(f"arbiter prompt: {arbiter.total_tokens} tokens, {frac:.0%} served from the cached variant prefix")
+    obs = bundle.tokenizer.tokenize(pipeline.observation_text(sample.gt_plan))
+    arbiter = weaver.arbiter_prompt(obs, variant="a", store=store)
+    frac = arbiter.cacheable_tokens / arbiter.total_tokens
+    print(f"arbiter prompt: {arbiter.total_tokens} tokens, {frac:.0%} served from the cached variant prefix")

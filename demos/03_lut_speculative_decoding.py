@@ -6,18 +6,17 @@
 # design.
 
 import tempfile
-from pathlib import Path
 
 from agentaccel import build_coactivation, build_lut, build_plan, decode, fixtures, pipeline
 from agentaccel.corpus import render_plan
 from agentaccel.lm import ScriptedModel, greedy_decode
 from agentaccel.weaver import Weaver
 
-workdir = Path(tempfile.mkdtemp(prefix="agentaccel-demo-"))
-paths = fixtures.write_fixtures(workdir)
-bundle = pipeline.load_bundle(
-    paths["registry"], paths["train"], paths["test"], paths["examples"], paths["vocab"]
-)
+with tempfile.TemporaryDirectory(prefix="agentaccel-demo-") as workdir:
+    paths = fixtures.write_fixtures(workdir)
+    bundle = pipeline.load_bundle(
+        paths["registry"], paths["train"], paths["test"], paths["examples"], paths["vocab"]
+    )
 matrix = build_coactivation(bundle.train, bundle.registry)
 plan = build_plan(matrix, bundle.registry, bundle.examples, bundle.train,
                   budget=15, rank=8, seed=fixtures.DEFAULT_SEED)

@@ -20,7 +20,7 @@ from . import corpus, exspec, fixtures, lm, pipeline, simulator
 from .clusterplan import ClusterPlan, build_plan
 from .kvstore import KVStore, ModelGeometry, StoreError
 from .tokenizer import Tokenizer, is_token_ids
-from .weaver import Weaver, region_tokens
+from .weaver import MAX_DYNAMIC_EXAMPLES, Weaver, region_tokens
 
 CACHE_DIR_ENV = "AGENTACCEL_CACHE_DIR"
 
@@ -160,12 +160,10 @@ def cmd_precompute_cache(args) -> int:
     plan = ClusterPlan.load(plan_path)
     weaver = Weaver(registry, tok, plan, examples=[])
     store = KVStore(outdir)
-    groups = weaver.cacheable_prefixes()
     total = 0
-    for tag, prefixes in groups.items():
-        if prefixes:
-            store.precompute(prefixes, geometry, tag=tag)
-            total += len(prefixes)
+    for tag, prefixes in weaver.cacheable_prefixes().items():
+        store.precompute(prefixes, geometry, tag=tag)
+        total += len(prefixes)
     provenance = {
         "plan_sha256": _sha256(plan_path),
         "registry_sha256": _sha256(registry_path),
@@ -230,7 +228,7 @@ def _prompt_segments(path: Path) -> list[tuple[str, tuple[int, ...]]]:
 def cmd_decode(args) -> int:
     prompt_path = _require_file(args.prompt, "prompt file (weave --emit output)")
     segments = _prompt_segments(prompt_path)
-    prompt_tokens = [t for _, toks in segments for t in toks]
+    prompt_tokens = region_tokens(segments, "all")
     region = region_tokens(segments, args.extract)
 
     if args.model == "markov":
@@ -281,27 +279,17 @@ def cmd_run(args) -> int:
         _require_file(paths["train"], "train dataset"),
         _require_file(paths["test"], "test dataset"),
         _require_file(paths["examples"], "example db"),
-        paths["vocab"] if paths["vocab"] and paths["vocab"].exists() else None,
+        paths["vocab"] and _require_file(paths["vocab"], "vocabulary"),
     )
     plan = ClusterPlan.load(_require_file(paths["plan"], "plan"))
     cachedir = args.cache or os.environ.get(CACHE_DIR_ENV) or paths["cachedir"]
-    store = KVStore(cachedir) if cachedir and Path(cachedir, "manifest.json").exists() else None
+    if cachedir and not Path(cachedir, "manifest.json").exists():
+        raise CliError(f"cache directory {cachedir} has no manifest.json: run precompute-cache into it, or run without a cache")
+    store = KVStore(cachedir) if cachedir else None
 
-    settings = pipeline.RunSettings(
-        tau=_pick(args.tau, cfg, "toolrag", "tau", 0.5),
-        scorer=_pick(args.scorer, cfg, "toolrag", "scorer", "oracle"),
-        top_k=_pick(args.top_k, cfg, "toolrag", "top_k", 3),
-        k=_pick(args.k, cfg, "weaver", "k", 1),
-        n=_pick(args.n, cfg, "exspec", "n", exspec.DEFAULT_N),
-        draft_len=_pick(args.draft_len, cfg, "exspec", "draft_len", exspec.DEFAULT_DRAFT_LEN),
-        selective=_pick(None if args.selective is None else args.selective == "on", cfg, "exspec", "selective", True),
-        extract=_pick(args.extract, cfg, "exspec", "extract", "fewshot"),
-        model=_pick(args.model, cfg, "run", "model", "scripted"),
-        max_tokens=_pick(args.max_tokens, cfg, "run", "max_tokens", 160),
-        jobs=_pick(args.jobs, cfg, "run", "jobs", 1),
-    )
-    if not (0 <= settings.k <= 4):
-        raise CliError("k must be within [0, 4]")
+    settings = _run_settings(args, cfg)
+    if not (0 <= settings.k <= MAX_DYNAMIC_EXAMPLES):
+        raise CliError(f"k must be within [0, {MAX_DYNAMIC_EXAMPLES}]")
     if settings.n < 2:
         raise CliError("n must be at least 2")
 
@@ -327,10 +315,24 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _pick(override, cfg: dict, section: str, key: str, default):
-    if override is not None:
-        return override
-    return cfg.get(section, {}).get(key, default)
+# The run.json section each RunSettings field is read from.
+_RUN_SECTIONS = {
+    "toolrag": ("tau", "scorer", "top_k"),
+    "weaver": ("k",),
+    "exspec": ("n", "draft_len", "selective", "extract"),
+    "run": ("model", "max_tokens", "jobs"),
+}
+
+
+def _run_settings(args, cfg: dict) -> pipeline.RunSettings:
+    """Each knob from its flag, else from its run.json section; RunSettings supplies the rest."""
+    flags = dict(vars(args), selective=None if args.selective is None else args.selective == "on")
+    picked = {
+        name: flags[name] if flags[name] is not None else cfg.get(section, {}).get(name)
+        for section, names in _RUN_SECTIONS.items()
+        for name in names
+    }
+    return pipeline.RunSettings(**{name: value for name, value in picked.items() if value is not None})
 
 
 def cmd_simulate(args) -> int:

@@ -8,6 +8,12 @@ and finally the query.  The static head and the leading run of cluster
 examples can then hit precomputed cache entries; only the tail is computed
 online.
 
+The layout lives in one place: `Weaver.__init__` builds the static head
+once and `_cluster_run` turns cluster ids into example tokens; the offline
+cache keys (`static_planner_prefix`, `combination_prefix`) and the online
+`planner_prompt` are assembled from those same pieces, and `_prompt`
+flattens each prompt once.
+
 The baseline builder mirrors the conventional layout (retrieved-tool
 descriptions injected right after a short greeting, guidance text trapped
 behind them) for token-accounting comparisons.  It is a documented
@@ -17,10 +23,11 @@ approximation of that prompt family, not a verbatim template.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .clusterplan import ClusterPlan
 from .corpus import ToolRegistry, ToolUseExample
-from .kvstore import CacheEntry, KVStore
+from .kvstore import TAG_ARBITER_STATIC, TAG_CLUSTER_COMBINATION, TAG_STATIC, CacheEntry, KVStore
 from .toolrag import ToolRag
 
 SEG_STATIC_SYSTEM = "static_system"
@@ -62,7 +69,7 @@ def region_tokens(segments, mode: str = "fewshot") -> list[int]:
     """
     if mode not in ("fewshot", "all"):
         raise ValueError(f"unknown extraction mode '{mode}'")
-    return [t for kind, toks in segments if mode == "all" or kind in FEWSHOT_REGION_KINDS for t in toks]
+    return list(chain.from_iterable(toks for kind, toks in segments if mode == "all" or kind in FEWSHOT_REGION_KINDS))
 
 
 MAX_DYNAMIC_EXAMPLES = 4
@@ -156,23 +163,17 @@ ARBITER_VARIANTS = {
 
 @dataclass(frozen=True)
 class ReconstructedPrompt:
-    """An ordered list of (kind, tokens) segments plus cache accounting."""
+    """An ordered list of (kind, tokens) segments, their concatenation, plus cache accounting."""
 
     segments: tuple[tuple[str, tuple[int, ...]], ...]
+    tokens: list[int]
     cache_entry: CacheEntry | None
     match_len: int
     stats: dict = field(default_factory=dict)
 
     @property
-    def tokens(self) -> list[int]:
-        out: list[int] = []
-        for _, toks in self.segments:
-            out.extend(toks)
-        return out
-
-    @property
     def total_tokens(self) -> int:
-        return sum(len(toks) for _, toks in self.segments)
+        return len(self.tokens)
 
     @property
     def cacheable_tokens(self) -> int:
@@ -181,13 +182,6 @@ class ReconstructedPrompt:
     @property
     def uncacheable_tokens(self) -> int:
         return self.total_tokens - self.match_len
-
-    def segment_tokens(self, kind: str) -> list[int]:
-        out: list[int] = []
-        for seg_kind, toks in self.segments:
-            if seg_kind == kind:
-                out.extend(toks)
-        return out
 
     def extraction_region(self, mode: str = "fewshot") -> list[int]:
         """Token stream the draft lookup table is built from."""
@@ -238,15 +232,14 @@ class Weaver:
         self.rag = rag
         self.tau = tau
 
-        self._header = tuple(tokenizer.tokenize(PLANNER_HEADER))
         self._instructions = tuple(tokenizer.tokenize(PLANNER_INSTRUCTIONS))
+        self._system = tuple(tokenizer.tokenize(PLANNER_HEADER)) + self._instructions
         self._baseline_header = tuple(tokenizer.tokenize(BASELINE_HEADER))
         self._arbiter = {v: tuple(tokenizer.tokenize(text)) for v, text in ARBITER_VARIANTS.items()}
         self._tool_blocks = {t: self._tool_block(t) for t in registry.tool_ids()}
+        self._descriptions = tuple(chain.from_iterable(self._tool_blocks[t] for t in registry.tool_ids()))
 
-        self._single_example: dict[str, ToolUseExample] = {}
-        for tool_id in registry.tool_ids():
-            self._single_example[tool_id] = self._pick_single_example(tool_id)
+        self._single_example = {t: self._pick_single_example(t) for t in registry.tool_ids()}
 
     def _tool_block(self, tool_id: str) -> tuple[int, ...]:
         tool = self.registry[tool_id]
@@ -271,21 +264,19 @@ class Weaver:
             return doubles[0]
         return None
 
+    def _cluster_run(self, cluster_ids) -> tuple[int, ...]:
+        """The example tokens of the given clusters, in the given order."""
+        return tuple(chain.from_iterable(self.plan.cluster_by_id(c).example_tokens for c in cluster_ids))
+
     # ---- cacheable prefixes -------------------------------------------------
 
     def static_planner_prefix(self) -> tuple[int, ...]:
         """Header, instructions, and every tool's description block."""
-        out = list(self._header) + list(self._instructions)
-        for tool_id in self.registry.tool_ids():
-            out.extend(self._tool_blocks[tool_id])
-        return tuple(out)
+        return self._system + self._descriptions
 
     def combination_prefix(self, combo) -> tuple[int, ...]:
         """Static prefix extended with one cached cluster combination."""
-        out = list(self.static_planner_prefix())
-        for cluster_id in combo:
-            out.extend(self.plan.cluster_by_id(cluster_id).example_tokens)
-        return tuple(out)
+        return self.static_planner_prefix() + self._cluster_run(combo)
 
     def arbiter_prefix(self, variant: str) -> tuple[int, ...]:
         return self._arbiter[variant]
@@ -294,11 +285,13 @@ class Weaver:
         return self._baseline_header
 
     def cacheable_prefixes(self) -> dict[str, list[tuple[int, ...]]]:
-        """Everything the offline phase should precompute, grouped by tag."""
-        static = [self.static_planner_prefix(), self.baseline_header_prefix()]
-        combos = [self.combination_prefix(c) for c in self.plan.cached_combinations]
-        arbiters = [self.arbiter_prefix(v) for v in sorted(self._arbiter)]
-        return {"static": static, "cluster_combination": combos, "arbiter_static": arbiters}
+        """Everything the offline phase should precompute, grouped by tag; empty groups left out."""
+        groups = {
+            TAG_STATIC: [self.static_planner_prefix(), self.baseline_header_prefix()],
+            TAG_CLUSTER_COMBINATION: [self.combination_prefix(c) for c in self.plan.cached_combinations],
+            TAG_ARBITER_STATIC: [self.arbiter_prefix(v) for v in sorted(self._arbiter)],
+        }
+        return {tag: prefixes for tag, prefixes in groups.items() if prefixes}
 
     # ---- prompt builders ----------------------------------------------------
 
@@ -309,10 +302,15 @@ class Weaver:
             raise ValueError("no retrieval configured and no tool set supplied")
         return self.rag.retrieve_tools(query_tokens, self.tau)
 
-    def _match(self, store: KVStore | None, tokens) -> tuple[CacheEntry | None, int]:
+    @staticmethod
+    def _prompt(segments, store: KVStore | None, stats: dict, unstored_match_len: int = 0) -> ReconstructedPrompt:
+        """Flatten `segments` once and match them against `store` (without one, `unstored_match_len` is cacheable)."""
+        tokens = region_tokens(segments, "all")
         if store is None:
-            return None, 0
-        return store.longest_cached_prefix(tokens)
+            entry, match_len = None, unstored_match_len
+        else:
+            entry, match_len = store.longest_cached_prefix(tokens)
+        return ReconstructedPrompt(segments=segments, tokens=tokens, cache_entry=entry, match_len=match_len, stats=stats)
 
     def planner_prompt(
         self,
@@ -332,12 +330,7 @@ class Weaver:
         retrieved = self._retrieve(query_tokens, retrieved)
 
         activated = self.plan.activation_sequence(retrieved)
-        clustered: list[int] = []
-        clustered_ids: list[str] = []
-        for cluster_id in activated:
-            cluster = self.plan.cluster_by_id(cluster_id)
-            clustered.extend(cluster.example_tokens)
-            clustered_ids.append(cluster.example_id)
+        clustered_ids = {self.plan.cluster_by_id(cluster_id).example_id for cluster_id in activated}
 
         singles: list[int] = []
         duplicate_singles = 0
@@ -357,15 +350,13 @@ class Weaver:
                 rag_ids.append(ex.id)
 
         segments = (
-            (SEG_STATIC_SYSTEM, tuple(self._header) + tuple(self._instructions)),
-            (SEG_ALL_TOOL_DESCRIPTIONS, tuple(t for tid in self.registry.tool_ids() for t in self._tool_blocks[tid])),
-            (SEG_CLUSTERED_EXAMPLES, tuple(clustered)),
+            (SEG_STATIC_SYSTEM, self._system),
+            (SEG_ALL_TOOL_DESCRIPTIONS, self._descriptions),
+            (SEG_CLUSTERED_EXAMPLES, self._cluster_run(activated)),
             (SEG_SINGLE_TOOL_EXAMPLES, tuple(singles)),
             (SEG_RAG_EXAMPLES, tuple(rag_tokens)),
             (SEG_USER_QUERY, tuple(query_tokens)),
         )
-        prompt_tokens = [t for _, toks in segments for t in toks]
-        entry, match_len = self._match(store, prompt_tokens)
         stats = {
             "retrieved_tools": sorted(retrieved),
             "activated_clusters": list(activated),
@@ -373,7 +364,7 @@ class Weaver:
             "duplicate_single_tool_examples": duplicate_singles,
             "degenerate_empty_retrieval": not retrieved,
         }
-        return ReconstructedPrompt(segments=segments, cache_entry=entry, match_len=match_len, stats=stats)
+        return self._prompt(segments, store, stats)
 
     def baseline_prompt(
         self,
@@ -401,23 +392,18 @@ class Weaver:
                 rag_tokens.extend(ex.example_tokens)
 
         segments = (
-            (SEG_STATIC_SYSTEM, tuple(self._baseline_header)),
+            (SEG_STATIC_SYSTEM, self._baseline_header),
             (SEG_ALL_TOOL_DESCRIPTIONS, tuple(desc)),
-            (SEG_DECISION_GUIDELINES, tuple(self._instructions)),
+            (SEG_DECISION_GUIDELINES, self._instructions),
             (SEG_RAG_EXAMPLES, tuple(rag_tokens)),
             (SEG_USER_QUERY, tuple(query_tokens)),
         )
-        prompt_tokens = [t for _, toks in segments for t in toks]
-        if store is None:
-            entry, match_len = None, len(self._baseline_header)
-        else:
-            entry, match_len = store.longest_cached_prefix(prompt_tokens)
         stats = {
             "retrieved_tools": sorted(retrieved),
             "first_dynamic_token_index": len(self._baseline_header),
             "degenerate_empty_retrieval": not retrieved,
         }
-        return ReconstructedPrompt(segments=segments, cache_entry=entry, match_len=match_len, stats=stats)
+        return self._prompt(segments, store, stats, unstored_match_len=len(self._baseline_header))
 
     def arbiter_prompt(self, observation_tokens, variant: str = "a", store: KVStore | None = None) -> ReconstructedPrompt:
         """Static variant prefix followed by the call-observation pairs."""
@@ -427,11 +413,4 @@ class Weaver:
             (SEG_DECISION_GUIDELINES, self._arbiter[variant]),
             (SEG_CALL_OBSERVATIONS, tuple(observation_tokens)),
         )
-        prompt_tokens = [t for _, toks in segments for t in toks]
-        entry, match_len = self._match(store, prompt_tokens)
-        return ReconstructedPrompt(
-            segments=segments,
-            cache_entry=entry,
-            match_len=match_len,
-            stats={"variant": variant},
-        )
+        return self._prompt(segments, store, {"variant": variant})

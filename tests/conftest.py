@@ -67,6 +67,5 @@ def desk_geometry():
 def populated_store(tmp_path_factory, weaver, desk_geometry):
     store = KVStore(tmp_path_factory.mktemp("kvcache"))
     for tag, prefixes in weaver.cacheable_prefixes().items():
-        if prefixes:
-            store.precompute(prefixes, desk_geometry, tag=tag)
+        store.precompute(prefixes, desk_geometry, tag=tag)
     return store

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from agentaccel import simulator
+from agentaccel import pipeline, simulator
 from agentaccel.cli import main
 from agentaccel.tokenizer import sequence_hash
 
@@ -228,6 +228,19 @@ def test_trace_line_not_an_object_fails_cleanly(tmp_path, capsys):
     _assert_single_error(rc, capsys)
 
 
+def _absolute_config(workdir, tmp_path, **paths) -> dict:
+    """The workdir's run.json with absolute paths, a trace under tmp_path and `paths` applied."""
+    cfg = json.loads((workdir / "run.json").read_text())
+    cfg["paths"] = {key: str(workdir / rel) for key, rel in cfg["paths"].items()}
+    cfg["paths"].update(trace=str(tmp_path / "t.jsonl"), **paths)
+    return cfg
+
+
+def _run_config(tmp_path, cfg) -> int:
+    (tmp_path / "run.json").write_text(json.dumps(cfg))
+    return run_cli("run", "--config", str(tmp_path / "run.json"))
+
+
 def _plan_without_clusters(doc):
     del doc["clusters"]
     return doc
@@ -245,11 +258,33 @@ def _plan_without_clusters(doc):
 )
 def test_plan_of_wrong_shape_fails_cleanly(workdir, tmp_path, capsys, corrupt):
     (tmp_path / "plan.json").write_text(json.dumps(corrupt(json.loads((workdir / "plan.json").read_text()))))
-    cfg = json.loads((workdir / "run.json").read_text())
-    cfg["paths"] = {key: str(workdir / rel) for key, rel in cfg["paths"].items()}
-    cfg["paths"].update(plan=str(tmp_path / "plan.json"), trace=str(tmp_path / "t.jsonl"))
-    (tmp_path / "run.json").write_text(json.dumps(cfg))
-    _assert_single_error(run_cli("run", "--config", str(tmp_path / "run.json")), capsys)
+    cfg = _absolute_config(workdir, tmp_path, plan=str(tmp_path / "plan.json"))
+    _assert_single_error(_run_config(tmp_path, cfg), capsys)
+
+
+@pytest.mark.parametrize(
+    "key, name, message",
+    [
+        pytest.param("vocab", "missing.json", "vocabulary", id="vocab_missing"),
+        pytest.param("cachedir", "empty", "manifest", id="cachedir_without_manifest"),
+        pytest.param("cachedir", "missing", "manifest", id="cachedir_missing"),
+    ],
+)
+def test_run_with_unusable_input_fails_cleanly(workdir, tmp_path, capsys, key, name, message):
+    (tmp_path / "empty").mkdir()
+    rc = _run_config(tmp_path, _absolute_config(workdir, tmp_path, **{key: str(tmp_path / name)}))
+    assert message in _assert_single_error(rc, capsys)
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_run_settings_default_to_run_settings(workdir, tmp_path):
+    # No knob sections and no cache directory: every setting is the
+    # RunSettings default, and the run goes without a cache.
+    cfg = _absolute_config(workdir, tmp_path)
+    del cfg["paths"]["cachedir"]
+    assert _run_config(tmp_path, {"paths": cfg["paths"]}) == 0
+    header = json.loads((tmp_path / "t.jsonl").read_text().splitlines()[0])
+    assert header["provenance"]["settings"] == pipeline.RunSettings().__dict__
 
 
 @pytest.mark.parametrize(

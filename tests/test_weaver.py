@@ -5,6 +5,8 @@ import pytest
 from agentaccel import pipeline
 from agentaccel.weaver import (
     PLANNER_SEGMENT_ORDER,
+    SEG_ALL_TOOL_DESCRIPTIONS,
+    SEG_CLUSTERED_EXAMPLES,
     SEG_RAG_EXAMPLES,
     SEG_SINGLE_TOOL_EXAMPLES,
     SEG_USER_QUERY,
@@ -49,9 +51,10 @@ class TestPlannerPrompt:
             prompt = _planner(weaver, oracle_rag, sample, k=1, store=populated_store)
             activated = tuple(prompt.stats["activated_clusters"])
             if activated in cached:
-                singles = len(prompt.segment_tokens(SEG_SINGLE_TOOL_EXAMPLES))
-                rag = len(prompt.segment_tokens(SEG_RAG_EXAMPLES))
-                query = len(prompt.segment_tokens(SEG_USER_QUERY))
+                segments = dict(prompt.segments)
+                singles = len(segments[SEG_SINGLE_TOOL_EXAMPLES])
+                rag = len(segments[SEG_RAG_EXAMPLES])
+                query = len(segments[SEG_USER_QUERY])
                 assert prompt.uncacheable_tokens == singles + rag + query
                 break
         else:
@@ -61,7 +64,7 @@ class TestPlannerPrompt:
         prompt = weaver.planner_prompt(bundle.test[0].query_tokens, k=0, retrieved=set())
         assert prompt.stats["degenerate_empty_retrieval"]
         assert prompt.total_tokens > 0
-        assert prompt.segment_tokens("clustered_examples") == []
+        assert dict(prompt.segments)[SEG_CLUSTERED_EXAMPLES] == ()
 
     def test_k_bounds_enforced(self, weaver, bundle):
         with pytest.raises(ValueError):
@@ -123,8 +126,8 @@ class TestBaselinePrompt:
             retrieved = oracle_rag.retrieve_tools(sample.query_tokens, 0.5)
             wp = weaver.planner_prompt(sample.query_tokens, k=1, retrieved=retrieved)
             bp = weaver.baseline_prompt(sample.query_tokens, retrieved=retrieved)
-            wp_desc = wp.segment_tokens("all_tool_descriptions")
-            bp_desc = bp.segment_tokens("all_tool_descriptions")
+            wp_desc = dict(wp.segments)[SEG_ALL_TOOL_DESCRIPTIONS]
+            bp_desc = dict(bp.segments)[SEG_ALL_TOOL_DESCRIPTIONS]
             assert set(bp_desc) <= set(wp_desc)
             top1 = oracle_rag.retrieve_examples(sample.query_tokens, retrieved, 1)
             if top1:
@@ -154,6 +157,34 @@ class TestArbiterPrompt:
     def test_unknown_variant_rejected(self, weaver):
         with pytest.raises(ValueError):
             weaver.arbiter_prompt([], variant="z")
+
+
+class TestOfflineKeysMatchOnlineLayout:
+    """Every precomputed key is the head of the prompt that should use it, and is served in full."""
+
+    @staticmethod
+    def _retrieval_activating(plan, combo) -> set[str]:
+        outside = {t for c in plan.clusters if c.id not in combo for t in c.tool_ids}
+        return {t for c in plan.clusters if c.id in combo for t in c.tool_ids} - outside
+
+    def test_planner_keys(self, weaver, bundle, plan, populated_store):
+        query = bundle.test[0].query_tokens
+        cases = [((), weaver.static_planner_prefix())]
+        cases += [(combo, weaver.combination_prefix(combo)) for combo in plan.cached_combinations]
+        assert len(cases) > 1
+        for combo, key in cases:
+            retrieved = self._retrieval_activating(plan, combo)
+            prompt = weaver.planner_prompt(query, k=1, store=populated_store, retrieved=retrieved)
+            assert tuple(prompt.stats["activated_clusters"]) == tuple(combo)
+            assert tuple(prompt.tokens[: len(key)]) == key
+            assert prompt.match_len >= len(key)
+
+    @pytest.mark.parametrize("variant", ["a", "b"])
+    def test_arbiter_keys(self, weaver, populated_store, variant):
+        key = weaver.arbiter_prefix(variant)
+        prompt = weaver.arbiter_prompt([], variant=variant, store=populated_store)
+        assert tuple(prompt.tokens[: len(key)]) == key
+        assert prompt.match_len >= len(key)
 
 
 class TestTokenReduction:
