@@ -24,8 +24,7 @@ with tempfile.TemporaryDirectory(prefix="agentaccel-demo-") as tmp:
 
     store = KVStore(workdir / "cache")
     geometry = geometry_presets()["desk"]  # small synthetic blobs for the demo
-    for tag, prefixes in weaver.cacheable_prefixes().items():
-        store.precompute(prefixes, geometry, tag=tag)
+    store.precompute(weaver.cacheable_prefixes(), geometry)
     print(f"precomputed {len(store.entries)} prefixes ({store.total_bytes / 1e6:.1f} MB at demo geometry)")
 
     sample = bundle.test[0]

@@ -124,7 +124,8 @@ def cmd_build_plan(args) -> int:
     registry_path = _require_file(args.registry, "registry")
     dataset_path = _require_file(args.dataset, "dataset")
     examples_path = _require_file(args.examples, "example db")
-    bundle = pipeline.load_bundle(registry_path, dataset_path, None, examples_path, args.vocab)
+    vocab_path = _require_file(args.vocab, "vocabulary")
+    bundle = pipeline.load_bundle(registry_path, dataset_path, None, examples_path, vocab_path)
     matrix = corpus.build_coactivation(bundle.train, bundle.registry)
     provenance = {
         "registry_sha256": _sha256(registry_path),
@@ -155,15 +156,13 @@ def cmd_precompute_cache(args) -> int:
     if not outdir:
         raise CliError(f"no cache directory given (--out or ${CACHE_DIR_ENV})")
     geometry = _resolve_geometry(args.geometry)
-    tok = Tokenizer.load(args.vocab) if args.vocab else Tokenizer()
+    tok = Tokenizer.load(_require_file(args.vocab, "vocabulary"))
     registry = corpus.load_registry(registry_path, tok)
     plan = ClusterPlan.load(plan_path)
-    weaver = Weaver(registry, tok, plan, examples=[])
+    groups = Weaver(registry, tok, plan, examples=[]).cacheable_prefixes()
     store = KVStore(outdir)
-    total = 0
-    for tag, prefixes in weaver.cacheable_prefixes().items():
-        store.precompute(prefixes, geometry, tag=tag)
-        total += len(prefixes)
+    store.precompute(groups, geometry)
+    total = sum(map(len, groups.values()))
     provenance = {
         "plan_sha256": _sha256(plan_path),
         "registry_sha256": _sha256(registry_path),
@@ -172,6 +171,15 @@ def cmd_precompute_cache(args) -> int:
     _atomic_write(Path(outdir) / "provenance.json", json.dumps(provenance, sort_keys=True, indent=1) + "\n")
     print(f"precomputed {total} prefixes, {store.total_bytes} KV bytes in {outdir}")
     return 0
+
+
+def _open_store(cachedir) -> KVStore | None:
+    """The store in `cachedir`, or None without one; a directory without a manifest is refused."""
+    if not cachedir:
+        return None
+    if not Path(cachedir, "manifest.json").exists():
+        raise CliError(f"cache directory {cachedir} has no manifest.json: run precompute-cache into it, or run without a cache")
+    return KVStore(cachedir)
 
 
 def _weaver_from_args(args) -> tuple[pipeline.CorpusBundle, Weaver, KVStore | None]:
@@ -185,9 +193,7 @@ def _weaver_from_args(args) -> tuple[pipeline.CorpusBundle, Weaver, KVStore | No
     plan = ClusterPlan.load(_require_file(args.plan, "plan"))
     rag = bundle.make_rag(args.scorer)
     weaver = Weaver(bundle.registry, bundle.tokenizer, plan, bundle.examples, rag, tau=args.tau)
-    cachedir = args.cache or os.environ.get(CACHE_DIR_ENV)
-    store = KVStore(cachedir) if cachedir else None
-    return bundle, weaver, store
+    return bundle, weaver, _open_store(args.cache or os.environ.get(CACHE_DIR_ENV))
 
 
 def cmd_weave(args) -> int:
@@ -282,10 +288,7 @@ def cmd_run(args) -> int:
         paths["vocab"] and _require_file(paths["vocab"], "vocabulary"),
     )
     plan = ClusterPlan.load(_require_file(paths["plan"], "plan"))
-    cachedir = args.cache or os.environ.get(CACHE_DIR_ENV) or paths["cachedir"]
-    if cachedir and not Path(cachedir, "manifest.json").exists():
-        raise CliError(f"cache directory {cachedir} has no manifest.json: run precompute-cache into it, or run without a cache")
-    store = KVStore(cachedir) if cachedir else None
+    store = _open_store(args.cache or os.environ.get(CACHE_DIR_ENV) or paths["cachedir"])
 
     settings = _run_settings(args, cfg)
     if not (0 <= settings.k <= MAX_DYNAMIC_EXAMPLES):

@@ -7,6 +7,13 @@ preserves the one structural property cache-reuse correctness depends on —
 the blob of a prefix is a byte-prefix of the blob of any extension — making
 reuse testable without weights.
 
+Every key shares the agent's long static prompt head, so the store works
+per entry and per token run, never per token of that head: `precompute`
+walks the keys of all tag groups in one sorted running stream (each
+distinct block synthesized once) and publishes the manifest once; opening
+a store hashes no key; matching walks a radix tree of token runs, built at
+the first match, comparing each edge as one slice.
+
 Layout on disk:
   <root>/manifest.json          entry table + geometry, swapped atomically
   <root>/blobs/<keyhash>.kv     16-byte magic/version header, geometry
@@ -22,7 +29,7 @@ import hashlib
 import json
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .tokenizer import is_token_ids, sequence_hash
@@ -73,18 +80,11 @@ class ModelGeometry:
         return self.params_bytes // self.bytes_per_element
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "layers": self.layers,
-            "kv_heads": self.kv_heads,
-            "head_dim": self.head_dim,
-            "bytes_per_element": self.bytes_per_element,
-            "params_bytes": self.params_bytes,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelGeometry":
-        return cls(**{k: doc[k] for k in ("name", "layers", "kv_heads", "head_dim", "bytes_per_element", "params_bytes")})
+        return cls(**{f.name: doc[f.name] for f in fields(cls)})
 
 
 def kv_size(token_count: int, geometry: ModelGeometry) -> int:
@@ -94,12 +94,13 @@ def kv_size(token_count: int, geometry: ModelGeometry) -> int:
     return token_count * geometry.kv_bytes_per_token
 
 
-def _common_head(a, b) -> int:
-    """Number of leading tokens `a` and `b` share."""
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            return i
-    return min(len(a), len(b))
+def _common_head(a: tuple, b: tuple) -> int:
+    """Number of leading tokens `a` and `b` share, bisected over slice equality (compared in C)."""
+    lo, hi = 0, min(len(a), len(b)) + 1  # a[:lo] == b[:lo]; a[:hi] != b[:hi], or hi is past the end
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if a[lo:mid] == b[lo:mid] else (lo, mid)
+    return lo
 
 
 def _token_block(geometry: ModelGeometry, token: int, position: int) -> bytes:
@@ -148,10 +149,6 @@ class CacheEntry:
     blob_name: str
     checksum: str
 
-    @property
-    def key_hash(self) -> str:
-        return sequence_hash(self.key)
-
 
 def _entry_error(rec: dict, geometry: ModelGeometry) -> tuple[str, str] | None:
     """The first field of one manifest entry that is wrong, and what it must be."""
@@ -163,21 +160,22 @@ def _entry_error(rec: dict, geometry: ModelGeometry) -> tuple[str, str] | None:
         return "byte_size", "the KV size of token_count tokens"
     if rec["tag"] not in _TAGS:
         return "tag", f"one of {', '.join(_TAGS)}"
-    for field in ("blob", "checksum"):
+    for field in ("key_hash", "blob", "checksum"):
         if not isinstance(rec[field], str):
             return field, "a string"
     return None
 
 
-class _TrieNode:
+class _RadixNode:
     __slots__ = ("children", "best")
 
-    def __init__(self):
-        self.children: dict[int, _TrieNode] = {}
+    def __init__(self, best: CacheEntry | None):
+        # first token of an edge -> (the edge's token run, the node it ends at)
+        self.children: dict[int, tuple[tuple[int, ...], _RadixNode]] = {}
         # Entry with the shortest (then lexicographically smallest) key whose
-        # path passes through this node; serving it tail-truncated wastes the
-        # least loaded data.
-        self.best: CacheEntry | None = None
+        # path passes through the edge into this node; serving it
+        # tail-truncated wastes the least loaded data.
+        self.best = best
 
 
 class KVStore:
@@ -188,8 +186,8 @@ class KVStore:
         self.geometry: ModelGeometry | None = None
         self.entries: dict[str, CacheEntry] = {}
         # Built from `entries` at the first match; None whenever they change.
-        self._trie: _TrieNode | None = None
-        self._trie_lock = threading.Lock()
+        self._index: _RadixNode | None = None
+        self._index_lock = threading.Lock()
         if self.manifest_path.exists():
             self._load_manifest()
 
@@ -210,6 +208,9 @@ class KVStore:
         doc = json.loads(self.manifest_path.read_text())
         if not isinstance(doc, dict):
             raise StoreError(f"{where} is not a JSON object")
+        version = doc.get("version")
+        if type(version) is not int or version != VERSION:
+            raise StoreError(f"{where} has format version {version!r}, not {VERSION}: re-run precompute-cache into an empty directory")
         try:
             if not isinstance(doc["geometry"], dict):
                 raise StoreError(f"{where}: 'geometry' is not an object")
@@ -223,68 +224,71 @@ class KVStore:
                 if error is not None:
                     field, expected = error
                     raise StoreError(f"{where}: entries[{i}].{field} has the wrong type or value, expected {expected}")
-                entry = CacheEntry(
-                    key=tuple(rec["key"]),
-                    token_count=rec["token_count"],
-                    byte_size=rec["byte_size"],
-                    tag=rec["tag"],
-                    blob_name=rec["blob"],
-                    checksum=rec["checksum"],
+                self.entries[rec["key_hash"]] = CacheEntry(
+                    tuple(rec["key"]), rec["token_count"], rec["byte_size"], rec["tag"], rec["blob"], rec["checksum"]
                 )
-                self.entries[entry.key_hash] = entry
         except KeyError as exc:
             raise StoreError(f"{where} is missing field {exc}") from exc
         except TypeError as exc:
             raise StoreError(f"{where} has a field of the wrong type: {exc}") from exc
 
-    def _rebuild_trie(self) -> _TrieNode:
+    def _build_index(self) -> _RadixNode:
         # Shortest (then smallest) key first: the first entry to reach a node
-        # is the one that node serves.  Matches read `_trie` without the lock,
-        # so the root is published only once it is complete; the lock keeps
+        # is the one it serves, and a node split off an edge serves what the
+        # edge's end served.  Matches read `_index` without the lock, so the
+        # root is published only once it is complete; the lock keeps
         # concurrent first matches from each building their own.
-        with self._trie_lock:
-            if self._trie is not None:
-                return self._trie
-            root = _TrieNode()
+        with self._index_lock:
+            if self._index is not None:
+                return self._index
+            root = _RadixNode(None)
             for entry in sorted(self.entries.values(), key=lambda e: (e.token_count, e.key)):
-                node = root
-                node.best = node.best or entry
-                for tok in entry.key:
-                    child = node.children.get(tok)
-                    if child is None:  # setdefault would allocate a node per token
-                        child = node.children[tok] = _TrieNode()
-                    node = child
-                    node.best = node.best or entry
-            self._trie = root
+                key, node, depth = entry.key, root, 0
+                while depth < len(key):
+                    edge = node.children.get(key[depth])
+                    if edge is None:
+                        node.children[key[depth]] = (key[depth:], _RadixNode(entry))
+                        break
+                    run, child = edge
+                    head = _common_head(run, key[depth : depth + len(run)])
+                    if head < len(run):
+                        mid = _RadixNode(child.best)
+                        mid.children[run[head]] = (run[head:], child)
+                        node.children[key[depth]] = (run[:head], mid)
+                        child = mid
+                    node, depth = child, depth + head
+            self._index = root
             return root
 
-    def precompute(self, prefixes, geometry: ModelGeometry, tag: str = TAG_STATIC) -> list[CacheEntry]:
-        """Persist one entry per distinct prefix; idempotent.
+    def precompute(self, groups: dict[str, list], geometry: ModelGeometry) -> list[CacheEntry]:
+        """Persist one entry per distinct prefix of each `{tag: prefixes}` group; idempotent.
 
-        Merges into the existing store (same-key entries are overwritten
-        identically).  Blobs are written before the manifest is atomically
-        replaced, so a failure mid-way leaves the published store unchanged.
+        Merges into the existing store; a key stored before, or in two
+        groups, takes the later tag.  Returns each group's entries for its
+        distinct prefixes, in input order.  Blobs are written before the
+        manifest is atomically replaced, once, so a failure mid-way leaves
+        the published store unchanged.
         """
-        prefixes = [tuple(p) for p in prefixes]
-        if not prefixes:
-            raise ValueError("precompute requires at least one prefix")
-        if any(len(p) == 0 for p in prefixes):
-            raise ValueError("prefixes must be non-empty token sequences")
-        if tag not in _TAGS:
-            raise ValueError(f"unknown tag '{tag}'")
+        order: list[tuple[tuple[int, ...], str]] = []  # (key, tag): each group's distinct keys
+        for tag, prefixes in groups.items():
+            keys = dict.fromkeys(map(tuple, prefixes))
+            if tag not in _TAGS or not keys or not all(keys):
+                raise ValueError(f"tag group '{tag}' must be a known tag with at least one prefix, none empty")
+            order += [(key, tag) for key in keys]
+        if not order:
+            raise ValueError("precompute requires at least one tag group")
         if self.geometry is not None and geometry != self.geometry:
             raise StoreError("store already holds blobs for a different geometry")
 
         self.blob_dir.mkdir(parents=True, exist_ok=True)
-        unique = list(dict.fromkeys(prefixes))  # dedup, first occurrence wins
         # In sorted order a key's longest common head with any earlier key is
         # its head with its predecessor, so one running stream, cut back to
         # that head and extended, synthesizes each shared block once.
         block = geometry.kv_bytes_per_token
         stream = bytearray()
         previous: tuple[int, ...] = ()
-        made = {}
-        for prefix in sorted(unique):
+        blobs = {}  # key -> (key hash, blob file checksum)
+        for prefix in sorted({key for key, _ in order}):
             head = _common_head(previous, prefix)
             del stream[head * block:]
             for pos in range(head, len(prefix)):
@@ -292,24 +296,18 @@ class KVStore:
             previous = prefix
             khash = sequence_hash(prefix)
             raw = _blob_file_bytes(stream, geometry)
-            blob_name = f"{khash}.kv"
-            made[prefix] = CacheEntry(
-                key=prefix,
-                token_count=len(prefix),
-                byte_size=kv_size(len(prefix), geometry),
-                tag=tag,
-                blob_name=blob_name,
-                checksum=hashlib.sha256(raw).hexdigest(),
-            )
-            (self.blob_dir / blob_name).write_bytes(raw)
+            (self.blob_dir / f"{khash}.kv").write_bytes(raw)
+            blobs[prefix] = khash, hashlib.sha256(raw).hexdigest()
 
-        created = [made[prefix] for prefix in unique]
-        new_entries = dict(self.entries)
-        new_entries.update((entry.key_hash, entry) for entry in created)
+        created, new_entries = [], dict(self.entries)
+        for key, tag in order:
+            khash, checksum = blobs[key]
+            new_entries[khash] = CacheEntry(key, len(key), kv_size(len(key), geometry), tag, f"{khash}.kv", checksum)
+            created.append(new_entries[khash])
         self._write_manifest(geometry, new_entries)
         self.geometry = geometry
         self.entries = new_entries
-        self._trie = None
+        self._index = None
         return created
 
     def _write_manifest(self, geometry: ModelGeometry, entries: dict[str, CacheEntry]):
@@ -342,19 +340,21 @@ class KVStore:
         entry longer than the match still serves its matching head with the
         tail cut off.  Returns (None, 0) when nothing matches.
         """
-        node = self._trie or self._rebuild_trie()
+        node = self._index or self._build_index()
+        prompt = tuple(prompt)
         depth = 0
-        best_node = None
-        for tok in prompt:
-            child = node.children.get(tok)
-            if child is None:
+        while depth < len(prompt):
+            edge = node.children.get(prompt[depth])
+            if edge is None:
                 break
-            node = child
-            depth += 1
-            best_node = node
-        if best_node is None or best_node.best is None:
-            return None, 0
-        return best_node.best, depth
+            run, child = edge
+            end = depth + len(run)
+            if prompt[depth:end] != run:
+                # Every key through this edge runs to its end, so the entry
+                # served inside it is the one served at its end.
+                return child.best, depth + _common_head(run, prompt[depth:end])
+            node, depth = child, end
+        return node.best, depth
 
     def load_blob(self, entry: CacheEntry) -> bytes:
         """The persisted KV stream for `entry`, verified against its checksum."""

@@ -26,7 +26,7 @@ _TOKEN_RE = re.compile(r"[a-z0-9_]+|[^a-z0-9_\s]")
 
 def sequence_hash(tokens) -> str:
     """sha256 over the comma-joined token ids: script-file keys and blob names."""
-    return hashlib.sha256(",".join(str(t) for t in tokens).encode()).hexdigest()
+    return hashlib.sha256(",".join(map(str, tokens)).encode()).hexdigest()
 
 
 def is_token_ids(value) -> bool:

@@ -66,6 +66,19 @@ def desk_geometry():
 @pytest.fixture(scope="session")
 def populated_store(tmp_path_factory, weaver, desk_geometry):
     store = KVStore(tmp_path_factory.mktemp("kvcache"))
-    for tag, prefixes in weaver.cacheable_prefixes().items():
-        store.precompute(prefixes, desk_geometry, tag=tag)
+    store.precompute(weaver.cacheable_prefixes(), desk_geometry)
     return store
+
+
+@pytest.fixture()
+def precompute_cache_argv(tmp_path, fixture_paths, plan):
+    """`precompute-cache` of the fixture plan into `tmp_path / "cache"`."""
+    (tmp_path / "plan.json").write_text(plan.to_json() + "\n")
+    return [
+        "precompute-cache",
+        "--plan", str(tmp_path / "plan.json"),
+        "--registry", str(fixture_paths["registry"]),
+        "--vocab", str(fixture_paths["vocab"]),
+        "--geometry", "desk",
+        "--out", str(tmp_path / "cache"),
+    ]

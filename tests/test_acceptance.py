@@ -13,7 +13,7 @@ import pytest
 
 from agentaccel import exspec, simulator
 from agentaccel.clusterplan import coverage, nmf_factorize, select_combinations
-from agentaccel.kvstore import KVStore, ModelGeometry, IntegrityError, prefix_blob
+from agentaccel.kvstore import TAG_STATIC, IntegrityError, KVStore, ModelGeometry, prefix_blob
 from agentaccel.lm import IDEAL_TAX, MEASURED_TAX, ScriptedModel, greedy_decode, train_markov
 from agentaccel.simulator import SimConfig, calibration_trace, coverage_curve, coverage_saturation_budget
 
@@ -98,7 +98,7 @@ def test_criterion_03_prefix_match_oracle(tmp_path):
         keys.append(base)
         if rng.random() < 0.3 and len(keys) < 200:
             keys.append(base[: rng.randint(1, len(base))])
-    store.precompute(keys[:200], TINY)
+    store.precompute({TAG_STATIC: keys[:200]}, TINY)
     entries = list(store.entries.values())
 
     def oracle(prompt):
@@ -265,7 +265,7 @@ def test_criterion_10_persistence_round_trip(tmp_path):
     rng = random.Random(99)
     store = KVStore(tmp_path / "cache")
     prefixes = [[rng.randint(1, 50) for _ in range(rng.randint(1, 60))] for _ in range(40)]
-    entries = store.precompute(prefixes, TINY)
+    entries = store.precompute({TAG_STATIC: prefixes}, TINY)
     for entry in entries:
         assert store.load_blob(entry) == prefix_blob(entry.key, TINY)
 

@@ -3,6 +3,9 @@
 import types
 from pathlib import Path
 
+from agentaccel.cli import main
+from agentaccel.kvstore import KVStore
+
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
@@ -18,3 +21,14 @@ def test_every_traced_call_resolves():
     assert targets
     missing = [name for owner, attr, name in targets if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+def test_precompute_counters_match_the_store(precompute_cache_argv, tmp_path):
+    # `kvstore.bytes_written` sums the entries `precompute` returns: one per
+    # distinct prefix of each tag group.
+    tracer = _load_spans().Tracer()
+    with tracer.installed():
+        assert main(precompute_cache_argv) == 0
+    store = KVStore(tmp_path / "cache")
+    assert tracer.counts["kvstore.bytes_written"] == store.total_bytes
+    assert tracer.counts["kvstore.entries"] == len(store.entries)

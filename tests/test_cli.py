@@ -178,12 +178,20 @@ def test_manifest_without_geometry_fails_cleanly(workdir, tmp_path, capsys):
     _assert_single_error(rc, capsys)
 
 
-@pytest.mark.parametrize("shape", ["not_an_object", "entry_not_an_object"])
+_MANIFEST_SHAPES = {
+    "not_an_object": (lambda doc: [], "not a JSON object"),
+    "entry_not_an_object": (lambda doc: dict(doc, entries=[1]), "entries[0] is not an object"),
+    "version_missing": (lambda doc: {k: v for k, v in doc.items() if k != "version"}, "re-run precompute-cache"),
+    "version_other": (lambda doc: dict(doc, version=2), "re-run precompute-cache"),
+}
+
+
+@pytest.mark.parametrize("shape", list(_MANIFEST_SHAPES))
 @pytest.mark.parametrize("command", ["run", "precompute-cache"])
 def test_manifest_of_wrong_shape_fails_cleanly(workdir, tmp_path, capsys, shape, command):
     doc = json.loads((workdir / "cache" / "manifest.json").read_text())
-    bad = [] if shape == "not_an_object" else dict(doc, entries=[1])
-    (tmp_path / "manifest.json").write_text(json.dumps(bad))
+    mangle, message = _MANIFEST_SHAPES[shape]
+    (tmp_path / "manifest.json").write_text(json.dumps(mangle(doc)))
     if command == "run":
         argv = ["run", "--config", str(workdir / "run.json"), "--cache", str(tmp_path), "--trace", str(tmp_path / "t.jsonl")]
     else:
@@ -195,7 +203,7 @@ def test_manifest_of_wrong_shape_fails_cleanly(workdir, tmp_path, capsys, shape,
             "--geometry", "desk",
             "--out", str(tmp_path),
         ]
-    _assert_single_error(run_cli(*argv), capsys)
+    assert message in _assert_single_error(run_cli(*argv), capsys)
 
 
 @pytest.mark.parametrize(
@@ -210,6 +218,7 @@ def test_manifest_of_wrong_shape_fails_cleanly(workdir, tmp_path, capsys, shape,
         pytest.param("tag", lambda rec: {"tag": "dynamic"}, id="unknown_tag"),
         pytest.param("blob", lambda rec: {"blob": 5}, id="blob_not_a_string"),
         pytest.param("checksum", lambda rec: {"checksum": None}, id="checksum_not_a_string"),
+        pytest.param("key_hash", lambda rec: {"key_hash": 5}, id="key_hash_not_a_string"),
     ],
 )
 def test_manifest_entry_of_wrong_type_fails_cleanly(workdir, tmp_path, capsys, field, corrupt):
@@ -332,6 +341,48 @@ def test_weave_emits_prompt_accounting(workdir, tmp_path):
     assert doc["total_tokens"] == total
     assert doc["cacheable_tokens"] + doc["uncacheable_tokens"] == total
     assert doc["cacheable_tokens"] > 0  # static prefix must hit the cache
+
+
+@pytest.mark.parametrize("cache", ["missing", "empty"])
+def test_weave_with_unusable_cache_fails_cleanly(workdir, tmp_path, capsys, cache):
+    (tmp_path / "empty").mkdir()
+    emit = tmp_path / "prompt.json"
+    rc = run_cli(
+        "weave",
+        "--query", "email maria about the budget review",
+        "--plan", str(workdir / "plan.json"),
+        "--registry", str(workdir / "registry.json"),
+        "--dataset", str(workdir / "train.jsonl"),
+        "--examples", str(workdir / "examples.jsonl"),
+        "--vocab", str(workdir / "vocab.json"),
+        "--cache", str(tmp_path / cache),
+        "--emit", str(emit),
+    )
+    assert "manifest" in _assert_single_error(rc, capsys)
+    assert not emit.exists()
+
+
+@pytest.mark.parametrize("command, output", [("build-plan", "plan.json"), ("precompute-cache", "cache")])
+def test_offline_command_without_vocabulary_fails_cleanly(workdir, tmp_path, capsys, command, output):
+    # Without the vocabulary the keys would use ids no online command produces.
+    if command == "build-plan":
+        argv = [
+            "build-plan",
+            "--dataset", str(workdir / "train.jsonl"),
+            "--registry", str(workdir / "registry.json"),
+            "--examples", str(workdir / "examples.jsonl"),
+            "--out", str(tmp_path / output),
+        ]
+    else:
+        argv = [
+            "precompute-cache",
+            "--plan", str(workdir / "plan.json"),
+            "--registry", str(workdir / "registry.json"),
+            "--geometry", "desk",
+            "--out", str(tmp_path / output),
+        ]
+    assert "vocabulary" in _assert_single_error(run_cli(*argv), capsys)
+    assert not (tmp_path / output).exists()
 
 
 def test_weave_baseline_flag(workdir, tmp_path):
