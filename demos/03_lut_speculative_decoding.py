@@ -10,6 +10,7 @@ import tempfile
 from agentaccel import build_coactivation, build_lut, build_plan, decode, fixtures, pipeline
 from agentaccel.corpus import render_plan
 from agentaccel.lm import ScriptedModel, greedy_decode
+from agentaccel.simulator import MEASURED_TAX, decode_seconds
 from agentaccel.weaver import Weaver
 
 with tempfile.TemporaryDirectory(prefix="agentaccel-demo-") as workdir:
@@ -45,7 +46,7 @@ for selective in (True, False):
         f"{mode} speculative: {stats.rounds} rounds, "
         f"{stats.drafts_accepted}/{stats.drafts_generated} drafts accepted "
         f"({stats.accuracy:.0%}), {stats.fallbacks} fallbacks, "
-        f"modeled cost {stats.modeled_latency:.1f} vs {float(len(reference)):.1f} unit steps"
+        f"modeled cost {decode_seconds(stats.to_dict(), 1.0, MEASURED_TAX):.1f} vs {float(len(reference)):.1f} unit steps"
     )
 
 print("\ndraft-length ablation (selective, trigram):")

@@ -3,8 +3,9 @@
 # calibration workload, the draft-model trade-off table, and a look at how
 # the same workload behaves across device classes.
 
-from agentaccel.lm import IDEAL_TAX, MEASURED_TAX
 from agentaccel.simulator import (
+    IDEAL_TAX,
+    MEASURED_TAX,
     SimConfig,
     calibration_trace,
     device_presets,

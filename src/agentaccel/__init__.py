@@ -5,9 +5,9 @@ Three capabilities behind one library:
 * cache-planning and prompt reconstruction that turns agent prompts into
   mostly-precomputable prefixes (clusterplan, kvstore, weaver),
 * draft-model-free speculative decoding from an on-the-fly n-gram lookup
-  table with selective fallback (lm, exspec),
+  table with selective fallback (lm, exspec), which counts rounds,
 * an analytical latency simulator that replays traces of the above under
-  device cost models (simulator).
+  device cost models and is the one place decoding is priced (simulator).
 """
 
 from .clusterplan import ClusterPlan, build_plan, nmf_factorize, select_combinations
@@ -25,12 +25,14 @@ from .corpus import (
 )
 from .exspec import DecodeStats, NGramLUT, build_lut, decode, draft, verify
 from .kvstore import CacheEntry, KVStore, ModelGeometry, kv_size
-from .lm import MarkovModel, ScriptedModel, TaxCurve, greedy_decode, train_markov
+from .lm import MarkovModel, ScriptedModel, greedy_decode, train_markov
 from .simulator import (
     DeviceSpec,
     SimConfig,
+    TaxCurve,
     TraceRecord,
     coverage_curve,
+    decode_seconds,
     device_presets,
     geometry_presets,
     prefill_latency,

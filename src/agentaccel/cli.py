@@ -71,43 +71,53 @@ def _cfg_path(cfg: dict, base: Path, key: str, override=None):
     return base / rel
 
 
-def _resolve_geometry(name_or_path) -> ModelGeometry:
-    presets = simulator.geometry_presets()
-    if name_or_path in presets:
-        return presets[name_or_path]
-    path = Path(name_or_path)
-    if path.exists():
-        try:
-            return ModelGeometry.from_dict(json.loads(path.read_text()))
-        except KeyError as exc:
-            raise CliError(f"geometry file {path} is missing field {exc}") from exc
-    raise CliError(f"unknown geometry '{name_or_path}' (presets: {', '.join(sorted(presets))})")
+def _preset_or_file(spec: str, what: str, presets: dict, parse, shape: str):
+    """The preset named `spec`, else `parse(doc, path)` of the JSON file at `spec`.
 
-
-def _resolve_device(name_or_path) -> simulator.DeviceSpec:
-    presets = simulator.device_presets()
-    if name_or_path in presets:
-        return presets[name_or_path]
-    path = Path(name_or_path)
-    if path.exists():
-        doc = json.loads(path.read_text())
-        doc.setdefault("name", path.stem)
-        try:
-            return simulator.DeviceSpec.from_dict(doc)
-        except KeyError as exc:
-            raise CliError(f"device file {path} is missing field {exc}") from exc
-    raise CliError(f"unknown device '{name_or_path}' (presets: {', '.join(sorted(presets))})")
-
-
-def _resolve_tax(spec) -> lm.TaxCurve:
-    if spec in (None, "ideal"):
-        return lm.IDEAL_TAX
-    if spec == "measured":
-        return lm.MEASURED_TAX
+    A file whose document `parse` cannot take ends in one CliError that says
+    what the file must hold.
+    """
+    if spec in presets:
+        return presets[spec]
     path = Path(spec)
-    if path.exists():
-        return lm.TaxCurve(json.loads(path.read_text()))
-    raise CliError(f"unknown tax curve '{spec}' (use ideal, measured, or a JSON file of [k, multiplier] pairs)")
+    if not path.is_file():
+        raise CliError(f"unknown {what} '{spec}': neither a preset ({', '.join(sorted(presets))}) nor a file")
+    try:
+        return parse(json.loads(path.read_text()), path)
+    except KeyError as exc:
+        raise CliError(f"{what} file {path} must hold {shape}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"{what} file {path} must hold {shape}: {exc}") from exc
+
+
+def _resolve_geometry(spec: str) -> ModelGeometry:
+    return _preset_or_file(
+        spec, "geometry", simulator.geometry_presets(), lambda doc, path: ModelGeometry.from_dict(doc),
+        "a JSON object with a name and integer layers, kv_heads, head_dim, bytes_per_element and params_bytes",
+    )
+
+
+def _resolve_device(spec: str) -> simulator.DeviceSpec:
+    return _preset_or_file(
+        spec, "device", simulator.device_presets(),
+        lambda doc, path: simulator.DeviceSpec.from_dict({"name": path.stem, **doc}),
+        "a JSON object with numeric compute_tops, mem_bw and ssd_bw (optional: name, prefill_utilization)",
+    )
+
+
+def _tax_curve(doc, path) -> simulator.TaxCurve:
+    # TaxCurve unpacks any iterable of pairs, so an object {"11": 0} or a
+    # list of two-character strings would pass as a curve.
+    if not (isinstance(doc, list) and all(isinstance(point, list) for point in doc)):
+        raise TypeError("not a list of lists")
+    return simulator.TaxCurve(doc)
+
+
+def _resolve_tax(spec: str) -> simulator.TaxCurve:
+    return _preset_or_file(
+        spec, "tax curve", {"ideal": simulator.IDEAL_TAX, "measured": simulator.MEASURED_TAX}, _tax_curve,
+        "a JSON list of [width, multiplier] pairs with multiplier 1.0 at width 1",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +264,9 @@ def cmd_decode(args) -> int:
 
     lut = exspec.build_lut(region, args.n)
     out, stats = exspec.decode(model, prompt_tokens, lut, args.draft_len, args.selective == "on", args.max_tokens)
-    reference, reference_cost = exspec.autoregressive_reference(model, prompt_tokens, args.max_tokens)
     doc = {
         "output_tokens": out,
-        "matches_autoregressive": out == reference,
-        "autoregressive_cost": reference_cost,
+        "matches_autoregressive": out == lm.greedy_decode(model, prompt_tokens, args.max_tokens),
         "stats": stats.to_dict(),
         "provenance": {
             "prompt_sha256": _sha256(prompt_path),
@@ -364,9 +372,29 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _holds_numbers(obj, keys) -> bool:
+    """True when `obj` is an object with a number (not a bool) under each of `keys`."""
+    return isinstance(obj, dict) and all(type(obj.get(k)) in (int, float) for k in keys)
+
+
+def _check_report(doc, path) -> None:
+    """Refuse a document that `simulate` could not have written."""
+    where = f"report file {path}"
+    if not (isinstance(doc, dict) and isinstance(doc.get("cells"), dict)):
+        raise CliError(f"{where} is not an object with a 'cells' object")
+    for name in simulator.CELLS:
+        cell = doc["cells"].get(name)
+        if not (_holds_numbers(cell, ("total",)) and all(_holds_numbers(cell.get(k), simulator.STAGES) for k in ("seconds", "fractions"))):
+            raise CliError(f"{where}: cells.{name} needs a number per stage in 'seconds' and 'fractions', and a 'total'")
+    speedups = doc.get("speedups")
+    if not (_holds_numbers(speedups, simulator.CELLS[1:]) and set(speedups) == set(simulator.CELLS[1:])):
+        raise CliError(f"{where}: 'speedups' needs a number for each of {', '.join(simulator.CELLS[1:])} and nothing else")
+
+
 def cmd_report(args) -> int:
     report_path = _require_file(args.report, "report file")
     doc = json.loads(report_path.read_text())
+    _check_report(doc, report_path)
     if args.format == "json":
         text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
     else:

@@ -124,74 +124,6 @@ class PlanDAG:
                     queue.append(v)
         return seen != n
 
-    def matches(self, other: "PlanDAG") -> bool:
-        """True if the two plans are isomorphic.
-
-        A match maps nodes one-to-one preserving call names, literal
-        arguments, edge structure, and "$k" references (a reference to step k
-        must map to a reference to the image of step k).  Node order is
-        irrelevant, so semantically identical plans emitted in different
-        orders compare equal.
-        """
-        if len(self.nodes) != len(other.nodes):
-            return False
-        n = len(self.nodes)
-        candidates: list[list[int]] = []
-        for node in self.nodes:
-            cand = [
-                j
-                for j, o in enumerate(other.nodes)
-                if o.call == node.call and len(o.args) == len(node.args)
-            ]
-            if not cand:
-                return False
-            candidates.append(cand)
-        self_edges = set(self.edges)
-        other_edges = set(other.edges)
-        if len(self_edges) != len(other_edges):
-            return False
-
-        mapping: dict[int, int] = {}
-        used: set[int] = set()
-
-        def args_consistent(i: int, j: int) -> bool:
-            for a, b in zip(self.nodes[i].args, other.nodes[j].args):
-                a_ref = a.startswith("$") and a[1:].isdigit()
-                b_ref = b.startswith("$") and b[1:].isdigit()
-                if a_ref != b_ref:
-                    return False
-                if not a_ref and a != b:
-                    return False
-                if a_ref:
-                    src = int(a[1:]) - 1
-                    dst = int(b[1:]) - 1
-                    if src in mapping and mapping[src] != dst:
-                        return False
-            return True
-
-        def assign(i: int) -> bool:
-            if i == n:
-                mapped_edges = {(mapping[a], mapping[b]) for a, b in self_edges}
-                if mapped_edges != other_edges:
-                    return False
-                # Re-check references now that the mapping is total.
-                for a in range(n):
-                    if not args_consistent(a, mapping[a]):
-                        return False
-                return True
-            for j in candidates[i]:
-                if j in used:
-                    continue
-                mapping[i] = j
-                used.add(j)
-                if args_consistent(i, j) and assign(i + 1):
-                    return True
-                del mapping[i]
-                used.remove(j)
-            return False
-
-        return assign(0)
-
 
 @dataclass(frozen=True)
 class QuerySample:
@@ -219,10 +151,26 @@ def render_plan(plan: PlanDAG) -> str:
     return " ; ".join(lines) + " ; end of plan"
 
 
-def _require(record: dict, key: str, path, idx: int | None):
+_KIND_NAMES = {str: "a string", list: "a list", dict: "a JSON object"}
+
+
+def _require(record, key: str, path, idx: int | None, kind: type = object):
+    """`record[key]`, which must exist and be a `kind`; `record` must be a JSON object."""
+    if not isinstance(record, dict):
+        raise LoadError(path, f"expected a JSON object holding '{key}'", record=idx)
     if key not in record:
         raise LoadError(path, "missing required field", record=idx, field_name=key)
+    if not isinstance(record[key], kind):
+        raise LoadError(path, f"expected {_KIND_NAMES[kind]}", record=idx, field_name=key)
     return record[key]
+
+
+def _require_strings(record, key: str, path, idx: int | None) -> list[str]:
+    """`record[key]`, which must be a list of strings."""
+    values = _require(record, key, path, idx, list)
+    if not all(isinstance(v, str) for v in values):
+        raise LoadError(path, "expected a list of strings", record=idx, field_name=key)
+    return values
 
 
 def load_registry(path, tokenizer: Tokenizer) -> ToolRegistry:
@@ -233,16 +181,16 @@ def load_registry(path, tokenizer: Tokenizer) -> ToolRegistry:
         raise LoadError(path, f"unreadable registry: {exc}") from exc
     if not isinstance(doc, dict):
         raise LoadError(path, "registry must be a JSON object")
-    themes = _require(doc, "themes", path, None)
-    raw_tools = _require(doc, "tools", path, None)
+    themes = _require_strings(doc, "themes", path, None)
+    raw_tools = _require(doc, "tools", path, None, list)
     tools = []
     for idx, rec in enumerate(raw_tools):
-        tool_id = _require(rec, "id", path, idx)
-        theme = _require(rec, "theme", path, idx)
+        tool_id = _require(rec, "id", path, idx, str)
+        theme = _require(rec, "theme", path, idx, str)
         if theme not in themes:
             raise LoadError(path, f"theme '{theme}' not declared", record=idx, field_name="theme")
-        desc = tuple(tokenizer.tokenize(_require(rec, "description", path, idx)))
-        guide = tuple(tokenizer.tokenize(_require(rec, "guidelines", path, idx)))
+        desc = tuple(tokenizer.tokenize(_require(rec, "description", path, idx, str)))
+        guide = tuple(tokenizer.tokenize(_require(rec, "guidelines", path, idx, str)))
         if not desc:
             raise LoadError(path, "empty description", record=idx, field_name="description")
         if not guide:
@@ -250,7 +198,7 @@ def load_registry(path, tokenizer: Tokenizer) -> ToolRegistry:
         tools.append(
             Tool(
                 id=tool_id,
-                name=_require(rec, "name", path, idx),
+                name=_require(rec, "name", path, idx, str),
                 theme=theme,
                 description_tokens=desc,
                 guideline_tokens=guide,
@@ -279,12 +227,18 @@ def _iter_jsonl(path):
 
 def _parse_plan(raw: dict, registry: ToolRegistry, path, idx: int) -> PlanDAG:
     nodes = []
-    for node in _require(raw, "nodes", path, idx):
-        call = _require(node, "call", path, idx)
+    for node in _require(raw, "nodes", path, idx, list):
+        call = _require(node, "call", path, idx, str)
         if call not in registry:
             raise LoadError(path, f"plan calls unknown tool '{call}'", record=idx, field_name="plan")
-        nodes.append(PlanNode(call=call, args=tuple(str(a) for a in node.get("args", []))))
-    edges = tuple((int(a), int(b)) for a, b in raw.get("edges", []))
+        args = node.get("args", [])
+        if not isinstance(args, list):
+            raise LoadError(path, "plan node args must be a list", record=idx, field_name="plan")
+        nodes.append(PlanNode(call=call, args=tuple(str(a) for a in args)))
+    try:
+        edges = tuple((int(a), int(b)) for a, b in raw.get("edges", []))
+    except (TypeError, ValueError) as exc:
+        raise LoadError(path, "plan edges must be a list of [from, to] index pairs", record=idx, field_name="plan") from exc
     plan = PlanDAG(nodes=tuple(nodes), edges=edges)
     try:
         plan.validate()
@@ -296,12 +250,12 @@ def _parse_plan(raw: dict, registry: ToolRegistry, path, idx: int) -> PlanDAG:
 def load_dataset(path, registry: ToolRegistry, tokenizer: Tokenizer) -> list[QuerySample]:
     samples = []
     for idx, rec in _iter_jsonl(path):
-        query = _require(rec, "query", path, idx)
-        tools = frozenset(_require(rec, "tools", path, idx))
+        query = _require(rec, "query", path, idx, str)
+        tools = frozenset(_require_strings(rec, "tools", path, idx))
         for tool_id in sorted(tools):
             if tool_id not in registry:
                 raise LoadError(path, f"unknown tool '{tool_id}'", record=idx, field_name="tools")
-        plan = _parse_plan(_require(rec, "plan", path, idx), registry, path, idx)
+        plan = _parse_plan(_require(rec, "plan", path, idx, dict), registry, path, idx)
         for node in plan.nodes:
             if node.call not in tools:
                 raise LoadError(
@@ -321,6 +275,11 @@ def load_dataset(path, registry: ToolRegistry, tokenizer: Tokenizer) -> list[Que
     return samples
 
 
+def load_example_texts(path) -> list[str]:
+    """The `example_text` of every record of an example db, checked as `load_example_db` checks it."""
+    return [_require(rec, "example_text", path, idx, str) for idx, rec in _iter_jsonl(path)]
+
+
 def load_example_db(path, registry: ToolRegistry, tokenizer: Tokenizer, embedder) -> list[ToolUseExample]:
     """Load tool-use examples, computing each query embedding at load time.
 
@@ -330,12 +289,12 @@ def load_example_db(path, registry: ToolRegistry, tokenizer: Tokenizer, embedder
     examples = []
     seen_ids: set[str] = set()
     for idx, rec in _iter_jsonl(path):
-        ex_id = _require(rec, "id", path, idx)
+        ex_id = _require(rec, "id", path, idx, str)
         if ex_id in seen_ids:
             raise LoadError(path, f"duplicate example id '{ex_id}'", record=idx, field_name="id")
         seen_ids.add(ex_id)
-        text = _require(rec, "example_text", path, idx)
-        tools = frozenset(_require(rec, "tools", path, idx))
+        text = _require(rec, "example_text", path, idx, str)
+        tools = frozenset(_require_strings(rec, "tools", path, idx))
         if not tools:
             raise LoadError(path, "example has empty tool set", record=idx, field_name="tools")
         for tool_id in sorted(tools):

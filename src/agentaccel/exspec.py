@@ -10,6 +10,10 @@ identical to plain autoregressive decoding in every mode.
 Selective mode consults the table before drafting: if the current context
 misses, the round degenerates to a single autoregressive step instead of
 paying a multi-token verification pass that would likely reject everything.
+
+Decoding counts and does not price: `DecodeStats` records rounds, fallbacks
+and drafts, and `simulator.decode_seconds` turns those counts into modeled
+time under a tax curve.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .lm import ReferenceModel, greedy_decode
+from .lm import ReferenceModel
 from .tokenizer import EOS_ID
 
 DEFAULT_N = 3
@@ -134,7 +138,6 @@ class DecodeStats:
     fallbacks: int = 0
     rounds: int = 0
     output_tokens: int = 0
-    modeled_latency: float = 0.0
     selective: bool = True
     draft_len: int = DEFAULT_DRAFT_LEN
     lut_size: int = 0
@@ -152,7 +155,6 @@ class DecodeStats:
             "fallbacks": self.fallbacks,
             "rounds": self.rounds,
             "output_tokens": self.output_tokens,
-            "modeled_latency": self.modeled_latency,
             "selective": self.selective,
             "draft_len": self.draft_len,
             "accuracy": self.accuracy,
@@ -195,7 +197,6 @@ def decode(
             # the terminal end-of-sequence probe above is not one.
             stats.rounds += 1
             stats.fallbacks += 1
-            stats.modeled_latency += target.step_cost(1)
             out.append(tok)
             context.append(tok)
             continue
@@ -211,7 +212,6 @@ def decode(
         stats.rounds += 1
         stats.drafts_generated += len(drafts)
         stats.drafts_accepted += accepted
-        stats.modeled_latency += target.step_cost(len(drafts) + 1)
         for tok in emit:
             if tok == EOS_ID:
                 done = True
@@ -222,9 +222,3 @@ def decode(
                 break
     stats.output_tokens = len(out)
     return out, stats
-
-
-def autoregressive_reference(target: ReferenceModel, prompt, max_tokens: int) -> tuple[list[int], float]:
-    """Greedy output plus its modeled cost (one step per token), for comparisons."""
-    out = greedy_decode(target, prompt, max_tokens)
-    return out, len(out) * target.step_cost(1)

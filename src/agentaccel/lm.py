@@ -7,7 +7,8 @@ be asserted token for token.
 
 Decoding is greedy throughout: the next token is the argmax of the model's
 distribution, with ties broken toward the lowest token id, and token id 0 is
-the end-of-sequence sentinel.
+the end-of-sequence sentinel.  The models only choose tokens; what a decode
+costs is priced by `agentaccel.simulator` from the round counts.
 
 `ReferenceModel.bind(prompt)` gives a decode its per-prompt state: a model
 valid for every context that extends the prompt.  ScriptedModel checks there,
@@ -24,46 +25,6 @@ from collections import Counter
 
 from .tokenizer import EOS_ID, is_token_ids, sequence_hash
 
-# Single-token step cost is the unit; a k-token verification pass costs
-# tax(k) units.  Only k=1 and k=2 are measured on the reference runtime;
-# between configured points the curve interpolates linearly and beyond the
-# last point it stays flat.
-DEFAULT_TAX_POINTS = ((1, 1.0), (2, 1.86))
-
-
-class TaxCurve:
-    """Piecewise-linear multi-token tax: cost multiplier per pass width."""
-
-    def __init__(self, points=DEFAULT_TAX_POINTS):
-        pts = sorted((int(k), float(v)) for k, v in points)
-        if not pts or pts[0][0] != 1:
-            pts = [(1, 1.0)] + [p for p in pts if p[0] > 1]
-        if pts[0][1] != 1.0:
-            raise ValueError("tax_curve(1) must be 1.0")
-        if any(k <= 0 for k, _ in pts):
-            raise ValueError("pass widths must be positive")
-        if any(v <= 0 for _, v in pts):
-            raise ValueError("tax multipliers must be positive")
-        self.points = tuple(pts)
-
-    def __call__(self, k: int) -> float:
-        if k < 1:
-            raise ValueError("pass width must be at least 1")
-        pts = self.points
-        if k >= pts[-1][0]:
-            return pts[-1][1]
-        for (k0, v0), (k1, v1) in zip(pts, pts[1:]):
-            if k0 <= k <= k1:
-                if k1 == k0:
-                    return v0
-                return v0 + (v1 - v0) * (k - k0) / (k1 - k0)
-        return pts[0][1]
-
-
-IDEAL_TAX = TaxCurve([(1, 1.0)])  # multi-token pass costs the same as one token
-MEASURED_TAX = TaxCurve(DEFAULT_TAX_POINTS)
-
-
 def _lowest_argmax(dist: dict[int, float]) -> int:
     """The most probable token, ties broken toward the lowest id; EOS if empty."""
     if not dist:
@@ -73,11 +34,7 @@ def _lowest_argmax(dist: dict[int, float]) -> int:
 
 
 class ReferenceModel:
-    """Shared behavior: greedy argmax choice and modeled step cost."""
-
-    def __init__(self, tax_curve: TaxCurve | None = None, base_step_seconds: float = 1.0):
-        self.tax_curve = tax_curve or TaxCurve()
-        self.base_step_seconds = base_step_seconds
+    """Shared behavior: greedy argmax choice."""
 
     def next_distribution(self, context) -> dict[int, float]:
         raise NotImplementedError
@@ -98,10 +55,6 @@ class ReferenceModel:
         """Argmax of `next_distribution`; a model with an exact shortcut overrides this."""
         return _lowest_argmax(self.next_distribution(context))
 
-    def step_cost(self, k: int) -> float:
-        """Modeled latency of one forward pass over k tokens."""
-        return self.base_step_seconds * self.tax_curve(k)
-
 
 class ScriptedModel(ReferenceModel):
     """Puts full probability mass on a scripted continuation of one prompt.
@@ -110,8 +63,7 @@ class ScriptedModel(ReferenceModel):
     run past its end gets end-of-sequence.
     """
 
-    def __init__(self, prompt, script, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self, prompt, script):
         self.prompt = tuple(prompt)
         self.script = tuple(script)
 
@@ -139,7 +91,6 @@ class _BoundScript(ReferenceModel):
     """
 
     def __init__(self, model: ScriptedModel):
-        super().__init__(model.tax_curve, model.base_step_seconds)
         self._head = len(model.prompt)
         self._script = model.script
 
@@ -184,8 +135,7 @@ class MarkovModel(ReferenceModel):
     is found once here, and `next_distribution` stays as its oracle.
     """
 
-    def __init__(self, order: int, counts, unigram, vocab, smoothing: float = 0.0, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self, order: int, counts, unigram, vocab, smoothing: float = 0.0):
         self.order = order
         self.counts = counts  # dict[tuple, Counter]
         self.unigram = unigram  # Counter
@@ -232,7 +182,7 @@ class MarkovModel(ReferenceModel):
         return self._distribution(self.unigram)
 
 
-def train_markov(corpus, order: int, smoothing: float = 0.0, **kwargs) -> MarkovModel:
+def train_markov(corpus, order: int, smoothing: float = 0.0) -> MarkovModel:
     """Count context -> successor transitions over a corpus of sequences.
 
     Each sequence is terminated with the end-of-sequence token before
@@ -253,7 +203,7 @@ def train_markov(corpus, order: int, smoothing: float = 0.0, **kwargs) -> Markov
         for i in range(order, len(seq)):
             key = tuple(seq[i - order: i])
             counts.setdefault(key, Counter())[seq[i]] += 1
-    return MarkovModel(order=order, counts=counts, unigram=unigram, vocab=vocab, smoothing=smoothing, **kwargs)
+    return MarkovModel(order=order, counts=counts, unigram=unigram, vocab=vocab, smoothing=smoothing)
 
 
 def greedy_decode(model: ReferenceModel, prompt, max_tokens: int) -> list[int]:

@@ -10,10 +10,8 @@ in one trace record for the simulator.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import corpus, exspec, lm, toolrag
 from .clusterplan import ClusterPlan
@@ -53,11 +51,7 @@ def load_bundle(registry_path, train_path, test_path, examples_path, vocab_path=
     train = corpus.load_dataset(train_path, registry, tok)
     test = corpus.load_dataset(test_path, registry, tok) if test_path else []
 
-    texts = []
-    for line in Path(examples_path).read_text().splitlines():
-        if line.strip():
-            texts.append(json.loads(line)["example_text"])
-    embedder = toolrag.TfidfEmbedder.fit(texts)
+    embedder = toolrag.TfidfEmbedder.fit(corpus.load_example_texts(examples_path))
     examples = corpus.load_example_db(examples_path, registry, tok, embedder)
     return CorpusBundle(
         tokenizer=tok, registry=registry, train=train, test=test, examples=examples, embedder=embedder

@@ -12,10 +12,15 @@ Replaying a trace produces one latency breakdown per optimization cell
 per-query token accounting and decode statistics, so speedups are pure
 functions of (trace, config).
 
+This is the only module that prices decoding.  `exspec` counts rounds,
+fallbacks and draft lengths; `decode_seconds` turns those counts into
+seconds under a `TaxCurve`, the cost multiplier of a verification pass by
+its width.
+
 The shipped pipeline configuration charges verification passes at the ideal
 (width-independent) cost.  The measured two-token tax is exposed separately
-via `lm.MEASURED_TAX` for the draft-model trade-off analysis, where it is
-the whole point; see the calibration notes in the README for why the two
+as `MEASURED_TAX` for the draft-model trade-off analysis, where it is the
+whole point; see the calibration notes in the README for why the two
 defaults differ.
 """
 
@@ -28,7 +33,6 @@ from pathlib import Path
 
 from .clusterplan import prefix_counts, select_combinations
 from .kvstore import ModelGeometry, kv_size
-from .lm import IDEAL_TAX, TaxCurve
 
 STAGES = (
     "toolrag",
@@ -44,6 +48,45 @@ CELLS = ("baseline", "pw", "es", "pw_es")
 
 DEFAULT_TOOL_SECONDS = 0.4
 DEFAULT_TOOLRAG_SECONDS = 0.66
+
+# Single-token step cost is the unit; a k-token verification pass costs
+# tax(k) units.  Only k=1 and k=2 are measured on the reference runtime;
+# between configured points the curve interpolates linearly and beyond the
+# last point it stays flat.
+DEFAULT_TAX_POINTS = ((1, 1.0), (2, 1.86))
+
+
+class TaxCurve:
+    """Piecewise-linear multi-token tax: cost multiplier per pass width."""
+
+    def __init__(self, points=DEFAULT_TAX_POINTS):
+        pts = sorted((int(k), float(v)) for k, v in points)
+        if not pts or pts[0][0] != 1:
+            pts = [(1, 1.0)] + [p for p in pts if p[0] > 1]
+        if pts[0][1] != 1.0:
+            raise ValueError("tax_curve(1) must be 1.0")
+        if any(k <= 0 for k, _ in pts):
+            raise ValueError("pass widths must be positive")
+        if any(v <= 0 for _, v in pts):
+            raise ValueError("tax multipliers must be positive")
+        self.points = tuple(pts)
+
+    def __call__(self, k: int) -> float:
+        if k < 1:
+            raise ValueError("pass width must be at least 1")
+        pts = self.points
+        if k >= pts[-1][0]:
+            return pts[-1][1]
+        for (k0, v0), (k1, v1) in zip(pts, pts[1:]):
+            if k0 <= k <= k1:
+                if k1 == k0:
+                    return v0
+                return v0 + (v1 - v0) * (k - k0) / (k1 - k0)
+        return pts[0][1]
+
+
+IDEAL_TAX = TaxCurve([(1, 1.0)])  # multi-token pass costs the same as one token
+MEASURED_TAX = TaxCurve(DEFAULT_TAX_POINTS)
 
 
 class TraceError(ValueError):
@@ -279,13 +322,16 @@ class LatencyBreakdown:
         }
 
 
-def _decode_seconds(role: RoleTrace, config: SimConfig, speculative: bool) -> float:
-    t1 = decode_token_latency(config.geometry, config.device)
-    if not speculative:
-        return role.output_tokens * t1
-    stats = role.decode
+def decode_seconds(stats: dict, step_seconds: float, tax: TaxCurve) -> float:
+    """Modeled seconds of one speculative decode, from its counts.
+
+    `stats` is a `DecodeStats.to_dict()`, as a trace record's `decode`.  A
+    drafting round is one verification pass over draft_len + 1 tokens and
+    costs `step_seconds * tax(draft_len + 1)`; a fallback round is one plain
+    step.  Missing or inconsistent counts raise TraceError.
+    """
     if not stats:
-        raise TraceError("speculative cell requested but the record carries no decode stats")
+        raise TraceError("no decode stats to price: the record's 'decode' is empty")
     for key in ("rounds", "fallbacks", "draft_len"):
         if key not in stats:
             raise TraceError(f"decode stats missing field '{key}'")
@@ -293,19 +339,22 @@ def _decode_seconds(role: RoleTrace, config: SimConfig, speculative: bool) -> fl
     drafting_rounds = rounds - fallbacks
     if drafting_rounds < 0:
         raise TraceError("decode stats: fallbacks exceed rounds")
-    pass_cost = verify_latency(draft_len + 1, config.geometry, config.device, config.verify_tax)
-    return drafting_rounds * pass_cost + fallbacks * t1
+    return drafting_rounds * (step_seconds * tax(draft_len + 1)) + fallbacks * step_seconds
 
 
 def _cell_breakdown(records: list[TraceRecord], config: SimConfig, reconstructed: bool, speculative: bool) -> LatencyBreakdown:
     bd = LatencyBreakdown(seconds={})
+    t1 = decode_token_latency(config.geometry, config.device)
     for rec in records:
         bd.add("toolrag", config.toolrag_seconds)
         bd.add("tool_exec", rec.tool_count * config.tool_seconds)
         for role, prefix in ((rec.planner, "planner"), (rec.arbiter, "arbiter")):
             uncached = role.weaver_uncacheable if reconstructed else role.baseline_uncacheable
             bd.add(f"{prefix}_prefill", prefill_latency(uncached, config.geometry, config.device))
-            bd.add(f"{prefix}_decode", _decode_seconds(role, config, speculative))
+            if speculative:
+                bd.add(f"{prefix}_decode", decode_seconds(role.decode, t1, config.verify_tax))
+            else:
+                bd.add(f"{prefix}_decode", role.output_tokens * t1)
             if reconstructed:
                 loaded_tokens = role.weaver_total - role.weaver_uncacheable
                 bd.add("ssd_load", ssd_load_latency(kv_size(loaded_tokens, config.geometry), config.device))

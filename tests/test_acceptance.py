@@ -14,8 +14,15 @@ import pytest
 from agentaccel import exspec, simulator
 from agentaccel.clusterplan import coverage, nmf_factorize, select_combinations
 from agentaccel.kvstore import TAG_STATIC, IntegrityError, KVStore, ModelGeometry, prefix_blob
-from agentaccel.lm import IDEAL_TAX, MEASURED_TAX, ScriptedModel, greedy_decode, train_markov
-from agentaccel.simulator import SimConfig, calibration_trace, coverage_curve, coverage_saturation_budget
+from agentaccel.lm import ScriptedModel, greedy_decode, train_markov
+from agentaccel.simulator import (
+    IDEAL_TAX,
+    MEASURED_TAX,
+    SimConfig,
+    calibration_trace,
+    coverage_curve,
+    coverage_saturation_budget,
+)
 
 TINY = ModelGeometry(name="tiny", layers=1, kv_heads=1, head_dim=2, bytes_per_element=2, params_bytes=64)
 
@@ -177,11 +184,12 @@ def test_criterion_06_selective_vs_non_selective():
     assert out_sel == out_non == list(script)
     assert sel.drafts_accepted == non.drafts_accepted
     assert sel.drafts_generated < non.drafts_generated
-    assert sel.modeled_latency < non.modeled_latency
+    sel_cost, non_cost = (simulator.decode_seconds(s.to_dict(), 1.0, MEASURED_TAX) for s in (sel, non))
+    assert sel_cost < non_cost
     _verdict(
         6,
         f"equal accepted ({sel.drafts_accepted}), selective drafts {sel.drafts_generated} < "
-        f"{non.drafts_generated}, latency {sel.modeled_latency:.0f} < {non.modeled_latency:.0f}",
+        f"{non.drafts_generated}, latency {sel_cost:.0f} < {non_cost:.0f}",
     )
 
 

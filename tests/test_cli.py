@@ -549,11 +549,9 @@ def test_decode_stats_use_the_extraction_region(workdir, tmp_path, extract):
     model = lm.ScriptedModel(prompt_tokens, lm.load_script(script_path, prompt_tokens))
     lut = exspec.build_lut(region, exspec.DEFAULT_N)
     out, decode_stats = exspec.decode(model, prompt_tokens, lut, exspec.DEFAULT_DRAFT_LEN, True, 256)
-    reference, reference_cost = exspec.autoregressive_reference(model, prompt_tokens, 256)
     expected = {
         "output_tokens": out,
-        "matches_autoregressive": out == reference,
-        "autoregressive_cost": reference_cost,
+        "matches_autoregressive": out == lm.greedy_decode(model, prompt_tokens, 256),
         "stats": decode_stats.to_dict(),
         "provenance": {
             "prompt_sha256": hashlib.sha256(emit.read_bytes()).hexdigest(),
@@ -616,6 +614,124 @@ def test_simulate_accepts_measured_and_file_tax(workdir, tmp_path):
         assert run_cli("simulate", "--trace", str(trace), "--tax", tax, "--out", str(out)) == 0
     rc = run_cli("simulate", "--trace", str(trace), "--tax", "bogus", "--out", str(tmp_path / "x.json"))
     assert rc != 0
+
+
+def _calibration_trace_file(tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps(simulator.calibration_trace()[0].to_dict()) + "\n")
+    return trace
+
+
+_GEOMETRY = {"name": "g", "layers": 2, "kv_heads": 1, "head_dim": 2, "bytes_per_element": 2, "params_bytes": 64}
+_DEVICE = {"compute_tops": 1.0, "mem_bw": 1e9, "ssd_bw": 1e9}
+
+
+@pytest.mark.parametrize(
+    "command, flag, doc",
+    [
+        pytest.param("simulate", "--device", [1], id="device_not_an_object"),
+        pytest.param("simulate", "--device", dict(_DEVICE, compute_tops="x"), id="device_rate_a_string"),
+        pytest.param("simulate", "--geometry", [1], id="geometry_not_an_object"),
+        pytest.param("precompute-cache", "--geometry", [1], id="precompute_geometry_not_an_object"),
+        pytest.param("simulate", "--geometry", dict(_GEOMETRY, layers="2"), id="geometry_layers_a_string"),
+        pytest.param("simulate", "--tax", [5], id="tax_point_not_a_pair"),
+        pytest.param("simulate", "--tax", {"a": 1}, id="tax_an_object"),
+        pytest.param("simulate", "--tax", {"11": 0}, id="tax_an_object_of_pair_strings"),
+        pytest.param("simulate", "--tax", ["11", "25"], id="tax_pairs_as_strings"),
+    ],
+)
+def test_preset_or_file_of_wrong_shape_fails_cleanly(workdir, tmp_path, capsys, command, flag, doc):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    if command == "simulate":
+        argv = ["simulate", "--trace", str(_calibration_trace_file(tmp_path)), "--out", str(out)]
+    else:
+        argv = [
+            "precompute-cache",
+            "--plan", str(workdir / "plan.json"),
+            "--registry", str(workdir / "registry.json"),
+            "--vocab", str(workdir / "vocab.json"),
+            "--out", str(out),
+        ]
+    assert "must hold" in _assert_single_error(run_cli(*argv, flag, str(spec)), capsys)
+    assert not out.exists()
+
+
+def _report_doc() -> dict:
+    config = simulator.SimConfig(device=simulator.device_presets()["m4-pro"], geometry=simulator.geometry_presets()["7b-class"])
+    return simulator.simulate_pipeline(simulator.calibration_trace(), config).to_dict()
+
+
+def _without_stage(doc):
+    del doc["cells"]["pw"]["seconds"]["ssd_load"]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda doc: {"cells": {}}, id="no_cells"),
+        pytest.param(lambda doc: [], id="not_an_object"),
+        pytest.param(_without_stage, id="stage_missing"),
+        pytest.param(lambda doc: dict(doc, speedups={"pw": "1.2"}), id="speedups_incomplete"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_of_wrong_shape_fails_cleanly(tmp_path, capsys, corrupt, fmt):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(corrupt(_report_doc())))
+    out = tmp_path / "out"
+    _assert_single_error(run_cli("report", "--report", str(report), "--format", fmt, "--out", str(out)), capsys)
+    assert not out.exists()
+
+
+def _set_first(key, value, within=None):
+    """Corrupts the first record of a JSONL file (or of a registry's `within` list)."""
+
+    def corrupt(doc):
+        records = doc[within] if within else doc
+        records[0] = value if key is None else dict(records[0], **{key: value})
+        return doc
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, field",
+    [
+        pytest.param("train.jsonl", _set_first("tools", 5), "tools", id="dataset_tools_not_a_list"),
+        pytest.param("train.jsonl", _set_first("query", 5), "query", id="dataset_query_not_a_string"),
+        pytest.param("train.jsonl", _set_first("plan", {"nodes": [], "edges": [[0]]}), "plan", id="dataset_plan_edge_not_a_pair"),
+        pytest.param("registry.json", _set_first(None, 1, within="tools"), "id", id="registry_tool_not_an_object"),
+        pytest.param("registry.json", _set_first("description", 5, within="tools"), "description", id="registry_description_not_a_string"),
+        pytest.param("examples.jsonl", _set_first("example_text", 5), "example_text", id="example_text_not_a_string"),
+        pytest.param("examples.jsonl", _set_first(None, [1]), "example_text", id="example_line_not_an_object"),
+    ],
+)
+def test_corpus_field_of_wrong_type_fails_cleanly(workdir, tmp_path, capsys, name, corrupt, field):
+    inputs = {}
+    for part in ("train.jsonl", "registry.json", "examples.jsonl"):
+        text = (workdir / part).read_text()
+        if part == name:
+            if part.endswith(".jsonl"):
+                records = corrupt([json.loads(line) for line in text.splitlines() if line.strip()])
+                text = "".join(json.dumps(r) + "\n" for r in records)
+            else:
+                text = json.dumps(corrupt(json.loads(text)))
+        inputs[part] = tmp_path / part
+        inputs[part].write_text(text)
+    argv = [
+        "build-plan",
+        "--dataset", str(inputs["train.jsonl"]),
+        "--registry", str(inputs["registry.json"]),
+        "--examples", str(inputs["examples.jsonl"]),
+        "--vocab", str(workdir / "vocab.json"),
+        "--out", str(tmp_path / "plan.json"),
+    ]
+    message = _assert_single_error(run_cli(*argv), capsys)
+    assert "record 0" in message and f"'{field}'" in message
+    assert not (tmp_path / "plan.json").exists()
 
 
 def test_console_entrypoint_runs():

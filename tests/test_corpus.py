@@ -4,7 +4,7 @@ import random
 import pytest
 
 from agentaccel import corpus
-from agentaccel.corpus import LoadError, PlanDAG, PlanNode, build_coactivation
+from agentaccel.corpus import LoadError, PlanDAG, build_coactivation
 from agentaccel.tokenizer import Tokenizer
 
 
@@ -199,35 +199,6 @@ def test_random_coactivation_against_oracle():
 
 
 class TestPlanDag:
-    def _plan(self, nodes, edges=()):
-        return PlanDAG(tuple(PlanNode(c, tuple(a)) for c, a in nodes), tuple(edges))
-
-    def test_identical_plans_match(self):
-        p = self._plan([("a", ["x = 1"]), ("b", ["y = $1"])], [(0, 1)])
-        q = self._plan([("a", ["x = 1"]), ("b", ["y = $1"])], [(0, 1)])
-        assert p.matches(q)
-
-    def test_reordered_nodes_with_remapped_refs_match(self):
-        p = self._plan([("a", []), ("b", ["$1"])], [(0, 1)])
-        q = self._plan([("b", ["$2"]), ("a", [])], [(1, 0)])
-        assert p.matches(q)
-
-    def test_different_call_does_not_match(self):
-        p = self._plan([("a", [])])
-        q = self._plan([("c", [])])
-        assert not p.matches(q)
-
-    def test_different_literal_arg_does_not_match(self):
-        p = self._plan([("a", ["x = 1"])])
-        q = self._plan([("a", ["x = 2"])])
-        assert not p.matches(q)
-
-    def test_ref_structure_must_map(self):
-        # Same multiset of nodes but the reference points at a different step.
-        p = self._plan([("a", []), ("a", []), ("b", ["$1"])], [(0, 2)])
-        q = self._plan([("a", []), ("a", []), ("b", ["$3"])], [(0, 2)])
-        assert not p.matches(q)
-
     def test_fixture_plans_validate(self, bundle):
         for sample in bundle.train + bundle.test:
             sample.gt_plan.validate()

@@ -5,15 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentaccel.exspec import build_lut, decode
-from agentaccel.lm import (
-    MEASURED_TAX,
-    MarkovModel,
-    ReferenceModel,
-    ScriptedModel,
-    TaxCurve,
-    greedy_decode,
-    train_markov,
-)
+from agentaccel.lm import MarkovModel, ReferenceModel, ScriptedModel, greedy_decode, train_markov
 from agentaccel.tokenizer import EOS_ID, sequence_hash
 
 
@@ -200,11 +192,6 @@ class TestBoundScripted:
         for selective in (True, False):
             assert decode(model, prompt, lut, n_draft, selective, max_tokens)[0] == expected
 
-    def test_bound_step_costs_like_the_model(self):
-        model = ScriptedModel((1,), (5,), tax_curve=MEASURED_TAX, base_step_seconds=0.25)
-        bound = model.bind([1])
-        assert [bound.step_cost(k) for k in (1, 2, 3)] == [model.step_cost(k) for k in (1, 2, 3)]
-
     def test_markov_binds_to_itself(self):
         model = train_markov([[1, 2, 3]], order=2)
         assert model.bind([1, 2]) is model
@@ -232,33 +219,3 @@ class TestGreedy:
     def test_negative_max_tokens_rejected(self):
         with pytest.raises(ValueError):
             greedy_decode(ReferenceModel(), [], -1)
-
-
-class TestStepCost:
-    def test_measured_ratio(self):
-        model = ReferenceModel(tax_curve=MEASURED_TAX)
-        assert model.step_cost(2) / model.step_cost(1) == pytest.approx(1.86)
-
-    def test_monotonicity(self):
-        curve = TaxCurve([(1, 1.0), (2, 1.86), (6, 2.4)])
-        model = ReferenceModel(tax_curve=curve)
-        costs = [model.step_cost(k) for k in range(1, 10)]
-        assert costs == sorted(costs)
-
-    def test_interpolation_between_configured_points(self):
-        # Hand interpolation at k=3 between (2, 1.86) and (6, 2.4).
-        curve = TaxCurve([(1, 1.0), (2, 1.86), (6, 2.4)])
-        expected = 1.86 + (2.4 - 1.86) * (3 - 2) / (6 - 2)
-        assert curve(3) == pytest.approx(expected)
-
-    def test_flat_extension_beyond_last_point(self):
-        assert MEASURED_TAX(5) == pytest.approx(1.86)
-
-    def test_width_one_is_unit(self):
-        assert MEASURED_TAX(1) == 1.0
-        with pytest.raises(ValueError):
-            MEASURED_TAX(0)
-
-    def test_curve_requires_unit_anchor(self):
-        with pytest.raises(ValueError):
-            TaxCurve([(1, 1.5)])

@@ -6,16 +6,19 @@ from hypothesis import strategies as st
 
 from agentaccel.clusterplan import select_combinations
 from agentaccel.kvstore import kv_size
-from agentaccel.lm import IDEAL_TAX, MEASURED_TAX, TaxCurve
 from agentaccel.simulator import (
+    IDEAL_TAX,
+    MEASURED_TAX,
     DeviceSpec,
     RoleTrace,
     SimConfig,
+    TaxCurve,
     TraceError,
     TraceRecord,
     calibration_trace,
     coverage_curve,
     coverage_saturation_budget,
+    decode_seconds,
     decode_token_latency,
     device_presets,
     geometry_presets,
@@ -77,6 +80,47 @@ class TestDecodeAndVerify:
         curve = TaxCurve([(1, 1.0), (2, 1.86), (6, 2.4)])
         expected = decode_token_latency(GEO_7B, M4_PRO) * (1.86 + 0.54 * (3 - 2) / (6 - 2))
         assert verify_latency(3, GEO_7B, M4_PRO, curve) == pytest.approx(expected)
+
+
+class TestTaxCurve:
+    def test_measured_ratio(self):
+        assert MEASURED_TAX(2) / MEASURED_TAX(1) == pytest.approx(1.86)
+
+    def test_monotonicity(self):
+        curve = TaxCurve([(1, 1.0), (2, 1.86), (6, 2.4)])
+        costs = [curve(k) for k in range(1, 10)]
+        assert costs == sorted(costs)
+
+    def test_interpolation_between_configured_points(self):
+        # Hand interpolation at k=3 between (2, 1.86) and (6, 2.4).
+        curve = TaxCurve([(1, 1.0), (2, 1.86), (6, 2.4)])
+        expected = 1.86 + (2.4 - 1.86) * (3 - 2) / (6 - 2)
+        assert curve(3) == pytest.approx(expected)
+
+    def test_flat_extension_beyond_last_point(self):
+        assert MEASURED_TAX(5) == pytest.approx(1.86)
+
+    def test_width_one_is_unit(self):
+        assert MEASURED_TAX(1) == 1.0
+        with pytest.raises(ValueError):
+            MEASURED_TAX(0)
+
+    def test_curve_requires_unit_anchor(self):
+        with pytest.raises(ValueError):
+            TaxCurve([(1, 1.5)])
+
+
+class TestDecodeSeconds:
+    def test_hand_count(self):
+        # Three drafting rounds of width 5 (flat at 1.86) and two fallback steps.
+        stats = {"rounds": 5, "fallbacks": 2, "draft_len": 4}
+        assert decode_seconds(stats, 0.5, MEASURED_TAX) == pytest.approx(3 * 0.5 * 1.86 + 2 * 0.5)
+        assert decode_seconds(stats, 0.5, IDEAL_TAX) == pytest.approx(5 * 0.5)
+
+    @pytest.mark.parametrize("stats", [{}, {"rounds": 1, "fallbacks": 2, "draft_len": 4}, {"rounds": 1, "draft_len": 4}])
+    def test_unpriceable_stats_raise(self, stats):
+        with pytest.raises(TraceError):
+            decode_seconds(stats, 1.0, IDEAL_TAX)
 
 
 class TestSpecdecSpeedup:
