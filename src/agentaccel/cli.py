@@ -57,17 +57,27 @@ def _require_file(path, what: str) -> Path:
 def _load_config(path) -> tuple[dict, Path]:
     path = _require_file(path, "config file")
     try:
-        return json.loads(path.read_text()), path.parent
+        cfg = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise CliError(f"config {path} must hold a JSON object")
+    return cfg, path.parent
 
 
-def _cfg_path(cfg: dict, base: Path, key: str, override=None):
-    if override is not None:
-        return Path(override)
-    rel = cfg.get("paths", {}).get(key)
+def _cfg_section(cfg: dict, section: str) -> dict:
+    values = cfg.get(section, {})
+    if not isinstance(values, dict):
+        raise CliError(f"config section '{section}' must be an object")
+    return values
+
+
+def _cfg_path(cfg: dict, base: Path, key: str):
+    rel = _cfg_section(cfg, "paths").get(key)
     if rel is None:
         return None
+    if not isinstance(rel, str):
+        raise CliError(f"config paths.{key} must be a string")
     return base / rel
 
 
@@ -139,7 +149,7 @@ def cmd_build_plan(args) -> int:
     matrix = corpus.build_coactivation(bundle.train, bundle.registry)
     provenance = {
         "registry_sha256": _sha256(registry_path),
-        "dataset_sha256": _sha256(dataset_path),
+        "dataset_sha256": bundle.train_sha256,
         "examples_sha256": _sha256(examples_path),
     }
     plan = build_plan(
@@ -296,6 +306,11 @@ def cmd_run(args) -> int:
         paths["vocab"] and _require_file(paths["vocab"], "vocabulary"),
     )
     plan = ClusterPlan.load(_require_file(paths["plan"], "plan"))
+    bound = plan.provenance.get("dataset_sha256")
+    if bound is None:
+        raise CliError(f"plan {paths['plan']} records no dataset_sha256: re-run build-plan on the train dataset")
+    if bound != bundle.train_sha256:
+        raise CliError(f"train dataset {paths['train']} is not the one plan {paths['plan']} was built from: re-run build-plan")
     store = _open_store(args.cache or os.environ.get(CACHE_DIR_ENV) or paths["cachedir"])
 
     settings = _run_settings(args, cfg)
@@ -336,14 +351,24 @@ _RUN_SECTIONS = {
 
 
 def _run_settings(args, cfg: dict) -> pipeline.RunSettings:
-    """Each knob from its flag, else from its run.json section; RunSettings supplies the rest."""
+    """Each knob from its flag, else from its run.json section; RunSettings supplies the rest.
+
+    A configured knob must have the type of its default (an int passes for a float).
+    """
     flags = dict(vars(args), selective=None if args.selective is None else args.selective == "on")
-    picked = {
-        name: flags[name] if flags[name] is not None else cfg.get(section, {}).get(name)
-        for section, names in _RUN_SECTIONS.items()
-        for name in names
-    }
-    return pipeline.RunSettings(**{name: value for name, value in picked.items() if value is not None})
+    defaults = pipeline.RunSettings()
+    picked = {}
+    for section, names in _RUN_SECTIONS.items():
+        configured = _cfg_section(cfg, section)
+        for name in names:
+            value = flags[name] if flags[name] is not None else configured.get(name)
+            if value is None:
+                continue
+            kind = type(getattr(defaults, name))
+            if not (type(value) is kind or (kind is float and type(value) is int)):
+                raise CliError(f"config {section}.{name} must be of type {kind.__name__}, not {value!r}")
+            picked[name] = value
+    return pipeline.RunSettings(**picked)
 
 
 def cmd_simulate(args) -> int:

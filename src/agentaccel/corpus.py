@@ -210,12 +210,17 @@ def load_registry(path, tokenizer: Tokenizer) -> ToolRegistry:
         raise LoadError(path, str(exc)) from exc
 
 
-def _iter_jsonl(path):
-    path = Path(path)
+def read_file(path) -> bytes:
+    """The bytes of an input file; an unreadable one ends in a LoadError."""
     try:
-        text = path.read_text()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise LoadError(path, f"unreadable file: {exc}") from exc
+
+
+def _iter_jsonl(path, data: bytes | None = None):
+    """Each non-blank line's index and JSON value, from `data` when the file was already read."""
+    text = (read_file(path) if data is None else data).decode()
     for idx, line in enumerate(text.splitlines()):
         if not line.strip():
             continue
@@ -247,9 +252,10 @@ def _parse_plan(raw: dict, registry: ToolRegistry, path, idx: int) -> PlanDAG:
     return plan
 
 
-def load_dataset(path, registry: ToolRegistry, tokenizer: Tokenizer) -> list[QuerySample]:
+def load_dataset(path, registry: ToolRegistry, tokenizer: Tokenizer, data: bytes | None = None) -> list[QuerySample]:
+    """The samples of a dataset file, or of its bytes `data` when the caller already read it."""
     samples = []
-    for idx, rec in _iter_jsonl(path):
+    for idx, rec in _iter_jsonl(path, data):
         query = _require(rec, "query", path, idx, str)
         tools = frozenset(_require_strings(rec, "tools", path, idx))
         for tool_id in sorted(tools):

@@ -52,7 +52,65 @@ class NGramLUT:
         return len(self.table)
 
 
-def build_lut(extraction_region, n: int = DEFAULT_N) -> NGramLUT:
+@dataclass(frozen=True)
+class LutHead:
+    """The counts of a stream that many extraction regions start with.
+
+    `build_lut(region, n, head)` counts only the n-grams that end past the
+    head and merges them into these counts, so a head shared by every query
+    of a run is counted once.  `successors` keeps each context's successors
+    in first-occurrence order and `ranks` each token's first-occurrence
+    index: the tie-breaks of `build_lut` read nothing else.
+    """
+
+    n: int
+    tokens: list[int]
+    table: dict[tuple[int, ...], tuple[int, int]]
+    successors: dict[tuple[int, ...], list[tuple[int, int]]]
+    token_counts: Counter
+    ranks: dict[int, int]
+    filler: int
+
+
+def _gram_counts(stream: list[int], n: int) -> Counter:
+    """Counts of the stream's n-token windows, in first-occurrence order."""
+    return Counter(zip(*(stream[i:] for i in range(n))))
+
+
+def _best(candidates, best=None):
+    """The `(token, count)` pair of highest count, the earliest of equals."""
+    for pair in candidates:
+        if best is None or pair[1] > best[1]:
+            best = pair
+    return best
+
+
+def _filler(token_counts: Counter) -> int:
+    """The most frequent token, the earliest of equals; EOS for no tokens."""
+    return max(token_counts, key=token_counts.__getitem__) if token_counts else EOS_ID
+
+
+def count_head(head, n: int = DEFAULT_N) -> LutHead:
+    """Counts of `head` for `build_lut` to extend."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    tokens = list(head)
+    successors: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for gram, count in _gram_counts(tokens, n).items():
+        successors.setdefault(gram[:-1], []).append((gram[-1], count))
+    token_counts = Counter(tokens)
+    return LutHead(
+        n=n,
+        tokens=tokens,
+        table={key: _best(pairs) for key, pairs in successors.items()},
+        successors=successors,
+        token_counts=token_counts,
+        ranks={tok: rank for rank, tok in enumerate(token_counts)},
+        filler=_filler(token_counts),
+    )
+
+
+def build_lut(extraction_region, n: int = DEFAULT_N, head: LutHead | None = None) -> NGramLUT:
     """One counting pass over the stream's n-token windows.
 
     Counters keep first-occurrence order, so taking a successor only on a
@@ -60,21 +118,53 @@ def build_lut(extraction_region, n: int = DEFAULT_N) -> NGramLUT:
     the filler.  Streams shorter than n produce an empty (always-missing)
     table, which is valid: decoding then falls back to plain autoregressive
     steps.
+
+    With a `head` from `count_head`, the region must start with the head's
+    tokens, and only what follows them is counted; the table is the one the
+    whole region gives.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     stream = list(extraction_region)
+    if head is not None:
+        return _extend_head(head, stream, n)
     table: dict[tuple[int, ...], tuple[int, int]] = {}
-    for gram, count in Counter(zip(*(stream[i:] for i in range(n)))).items():
+    for gram, count in _gram_counts(stream, n).items():
         key = gram[:-1]
         best = table.get(key)
         if best is None or count > best[1]:
             table[key] = (gram[-1], count)
+    return NGramLUT(n=n, table=table, filler=_filler(Counter(stream)), source_token_count=len(stream))
 
-    filler = EOS_ID
-    if stream:
-        tok_counts = Counter(stream)
-        filler = max(tok_counts, key=tok_counts.__getitem__)
+
+def _extend_head(head: LutHead, stream: list[int], n: int) -> NGramLUT:
+    """`build_lut(stream, n)` from the head's counts and the windows that end past it.
+
+    A context's head successors occur before any new one, so they are
+    ranked first; the filler is the head's filler or a token of the tail.
+    """
+    if head.n != n:
+        raise ValueError(f"head counted for n={head.n}, not n={n}")
+    size = len(head.tokens)
+    if stream[:size] != head.tokens:
+        raise ValueError("extraction region does not start with the head")
+
+    new: dict[tuple[int, ...], dict[int, int]] = {}
+    for gram, count in _gram_counts(stream[max(size - n + 1, 0):], n).items():
+        new.setdefault(gram[:-1], {})[gram[-1]] = count
+    table = dict(head.table)
+    for key, fresh in new.items():
+        known = [(tok, count + fresh.pop(tok, 0)) for tok, count in head.successors.get(key, ())]
+        table[key] = _best(fresh.items(), _best(known))
+
+    tail_counts = Counter(stream[size:])
+    candidates = list(tail_counts) + ([head.filler] if size else [])
+    tail_ranks = {tok: size + rank for rank, tok in enumerate(tail_counts)}
+    filler = min(
+        candidates,
+        key=lambda t: (-head.token_counts[t] - tail_counts[t], head.ranks.get(t, tail_ranks.get(t))),
+        default=EOS_ID,
+    )
     return NGramLUT(n=n, table=table, filler=filler, source_token_count=len(stream))
 
 

@@ -10,8 +10,11 @@ in one trace record for the simulator.
 
 from __future__ import annotations
 
+import hashlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from pathlib import Path
 
 from . import corpus, exspec, lm, toolrag
 from .clusterplan import ClusterPlan
@@ -23,16 +26,27 @@ from .weaver import Weaver
 
 @dataclass
 class CorpusBundle:
+    """The loaded corpus.  The train split is kept as the bytes read and parsed on first use."""
+
     tokenizer: Tokenizer
     registry: corpus.ToolRegistry
-    train: list[corpus.QuerySample]
+    train_path: Path
+    train_bytes: bytes = field(repr=False)
     test: list[corpus.QuerySample]
     examples: list[corpus.ToolUseExample]
     embedder: toolrag.TfidfEmbedder
 
+    @property
+    def train_sha256(self) -> str:
+        return hashlib.sha256(self.train_bytes).hexdigest()
+
+    @cached_property
+    def train(self) -> list[corpus.QuerySample]:
+        return corpus.load_dataset(self.train_path, self.registry, self.tokenizer, self.train_bytes)
+
     def make_rag(self, scorer_name: str) -> toolrag.ToolRag:
         if scorer_name == "oracle":
-            scorer = toolrag.OracleToolScorer(self.registry, self.train + self.test, self.tokenizer)
+            scorer = toolrag.OracleToolScorer(self.registry, self.test, self.tokenizer, fallback=lambda: self.train)
         elif scorer_name == "cosine":
             scorer = toolrag.CosineToolScorer(self.registry, self.examples, self.embedder, self.tokenizer)
         else:
@@ -41,20 +55,27 @@ class CorpusBundle:
 
 
 def load_bundle(registry_path, train_path, test_path, examples_path, vocab_path=None) -> CorpusBundle:
-    """Load and cross-validate the whole corpus behind one call.
+    """Load and cross-validate the corpus behind one call.
 
-    The embedder is fitted on the raw example texts before the database is
-    loaded, because loading computes each entry's embedding.
+    The train file is read here, once, and parsed from those bytes on first
+    use of `train`.  The embedder is fitted on the raw example texts before
+    the database is loaded, because loading computes each entry's embedding.
     """
     tok = Tokenizer.load(vocab_path) if vocab_path else Tokenizer()
     registry = corpus.load_registry(registry_path, tok)
-    train = corpus.load_dataset(train_path, registry, tok)
+    train_bytes = corpus.read_file(train_path)
     test = corpus.load_dataset(test_path, registry, tok) if test_path else []
 
     embedder = toolrag.TfidfEmbedder.fit(corpus.load_example_texts(examples_path))
     examples = corpus.load_example_db(examples_path, registry, tok, embedder)
     return CorpusBundle(
-        tokenizer=tok, registry=registry, train=train, test=test, examples=examples, embedder=embedder
+        tokenizer=tok,
+        registry=registry,
+        train_path=Path(train_path),
+        train_bytes=train_bytes,
+        test=test,
+        examples=examples,
+        embedder=embedder,
     )
 
 
@@ -67,6 +88,7 @@ def observation_text(plan: corpus.PlanDAG) -> str:
     return " ".join(parts)
 
 
+ARBITER_VARIANT = "a"
 ARBITER_VERDICT = (
     "every call succeeded and the final observation answers the request , so the verdict is complete"
 )
@@ -114,6 +136,11 @@ def run_queries(
     markov = _build_markov(bundle) if settings.model == "markov" else None
     if settings.model not in ("scripted", "markov"):
         raise ValueError(f"unknown reference model '{settings.model}'")
+    arbiter_script = bundle.tokenizer.tokenize(ARBITER_VERDICT)
+    # Draft tables of regions that open with a prompt part fixed for the
+    # run extend that part's counts, taken once here.
+    arbiter_head = exspec.count_head(weaver.arbiter_prefix(ARBITER_VARIANT), settings.n)
+    planner_head = exspec.count_head(weaver.static_planner_prefix(), settings.n) if settings.extract == "all" else None
 
     def run_one(idx_sample) -> TraceRecord:
         idx, sample = idx_sample
@@ -123,8 +150,7 @@ def run_queries(
 
         planner_script = bundle.tokenizer.tokenize(corpus.render_plan(sample.gt_plan))
         obs_tokens = bundle.tokenizer.tokenize(observation_text(sample.gt_plan))
-        ap = weaver.arbiter_prompt(obs_tokens, variant="a", store=store)
-        arbiter_script = bundle.tokenizer.tokenize(ARBITER_VERDICT)
+        ap = weaver.arbiter_prompt(obs_tokens, variant=ARBITER_VARIANT, store=store)
 
         if settings.model == "scripted":
             planner_model = lm.ScriptedModel(wp.tokens, planner_script)
@@ -133,11 +159,11 @@ def run_queries(
             planner_model = markov
             arbiter_model = markov
 
-        planner_lut = exspec.build_lut(wp.extraction_region(settings.extract), settings.n)
+        planner_lut = exspec.build_lut(wp.extraction_region(settings.extract), settings.n, planner_head)
         planner_out, planner_stats = exspec.decode(
             planner_model, wp.tokens, planner_lut, settings.draft_len, settings.selective, settings.max_tokens
         )
-        arbiter_lut = exspec.build_lut(ap.extraction_region(settings.extract), settings.n)
+        arbiter_lut = exspec.build_lut(ap.extraction_region(settings.extract), settings.n, arbiter_head)
         arbiter_out, arbiter_stats = exspec.decode(
             arbiter_model, ap.tokens, arbiter_lut, settings.draft_len, settings.selective, settings.max_tokens
         )

@@ -146,11 +146,6 @@ def decode_token_latency(geometry: ModelGeometry, device: DeviceSpec) -> float:
     return geometry.params_bytes / device.mem_bw
 
 
-def verify_latency(k: int, geometry: ModelGeometry, device: DeviceSpec, tax_curve: TaxCurve) -> float:
-    """Seconds for one verification pass over k tokens."""
-    return decode_token_latency(geometry, device) * tax_curve(k)
-
-
 def ssd_load_latency(loaded_bytes: int, device: DeviceSpec) -> float:
     if loaded_bytes < 0:
         raise ValueError("byte count must be non-negative")

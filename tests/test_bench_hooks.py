@@ -3,6 +3,9 @@
 import types
 from pathlib import Path
 
+import pytest
+
+from agentaccel import pipeline
 from agentaccel.cli import main
 from agentaccel.kvstore import KVStore
 
@@ -32,3 +35,15 @@ def test_precompute_counters_match_the_store(precompute_cache_argv, tmp_path):
     store = KVStore(tmp_path / "cache")
     assert tracer.counts["kvstore.bytes_written"] == store.total_bytes
     assert tracer.counts["kvstore.entries"] == len(store.entries)
+
+
+@pytest.mark.parametrize("extract", ["fewshot", "all"])
+def test_run_queries_builds_two_luts_per_query(bundle, plan, populated_store, extract):
+    # `exspec.luts` and `exspec.lut_entries.mean` count `exspec.build_lut`
+    # calls: one planner and one arbiter table per query, shared heads
+    # included.
+    tracer = _load_spans().Tracer()
+    with tracer.installed():
+        records = pipeline.run_queries(bundle, plan, populated_store, pipeline.RunSettings(extract=extract))
+    assert len(records) == len(bundle.test)
+    assert tracer.counts["exspec.luts"] == 2 * len(bundle.test)

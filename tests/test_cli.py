@@ -2,10 +2,11 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from agentaccel import pipeline, simulator
+from agentaccel import corpus, pipeline, simulator
 from agentaccel.cli import main
 from agentaccel.tokenizer import sequence_hash
 
@@ -286,6 +287,57 @@ def test_run_with_unusable_input_fails_cleanly(workdir, tmp_path, capsys, key, n
     assert not (tmp_path / "t.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda cfg: [], id="not_an_object"),
+        pytest.param(lambda cfg: dict(cfg, paths=5), id="paths_not_an_object"),
+        pytest.param(lambda cfg: dict(cfg, paths=dict(cfg["paths"], registry=7)), id="path_not_a_string"),
+        pytest.param(lambda cfg: dict(cfg, exspec=5), id="knob_section_not_an_object"),
+        pytest.param(lambda cfg: dict(cfg, run=dict(cfg["run"], max_tokens="x")), id="knob_of_wrong_type"),
+        pytest.param(lambda cfg: dict(cfg, toolrag=dict(cfg["toolrag"], tau=True)), id="bool_for_a_number"),
+    ],
+)
+def test_run_config_of_wrong_shape_fails_cleanly(workdir, tmp_path, capsys, corrupt):
+    _assert_single_error(_run_config(tmp_path, corrupt(_absolute_config(workdir, tmp_path))), capsys)
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_run_refuses_a_train_file_the_plan_was_not_built_from(workdir, tmp_path, capsys):
+    lines = (workdir / "train.jsonl").read_text().splitlines(keepends=True)
+    (tmp_path / "train.jsonl").write_text("".join(lines[1:]))  # still a valid dataset
+    rc = _run_config(tmp_path, _absolute_config(workdir, tmp_path, train=str(tmp_path / "train.jsonl")))
+    assert "build-plan" in _assert_single_error(rc, capsys)
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_run_refuses_a_plan_without_a_dataset_hash(workdir, tmp_path, capsys):
+    plan_doc = json.loads((workdir / "plan.json").read_text())
+    del plan_doc["provenance"]["dataset_sha256"]
+    (tmp_path / "plan.json").write_text(json.dumps(plan_doc))
+    rc = _run_config(tmp_path, _absolute_config(workdir, tmp_path, plan=str(tmp_path / "plan.json")))
+    message = _assert_single_error(rc, capsys)
+    assert "dataset_sha256" in message and "build-plan" in message
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+@pytest.mark.parametrize("model, parses", [("scripted", 0), ("markov", 1)])
+def test_run_parses_the_train_split_only_for_the_markov_model(workdir, tmp_path, monkeypatch, model, parses):
+    # A scripted run with the oracle scorer finds every query in the test
+    # split; the Markov chain is trained on the train split.
+    loaded = []
+    load_dataset = corpus.load_dataset
+
+    def counting(path, *args):
+        loaded.append(Path(path).name)
+        return load_dataset(path, *args)
+
+    monkeypatch.setattr(corpus, "load_dataset", counting)
+    assert run_cli("run", "--config", str(workdir / "run.json"), "--model", model, "--trace", str(tmp_path / "t.jsonl")) == 0
+    assert loaded.count("train.jsonl") == parses
+    assert loaded.count("test.jsonl") == 1
+
+
 def test_run_settings_default_to_run_settings(workdir, tmp_path):
     # No knob sections and no cache directory: every setting is the
     # RunSettings default, and the run goes without a cache.
@@ -341,6 +393,27 @@ def test_weave_emits_prompt_accounting(workdir, tmp_path):
     assert doc["total_tokens"] == total
     assert doc["cacheable_tokens"] + doc["uncacheable_tokens"] == total
     assert doc["cacheable_tokens"] > 0  # static prefix must hit the cache
+
+
+def test_weave_oracle_scorer_finds_a_training_query(workdir, tmp_path):
+    # weave has no test split: the oracle scorer falls back to the train split.
+    sample = json.loads((workdir / "train.jsonl").read_text().splitlines()[0])
+    emit = tmp_path / "prompt.json"
+    assert (
+        run_cli(
+            "weave",
+            "--query", sample["query"],
+            "--plan", str(workdir / "plan.json"),
+            "--registry", str(workdir / "registry.json"),
+            "--dataset", str(workdir / "train.jsonl"),
+            "--examples", str(workdir / "examples.jsonl"),
+            "--vocab", str(workdir / "vocab.json"),
+            "--scorer", "oracle",
+            "--emit", str(emit),
+        )
+        == 0
+    )
+    assert json.loads(emit.read_text())["stats"]["retrieved_tools"] == sorted(sample["tools"])
 
 
 @pytest.mark.parametrize("cache", ["missing", "empty"])

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agentaccel import pipeline
-from agentaccel.exspec import MISS, NGramLUT, build_lut, decode, draft, verify
+from agentaccel.exspec import MISS, NGramLUT, build_lut, count_head, decode, draft, verify
 from agentaccel.lm import ReferenceModel, ScriptedModel, greedy_decode, train_markov
 from agentaccel.simulator import MEASURED_TAX, decode_seconds
 from agentaccel.tokenizer import EOS_ID
@@ -91,6 +91,32 @@ class TestBuildLutOracle:
         lut = build_lut(stream, n)
         assert lut == _reference_lut(stream, n)
         assert list(lut.table) == list(_reference_lut(stream, n).table)
+
+
+class TestHeadExtension:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        head=st.lists(st.integers(1, 3), max_size=30),
+        tail=st.lists(st.integers(1, 3), max_size=30),
+        n=st.integers(2, 4),
+    )
+    @example(head=[], tail=[1, 2, 1, 2], n=2)
+    @example(head=[1, 2, 3], tail=[], n=3)
+    @example(head=[1], tail=[2, 1, 3, 1, 2], n=4)  # head shorter than n - 1
+    @example(head=[1, 2, 4, 1, 2], tail=[3, 3, 3, 4], n=3)  # (1,2): head's 4 ties the tail's new 3; 3 outnumbers 1, 2, 4
+    def test_equals_build_of_whole_region(self, head, tail, n):
+        whole = build_lut(head + tail, n)
+        extended = build_lut(head + tail, n, count_head(head, n))
+        assert extended == whole
+        assert list(extended.table) == list(whole.table)
+
+    def test_region_must_start_with_the_head(self):
+        with pytest.raises(ValueError):
+            build_lut([1, 2, 3, 4], 3, count_head([1, 3], 3))
+
+    def test_head_must_be_counted_for_the_same_n(self):
+        with pytest.raises(ValueError):
+            build_lut([1, 2, 3, 4], 3, count_head([1, 2], 2))
 
 
 class TestDraftWindow:

@@ -25,7 +25,6 @@ from agentaccel.simulator import (
     prefill_latency,
     simulate_pipeline,
     specdec_speedup,
-    verify_latency,
 )
 
 GEO_7B = geometry_presets()["7b-class"]
@@ -67,19 +66,6 @@ class TestPrefill:
 class TestDecodeAndVerify:
     def test_decode_token_is_weight_read_time(self):
         assert decode_token_latency(GEO_7B, M4_PRO) == pytest.approx(14e9 / 273e9)
-
-    def test_verify_width_one_equals_decode(self):
-        assert verify_latency(1, GEO_7B, M4_PRO, MEASURED_TAX) == pytest.approx(decode_token_latency(GEO_7B, M4_PRO))
-
-    def test_verify_ratio_at_width_two(self):
-        v1 = verify_latency(1, GEO_7B, M4_PRO, MEASURED_TAX)
-        v2 = verify_latency(2, GEO_7B, M4_PRO, MEASURED_TAX)
-        assert v2 / v1 == pytest.approx(1.86)
-
-    def test_interpolated_width_three(self):
-        curve = TaxCurve([(1, 1.0), (2, 1.86), (6, 2.4)])
-        expected = decode_token_latency(GEO_7B, M4_PRO) * (1.86 + 0.54 * (3 - 2) / (6 - 2))
-        assert verify_latency(3, GEO_7B, M4_PRO, curve) == pytest.approx(expected)
 
 
 class TestTaxCurve:
