@@ -2,8 +2,10 @@
 # Speculative decode from a lookup table: build an n-gram table over the
 # prompt's few-shot region, draft whole groups of tokens for free, and verify
 # them in one pass -- falling back to plain autoregressive steps whenever the
-# table has nothing to say.  Output is token-identical to greedy decoding by
-# design.
+# table has nothing to say.  Where the prompt's table misses, the planner can
+# also draft from a table counted offline over the train split's plans, which
+# `build-plan` ships in plan.json.  Output is token-identical to greedy
+# decoding by design.
 
 import tempfile
 
@@ -48,6 +50,20 @@ for selective in (True, False):
         f"({stats.accuracy:.0%}), {stats.fallbacks} fallbacks, "
         f"modeled cost {decode_seconds(stats.to_dict(), 1.0, MEASURED_TAX):.1f} vs {float(len(reference)):.1f} unit steps"
     )
+
+train_table = pipeline.plan_draft_table(bundle)
+print(f"\ntrain-split plan table: {len(train_table)} entries over {train_table.source_token_count} tokens")
+rounds = {"prompt table only": 0, "with the train table": 0}
+for s in bundle.test:
+    p = weaver.planner_prompt(s.query_tokens, k=1, retrieved=rag.retrieve_tools(s.query_tokens, 0.5))
+    m = ScriptedModel(p.tokens, bundle.tokenizer.tokenize(render_plan(s.gt_plan)))
+    lut_s = build_lut(p.extraction_region("fewshot"), 3)
+    for label, backup in (("prompt table only", None), ("with the train table", train_table)):
+        out, st = decode(m, p.tokens, lut_s, 4, True, 160, backup=backup)
+        assert out == greedy_decode(m, p.tokens, 160)
+        rounds[label] += st.rounds
+for label, count in rounds.items():
+    print(f"  {label}: {count} planner rounds over {len(bundle.test)} test queries")
 
 print("\ndraft-length ablation (selective, trigram):")
 for n in (2, 3, 4):

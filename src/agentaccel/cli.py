@@ -151,6 +151,7 @@ def cmd_build_plan(args) -> int:
         "registry_sha256": _sha256(registry_path),
         "dataset_sha256": bundle.train_sha256,
         "examples_sha256": _sha256(examples_path),
+        "vocab_sha256": _sha256(vocab_path),
     }
     plan = build_plan(
         matrix,
@@ -163,6 +164,7 @@ def cmd_build_plan(args) -> int:
         seed=args.seed,
         tol=args.tol,
         provenance=provenance,
+        draft_table=pipeline.plan_draft_table(bundle),
     )
     _atomic_write(args.out, plan.to_json() + "\n")
     print(f"plan written to {args.out} ({len(plan.clusters)} clusters, {len(plan.cached_combinations)} cached combinations)")
@@ -176,7 +178,8 @@ def cmd_precompute_cache(args) -> int:
     if not outdir:
         raise CliError(f"no cache directory given (--out or ${CACHE_DIR_ENV})")
     geometry = _resolve_geometry(args.geometry)
-    tok = Tokenizer.load(_require_file(args.vocab, "vocabulary"))
+    vocab_path = _require_file(args.vocab, "vocabulary")
+    tok = Tokenizer.load(vocab_path)
     registry = corpus.load_registry(registry_path, tok)
     plan = ClusterPlan.load(plan_path)
     groups = Weaver(registry, tok, plan, examples=[]).cacheable_prefixes()
@@ -185,6 +188,7 @@ def cmd_precompute_cache(args) -> int:
     total = sum(map(len, groups.values()))
     provenance = {
         "plan_sha256": _sha256(plan_path),
+        "vocab_sha256": _sha256(vocab_path),
         "registry_sha256": _sha256(registry_path),
         "geometry": geometry.to_dict(),
     }
@@ -193,27 +197,66 @@ def cmd_precompute_cache(args) -> int:
     return 0
 
 
-def _open_store(cachedir) -> KVStore | None:
-    """The store in `cachedir`, or None without one; a directory without a manifest is refused."""
+def _vocab_sha256(vocab_path) -> str | None:
+    return vocab_path and _sha256(vocab_path)
+
+
+def _check_plan_inputs(plan: ClusterPlan, plan_path, bundle: pipeline.CorpusBundle, train_path, vocab_path) -> None:
+    """Refuse a train dataset or vocabulary other than the ones `plan` was built from."""
+    given = (
+        ("dataset_sha256", f"train dataset {train_path}", bundle.train_sha256),
+        ("vocab_sha256", f"vocabulary {vocab_path or '(none given)'}", _vocab_sha256(vocab_path)),
+    )
+    for key, what, sha256 in given:
+        bound = plan.provenance.get(key)
+        if bound is None:
+            raise CliError(f"plan {plan_path} records no {key}: re-run build-plan on the train dataset and vocabulary")
+        if bound != sha256:
+            raise CliError(f"{what} is not the one plan {plan_path} was built from: use that one, or re-run build-plan")
+
+
+def _open_store(cachedir, plan_path, vocab_path) -> KVStore | None:
+    """The store in `cachedir`, or None without one.
+
+    A directory without a manifest is refused, and so is a store whose
+    `provenance.json` names another plan or vocabulary file: its keys would
+    match nothing, and every prompt would go uncached.
+    """
     if not cachedir:
         return None
     if not Path(cachedir, "manifest.json").exists():
         raise CliError(f"cache directory {cachedir} has no manifest.json: run precompute-cache into it, or run without a cache")
-    return KVStore(cachedir)
+    store = KVStore(cachedir)
+    try:
+        provenance = json.loads(Path(cachedir, "provenance.json").read_text())
+    except (OSError, ValueError):
+        provenance = None
+    if not isinstance(provenance, dict):
+        raise CliError(f"cache directory {cachedir} has no readable provenance.json: re-run precompute-cache into an empty directory")
+    for key, what, path, sha256 in (
+        ("plan_sha256", "plan", plan_path, _sha256(plan_path)),
+        ("vocab_sha256", "vocabulary", vocab_path or "(none given)", _vocab_sha256(vocab_path)),
+    ):
+        if provenance.get(key) != sha256:
+            raise CliError(f"cache {cachedir} was not precomputed for {what} {path}: re-run precompute-cache with it")
+    return store
 
 
 def _weaver_from_args(args) -> tuple[pipeline.CorpusBundle, Weaver, KVStore | None]:
+    dataset_path = _require_file(args.dataset, "dataset")
     bundle = pipeline.load_bundle(
         _require_file(args.registry, "registry"),
-        _require_file(args.dataset, "dataset"),
+        dataset_path,
         getattr(args, "test", None),
         _require_file(args.examples, "example db"),
         args.vocab,
     )
-    plan = ClusterPlan.load(_require_file(args.plan, "plan"))
+    plan_path = _require_file(args.plan, "plan")
+    plan = ClusterPlan.load(plan_path)
+    _check_plan_inputs(plan, plan_path, bundle, dataset_path, args.vocab)
     rag = bundle.make_rag(args.scorer)
     weaver = Weaver(bundle.registry, bundle.tokenizer, plan, bundle.examples, rag, tau=args.tau)
-    return bundle, weaver, _open_store(args.cache or os.environ.get(CACHE_DIR_ENV))
+    return bundle, weaver, _open_store(args.cache or os.environ.get(CACHE_DIR_ENV), plan_path, args.vocab)
 
 
 def cmd_weave(args) -> int:
@@ -306,12 +349,8 @@ def cmd_run(args) -> int:
         paths["vocab"] and _require_file(paths["vocab"], "vocabulary"),
     )
     plan = ClusterPlan.load(_require_file(paths["plan"], "plan"))
-    bound = plan.provenance.get("dataset_sha256")
-    if bound is None:
-        raise CliError(f"plan {paths['plan']} records no dataset_sha256: re-run build-plan on the train dataset")
-    if bound != bundle.train_sha256:
-        raise CliError(f"train dataset {paths['train']} is not the one plan {paths['plan']} was built from: re-run build-plan")
-    store = _open_store(args.cache or os.environ.get(CACHE_DIR_ENV) or paths["cachedir"])
+    _check_plan_inputs(plan, paths["plan"], bundle, paths["train"], paths["vocab"])
+    store = _open_store(args.cache or os.environ.get(CACHE_DIR_ENV) or paths["cachedir"], paths["plan"], paths["vocab"])
 
     settings = _run_settings(args, cfg)
     if not (0 <= settings.k <= MAX_DYNAMIC_EXAMPLES):

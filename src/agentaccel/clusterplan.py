@@ -7,7 +7,9 @@ the cluster-combination prefixes whose cached KV would cover the most
 activation sequences in the training data, under a fixed budget.
 
 Everything is deterministic given (matrix, rank, seed, tol), so a plan can be
-rebuilt byte-identically from its provenance block.
+rebuilt byte-identically from its provenance block.  A plan may also carry
+the planner's offline draft table (`exspec.NGramLUT`), which `run` drafts
+from when a prompt's own table misses.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import CoactivationMatrix, ToolRegistry, ToolUseExample
+from .exspec import NGramLUT
 
 DEFAULT_RANK = 8
 DEFAULT_ITERS = 500
@@ -122,11 +125,13 @@ class ClusterPlan:
     `clusters` is stored in plan order.  `cached_combinations` holds the
     prefixes returned by the greedy selection, as tuples of cluster ids in
     plan order; the empty prefix is always implicitly cached.
+    `draft_table`, when present, is the planner's backup draft table.
     """
 
     clusters: tuple[Cluster, ...]
     cached_combinations: tuple[tuple[int, ...], ...]
     provenance: dict = field(default_factory=dict)
+    draft_table: NGramLUT | None = None
 
     def __post_init__(self):
         positions = {c.id: i for i, c in enumerate(self.clusters)}
@@ -165,6 +170,8 @@ class ClusterPlan:
             "cached_combinations": [list(combo) for combo in self.cached_combinations],
             "provenance": self.provenance,
         }
+        if self.draft_table is not None:
+            doc["draft_table"] = self.draft_table.to_dict()
         return json.dumps(doc, sort_keys=True, indent=1)
 
     @classmethod
@@ -203,9 +210,15 @@ class ClusterPlan:
         provenance = doc.get("provenance", {})
         if not isinstance(provenance, dict):
             raise PlanError(f"{where}: 'provenance' is not an object")
+        table = doc.get("draft_table")
+        if table is not None:
+            try:
+                table = NGramLUT.from_dict(table)
+            except ValueError as exc:
+                raise PlanError(f"{where}: 'draft_table' {exc}") from exc
         clusters = tuple(by_id[cid] for cid in doc["order"])
         combos = tuple(tuple(c) for c in doc["cached_combinations"])
-        return cls(clusters=clusters, cached_combinations=combos, provenance=provenance)
+        return cls(clusters=clusters, cached_combinations=combos, provenance=provenance, draft_table=table)
 
     @classmethod
     def load(cls, path) -> "ClusterPlan":
@@ -356,8 +369,9 @@ def build_plan(
     seed: int = 0,
     tol: float = DEFAULT_TOL,
     provenance: dict | None = None,
+    draft_table: NGramLUT | None = None,
 ) -> ClusterPlan:
-    """Run the full offline pipeline and return an immutable plan."""
+    """Run the full offline pipeline and return an immutable plan carrying `draft_table`."""
     rank = min(rank, matrix.size)
     result = nmf_factorize(matrix.counts, rank=rank, iters=iters, seed=seed, tol=tol)
     groups = assign_clusters(result.w, matrix)
@@ -378,4 +392,4 @@ def build_plan(
             "order": ordered_ids,
         }
     )
-    return ClusterPlan(clusters=clusters, cached_combinations=tuple(combos), provenance=prov)
+    return ClusterPlan(clusters=clusters, cached_combinations=tuple(combos), provenance=prov, draft_table=draft_table)

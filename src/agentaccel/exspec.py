@@ -10,6 +10,9 @@ identical to plain autoregressive decoding in every mode.
 Selective mode consults the table before drafting: if the current context
 misses, the round degenerates to a single autoregressive step instead of
 paying a multi-token verification pass that would likely reject everything.
+A decode may also be given a backup table, drafted from only when the
+prompt's table misses: the planner's is counted offline over the train
+split's plans and shipped in the plan.
 
 Decoding counts and does not price: `DecodeStats` records rounds, fallbacks
 and drafts, and `simulator.decode_seconds` turns those counts into modeled
@@ -22,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .lm import ReferenceModel
-from .tokenizer import EOS_ID
+from .tokenizer import EOS_ID, is_token_ids
 
 DEFAULT_N = 3
 DEFAULT_DRAFT_LEN = 4
@@ -50,6 +53,33 @@ class NGramLUT:
 
     def __len__(self) -> int:
         return len(self.table)
+
+    def to_dict(self) -> dict:
+        """A JSON document of the table: each entry is `[*context, token, frequency]`."""
+        return {
+            "n": self.n,
+            "filler": self.filler,
+            "source_token_count": self.source_token_count,
+            "entries": [[*key, tok, count] for key, (tok, count) in self.table.items()],
+        }
+
+    @classmethod
+    def from_dict(cls, doc) -> "NGramLUT":
+        """The table of a `to_dict` document; ValueError says what of another shape is wrong."""
+        if not isinstance(doc, dict):
+            raise ValueError("is not an object")
+        for key in ("n", "filler", "source_token_count"):
+            if not (type(doc.get(key)) is int and doc[key] >= 0):
+                raise ValueError(f"field '{key}' is not a non-negative integer")
+        n, entries = doc["n"], doc.get("entries")
+        if n < 2:
+            raise ValueError("field 'n' is below 2")
+        if not (isinstance(entries, list) and all(is_token_ids(e) and len(e) == n + 1 and min(e) >= 0 and e[-1] > 0 for e in entries)):
+            raise ValueError(f"field 'entries' is not a list of {n - 1} context ids, a token id and a positive count each")
+        table = {tuple(e[:-2]): (e[-2], e[-1]) for e in entries}
+        if len(table) != len(entries):
+            raise ValueError("field 'entries' lists a context twice")
+        return cls(n=n, table=table, filler=doc["filler"], source_token_count=doc["source_token_count"])
 
 
 @dataclass(frozen=True)
@@ -110,7 +140,9 @@ def count_head(head, n: int = DEFAULT_N) -> LutHead:
     )
 
 
-def build_lut(extraction_region, n: int = DEFAULT_N, head: LutHead | None = None) -> NGramLUT:
+def build_lut(
+    extraction_region, n: int = DEFAULT_N, head: LutHead | None = None, defined: frozenset | None = None
+) -> NGramLUT:
     """One counting pass over the stream's n-token windows.
 
     Counters keep first-occurrence order, so taking a successor only on a
@@ -122,19 +154,27 @@ def build_lut(extraction_region, n: int = DEFAULT_N, head: LutHead | None = None
     With a `head` from `count_head`, the region must start with the head's
     tokens, and only what follows them is counted; the table is the one the
     whole region gives.
+
+    `defined` (read only without a head) limits the table to those tokens:
+    a window holding any other token is not counted, nor is that token a
+    filler.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     stream = list(extraction_region)
     if head is not None:
         return _extend_head(head, stream, n)
+    grams = _gram_counts(stream, n).items()
+    if defined is not None:
+        grams = [(gram, count) for gram, count in grams if defined.issuperset(gram)]
     table: dict[tuple[int, ...], tuple[int, int]] = {}
-    for gram, count in _gram_counts(stream, n).items():
+    for gram, count in grams:
         key = gram[:-1]
         best = table.get(key)
         if best is None or count > best[1]:
             table[key] = (gram[-1], count)
-    return NGramLUT(n=n, table=table, filler=_filler(Counter(stream)), source_token_count=len(stream))
+    tokens = Counter(stream if defined is None else (t for t in stream if t in defined))
+    return NGramLUT(n=n, table=table, filler=_filler(tokens), source_token_count=len(stream))
 
 
 def _extend_head(head: LutHead, stream: list[int], n: int) -> NGramLUT:
@@ -231,6 +271,7 @@ class DecodeStats:
     selective: bool = True
     draft_len: int = DEFAULT_DRAFT_LEN
     lut_size: int = 0
+    backup_rounds: int = 0  # drafting rounds whose first token came from the backup table
 
     @property
     def accuracy(self) -> float:
@@ -248,6 +289,8 @@ class DecodeStats:
             "selective": self.selective,
             "draft_len": self.draft_len,
             "accuracy": self.accuracy,
+            "lut_size": self.lut_size,
+            "backup_rounds": self.backup_rounds,
         }
 
 
@@ -258,15 +301,16 @@ def decode(
     n_draft: int = DEFAULT_DRAFT_LEN,
     selective: bool = True,
     max_tokens: int = 256,
+    backup: NGramLUT | None = None,
 ) -> tuple[list[int], DecodeStats]:
     """Speculative decoding loop; output always equals greedy_decode.
 
     The target is bound to the prompt once (`ReferenceModel.bind`) and every
-    step of the loop goes to the bound model.  In selective mode a
-    first-lookup miss costs one plain step.  In non-selective mode every
-    round drafts (fillers on a miss) and pays the full verification pass,
-    which is what makes the two modes comparable on cost while identical on
-    output.
+    step of the loop goes to the bound model.  A round drafts from `lut`,
+    or, when its first lookup misses, from `backup`.  In selective mode a
+    miss of both costs one plain step.  In non-selective mode every round
+    drafts (fillers on a miss) and pays the full verification pass, which is
+    what makes the two modes comparable on cost while identical on output.
     """
     if max_tokens < 0:
         raise ValueError("max_tokens must be non-negative")
@@ -279,6 +323,10 @@ def decode(
     done = False
     while not done and len(out) < max_tokens:
         drafts = draft(lut, context, n_draft)
+        from_backup = False
+        if drafts is MISS and backup is not None:
+            drafts = draft(backup, context, n_draft)
+            from_backup = drafts is not MISS
         if drafts is MISS and selective:
             tok = target.greedy_next(context)
             if tok == EOS_ID:
@@ -300,6 +348,7 @@ def decode(
             # left out of the per-round accounting.
             break
         stats.rounds += 1
+        stats.backup_rounds += from_backup
         stats.drafts_generated += len(drafts)
         stats.drafts_accepted += accepted
         for tok in emit:

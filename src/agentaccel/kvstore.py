@@ -329,7 +329,8 @@ class KVStore:
         }
         tmp = self.manifest_path.with_suffix(".json.tmp")
         self.root.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        # Compact separators keep json's C encoder; `indent` would not.
+        tmp.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
         os.replace(tmp, self.manifest_path)
 
     def longest_cached_prefix(self, prompt) -> tuple[CacheEntry | None, int]:

@@ -5,7 +5,9 @@ independent: retrieval picks the tool set, the weaver builds both the
 reconstructed and the baseline prompt against the shared cache store, the
 configured reference model decodes the plan and the arbiter verdict through
 the speculative path, and the token accounting plus decode statistics land
-in one trace record for the simulator.
+in one trace record for the simulator.  The planner also drafts from the
+plan's table of the train split's plans (`plan_draft_table`) wherever its
+prompt's table misses.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import corpus, exspec, lm, toolrag
 from .clusterplan import ClusterPlan
 from .kvstore import KVStore
 from .simulator import RoleTrace, TraceRecord
-from .tokenizer import Tokenizer
+from .tokenizer import EOS_ID, Tokenizer
 from .weaver import Weaver
 
 
@@ -109,6 +111,21 @@ class RunSettings:
     jobs: int = 1
 
 
+def plan_draft_table(bundle: CorpusBundle) -> exspec.NGramLUT:
+    """The `exspec.DEFAULT_N`-gram table of the train split's plan renders.
+
+    The renders are counted in train order with EOS between them.  Only ids
+    the vocabulary file defines are counted: any other id depends on the
+    order words were first tokenized in, so a window holding one is dropped.
+    """
+    stream: list[int] = []
+    for sample in bundle.train:
+        if stream:
+            stream.append(EOS_ID)
+        stream += bundle.tokenizer.tokenize(corpus.render_plan(sample.gt_plan))
+    return exspec.build_lut(stream, exspec.DEFAULT_N, defined=bundle.tokenizer.defined_ids | {EOS_ID})
+
+
 def _build_markov(bundle: CorpusBundle) -> lm.MarkovModel:
     """Order-2 chain over request+plan streams in the example-text shape.
 
@@ -161,7 +178,8 @@ def run_queries(
 
         planner_lut = exspec.build_lut(wp.extraction_region(settings.extract), settings.n, planner_head)
         planner_out, planner_stats = exspec.decode(
-            planner_model, wp.tokens, planner_lut, settings.draft_len, settings.selective, settings.max_tokens
+            planner_model, wp.tokens, planner_lut, settings.draft_len, settings.selective, settings.max_tokens,
+            backup=plan.draft_table,
         )
         arbiter_lut = exspec.build_lut(ap.extraction_region(settings.extract), settings.n, arbiter_head)
         arbiter_out, arbiter_stats = exspec.decode(

@@ -49,7 +49,8 @@ class Tokenizer:
 
     Identical text always yields identical sequences; the vocabulary only
     grows, and persisting/reloading it keeps previously assigned ids stable
-    across processes.
+    across processes.  `defined_ids` are the ids of the vocabulary it was
+    made with: an id allocated later depends on what was tokenized first.
     """
 
     def __init__(self, vocab: dict[str, int] | None = None):
@@ -60,6 +61,7 @@ class Tokenizer:
         if EOS_ID in self._id_to_word:
             raise ValueError(f"token id {EOS_ID} is reserved for end-of-sequence")
         self._next_id = max(self._id_to_word, default=EOS_ID) + 1
+        self.defined_ids = frozenset(self._id_to_word)
 
     @property
     def vocab_size(self) -> int:

@@ -45,7 +45,10 @@ def test_criterion_01_speculative_equivalence():
         markov_pool.append((train_markov(data, order=order, smoothing=rng.choice([0.0, 0.2])), data[0][:4]))
     pool = scripted_pool + markov_pool
 
-    cases = 0
+    # Every other pair of cases also drafts from an arbitrary backup table,
+    # as the planner drafts from the train split's, drawn from its own stream.
+    table_rng = random.Random(2025)
+    cases = backed = 0
     for i in range(520):
         model, prompt = pool[i % len(pool)]
         n = rng.choice([2, 3, 4])
@@ -54,15 +57,20 @@ def test_criterion_01_speculative_equivalence():
         max_tokens = rng.randint(0, 48)
         region = [rng.randint(1, 9) for _ in range(rng.randint(0, 80))]
         lut = exspec.build_lut(region, n=n)
-        out, _ = exspec.decode(model, prompt, lut, n_draft, selective, max_tokens)
+        backup = None
+        if i % 4 >= 2:
+            table = [table_rng.randint(0, 9) for _ in range(table_rng.randint(0, 120))]
+            backup = exspec.build_lut(table, n=table_rng.choice([2, 3, 4]))
+            backed += 1
+        out, _ = exspec.decode(model, prompt, lut, n_draft, selective, max_tokens, backup=backup)
         assert out == greedy_decode(model, prompt, max_tokens), (
-            f"divergence at case {i}: n={n} n_draft={n_draft} selective={selective}"
+            f"divergence at case {i}: n={n} n_draft={n_draft} selective={selective} backup={backup is not None}"
         )
         cases += 1
     elapsed = time.monotonic() - start
     assert cases >= 500
     assert elapsed < 30.0
-    _verdict(1, f"{cases} randomized decode cases token-identical to greedy ({elapsed:.1f}s)")
+    _verdict(1, f"{cases} randomized decode cases ({backed} with a backup table) token-identical to greedy ({elapsed:.1f}s)")
 
 
 def test_criterion_02_greedy_selection_oracle():

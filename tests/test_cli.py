@@ -8,6 +8,7 @@ import pytest
 
 from agentaccel import corpus, pipeline, simulator
 from agentaccel.cli import main
+from agentaccel.clusterplan import ClusterPlan
 from agentaccel.tokenizer import sequence_hash
 
 
@@ -319,6 +320,118 @@ def test_run_refuses_a_plan_without_a_dataset_hash(workdir, tmp_path, capsys):
     message = _assert_single_error(rc, capsys)
     assert "dataset_sha256" in message and "build-plan" in message
     assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_build_plan_ships_the_train_draft_table_and_the_vocabulary_hash(workdir):
+    plan = ClusterPlan.load(workdir / "plan.json")
+    bundle = pipeline.load_bundle(
+        workdir / "registry.json", workdir / "train.jsonl", None, workdir / "examples.jsonl", workdir / "vocab.json"
+    )
+    assert plan.draft_table == pipeline.plan_draft_table(bundle)
+    assert plan.provenance["vocab_sha256"] == hashlib.sha256((workdir / "vocab.json").read_bytes()).hexdigest()
+
+
+def test_run_records_lut_size_and_backup_rounds(workdir, tmp_path):
+    trace = tmp_path / "t.jsonl"
+    assert run_cli("run", "--config", str(workdir / "run.json"), "--trace", str(trace)) == 0
+    records = [json.loads(line) for line in trace.read_text().splitlines()[1:]]
+    assert all(r[role]["decode"]["lut_size"] > 0 for r in records for role in ("planner", "arbiter"))
+    assert sum(r["planner"]["decode"]["backup_rounds"] for r in records) > 0
+    assert all(r["arbiter"]["decode"]["backup_rounds"] == 0 for r in records)
+
+
+def _other_vocab(workdir, tmp_path) -> Path:
+    """The fixture vocabulary with its ids reversed: valid, but every key differs."""
+    vocab = json.loads((workdir / "vocab.json").read_text())
+    ids = sorted(vocab.values(), reverse=True)
+    path = tmp_path / "other_vocab.json"
+    path.write_text(json.dumps(dict(zip(sorted(vocab, key=vocab.get), ids))))
+    return path
+
+
+@pytest.mark.parametrize("given", ["other", "none"])
+def test_run_refuses_a_vocabulary_the_plan_was_not_built_from(workdir, tmp_path, capsys, given):
+    cfg = _absolute_config(workdir, tmp_path, vocab=str(_other_vocab(workdir, tmp_path)))
+    if given == "none":
+        del cfg["paths"]["vocab"]
+    message = _assert_single_error(_run_config(tmp_path, cfg), capsys)
+    assert "vocabulary" in message and "plan" in message
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_run_refuses_a_plan_without_a_vocabulary_hash(workdir, tmp_path, capsys):
+    plan_doc = json.loads((workdir / "plan.json").read_text())
+    del plan_doc["provenance"]["vocab_sha256"]
+    (tmp_path / "plan.json").write_text(json.dumps(plan_doc))
+    rc = _run_config(tmp_path, _absolute_config(workdir, tmp_path, plan=str(tmp_path / "plan.json")))
+    message = _assert_single_error(rc, capsys)
+    assert "vocab_sha256" in message and "build-plan" in message
+
+
+def _precompute(workdir, tmp_path, plan, vocab) -> Path:
+    cache = tmp_path / "cache"
+    argv = ["--plan", str(plan), "--registry", str(workdir / "registry.json"), "--vocab", str(vocab)]
+    assert run_cli("precompute-cache", *argv, "--geometry", "desk", "--out", str(cache)) == 0
+    return cache
+
+
+def _cache_of(case, workdir, tmp_path) -> Path:
+    """A cache that does not belong to the workdir's plan and vocabulary."""
+    if case == "other_vocabulary":
+        return _precompute(workdir, tmp_path, workdir / "plan.json", _other_vocab(workdir, tmp_path))
+    if case == "other_plan":
+        plan_doc = json.loads((workdir / "plan.json").read_text())
+        plan_doc["cached_combinations"] = plan_doc["cached_combinations"][:3]
+        (tmp_path / "plan.json").write_text(json.dumps(plan_doc))
+        return _precompute(workdir, tmp_path, tmp_path / "plan.json", workdir / "vocab.json")
+    cache = _precompute(workdir, tmp_path, workdir / "plan.json", workdir / "vocab.json")
+    (cache / "provenance.json").unlink()
+    return cache
+
+
+@pytest.mark.parametrize("case, message", [
+    ("other_vocabulary", "vocabulary"), ("other_plan", "plan"), ("no_provenance", "provenance.json"),
+])
+@pytest.mark.parametrize("command", ["run", "weave"])
+def test_cache_of_another_plan_or_vocabulary_is_refused(workdir, tmp_path, capsys, case, message, command):
+    # Such a store would serve nothing: every planner token would go uncached.
+    cache = _cache_of(case, workdir, tmp_path)
+    out = tmp_path / "out.json"
+    if command == "run":
+        rc = run_cli("run", "--config", str(workdir / "run.json"), "--cache", str(cache), "--trace", str(out))
+    else:
+        rc = run_cli(
+            "weave",
+            "--query", "email maria about the budget review",
+            "--plan", str(workdir / "plan.json"),
+            "--registry", str(workdir / "registry.json"),
+            "--dataset", str(workdir / "train.jsonl"),
+            "--examples", str(workdir / "examples.jsonl"),
+            "--vocab", str(workdir / "vocab.json"),
+            "--cache", str(cache),
+            "--emit", str(out),
+        )
+    error = _assert_single_error(rc, capsys)
+    assert message in error and "precompute-cache" in error
+    assert not out.exists()
+
+
+def test_weave_refuses_a_dataset_the_plan_was_not_built_from(workdir, tmp_path, capsys):
+    lines = (workdir / "train.jsonl").read_text().splitlines(keepends=True)
+    (tmp_path / "train.jsonl").write_text("".join(lines[1:]))
+    emit = tmp_path / "prompt.json"
+    rc = run_cli(
+        "weave",
+        "--query", "email maria about the budget review",
+        "--plan", str(workdir / "plan.json"),
+        "--registry", str(workdir / "registry.json"),
+        "--dataset", str(tmp_path / "train.jsonl"),
+        "--examples", str(workdir / "examples.jsonl"),
+        "--vocab", str(workdir / "vocab.json"),
+        "--emit", str(emit),
+    )
+    assert "build-plan" in _assert_single_error(rc, capsys)
+    assert not emit.exists()
 
 
 @pytest.mark.parametrize("model, parses", [("scripted", 0), ("markov", 1)])

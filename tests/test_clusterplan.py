@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import random
 
 import numpy as np
@@ -10,6 +12,7 @@ from agentaccel import corpus
 from agentaccel.clusterplan import (
     ClusterPlan,
     Cluster,
+    PlanError,
     assign_clusters,
     build_plan,
     coverage,
@@ -20,6 +23,7 @@ from agentaccel.clusterplan import (
     select_combinations,
 )
 from agentaccel.corpus import CoactivationMatrix
+from agentaccel.exspec import build_lut
 
 
 def _block_matrix(blocks, strength=10):
@@ -368,6 +372,29 @@ class TestPlanArtifact:
         again = ClusterPlan.from_json(text)
         assert again == plan
         assert again.to_json() == text
+
+    def test_round_trip_with_a_draft_table(self, plan):
+        table = build_lut([1, 2, 3, 0, 1, 2, 4, 1, 2, 4], 3)
+        carrying = dataclasses.replace(plan, draft_table=table)
+        again = ClusterPlan.from_json(carrying.to_json())
+        assert again == carrying
+        assert again.draft_table == table
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            pytest.param([], id="not_an_object"),
+            pytest.param({"n": 3, "filler": 1, "source_token_count": 4}, id="entries_missing"),
+            pytest.param({"n": 3, "filler": 1, "source_token_count": 4, "entries": [[1, 2, 3]]}, id="entry_short"),
+            pytest.param({"n": 3, "filler": 1, "source_token_count": 4, "entries": [[1, 2, 3, True]]}, id="count_a_bool"),
+            pytest.param({"n": 3, "filler": "x", "source_token_count": 4, "entries": []}, id="filler_a_string"),
+        ],
+    )
+    def test_malformed_draft_table_is_refused(self, plan, table):
+        doc = json.loads(plan.to_json())
+        doc["draft_table"] = table
+        with pytest.raises(PlanError, match="draft_table"):
+            ClusterPlan.from_json(json.dumps(doc))
 
     def test_determinism_same_inputs_same_plan(self, bundle, coactivation, plan):
         rebuilt = build_plan(

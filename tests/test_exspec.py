@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -11,12 +12,17 @@ from agentaccel.simulator import MEASURED_TAX, decode_seconds
 from agentaccel.tokenizer import EOS_ID
 
 
-def _reference_lut(extraction_region, n):
-    """Two-pass build: count every (key, successor) pair, then rank per key."""
+def _reference_lut(extraction_region, n, defined=None):
+    """Two-pass build: count every (key, successor) pair, then rank per key.
+
+    With `defined`, windows and filler candidates outside it are skipped.
+    """
     stream = list(extraction_region)
     # (key, successor) -> [count, first occurrence index]
     pair_stats = {}
     for i in range(len(stream) - n + 1):
+        if defined is not None and not set(stream[i: i + n]) <= defined:
+            continue
         key = tuple(stream[i: i + n - 1])
         nxt = stream[i + n - 1]
         stat = pair_stats.get((key, nxt))
@@ -37,12 +43,14 @@ def _reference_lut(extraction_region, n):
     if stream:
         tok_stats = {}
         for i, tok in enumerate(stream):
+            if defined is not None and tok not in defined:
+                continue
             stat = tok_stats.get(tok)
             if stat is None:
                 tok_stats[tok] = [1, i]
             else:
                 stat[0] += 1
-        filler = min(tok_stats, key=lambda t: (-tok_stats[t][0], tok_stats[t][1]))
+        filler = min(tok_stats, key=lambda t: (-tok_stats[t][0], tok_stats[t][1]), default=EOS_ID)
     return NGramLUT(n=n, table=table, filler=filler, source_token_count=len(stream))
 
 
@@ -91,6 +99,56 @@ class TestBuildLutOracle:
         lut = build_lut(stream, n)
         assert lut == _reference_lut(stream, n)
         assert list(lut.table) == list(_reference_lut(stream, n).table)
+
+
+class TestDefinedTokens:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stream=st.lists(st.integers(0, 5), max_size=60),
+        defined=st.frozensets(st.integers(0, 5)),
+        n=st.integers(2, 4),
+    )
+    @example(stream=[1, 2, 6, 1, 2, 3], defined=frozenset({1, 2, 3}), n=3)  # (1,2)->6 counted first, but dropped
+    @example(stream=[6, 6, 6, 1], defined=frozenset({1}), n=2)  # 6 is the most frequent, not the filler
+    @example(stream=[6, 6], defined=frozenset(), n=2)  # nothing defined: empty table, EOS filler
+    def test_matches_reference_over_defined_windows(self, stream, defined, n):
+        lut = build_lut(stream, n, defined=defined)
+        assert lut == _reference_lut(stream, n, defined)
+        assert list(lut.table) == list(_reference_lut(stream, n, defined).table)
+        held = {t for key, (succ, _) in lut.table.items() for t in (*key, succ)}
+        assert held <= defined
+
+
+class TestTableDocument:
+    @settings(max_examples=100, deadline=None)
+    @given(stream=st.lists(st.integers(0, 6), max_size=50), n=st.integers(2, 4))
+    def test_round_trip(self, stream, n):
+        lut = build_lut(stream, n)
+        again = NGramLUT.from_dict(json.loads(json.dumps(lut.to_dict())))
+        assert again == lut
+        assert list(again.table) == list(lut.table)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda doc: [], id="not_an_object"),
+            pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "n"}, id="n_missing"),
+            pytest.param(lambda doc: dict(doc, n=1), id="n_below_two"),
+            pytest.param(lambda doc: dict(doc, n=True), id="n_a_bool"),
+            pytest.param(lambda doc: dict(doc, filler=-1), id="filler_negative"),
+            pytest.param(lambda doc: dict(doc, source_token_count="5"), id="count_a_string"),
+            pytest.param(lambda doc: dict(doc, entries={}), id="entries_not_a_list"),
+            pytest.param(lambda doc: dict(doc, entries=[[1, 2, 3]]), id="entry_too_short"),
+            pytest.param(lambda doc: dict(doc, entries=[[1, 2, "3", 1]]), id="entry_with_a_string"),
+            pytest.param(lambda doc: dict(doc, entries=[[1, 2, 3, 0]]), id="count_zero"),
+            pytest.param(lambda doc: dict(doc, entries=[[1, -2, 3, 1]]), id="id_negative"),
+            pytest.param(lambda doc: dict(doc, entries=[[1, 2, 3, 1], [1, 2, 4, 1]]), id="context_twice"),
+        ],
+    )
+    def test_other_shapes_are_refused(self, corrupt):
+        doc = build_lut([1, 2, 3, 1, 2, 4], 3).to_dict()
+        with pytest.raises(ValueError):
+            NGramLUT.from_dict(corrupt(doc))
 
 
 class TestHeadExtension:
@@ -303,6 +361,60 @@ class TestDecode:
         out_sel, _ = decode(model, [1], lut, 4, True, 10)
         out_non, _ = decode(model, [1], lut, 4, False, 10)
         assert out_sel == out_non == [5, 6]
+
+
+class TestBackupTable:
+    def test_drafts_from_the_backup_only_when_the_prompt_table_misses(self):
+        script = [20, 21, 22, 23, 24, 25]
+        model = ScriptedModel((1, 2), script)
+        backup = build_lut([2, 20, 21, 22, 23, 24, 25], n=2)
+        out, stats = decode(model, [1, 2], build_lut([], n=3), 4, True, 50, backup=backup)
+        assert out == script
+        assert stats.backup_rounds == stats.rounds == 2
+        assert stats.fallbacks == 0
+        # A prompt table that hits first keeps the backup out.
+        out, stats = decode(model, [1, 2], build_lut([1, 2, 20, 21, 22, 23, 24, 25], n=3), 4, True, 50, backup=backup)
+        assert out == script
+        assert stats.backup_rounds == 0
+
+    def test_a_backup_draft_chains_on_the_backup(self):
+        # The prompt table knows (1, 2) -> 9 only; the backup drafts the
+        # whole continuation, and its filler pads past it.
+        model = ScriptedModel((5, 5), (7, 8))
+        backup = build_lut([5, 7, 8, 8, 8], n=2)
+        assert draft(backup, [5, 5], 3) == [7, 8, 8]
+        out, stats = decode(model, [5, 5], build_lut([1, 2, 9], n=3), 3, True, 10, backup=backup)
+        assert out == [7, 8]
+        assert (stats.rounds, stats.backup_rounds, stats.drafts_accepted) == (1, 1, 2)
+
+    def test_trace_counts(self):
+        model, prompt, lut, _ = _verbatim_setup()
+        _, stats = decode(model, prompt, lut, 4, True, 50, backup=build_lut([3, 20, 21], n=3))
+        doc = stats.to_dict()
+        assert doc["lut_size"] == len(lut)
+        assert doc["backup_rounds"] == stats.backup_rounds
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        prompt=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+        script=st.lists(st.integers(1, 5), max_size=20),
+        region=st.lists(st.integers(1, 5), max_size=30),
+        table=st.lists(st.integers(0, 5), max_size=60),
+        n=st.integers(2, 4),
+        table_n=st.integers(2, 4),
+        n_draft=st.integers(1, 6),
+        selective=st.booleans(),
+        markov=st.booleans(),
+        max_tokens=st.integers(0, 30),
+    )
+    def test_decode_equals_greedy_with_any_backup(
+        self, prompt, script, region, table, n, table_n, n_draft, selective, markov, max_tokens
+    ):
+        model = train_markov([prompt + script, region or [1]], order=2) if markov else ScriptedModel(prompt, script)
+        backup = build_lut(table, table_n)
+        out, stats = decode(model, prompt, build_lut(region, n), n_draft, selective, max_tokens, backup=backup)
+        assert out == greedy_decode(model, prompt, max_tokens)
+        assert 0 <= stats.backup_rounds <= stats.rounds - stats.fallbacks
 
 
 def _random_models(rng):

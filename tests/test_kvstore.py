@@ -422,6 +422,11 @@ class TestLoad:
         for field in ("key_hash", "token_count", "byte_size", "tag", "blob", "checksum"):
             assert field in entry
 
+    def test_manifest_is_compact_json(self, store):
+        store.precompute({TAG_STATIC: [[1, 2], [1, 2, 3]]}, TINY)
+        text = store.manifest_path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
     @pytest.mark.parametrize(
         "mangle, named",
         [
