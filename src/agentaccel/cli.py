@@ -14,12 +14,13 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from . import corpus, exspec, fixtures, lm, pipeline, simulator
+from . import corpus, exspec, fixtures, lm, pipeline, shapes, simulator
 from .clusterplan import ClusterPlan, build_plan
 from .kvstore import KVStore, ModelGeometry, StoreError
-from .tokenizer import Tokenizer, is_token_ids
+from .tokenizer import Tokenizer
 from .weaver import MAX_DYNAMIC_EXAMPLES, Weaver, region_tokens
 
 CACHE_DIR_ENV = "AGENTACCEL_CACHE_DIR"
@@ -54,80 +55,60 @@ def _require_file(path, what: str) -> Path:
     return path
 
 
+# The run.json section each RunSettings field is read from.
+_RUN_SECTIONS = {
+    "toolrag": ("tau", "scorer", "top_k"),
+    "weaver": ("k",),
+    "exspec": ("n", "draft_len", "selective", "extract"),
+    "run": ("model", "max_tokens", "jobs"),
+}
+_RUN_PATHS = ("registry", "train", "test", "examples", "vocab", "plan", "cachedir", "trace")
+# A configured knob has the type of its default; an int passes for a float.
+_KNOB_SHAPES = {int: shapes.INT, float: shapes.NUMBER, str: shapes.STR, bool: shapes.BOOL}
+_KNOBS = {f.name: _KNOB_SHAPES[type(f.default)] for f in fields(pipeline.RunSettings)}
+_RUN_CONFIG = shapes.Object(
+    optional={"paths": shapes.Object(optional=dict.fromkeys(_RUN_PATHS, shapes.STR))}
+    | {section: shapes.Object(optional={name: _KNOBS[name] for name in names}) for section, names in _RUN_SECTIONS.items()}
+)
+
+
 def _load_config(path) -> tuple[dict, Path]:
     path = _require_file(path, "config file")
-    try:
-        cfg = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CliError(f"invalid config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise CliError(f"config {path} must hold a JSON object")
-    return cfg, path.parent
+    return shapes.load_json(path, _RUN_CONFIG, f"config {path}", CliError), path.parent
 
 
-def _cfg_section(cfg: dict, section: str) -> dict:
-    values = cfg.get(section, {})
-    if not isinstance(values, dict):
-        raise CliError(f"config section '{section}' must be an object")
-    return values
-
-
-def _cfg_path(cfg: dict, base: Path, key: str):
-    rel = _cfg_section(cfg, "paths").get(key)
-    if rel is None:
-        return None
-    if not isinstance(rel, str):
-        raise CliError(f"config paths.{key} must be a string")
-    return base / rel
-
-
-def _preset_or_file(spec: str, what: str, presets: dict, parse, shape: str):
+def _preset_or_file(spec: str, what: str, presets: dict, parse):
     """The preset named `spec`, else `parse(doc, path)` of the JSON file at `spec`.
 
-    A file whose document `parse` cannot take ends in one CliError that says
-    what the file must hold.
+    A file that is not JSON ends in one CliError naming it; a document that
+    `parse` refuses with a ValueError, in one that says what the file must hold.
     """
     if spec in presets:
         return presets[spec]
     path = Path(spec)
     if not path.is_file():
         raise CliError(f"unknown {what} '{spec}': neither a preset ({', '.join(sorted(presets))}) nor a file")
+    where = f"{what} file {path}"
+    doc = shapes.load_json(path, shapes.ANY, where, CliError)
     try:
-        return parse(json.loads(path.read_text()), path)
-    except KeyError as exc:
-        raise CliError(f"{what} file {path} must hold {shape}: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"{what} file {path} must hold {shape}: {exc}") from exc
+        return parse(doc, path)
+    except ValueError as exc:
+        raise CliError(f"{where} must hold a valid {what}: {exc}") from exc
 
 
 def _resolve_geometry(spec: str) -> ModelGeometry:
-    return _preset_or_file(
-        spec, "geometry", simulator.geometry_presets(), lambda doc, path: ModelGeometry.from_dict(doc),
-        "a JSON object with a name and integer layers, kv_heads, head_dim, bytes_per_element and params_bytes",
-    )
+    return _preset_or_file(spec, "geometry", simulator.geometry_presets(), lambda doc, path: ModelGeometry.from_dict(doc))
 
 
 def _resolve_device(spec: str) -> simulator.DeviceSpec:
     return _preset_or_file(
-        spec, "device", simulator.device_presets(),
-        lambda doc, path: simulator.DeviceSpec.from_dict({"name": path.stem, **doc}),
-        "a JSON object with numeric compute_tops, mem_bw and ssd_bw (optional: name, prefill_utilization)",
+        spec, "device", simulator.device_presets(), lambda doc, path: simulator.DeviceSpec.from_dict(doc, path.stem)
     )
-
-
-def _tax_curve(doc, path) -> simulator.TaxCurve:
-    # TaxCurve unpacks any iterable of pairs, so an object {"11": 0} or a
-    # list of two-character strings would pass as a curve.
-    if not (isinstance(doc, list) and all(isinstance(point, list) for point in doc)):
-        raise TypeError("not a list of lists")
-    return simulator.TaxCurve(doc)
 
 
 def _resolve_tax(spec: str) -> simulator.TaxCurve:
-    return _preset_or_file(
-        spec, "tax curve", {"ideal": simulator.IDEAL_TAX, "measured": simulator.MEASURED_TAX}, _tax_curve,
-        "a JSON list of [width, multiplier] pairs with multiplier 1.0 at width 1",
-    )
+    presets = {"ideal": simulator.IDEAL_TAX, "measured": simulator.MEASURED_TAX}
+    return _preset_or_file(spec, "tax curve", presets, lambda doc, path: simulator.TaxCurve.from_list(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +163,18 @@ def cmd_precompute_cache(args) -> int:
     tok = Tokenizer.load(vocab_path)
     registry = corpus.load_registry(registry_path, tok)
     plan = ClusterPlan.load(plan_path)
+    vocab_sha256 = _sha256(vocab_path)
+    # The plan's cluster example tokens were made with the vocabulary it
+    # records; a store keyed under another would match nothing.
+    if plan.provenance.get("vocab_sha256", vocab_sha256) != vocab_sha256:
+        raise CliError(f"vocabulary {vocab_path} is not the one plan {plan_path} was built from: use that one, or re-run build-plan")
     groups = Weaver(registry, tok, plan, examples=[]).cacheable_prefixes()
     store = KVStore(outdir)
     store.precompute(groups, geometry)
     total = sum(map(len, groups.values()))
     provenance = {
         "plan_sha256": _sha256(plan_path),
-        "vocab_sha256": _sha256(vocab_path),
+        "vocab_sha256": vocab_sha256,
         "registry_sha256": _sha256(registry_path),
         "geometry": geometry.to_dict(),
     }
@@ -227,12 +213,10 @@ def _open_store(cachedir, plan_path, vocab_path) -> KVStore | None:
     if not Path(cachedir, "manifest.json").exists():
         raise CliError(f"cache directory {cachedir} has no manifest.json: run precompute-cache into it, or run without a cache")
     store = KVStore(cachedir)
-    try:
-        provenance = json.loads(Path(cachedir, "provenance.json").read_text())
-    except (OSError, ValueError):
-        provenance = None
-    if not isinstance(provenance, dict):
-        raise CliError(f"cache directory {cachedir} has no readable provenance.json: re-run precompute-cache into an empty directory")
+    provenance_path = Path(cachedir, "provenance.json")
+    if not provenance_path.exists():
+        raise CliError(f"cache directory {cachedir} has no provenance.json: re-run precompute-cache into an empty directory")
+    provenance = shapes.load_json(provenance_path, _CACHE_PROVENANCE, f"cache provenance {provenance_path}", CliError)
     for key, what, path, sha256 in (
         ("plan_sha256", "plan", plan_path, _sha256(plan_path)),
         ("vocab_sha256", "vocabulary", vocab_path or "(none given)", _vocab_sha256(vocab_path)),
@@ -240,6 +224,10 @@ def _open_store(cachedir, plan_path, vocab_path) -> KVStore | None:
         if provenance.get(key) != sha256:
             raise CliError(f"cache {cachedir} was not precomputed for {what} {path}: re-run precompute-cache with it")
     return store
+
+
+# A hash a cache's provenance.json lacks reads as another plan or vocabulary.
+_CACHE_PROVENANCE = shapes.Object(optional={"plan_sha256": shapes.STR, "vocab_sha256": shapes.STR})
 
 
 def _weaver_from_args(args) -> tuple[pipeline.CorpusBundle, Weaver, KVStore | None]:
@@ -282,16 +270,13 @@ def cmd_weave(args) -> int:
     return 0
 
 
+_PROMPT = shapes.Object({"segments": shapes.ListOf(shapes.Object({"kind": shapes.STR, "tokens": shapes.TOKEN_IDS}))})
+
+
 def _prompt_segments(path: Path) -> list[tuple[str, tuple[int, ...]]]:
     """The `(kind, tokens)` segments of a `weave --emit` prompt file."""
-    doc = json.loads(path.read_text())
-    segments = doc.get("segments") if isinstance(doc, dict) else None
-    if not isinstance(segments, list):
-        raise CliError(f"prompt file {path} has no 'segments' list")
-    for i, seg in enumerate(segments):
-        if not (isinstance(seg, dict) and isinstance(seg.get("kind"), str) and is_token_ids(seg.get("tokens"))):
-            raise CliError(f"prompt file {path}: segments[{i}] is not an object with a 'kind' and a list of token ids")
-    return [(seg["kind"], tuple(seg["tokens"])) for seg in segments]
+    doc = shapes.load_json(path, _PROMPT, f"prompt file {path}", CliError)
+    return [(seg["kind"], tuple(seg["tokens"])) for seg in doc["segments"]]
 
 
 def cmd_decode(args) -> int:
@@ -340,7 +325,8 @@ def cmd_decode(args) -> int:
 
 def cmd_run(args) -> int:
     cfg, base = _load_config(args.config)
-    paths = {k: _cfg_path(cfg, base, k) for k in ("registry", "train", "test", "examples", "vocab", "plan", "cachedir", "trace")}
+    configured = cfg.get("paths", {})
+    paths = {k: base / configured[k] if k in configured else None for k in _RUN_PATHS}
     bundle = pipeline.load_bundle(
         _require_file(paths["registry"], "registry"),
         _require_file(paths["train"], "train dataset"),
@@ -380,33 +366,16 @@ def cmd_run(args) -> int:
     return 0
 
 
-# The run.json section each RunSettings field is read from.
-_RUN_SECTIONS = {
-    "toolrag": ("tau", "scorer", "top_k"),
-    "weaver": ("k",),
-    "exspec": ("n", "draft_len", "selective", "extract"),
-    "run": ("model", "max_tokens", "jobs"),
-}
-
-
 def _run_settings(args, cfg: dict) -> pipeline.RunSettings:
-    """Each knob from its flag, else from its run.json section; RunSettings supplies the rest.
-
-    A configured knob must have the type of its default (an int passes for a float).
-    """
+    """Each knob from its flag, else from its run.json section; RunSettings supplies the rest."""
     flags = dict(vars(args), selective=None if args.selective is None else args.selective == "on")
-    defaults = pipeline.RunSettings()
     picked = {}
     for section, names in _RUN_SECTIONS.items():
-        configured = _cfg_section(cfg, section)
+        configured = cfg.get(section, {})
         for name in names:
             value = flags[name] if flags[name] is not None else configured.get(name)
-            if value is None:
-                continue
-            kind = type(getattr(defaults, name))
-            if not (type(value) is kind or (kind is float and type(value) is int)):
-                raise CliError(f"config {section}.{name} must be of type {kind.__name__}, not {value!r}")
-            picked[name] = value
+            if value is not None:
+                picked[name] = value
     return pipeline.RunSettings(**picked)
 
 
@@ -436,29 +405,20 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _holds_numbers(obj, keys) -> bool:
-    """True when `obj` is an object with a number (not a bool) under each of `keys`."""
-    return isinstance(obj, dict) and all(type(obj.get(k)) in (int, float) for k in keys)
-
-
-def _check_report(doc, path) -> None:
-    """Refuse a document that `simulate` could not have written."""
-    where = f"report file {path}"
-    if not (isinstance(doc, dict) and isinstance(doc.get("cells"), dict)):
-        raise CliError(f"{where} is not an object with a 'cells' object")
-    for name in simulator.CELLS:
-        cell = doc["cells"].get(name)
-        if not (_holds_numbers(cell, ("total",)) and all(_holds_numbers(cell.get(k), simulator.STAGES) for k in ("seconds", "fractions"))):
-            raise CliError(f"{where}: cells.{name} needs a number per stage in 'seconds' and 'fractions', and a 'total'")
-    speedups = doc.get("speedups")
-    if not (_holds_numbers(speedups, simulator.CELLS[1:]) and set(speedups) == set(simulator.CELLS[1:])):
-        raise CliError(f"{where}: 'speedups' needs a number for each of {', '.join(simulator.CELLS[1:])} and nothing else")
+# A document `simulate` could have written.
+_STAGE_NUMBERS = shapes.Object(dict.fromkeys(simulator.STAGES, shapes.NUMBER))
+_CELL = shapes.Object({"seconds": _STAGE_NUMBERS, "fractions": _STAGE_NUMBERS, "total": shapes.NUMBER})
+_SPEEDUPS = shapes.Check(
+    shapes.Object(dict.fromkeys(simulator.CELLS[1:], shapes.NUMBER)),
+    lambda speedups: len(speedups) == len(simulator.CELLS[1:]),
+    f"an object holding a number for each of {', '.join(simulator.CELLS[1:])} and nothing else",
+)
+_REPORT = shapes.Object({"cells": shapes.Object(dict.fromkeys(simulator.CELLS, _CELL)), "speedups": _SPEEDUPS})
 
 
 def cmd_report(args) -> int:
     report_path = _require_file(args.report, "report file")
-    doc = json.loads(report_path.read_text())
-    _check_report(doc, report_path)
+    doc = shapes.load_json(report_path, _REPORT, f"report file {report_path}", CliError)
     if args.format == "json":
         text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
     else:

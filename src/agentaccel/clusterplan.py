@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import shapes
 from .corpus import CoactivationMatrix, ToolRegistry, ToolUseExample
 from .exspec import NGramLUT
 
@@ -99,22 +100,13 @@ class PlanError(ValueError):
     """A plan document failed schema validation."""
 
 
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, an int subclass, but are not ids or tokens.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _list_of(value, valid) -> bool:
-    return isinstance(value, list) and all(valid(v) for v in value)
-
-
-# Field of a plan's cluster record, its check, and what the check expects.
-_CLUSTER_FIELDS = (
-    ("id", _is_int, "an integer"),
-    ("tools", lambda v: _list_of(v, lambda t: isinstance(t, str)), "a list of strings"),
-    ("theme", lambda v: isinstance(v, str), "a string"),
-    ("example_id", lambda v: isinstance(v, str), "a string"),
-    ("example_tokens", lambda v: _list_of(v, _is_int), "a list of integers"),
+_CLUSTER = shapes.Object(
+    {"id": shapes.INT, "tools": shapes.STRINGS, "theme": shapes.STR, "example_id": shapes.STR, "example_tokens": shapes.TOKEN_IDS}
+)
+_CLUSTER_IDS = shapes.ListOf(shapes.INT, "a list of cluster ids")
+_PLAN = shapes.Object(
+    {"clusters": shapes.ListOf(_CLUSTER), "order": _CLUSTER_IDS, "cached_combinations": shapes.ListOf(_CLUSTER_IDS)},
+    {"provenance": shapes.OBJECT, "draft_table": shapes.OBJECT},
 )
 
 
@@ -177,21 +169,9 @@ class ClusterPlan:
     @classmethod
     def from_json(cls, text: str, where: str = "plan") -> "ClusterPlan":
         """Parse a `to_json` document; a document of another shape raises PlanError."""
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise PlanError(f"{where} is not a JSON object")
-        for key in ("clusters", "order", "cached_combinations"):
-            if key not in doc:
-                raise PlanError(f"{where} is missing field '{key}'")
-        if not _list_of(doc["clusters"], lambda rec: isinstance(rec, dict)):
-            raise PlanError(f"{where}: 'clusters' is not a list of objects")
+        doc = shapes.parse_json(text, _PLAN, where, PlanError)
         by_id = {}
-        for i, rec in enumerate(doc["clusters"]):
-            for key, valid, kind in _CLUSTER_FIELDS:
-                if key not in rec:
-                    raise PlanError(f"{where}: clusters[{i}] is missing field '{key}'")
-                if not valid(rec[key]):
-                    raise PlanError(f"{where}: clusters[{i}].{key} is not {kind}")
+        for rec in doc["clusters"]:
             by_id[rec["id"]] = Cluster(
                 id=rec["id"],
                 tool_ids=tuple(rec["tools"]),
@@ -199,26 +179,16 @@ class ClusterPlan:
                 example_id=rec["example_id"],
                 example_tokens=tuple(rec["example_tokens"]),
             )
-
-        def known(cid) -> bool:
-            return _is_int(cid) and cid in by_id
-
-        if not _list_of(doc["order"], known):
-            raise PlanError(f"{where}: 'order' is not a list of cluster ids")
-        if not _list_of(doc["cached_combinations"], lambda combo: _list_of(combo, known)):
-            raise PlanError(f"{where}: 'cached_combinations' is not a list of lists of cluster ids")
-        provenance = doc.get("provenance", {})
-        if not isinstance(provenance, dict):
-            raise PlanError(f"{where}: 'provenance' is not an object")
+        for key, combos in (("order", [doc["order"]]), ("cached_combinations", doc["cached_combinations"])):
+            unknown = [cid for combo in combos for cid in combo if cid not in by_id]
+            if unknown:
+                raise PlanError(f"{where} field '{key}' names unknown cluster id {unknown[0]}")
         table = doc.get("draft_table")
         if table is not None:
-            try:
-                table = NGramLUT.from_dict(table)
-            except ValueError as exc:
-                raise PlanError(f"{where}: 'draft_table' {exc}") from exc
+            table = NGramLUT.from_dict(table, f"{where} draft_table", PlanError)
         clusters = tuple(by_id[cid] for cid in doc["order"])
         combos = tuple(tuple(c) for c in doc["cached_combinations"])
-        return cls(clusters=clusters, cached_combinations=combos, provenance=provenance, draft_table=table)
+        return cls(clusters=clusters, cached_combinations=combos, provenance=doc.get("provenance", {}), draft_table=table)
 
     @classmethod
     def load(cls, path) -> "ClusterPlan":

@@ -12,28 +12,17 @@ All collections are immutable after loading and safe to share across threads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import shapes
 from .tokenizer import Tokenizer
 
 
 class LoadError(ValueError):
     """Schema or referential-integrity violation in an input file."""
-
-    def __init__(self, path, message: str, record: int | None = None, field_name: str | None = None):
-        self.path = str(path)
-        self.record = record
-        self.field_name = field_name
-        where = self.path
-        if record is not None:
-            where += f" record {record}"
-        if field_name is not None:
-            where += f" field '{field_name}'"
-        super().__init__(f"{where}: {message}")
 
 
 @dataclass(frozen=True)
@@ -151,63 +140,43 @@ def render_plan(plan: PlanDAG) -> str:
     return " ; ".join(lines) + " ; end of plan"
 
 
-_KIND_NAMES = {str: "a string", list: "a list", dict: "a JSON object"}
-
-
-def _require(record, key: str, path, idx: int | None, kind: type = object):
-    """`record[key]`, which must exist and be a `kind`; `record` must be a JSON object."""
-    if not isinstance(record, dict):
-        raise LoadError(path, f"expected a JSON object holding '{key}'", record=idx)
-    if key not in record:
-        raise LoadError(path, "missing required field", record=idx, field_name=key)
-    if not isinstance(record[key], kind):
-        raise LoadError(path, f"expected {_KIND_NAMES[kind]}", record=idx, field_name=key)
-    return record[key]
-
-
-def _require_strings(record, key: str, path, idx: int | None) -> list[str]:
-    """`record[key]`, which must be a list of strings."""
-    values = _require(record, key, path, idx, list)
-    if not all(isinstance(v, str) for v in values):
-        raise LoadError(path, "expected a list of strings", record=idx, field_name=key)
-    return values
+_TOOL = shapes.Object(dict.fromkeys(("id", "name", "theme", "description", "guidelines"), shapes.STR))
+# Each tool is checked on its own, so that an error names its record.
+_REGISTRY = shapes.Object({"themes": shapes.STRINGS, "tools": shapes.Shape("a list", list)})
+_SAMPLE = shapes.Object({"query": shapes.STR, "tools": shapes.STRINGS, "plan": shapes.OBJECT})
+# A sample's plan is checked on its own, so that an error names the field.
+_PLAN = shapes.Object(
+    {"nodes": shapes.ListOf(shapes.Object({"call": shapes.STR}, {"args": shapes.STRINGS}))},
+    {"edges": shapes.ListOf(shapes.Check(shapes.ListOf(shapes.INT), lambda e: len(e) == 2, "a [from, to] pair of node indices"))},
+)
+_EXAMPLE = shapes.Object({"id": shapes.STR, "example_text": shapes.STR, "tools": shapes.STRINGS})
 
 
 def load_registry(path, tokenizer: Tokenizer) -> ToolRegistry:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise LoadError(path, f"unreadable registry: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise LoadError(path, "registry must be a JSON object")
-    themes = _require_strings(doc, "themes", path, None)
-    raw_tools = _require(doc, "tools", path, None, list)
+    doc = shapes.load_json(path, _REGISTRY, f"registry {path}", LoadError)
     tools = []
-    for idx, rec in enumerate(raw_tools):
-        tool_id = _require(rec, "id", path, idx, str)
-        theme = _require(rec, "theme", path, idx, str)
-        if theme not in themes:
-            raise LoadError(path, f"theme '{theme}' not declared", record=idx, field_name="theme")
-        desc = tuple(tokenizer.tokenize(_require(rec, "description", path, idx, str)))
-        guide = tuple(tokenizer.tokenize(_require(rec, "guidelines", path, idx, str)))
+    for idx, rec in enumerate(doc["tools"]):
+        where = f"{path} record {idx}"
+        shapes.check(rec, _TOOL, where, LoadError)
+        desc = tuple(tokenizer.tokenize(rec["description"]))
+        guide = tuple(tokenizer.tokenize(rec["guidelines"]))
         if not desc:
-            raise LoadError(path, "empty description", record=idx, field_name="description")
+            raise LoadError(f"{where} field 'description': empty description")
         if not guide:
-            raise LoadError(path, "empty guidelines", record=idx, field_name="guidelines")
+            raise LoadError(f"{where} field 'guidelines': empty guidelines")
         tools.append(
             Tool(
-                id=tool_id,
-                name=_require(rec, "name", path, idx, str),
-                theme=theme,
+                id=rec["id"],
+                name=rec["name"],
+                theme=rec["theme"],
                 description_tokens=desc,
                 guideline_tokens=guide,
             )
         )
     try:
-        return ToolRegistry(list(themes), tools)
+        return ToolRegistry(doc["themes"], tools)
     except ValueError as exc:
-        raise LoadError(path, str(exc)) from exc
+        raise LoadError(f"{path}: {exc}") from exc
 
 
 def read_file(path) -> bytes:
@@ -215,61 +184,50 @@ def read_file(path) -> bytes:
     try:
         return Path(path).read_bytes()
     except OSError as exc:
-        raise LoadError(path, f"unreadable file: {exc}") from exc
+        raise LoadError(f"{path}: unreadable file: {exc}") from exc
 
 
-def _iter_jsonl(path, data: bytes | None = None):
-    """Each non-blank line's index and JSON value, from `data` when the file was already read."""
+def _records(path, shape: shapes.Shape, data: bytes | None = None):
+    """Each non-blank line's location and JSON record, checked against `shape`; from `data` when the file was already read."""
     text = (read_file(path) if data is None else data).decode()
     for idx, line in enumerate(text.splitlines()):
-        if not line.strip():
-            continue
-        try:
-            yield idx, json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise LoadError(path, f"invalid JSON: {exc}", record=idx) from exc
+        if line.strip():
+            where = f"{path} record {idx}"
+            yield where, shapes.parse_json(line, shape, where, LoadError)
 
 
-def _parse_plan(raw: dict, registry: ToolRegistry, path, idx: int) -> PlanDAG:
-    nodes = []
-    for node in _require(raw, "nodes", path, idx, list):
-        call = _require(node, "call", path, idx, str)
-        if call not in registry:
-            raise LoadError(path, f"plan calls unknown tool '{call}'", record=idx, field_name="plan")
-        args = node.get("args", [])
-        if not isinstance(args, list):
-            raise LoadError(path, "plan node args must be a list", record=idx, field_name="plan")
-        nodes.append(PlanNode(call=call, args=tuple(str(a) for a in args)))
-    try:
-        edges = tuple((int(a), int(b)) for a, b in raw.get("edges", []))
-    except (TypeError, ValueError) as exc:
-        raise LoadError(path, "plan edges must be a list of [from, to] index pairs", record=idx, field_name="plan") from exc
-    plan = PlanDAG(nodes=tuple(nodes), edges=edges)
+def _check_tools(tools: frozenset, registry: ToolRegistry, where: str) -> None:
+    for tool_id in sorted(tools):
+        if tool_id not in registry:
+            raise LoadError(f"{where} field 'tools': unknown tool '{tool_id}'")
+
+
+def _parse_plan(raw: dict, registry: ToolRegistry, where: str) -> PlanDAG:
+    where += " field 'plan'"
+    shapes.check(raw, _PLAN, where, LoadError)
+    for node in raw["nodes"]:
+        if node["call"] not in registry:
+            raise LoadError(f"{where}: plan calls unknown tool '{node['call']}'")
+    nodes = tuple(PlanNode(call=node["call"], args=tuple(node.get("args", ()))) for node in raw["nodes"])
+    plan = PlanDAG(nodes=nodes, edges=tuple(map(tuple, raw.get("edges", ()))))
     try:
         plan.validate()
     except ValueError as exc:
-        raise LoadError(path, str(exc), record=idx, field_name="plan") from exc
+        raise LoadError(f"{where}: {exc}") from exc
     return plan
 
 
 def load_dataset(path, registry: ToolRegistry, tokenizer: Tokenizer, data: bytes | None = None) -> list[QuerySample]:
     """The samples of a dataset file, or of its bytes `data` when the caller already read it."""
     samples = []
-    for idx, rec in _iter_jsonl(path, data):
-        query = _require(rec, "query", path, idx, str)
-        tools = frozenset(_require_strings(rec, "tools", path, idx))
-        for tool_id in sorted(tools):
-            if tool_id not in registry:
-                raise LoadError(path, f"unknown tool '{tool_id}'", record=idx, field_name="tools")
-        plan = _parse_plan(_require(rec, "plan", path, idx, dict), registry, path, idx)
+    for where, rec in _records(path, _SAMPLE, data):
+        tools = frozenset(rec["tools"])
+        _check_tools(tools, registry, where)
+        plan = _parse_plan(rec["plan"], registry, where)
         for node in plan.nodes:
             if node.call not in tools:
-                raise LoadError(
-                    path,
-                    f"plan calls '{node.call}' which is absent from the sample's tool set",
-                    record=idx,
-                    field_name="plan",
-                )
+                raise LoadError(f"{where} field 'plan': plan calls '{node.call}' which is absent from the sample's tool set")
+        query = rec["query"]
         samples.append(
             QuerySample(
                 query_text=query,
@@ -283,7 +241,7 @@ def load_dataset(path, registry: ToolRegistry, tokenizer: Tokenizer, data: bytes
 
 def load_example_texts(path) -> list[str]:
     """The `example_text` of every record of an example db, checked as `load_example_db` checks it."""
-    return [_require(rec, "example_text", path, idx, str) for idx, rec in _iter_jsonl(path)]
+    return [rec["example_text"] for _, rec in _records(path, _EXAMPLE)]
 
 
 def load_example_db(path, registry: ToolRegistry, tokenizer: Tokenizer, embedder) -> list[ToolUseExample]:
@@ -294,21 +252,18 @@ def load_example_db(path, registry: ToolRegistry, tokenizer: Tokenizer, embedder
     """
     examples = []
     seen_ids: set[str] = set()
-    for idx, rec in _iter_jsonl(path):
-        ex_id = _require(rec, "id", path, idx, str)
+    for where, rec in _records(path, _EXAMPLE):
+        ex_id, text = rec["id"], rec["example_text"]
         if ex_id in seen_ids:
-            raise LoadError(path, f"duplicate example id '{ex_id}'", record=idx, field_name="id")
+            raise LoadError(f"{where} field 'id': duplicate example id '{ex_id}'")
         seen_ids.add(ex_id)
-        text = _require(rec, "example_text", path, idx, str)
-        tools = frozenset(_require_strings(rec, "tools", path, idx))
+        tools = frozenset(rec["tools"])
         if not tools:
-            raise LoadError(path, "example has empty tool set", record=idx, field_name="tools")
-        for tool_id in sorted(tools):
-            if tool_id not in registry:
-                raise LoadError(path, f"unknown tool '{tool_id}'", record=idx, field_name="tools")
+            raise LoadError(f"{where} field 'tools': example has empty tool set")
+        _check_tools(tools, registry, where)
         vec = np.asarray(embedder.embed(text), dtype=float)
         if vec.shape != (embedder.dimension,):
-            raise LoadError(path, "embedding dimension mismatch", record=idx)
+            raise LoadError(f"{where}: embedding dimension mismatch")
         examples.append(
             ToolUseExample(
                 id=ex_id,

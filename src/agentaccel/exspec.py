@@ -24,8 +24,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from . import shapes
 from .lm import ReferenceModel
-from .tokenizer import EOS_ID, is_token_ids
+from .tokenizer import EOS_ID
 
 DEFAULT_N = 3
 DEFAULT_DRAFT_LEN = 4
@@ -64,22 +65,25 @@ class NGramLUT:
         }
 
     @classmethod
-    def from_dict(cls, doc) -> "NGramLUT":
-        """The table of a `to_dict` document; ValueError says what of another shape is wrong."""
-        if not isinstance(doc, dict):
-            raise ValueError("is not an object")
-        for key in ("n", "filler", "source_token_count"):
-            if not (type(doc.get(key)) is int and doc[key] >= 0):
-                raise ValueError(f"field '{key}' is not a non-negative integer")
-        n, entries = doc["n"], doc.get("entries")
-        if n < 2:
-            raise ValueError("field 'n' is below 2")
-        if not (isinstance(entries, list) and all(is_token_ids(e) and len(e) == n + 1 and min(e) >= 0 and e[-1] > 0 for e in entries)):
-            raise ValueError(f"field 'entries' is not a list of {n - 1} context ids, a token id and a positive count each")
+    def from_dict(cls, doc, where: str = "draft table", error=ValueError) -> "NGramLUT":
+        """The table of a `to_dict` document; a document of another shape raises `error` naming `where`."""
+        shapes.check(doc, _TABLE, where, error)
+        n, entries = doc["n"], doc["entries"]
+        if any(len(e) != n + 1 for e in entries):
+            raise error(f"{where} field 'entries' is not a list of {n - 1} context ids, a token id and a count each")
         table = {tuple(e[:-2]): (e[-2], e[-1]) for e in entries}
         if len(table) != len(entries):
-            raise ValueError("field 'entries' lists a context twice")
+            raise error(f"{where} field 'entries' lists a context twice")
         return cls(n=n, table=table, filler=doc["filler"], source_token_count=doc["source_token_count"])
+
+
+_ENTRY = shapes.Check(
+    shapes.TOKEN_IDS, lambda e: len(e) >= 3 and min(e) >= 0 and e[-1] > 0, "a list of context ids, a token id and a positive count"
+)
+_TABLE = shapes.Object(
+    {"n": shapes.Check(shapes.INT, lambda n: n >= 2, "an integer of at least 2"), "filler": shapes.COUNT}
+    | {"source_token_count": shapes.COUNT, "entries": shapes.ListOf(_ENTRY)}
+)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,8 @@ import threading
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .tokenizer import is_token_ids, sequence_hash
+from . import shapes
+from .tokenizer import sequence_hash
 
 MAGIC = b"AGENTKVCACHE"  # 12 bytes; followed by a 4-byte version field
 VERSION = 1
@@ -83,8 +84,13 @@ class ModelGeometry:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ModelGeometry":
+    def from_dict(cls, doc, where: str = "geometry", error=ValueError) -> "ModelGeometry":
+        """The geometry of a `to_dict` document; a document of another shape raises `error` naming `where`."""
+        shapes.check(doc, _GEOMETRY, where, error)
         return cls(**{f.name: doc[f.name] for f in fields(cls)})
+
+
+_GEOMETRY = shapes.Object({f.name: shapes.STR if f.name == "name" else shapes.INT for f in fields(ModelGeometry)})
 
 
 def kv_size(token_count: int, geometry: ModelGeometry) -> int:
@@ -150,20 +156,10 @@ class CacheEntry:
     checksum: str
 
 
-def _entry_error(rec: dict, geometry: ModelGeometry) -> tuple[str, str] | None:
-    """The first field of one manifest entry that is wrong, and what it must be."""
-    if not is_token_ids(rec["key"]):
-        return "key", "a list of token ids"
-    if type(rec["token_count"]) is not int or rec["token_count"] != len(rec["key"]):
-        return "token_count", "the length of key"
-    if type(rec["byte_size"]) is not int or rec["byte_size"] != kv_size(rec["token_count"], geometry):
-        return "byte_size", "the KV size of token_count tokens"
-    if rec["tag"] not in _TAGS:
-        return "tag", f"one of {', '.join(_TAGS)}"
-    for field in ("key_hash", "blob", "checksum"):
-        if not isinstance(rec[field], str):
-            return field, "a string"
-    return None
+_TAG = shapes.Check(shapes.STR, lambda tag: tag in _TAGS, f"one of {', '.join(_TAGS)}")
+_ENTRY_STRINGS = dict.fromkeys(("key_hash", "blob", "checksum"), shapes.STR)
+_ENTRY = shapes.Object({**_ENTRY_STRINGS, "key": shapes.TOKEN_IDS, "token_count": shapes.INT, "byte_size": shapes.INT, "tag": _TAG})
+_MANIFEST = shapes.Object({"geometry": shapes.OBJECT, "entries": shapes.ListOf(_ENTRY)})
 
 
 class _RadixNode:
@@ -205,32 +201,23 @@ class KVStore:
 
     def _load_manifest(self):
         where = f"manifest {self.manifest_path}"
-        doc = json.loads(self.manifest_path.read_text())
-        if not isinstance(doc, dict):
-            raise StoreError(f"{where} is not a JSON object")
+        doc = shapes.load_json(self.manifest_path, shapes.OBJECT, where, StoreError)
         version = doc.get("version")
-        if type(version) is not int or version != VERSION:
+        if shapes.INT.misfit(version) or version != VERSION:
             raise StoreError(f"{where} has format version {version!r}, not {VERSION}: re-run precompute-cache into an empty directory")
+        shapes.check(doc, _MANIFEST, where, StoreError)
         try:
-            if not isinstance(doc["geometry"], dict):
-                raise StoreError(f"{where}: 'geometry' is not an object")
-            if not isinstance(doc["entries"], list):
-                raise StoreError(f"{where}: 'entries' is not a list")
-            self.geometry = ModelGeometry.from_dict(doc["geometry"])
-            for i, rec in enumerate(doc["entries"]):
-                if not isinstance(rec, dict):
-                    raise StoreError(f"{where}: entries[{i}] is not an object")
-                error = _entry_error(rec, self.geometry)
-                if error is not None:
-                    field, expected = error
-                    raise StoreError(f"{where}: entries[{i}].{field} has the wrong type or value, expected {expected}")
-                self.entries[rec["key_hash"]] = CacheEntry(
-                    tuple(rec["key"]), rec["token_count"], rec["byte_size"], rec["tag"], rec["blob"], rec["checksum"]
-                )
-        except KeyError as exc:
-            raise StoreError(f"{where} is missing field {exc}") from exc
-        except TypeError as exc:
-            raise StoreError(f"{where} has a field of the wrong type: {exc}") from exc
+            self.geometry = ModelGeometry.from_dict(doc["geometry"], f"{where} geometry", StoreError)
+        except ValueError as exc:
+            raise StoreError(f"{where} geometry: {exc}") from exc
+        for i, rec in enumerate(doc["entries"]):
+            if rec["token_count"] != len(rec["key"]):
+                raise StoreError(f"{where}: entries[{i}].token_count has the wrong value, expected the length of key")
+            if rec["byte_size"] != kv_size(rec["token_count"], self.geometry):
+                raise StoreError(f"{where}: entries[{i}].byte_size has the wrong value, expected the KV size of token_count tokens")
+            self.entries[rec["key_hash"]] = CacheEntry(
+                tuple(rec["key"]), rec["token_count"], rec["byte_size"], rec["tag"], rec["blob"], rec["checksum"]
+            )
 
     def _build_index(self) -> _RadixNode:
         # Shortest (then smallest) key first: the first entry to reach a node

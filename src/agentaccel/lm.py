@@ -23,7 +23,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from .tokenizer import EOS_ID, is_token_ids, sequence_hash
+from . import shapes
+from .tokenizer import EOS_ID, sequence_hash
+
 
 def _lowest_argmax(dist: dict[int, float]) -> int:
     """The most probable token, ties broken toward the lowest id; EOS if empty."""
@@ -114,14 +116,9 @@ def load_script(path, prompt) -> list[int] | None:
     Raises ValueError when the file is not such an object or that script is
     not a list of token ids.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"script file {path} is not a JSON object")
-    script = doc.get(sequence_hash(prompt))
-    if script is not None and not is_token_ids(script):
-        raise ValueError(f"script file {path}: the script for this prompt is not a list of token ids")
-    return script
+    key = sequence_hash(prompt)
+    doc = shapes.load_json(path, shapes.Object(optional={key: shapes.TOKEN_IDS}), f"script file {path}", ValueError)
+    return doc.get(key)
 
 
 class MarkovModel(ReferenceModel):

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from . import shapes
 from .clusterplan import prefix_counts, select_combinations
 from .kvstore import ModelGeometry, kv_size
 
@@ -71,6 +72,12 @@ class TaxCurve:
             raise ValueError("tax multipliers must be positive")
         self.points = tuple(pts)
 
+    @classmethod
+    def from_list(cls, doc) -> "TaxCurve":
+        """The curve of a JSON list of `[width, multiplier]` pairs; another shape raises ValueError."""
+        shapes.check(doc, _TAX_POINTS, "tax curve", ValueError)
+        return cls(doc)
+
     def __call__(self, k: int) -> float:
         if k < 1:
             raise ValueError("pass width must be at least 1")
@@ -85,6 +92,8 @@ class TaxCurve:
         return pts[0][1]
 
 
+_TAX_POINT = shapes.Check(shapes.ListOf(shapes.NUMBER), lambda point: len(point) == 2, "a [width, multiplier] pair")
+_TAX_POINTS = shapes.ListOf(_TAX_POINT, "a list of [width, multiplier] pairs")
 IDEAL_TAX = TaxCurve([(1, 1.0)])  # multi-token pass costs the same as one token
 MEASURED_TAX = TaxCurve(DEFAULT_TAX_POINTS)
 
@@ -108,14 +117,20 @@ class DeviceSpec:
             raise ValueError("prefill_utilization must be in (0, 1]")
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "DeviceSpec":
+    def from_dict(cls, doc, name: str) -> "DeviceSpec":
+        """The device of a document, named `name` unless the document names it; another shape raises ValueError."""
+        shapes.check(doc, _DEVICE, "device", ValueError)
         return cls(
-            name=doc["name"],
+            name=doc.get("name", name),
             compute_tops=doc["compute_tops"],
             mem_bw=doc["mem_bw"],
             ssd_bw=doc["ssd_bw"],
             prefill_utilization=doc.get("prefill_utilization", 0.35),
         )
+
+
+_DEVICE_RATES = dict.fromkeys(("compute_tops", "mem_bw", "ssd_bw"), shapes.NUMBER)
+_DEVICE = shapes.Object(_DEVICE_RATES, {"name": shapes.STR, "prefill_utilization": shapes.NUMBER})
 
 
 def _load_data_json(filename: str) -> dict:
@@ -125,7 +140,7 @@ def _load_data_json(filename: str) -> dict:
 
 def device_presets() -> dict[str, DeviceSpec]:
     doc = _load_data_json("devices.json")
-    return {name: DeviceSpec.from_dict({"name": name, **spec}) for name, spec in doc.items()}
+    return {name: DeviceSpec.from_dict(spec, name) for name, spec in doc.items()}
 
 
 def geometry_presets() -> dict[str, ModelGeometry]:
@@ -181,11 +196,12 @@ def specdec_speedup(
     return tokens_per_round / round_cost
 
 
-def _int_field(doc: dict, key: str, where: str) -> int:
-    try:
-        return int(doc[key])
-    except (TypeError, ValueError) as exc:
-        raise TraceError(f"{where}: field '{key}' is not an integer") from exc
+# The counts of a `DecodeStats.to_dict()` that `decode_seconds` reads.
+_DECODE = shapes.Object({"rounds": shapes.COUNT, "fallbacks": shapes.COUNT, "draft_len": shapes.COUNT})
+_ROLE_FIELDS = ("baseline_total", "baseline_uncacheable", "weaver_total", "weaver_uncacheable", "output_tokens")
+_ROLE = shapes.Object({**dict.fromkeys(_ROLE_FIELDS, shapes.COUNT), "decode": _DECODE})
+# Each role is checked by `RoleTrace.from_dict`, so that an error names it.
+_RECORD = shapes.Object({"query_id": shapes.STR, "tool_count": shapes.COUNT, "planner": shapes.OBJECT, "arbiter": shapes.OBJECT})
 
 
 @dataclass
@@ -199,25 +215,10 @@ class RoleTrace:
     output_tokens: int
     decode: dict = field(default_factory=dict)
 
-    _REQUIRED = (
-        "baseline_total",
-        "baseline_uncacheable",
-        "weaver_total",
-        "weaver_uncacheable",
-        "output_tokens",
-    )
-
     @classmethod
-    def from_dict(cls, doc: dict, where: str) -> "RoleTrace":
-        if not isinstance(doc, dict):
-            raise TraceError(f"{where} is not an object")
-        for key in cls._REQUIRED:
-            if key not in doc:
-                raise TraceError(f"{where}: missing field '{key}'")
-        decode = doc.get("decode", {})
-        if not isinstance(decode, dict):
-            raise TraceError(f"{where}: field 'decode' is not an object")
-        role = cls(**{k: _int_field(doc, k, where) for k in cls._REQUIRED}, decode=dict(decode))
+    def from_dict(cls, doc, where: str) -> "RoleTrace":
+        shapes.check(doc, _ROLE, where, TraceError)
+        role = cls(**{k: doc[k] for k in _ROLE_FIELDS}, decode=dict(doc["decode"]))
         if role.baseline_uncacheable > role.baseline_total or role.weaver_uncacheable > role.weaver_total:
             raise TraceError(f"{where}: uncacheable tokens exceed prompt total")
         return role
@@ -241,16 +242,13 @@ class TraceRecord:
     arbiter: RoleTrace
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "TraceRecord":
-        for key in ("query_id", "tool_count", "planner", "arbiter"):
-            if key not in doc:
-                raise TraceError(f"trace record: missing field '{key}'")
-        qid = str(doc["query_id"])
+    def from_dict(cls, doc, where: str = "trace record") -> "TraceRecord":
+        shapes.check(doc, _RECORD, where, TraceError)
         return cls(
-            query_id=qid,
-            tool_count=_int_field(doc, "tool_count", f"record {qid}"),
-            planner=RoleTrace.from_dict(doc["planner"], f"record {qid} planner"),
-            arbiter=RoleTrace.from_dict(doc["arbiter"], f"record {qid} arbiter"),
+            query_id=doc["query_id"],
+            tool_count=doc["tool_count"],
+            planner=RoleTrace.from_dict(doc["planner"], f"{where} planner"),
+            arbiter=RoleTrace.from_dict(doc["arbiter"], f"{where} arbiter"),
         )
 
     def to_dict(self) -> dict:
@@ -267,12 +265,11 @@ def load_trace(path) -> list[TraceRecord]:
     for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
-        doc = json.loads(line)
-        if not isinstance(doc, dict):
-            raise TraceError(f"{path}: line {number} is not a JSON object")
+        where = f"trace {path} line {number}"
+        doc = shapes.parse_json(line, shapes.OBJECT, where, TraceError)
         if doc.get("kind") == "header":
             continue
-        records.append(TraceRecord.from_dict(doc))
+        records.append(TraceRecord.from_dict(doc, where))
     if not records:
         raise TraceError(f"{path}: no trace records")
     return records
@@ -323,14 +320,10 @@ def decode_seconds(stats: dict, step_seconds: float, tax: TaxCurve) -> float:
     `stats` is a `DecodeStats.to_dict()`, as a trace record's `decode`.  A
     drafting round is one verification pass over draft_len + 1 tokens and
     costs `step_seconds * tax(draft_len + 1)`; a fallback round is one plain
-    step.  Missing or inconsistent counts raise TraceError.
+    step.  Missing, malformed or inconsistent counts raise TraceError.
     """
-    if not stats:
-        raise TraceError("no decode stats to price: the record's 'decode' is empty")
-    for key in ("rounds", "fallbacks", "draft_len"):
-        if key not in stats:
-            raise TraceError(f"decode stats missing field '{key}'")
-    rounds, fallbacks, draft_len = (_int_field(stats, k, "decode stats") for k in ("rounds", "fallbacks", "draft_len"))
+    shapes.check(stats, _DECODE, "decode stats", TraceError)
+    rounds, fallbacks, draft_len = stats["rounds"], stats["fallbacks"], stats["draft_len"]
     drafting_rounds = rounds - fallbacks
     if drafting_rounds < 0:
         raise TraceError("decode stats: fallbacks exceed rounds")

@@ -14,9 +14,17 @@ import json
 import re
 from pathlib import Path
 
+from . import shapes
+
 # Token id 0 is reserved as the end-of-sequence sentinel used by the
 # reference models; real words are assigned ids starting at 1.
 EOS_ID = 0
+
+_VOCABULARY = shapes.Check(
+    shapes.OBJECT,
+    lambda doc: shapes.TOKEN_IDS.misfit([*doc.values()]) is None and min(doc.values(), default=0) >= 0,
+    "an object mapping each word to a non-negative integer id",
+)
 
 # A word is a run of alphanumerics/underscores (tool ids like
 # "get_email_address" stay single tokens); anything else that is not
@@ -27,11 +35,6 @@ _TOKEN_RE = re.compile(r"[a-z0-9_]+|[^a-z0-9_\s]")
 def sequence_hash(tokens) -> str:
     """sha256 over the comma-joined token ids: script-file keys and blob names."""
     return hashlib.sha256(",".join(map(str, tokens)).encode()).hexdigest()
-
-
-def is_token_ids(value) -> bool:
-    """Whether a decoded JSON value is a list of token ids (ints, not bools)."""
-    return isinstance(value, list) and set(map(type, value)) <= {int}
 
 
 def split_words(text: str) -> list[str]:
@@ -96,4 +99,9 @@ class Tokenizer:
 
     @classmethod
     def load(cls, path) -> "Tokenizer":
-        return cls(json.loads(Path(path).read_text()))
+        where = f"vocabulary {path}"
+        doc = shapes.load_json(path, _VOCABULARY, where, ValueError)
+        try:
+            return cls(doc)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None

@@ -378,7 +378,13 @@ def _precompute(workdir, tmp_path, plan, vocab) -> Path:
 def _cache_of(case, workdir, tmp_path) -> Path:
     """A cache that does not belong to the workdir's plan and vocabulary."""
     if case == "other_vocabulary":
-        return _precompute(workdir, tmp_path, workdir / "plan.json", _other_vocab(workdir, tmp_path))
+        # precompute-cache refuses a vocabulary other than the plan's, so
+        # the store's provenance is edited to name one.
+        cache = _precompute(workdir, tmp_path, workdir / "plan.json", workdir / "vocab.json")
+        provenance = json.loads((cache / "provenance.json").read_text())
+        provenance["vocab_sha256"] = hashlib.sha256(_other_vocab(workdir, tmp_path).read_bytes()).hexdigest()
+        (cache / "provenance.json").write_text(json.dumps(provenance))
+        return cache
     if case == "other_plan":
         plan_doc = json.loads((workdir / "plan.json").read_text())
         plan_doc["cached_combinations"] = plan_doc["cached_combinations"][:3]
@@ -469,6 +475,10 @@ def test_run_settings_default_to_run_settings(workdir, tmp_path):
         ("planner", "decode", 5),
         ("arbiter", "output_tokens", [1]),
         ("planner", "decode", {"rounds": [1], "fallbacks": 0, "draft_len": 4}),
+        ("tool_count", None, "3"),
+        ("planner", "weaver_total", 3790.5),
+        ("arbiter", "output_tokens", True),
+        ("planner", "decode", {"rounds": 1.5, "fallbacks": 0, "draft_len": 4}),
     ],
 )
 def test_trace_record_of_wrong_shape_fails_cleanly(tmp_path, capsys, role, field, value):
@@ -820,6 +830,11 @@ _DEVICE = {"compute_tops": 1.0, "mem_bw": 1e9, "ssd_bw": 1e9}
         pytest.param("simulate", "--geometry", [1], id="geometry_not_an_object"),
         pytest.param("precompute-cache", "--geometry", [1], id="precompute_geometry_not_an_object"),
         pytest.param("simulate", "--geometry", dict(_GEOMETRY, layers="2"), id="geometry_layers_a_string"),
+        pytest.param("simulate", "--geometry", dict(_GEOMETRY, layers=32.5), id="geometry_layers_a_float"),
+        pytest.param("simulate", "--geometry", dict(_GEOMETRY, kv_heads=True), id="geometry_kv_heads_a_bool"),
+        pytest.param("precompute-cache", "--geometry", dict(_GEOMETRY, bytes_per_element=2.0), id="geometry_width_a_float"),
+        pytest.param("simulate", "--device", dict(_DEVICE, compute_tops=True), id="device_rate_a_bool"),
+        pytest.param("simulate", "--device", dict(_DEVICE, name=7), id="device_name_not_a_string"),
         pytest.param("simulate", "--tax", [5], id="tax_point_not_a_pair"),
         pytest.param("simulate", "--tax", {"a": 1}, id="tax_an_object"),
         pytest.param("simulate", "--tax", {"11": 0}, id="tax_an_object_of_pair_strings"),
@@ -842,6 +857,66 @@ def test_preset_or_file_of_wrong_shape_fails_cleanly(workdir, tmp_path, capsys, 
         ]
     assert "must hold" in _assert_single_error(run_cli(*argv, flag, str(spec)), capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "vocab",
+    [
+        pytest.param({"a": "x"}, id="id_a_string"),
+        pytest.param({"a": True}, id="id_a_bool"),
+        pytest.param(["a", "b"], id="a_list"),
+    ],
+)
+def test_vocabulary_of_wrong_shape_fails_cleanly(workdir, tmp_path, capsys, vocab):
+    (tmp_path / "vocab.json").write_text(json.dumps(vocab))
+    argv = ["--plan", str(workdir / "plan.json"), "--registry", str(workdir / "registry.json"), "--vocab", str(tmp_path / "vocab.json")]
+    message = _assert_single_error(run_cli("precompute-cache", *argv, "--out", str(tmp_path / "cache")), capsys)
+    assert str(tmp_path / "vocab.json") in message
+    assert not (tmp_path / "cache").exists()
+
+
+def _truncated(path: Path, tmp_path: Path) -> Path:
+    """A copy of `path` under tmp_path cut off after its first 40 bytes."""
+    (tmp_path / path.name).write_bytes(path.read_bytes()[:40])
+    return tmp_path / path.name
+
+
+@pytest.mark.parametrize("name", ["plan.json", "trace.jsonl", "vocab.json", "manifest.json"])
+def test_json_syntax_error_names_the_file(workdir, tmp_path, capsys, name):
+    config = ["run", "--config", str(workdir / "run.json"), "--trace", str(tmp_path / "t.jsonl")]
+    if name == "plan.json":
+        rc = _run_config(tmp_path, _absolute_config(workdir, tmp_path, plan=str(_truncated(workdir / name, tmp_path))))
+    elif name == "trace.jsonl":
+        trace = tmp_path / name
+        trace.write_text(json.dumps(simulator.calibration_trace()[0].to_dict())[:40] + "\n")
+        rc = run_cli("simulate", "--trace", str(trace), "--out", str(tmp_path / "r.json"))
+    elif name == "vocab.json":
+        rc = _run_config(tmp_path, _absolute_config(workdir, tmp_path, vocab=str(_truncated(workdir / name, tmp_path))))
+    else:
+        (tmp_path / "cache").mkdir()
+        _truncated(workdir / "cache" / name, tmp_path / "cache")
+        rc = run_cli(*config, "--cache", str(tmp_path / "cache"))
+    message = _assert_single_error(rc, capsys)
+    assert name in message and "not valid JSON" in message
+
+
+@pytest.mark.parametrize("recorded", [True, False])
+def test_precompute_cache_refuses_a_vocabulary_other_than_the_plans(workdir, tmp_path, capsys, recorded):
+    plan = workdir / "plan.json"
+    if not recorded:
+        # A plan that records no vocabulary precomputes under any.
+        doc = json.loads(plan.read_text())
+        del doc["provenance"]["vocab_sha256"]
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(doc))
+    argv = ["--plan", str(plan), "--registry", str(workdir / "registry.json"), "--vocab", str(_other_vocab(workdir, tmp_path))]
+    rc = run_cli("precompute-cache", *argv, "--geometry", "desk", "--out", str(tmp_path / "cache"))
+    if recorded:
+        message = _assert_single_error(rc, capsys)
+        assert "vocabulary" in message and "plan" in message
+        assert not (tmp_path / "cache").exists()
+    else:
+        assert rc == 0
 
 
 def _report_doc() -> dict:

@@ -214,7 +214,7 @@ class TestSimulatePipeline:
             simulate_pipeline([record], SimConfig(device=M4_PRO, geometry=GEO_7B))
 
     def test_uncacheable_above_total_rejected(self):
-        with pytest.raises(TraceError):
+        with pytest.raises(TraceError, match="exceed"):
             RoleTrace.from_dict(
                 {
                     "baseline_total": 10,
@@ -222,6 +222,7 @@ class TestSimulatePipeline:
                     "weaver_total": 10,
                     "weaver_uncacheable": 0,
                     "output_tokens": 1,
+                    "decode": {"rounds": 1, "fallbacks": 0, "draft_len": 4},
                 },
                 "w",
             )
