@@ -14,14 +14,13 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 
-from . import corpus, exspec, fixtures, lm, pipeline, shapes, simulator
+from . import corpus, fixtures, pipeline, shapes, simulator
 from .clusterplan import ClusterPlan, build_plan
 from .kvstore import KVStore, ModelGeometry, StoreError
 from .tokenizer import Tokenizer
-from .weaver import MAX_DYNAMIC_EXAMPLES, Weaver, region_tokens
+from .weaver import MAX_DYNAMIC_EXAMPLES, Weaver
 
 CACHE_DIR_ENV = "AGENTACCEL_CACHE_DIR"
 
@@ -63,9 +62,26 @@ _RUN_SECTIONS = {
     "run": ("model", "max_tokens", "jobs"),
 }
 _RUN_PATHS = ("registry", "train", "test", "examples", "vocab", "plan", "cachedir", "trace")
-# A configured knob has the type of its default; an int passes for a float.
-_KNOB_SHAPES = {int: shapes.INT, float: shapes.NUMBER, str: shapes.STR, bool: shapes.BOOL}
-_KNOBS = {f.name: _KNOB_SHAPES[type(f.default)] for f in fields(pipeline.RunSettings)}
+
+
+def _one_of(*names: str) -> shapes.Check:
+    return shapes.Check(shapes.STR, lambda value: value in names, "one of " + ", ".join(f"'{name}'" for name in names))
+
+
+# Each knob's allowed values, in run.json and on the `run` flags alike; an int passes for a float.
+_KNOBS = {
+    "tau": shapes.NUMBER,
+    "scorer": _one_of("cosine", "oracle"),
+    "top_k": shapes.COUNT,
+    "k": shapes.Check(shapes.INT, lambda k: 0 <= k <= MAX_DYNAMIC_EXAMPLES, f"an integer within [0, {MAX_DYNAMIC_EXAMPLES}]"),
+    "n": shapes.Check(shapes.INT, lambda n: n >= 2, "an integer of at least 2"),
+    "draft_len": shapes.Check(shapes.INT, lambda draft_len: draft_len >= 1, "a positive integer"),
+    "selective": shapes.BOOL,
+    "extract": _one_of("fewshot", "all"),
+    "model": _one_of("scripted", "markov"),
+    "max_tokens": shapes.COUNT,
+    "jobs": shapes.INT,
+}
 _RUN_CONFIG = shapes.Object(
     optional={"paths": shapes.Object(optional=dict.fromkeys(_RUN_PATHS, shapes.STR))}
     | {section: shapes.Object(optional={name: _KNOBS[name] for name in names}) for section, names in _RUN_SECTIONS.items()}
@@ -230,103 +246,23 @@ def _open_store(cachedir, plan_path, vocab_path) -> KVStore | None:
 _CACHE_PROVENANCE = shapes.Object(optional={"plan_sha256": shapes.STR, "vocab_sha256": shapes.STR})
 
 
-def _weaver_from_args(args) -> tuple[pipeline.CorpusBundle, Weaver, KVStore | None]:
-    dataset_path = _require_file(args.dataset, "dataset")
-    bundle = pipeline.load_bundle(
-        _require_file(args.registry, "registry"),
-        dataset_path,
-        getattr(args, "test", None),
-        _require_file(args.examples, "example db"),
-        args.vocab,
-    )
-    plan_path = _require_file(args.plan, "plan")
-    plan = ClusterPlan.load(plan_path)
-    _check_plan_inputs(plan, plan_path, bundle, dataset_path, args.vocab)
-    rag = bundle.make_rag(args.scorer)
-    weaver = Weaver(bundle.registry, bundle.tokenizer, plan, bundle.examples, rag, tau=args.tau)
-    return bundle, weaver, _open_store(args.cache or os.environ.get(CACHE_DIR_ENV), plan_path, args.vocab)
-
-
-def cmd_weave(args) -> int:
-    bundle, weaver, store = _weaver_from_args(args)
-    query_tokens = bundle.tokenizer.tokenize(args.query)
-    if args.baseline:
-        prompt = weaver.baseline_prompt(query_tokens, k_rag=args.top_k, store=store)
-    else:
-        prompt = weaver.planner_prompt(query_tokens, k=args.k, store=store)
-    doc = prompt.to_dict()
-    doc["provenance"] = {
-        "query": args.query,
-        "k": args.k,
-        "baseline": bool(args.baseline),
-        "tau": args.tau,
-        "scorer": args.scorer,
-    }
-    _atomic_write(args.emit, json.dumps(doc, sort_keys=True, indent=1) + "\n")
-    print(
-        f"{'baseline' if args.baseline else 'reconstructed'} prompt: "
-        f"{prompt.total_tokens} tokens, {prompt.cacheable_tokens} cacheable, {prompt.uncacheable_tokens} uncacheable"
-    )
-    return 0
-
-
-_PROMPT = shapes.Object({"segments": shapes.ListOf(shapes.Object({"kind": shapes.STR, "tokens": shapes.TOKEN_IDS}))})
-
-
-def _prompt_segments(path: Path) -> list[tuple[str, tuple[int, ...]]]:
-    """The `(kind, tokens)` segments of a `weave --emit` prompt file."""
-    doc = shapes.load_json(path, _PROMPT, f"prompt file {path}", CliError)
-    return [(seg["kind"], tuple(seg["tokens"])) for seg in doc["segments"]]
-
-
-def cmd_decode(args) -> int:
-    prompt_path = _require_file(args.prompt, "prompt file (weave --emit output)")
-    segments = _prompt_segments(prompt_path)
-    prompt_tokens = region_tokens(segments, "all")
-    region = region_tokens(segments, args.extract)
-
-    if args.model == "markov":
-        bundle = pipeline.load_bundle(
-            _require_file(args.registry, "registry"),
-            _require_file(args.dataset, "dataset"),
-            None,
-            _require_file(args.examples, "example db"),
-            args.vocab,
-        )
-        model = pipeline._build_markov(bundle)
-    else:
-        script = lm.load_script(_require_file(args.script, "script file"), prompt_tokens)
-        if script is None:
-            raise CliError("script file has no entry for this prompt")
-        model = lm.ScriptedModel(prompt_tokens, script)
-
-    lut = exspec.build_lut(region, args.n)
-    out, stats = exspec.decode(model, prompt_tokens, lut, args.draft_len, args.selective == "on", args.max_tokens)
-    doc = {
-        "output_tokens": out,
-        "matches_autoregressive": out == lm.greedy_decode(model, prompt_tokens, args.max_tokens),
-        "stats": stats.to_dict(),
-        "provenance": {
-            "prompt_sha256": _sha256(prompt_path),
-            "model": args.model,
-            "n": args.n,
-            "draft_len": args.draft_len,
-            "selective": args.selective,
-            "extract": args.extract,
-        },
-    }
-    _atomic_write(args.stats, json.dumps(doc, sort_keys=True, indent=1) + "\n")
-    print(
-        f"decoded {stats.output_tokens} tokens in {stats.rounds} rounds "
-        f"({stats.drafts_accepted}/{stats.drafts_generated} drafts accepted, {stats.fallbacks} fallbacks)"
-    )
-    return 0
-
-
 def cmd_run(args) -> int:
     cfg, base = _load_config(args.config)
+    settings = _run_settings(args, cfg)
     configured = cfg.get("paths", {})
     paths = {k: base / configured[k] if k in configured else None for k in _RUN_PATHS}
+    out_path = Path(args.trace) if args.trace else paths["trace"]
+    if out_path is None:
+        raise CliError("no trace output path configured")
+    emit = None
+    if args.emit:
+        emit_dir = Path(args.emit)
+        if emit_dir.exists() and not emit_dir.is_dir():
+            raise CliError(f"--emit {emit_dir} is not a directory")
+
+        def emit(doc):
+            _atomic_write(emit_dir / f"{doc['query_id']}.json", json.dumps(doc, sort_keys=True, indent=1) + "\n")
+
     bundle = pipeline.load_bundle(
         _require_file(paths["registry"], "registry"),
         _require_file(paths["train"], "train dataset"),
@@ -338,16 +274,7 @@ def cmd_run(args) -> int:
     _check_plan_inputs(plan, paths["plan"], bundle, paths["train"], paths["vocab"])
     store = _open_store(args.cache or os.environ.get(CACHE_DIR_ENV) or paths["cachedir"], paths["plan"], paths["vocab"])
 
-    settings = _run_settings(args, cfg)
-    if not (0 <= settings.k <= MAX_DYNAMIC_EXAMPLES):
-        raise CliError(f"k must be within [0, {MAX_DYNAMIC_EXAMPLES}]")
-    if settings.n < 2:
-        raise CliError("n must be at least 2")
-
-    records = pipeline.run_queries(bundle, plan, store, settings)
-    out_path = Path(args.trace) if args.trace else paths["trace"]
-    if out_path is None:
-        raise CliError("no trace output path configured")
+    records = pipeline.run_queries(bundle, plan, store, settings, emit=emit)
     header = {
         "kind": "header",
         "provenance": {
@@ -362,20 +289,22 @@ def cmd_run(args) -> int:
     lines = existing + [json.dumps(header, sort_keys=True)]
     lines += [json.dumps(r.to_dict(), sort_keys=True) for r in records]
     _atomic_write(out_path, "\n".join(lines) + "\n")
-    print(f"traced {len(records)} queries to {out_path}")
+    print(f"traced {len(records)} queries to {out_path}" + (f", one document per query in {args.emit}" if emit else ""))
     return 0
 
 
 def _run_settings(args, cfg: dict) -> pipeline.RunSettings:
-    """Each knob from its flag, else from its run.json section; RunSettings supplies the rest."""
+    """Each knob from its flag (checked here), else from its run.json section (checked on load); RunSettings supplies the rest."""
     flags = dict(vars(args), selective=None if args.selective is None else args.selective == "on")
     picked = {}
     for section, names in _RUN_SECTIONS.items():
         configured = cfg.get(section, {})
         for name in names:
-            value = flags[name] if flags[name] is not None else configured.get(name)
-            if value is not None:
-                picked[name] = value
+            if flags[name] is not None:
+                shapes.check(flags[name], _KNOBS[name], f"flag --{name.replace('_', '-')}", CliError)
+                picked[name] = flags[name]
+            elif name in configured:
+                picked[name] = configured[name]
     return pipeline.RunSettings(**picked)
 
 
@@ -464,54 +393,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help=f"cache directory (default ${CACHE_DIR_ENV})")
     p.set_defaults(func=cmd_precompute_cache)
 
-    p = sub.add_parser("weave", help="reconstruct one prompt and emit its accounting")
-    p.add_argument("--query", required=True)
-    p.add_argument("--plan", required=True)
-    p.add_argument("--registry", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--examples", required=True)
-    p.add_argument("--vocab")
-    p.add_argument("--cache", help=f"cache directory (default ${CACHE_DIR_ENV})")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--top-k", dest="top_k", type=int, default=3)
-    p.add_argument("--scorer", choices=("cosine", "oracle"), default="cosine")
-    p.add_argument("--baseline", action="store_true")
-    p.add_argument("--emit", required=True)
-    p.set_defaults(func=cmd_weave)
-
-    p = sub.add_parser("decode", help="speculative decode over an emitted prompt")
-    p.add_argument("--prompt", required=True, help="prompt JSON from weave --emit")
-    p.add_argument("--model", choices=("scripted", "markov"), default="markov")
-    p.add_argument("--script", help="scripts JSON (scripted model)")
-    p.add_argument("--registry")
-    p.add_argument("--dataset")
-    p.add_argument("--examples")
-    p.add_argument("--vocab")
-    p.add_argument("--n", type=int, default=exspec.DEFAULT_N)
-    p.add_argument("--draft-len", type=int, default=exspec.DEFAULT_DRAFT_LEN)
-    p.add_argument("--selective", choices=("on", "off"), default="on")
-    p.add_argument("--extract", choices=("fewshot", "all"), default="fewshot")
-    p.add_argument("--max-tokens", type=int, default=256)
-    p.add_argument("--stats", required=True)
-    p.set_defaults(func=cmd_decode)
-
     p = sub.add_parser("run", help="full per-query pipeline over the test split")
     p.add_argument("--config", required=True)
     p.add_argument("--trace")
     p.add_argument("--append", action="store_true")
     p.add_argument("--cache")
     p.add_argument("--tau", type=float)
-    p.add_argument("--scorer", choices=("cosine", "oracle"))
+    p.add_argument("--scorer")
     p.add_argument("--top-k", dest="top_k", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--draft-len", dest="draft_len", type=int)
     p.add_argument("--selective", choices=("on", "off"))
-    p.add_argument("--extract", choices=("fewshot", "all"))
-    p.add_argument("--model", choices=("scripted", "markov"))
+    p.add_argument("--extract")
+    p.add_argument("--model")
     p.add_argument("--max-tokens", dest="max_tokens", type=int)
     p.add_argument("--jobs", type=int)
+    p.add_argument("--emit", help="directory to write each query's prompts and decodes into, as <query_id>.json")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("simulate", help="replay a trace under the cost model")

@@ -188,7 +188,10 @@ class ClusterPlan:
             table = NGramLUT.from_dict(table, f"{where} draft_table", PlanError)
         clusters = tuple(by_id[cid] for cid in doc["order"])
         combos = tuple(tuple(c) for c in doc["cached_combinations"])
-        return cls(clusters=clusters, cached_combinations=combos, provenance=doc.get("provenance", {}), draft_table=table)
+        try:
+            return cls(clusters=clusters, cached_combinations=combos, provenance=doc.get("provenance", {}), draft_table=table)
+        except ValueError as exc:  # a combination out of plan order
+            raise PlanError(f"{where} field 'cached_combinations': {exc}") from None
 
     @classmethod
     def load(cls, path) -> "ClusterPlan":

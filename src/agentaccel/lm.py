@@ -20,11 +20,9 @@ checked against.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 
-from . import shapes
-from .tokenizer import EOS_ID, sequence_hash
+from .tokenizer import EOS_ID
 
 
 def _lowest_argmax(dist: dict[int, float]) -> int:
@@ -103,30 +101,13 @@ class _BoundScript(ReferenceModel):
         return self._script[pos]
 
 
-def save_scripts(path, scripts: dict) -> None:
-    """Write `{prompt: script}` as a JSON object keyed by `sequence_hash(prompt)`."""
-    doc = {sequence_hash(p): list(s) for p, s in scripts.items()}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-
-
-def load_script(path, prompt) -> list[int] | None:
-    """The script a file written by `save_scripts` holds for `prompt`, or None.
-
-    Raises ValueError when the file is not such an object or that script is
-    not a list of token ids.
-    """
-    key = sequence_hash(prompt)
-    doc = shapes.load_json(path, shapes.Object(optional={key: shapes.TOKEN_IDS}), f"script file {path}", ValueError)
-    return doc.get(key)
-
-
 class MarkovModel(ReferenceModel):
     """Order-m chain with add-constant smoothing over the training vocabulary.
 
     Unseen (or too-short) contexts back off to the order-0 unigram
-    distribution, so the chain is total and decoding always terminates via
-    the end-of-sequence counts appended during training.
+    distribution, so the chain is total.  Greedy decoding need not reach
+    the end-of-sequence counts appended during training: the argmax chain
+    can cycle, so a decode is bounded by its `max_tokens`.
 
     The greedy step is a table lookup: the argmax successor of every context
     is found once here, and `next_distribution` stays as its oracle.

@@ -7,7 +7,12 @@ configured reference model decodes the plan and the arbiter verdict through
 the speculative path, and the token accounting plus decode statistics land
 in one trace record for the simulator.  The planner also drafts from the
 plan's table of the train split's plans (`plan_draft_table`) wherever its
-prompt's table misses.
+prompt's table misses.  Given `emit`, `run_queries` also hands over each
+query's document: its planner, baseline and arbiter prompts, and for the
+planner and the arbiter the output, the record's own `decode` statistics and
+whether the output equals `lm.greedy_decode` of the same model and prompt.
+It is built from the same objects as the trace record, so the two cannot
+disagree.
 """
 
 from __future__ import annotations
@@ -147,9 +152,11 @@ def run_queries(
     plan: ClusterPlan,
     store: KVStore | None,
     settings: RunSettings,
+    emit=None,
 ) -> list[TraceRecord]:
+    """The trace record of every test query, in test order; `emit`, if given, gets each query's document."""
     rag = bundle.make_rag(settings.scorer)
-    weaver = Weaver(bundle.registry, bundle.tokenizer, plan, bundle.examples, rag, tau=settings.tau)
+    weaver = Weaver(bundle.registry, bundle.tokenizer, plan, bundle.examples, rag)
     markov = _build_markov(bundle) if settings.model == "markov" else None
     if settings.model not in ("scripted", "markov"):
         raise ValueError(f"unknown reference model '{settings.model}'")
@@ -204,12 +211,27 @@ def run_queries(
             output_tokens=len(arbiter_out),
             decode=arbiter_stats.to_dict(),
         )
-        return TraceRecord(
+        record = TraceRecord(
             query_id=f"q{idx:04d}",
             tool_count=len(sample.gt_plan.nodes),
             planner=planner_role,
             arbiter=arbiter_role,
         )
+        if emit is not None:
+            decoded = {"planner": (planner_model, wp, planner_out), "arbiter": (arbiter_model, ap, arbiter_out)}
+            emit({
+                "query_id": record.query_id,
+                "prompts": {"planner": wp.to_dict(), "baseline": bp.to_dict(), "arbiter": ap.to_dict()},
+                "decodes": {
+                    role: {
+                        "output_tokens": out,
+                        "stats": getattr(record, role).decode,
+                        "matches_autoregressive": out == lm.greedy_decode(model, prompt.tokens, settings.max_tokens),
+                    }
+                    for role, (model, prompt, out) in decoded.items()
+                },
+            })
+        return record
 
     items = list(enumerate(bundle.test))
     if settings.jobs > 1:

@@ -92,7 +92,11 @@ class TaxCurve:
         return pts[0][1]
 
 
-_TAX_POINT = shapes.Check(shapes.ListOf(shapes.NUMBER), lambda point: len(point) == 2, "a [width, multiplier] pair")
+_TAX_POINT = shapes.Check(
+    shapes.ListOf(shapes.NUMBER),
+    lambda point: len(point) == 2 and type(point[0]) is int,
+    "a [width, multiplier] pair with an integer width",
+)
 _TAX_POINTS = shapes.ListOf(_TAX_POINT, "a list of [width, multiplier] pairs")
 IDEAL_TAX = TaxCurve([(1, 1.0)])  # multi-token pass costs the same as one token
 MEASURED_TAX = TaxCurve(DEFAULT_TAX_POINTS)

@@ -33,7 +33,7 @@ _TOKEN_RE = re.compile(r"[a-z0-9_]+|[^a-z0-9_\s]")
 
 
 def sequence_hash(tokens) -> str:
-    """sha256 over the comma-joined token ids: script-file keys and blob names."""
+    """sha256 over the comma-joined token ids: the KV store's blob names."""
     return hashlib.sha256(",".join(map(str, tokens)).encode()).hexdigest()
 
 

@@ -223,14 +223,12 @@ class Weaver:
         plan: ClusterPlan,
         examples: list[ToolUseExample],
         rag: ToolRag | None = None,
-        tau: float = 0.5,
     ):
         self.registry = registry
         self.tokenizer = tokenizer
         self.plan = plan
         self.examples = list(examples)
         self.rag = rag
-        self.tau = tau
 
         self._instructions = tuple(tokenizer.tokenize(PLANNER_INSTRUCTIONS))
         self._system = tuple(tokenizer.tokenize(PLANNER_HEADER)) + self._instructions
@@ -295,13 +293,6 @@ class Weaver:
 
     # ---- prompt builders ----------------------------------------------------
 
-    def _retrieve(self, query_tokens, retrieved) -> set[str]:
-        if retrieved is not None:
-            return set(retrieved)
-        if self.rag is None:
-            raise ValueError("no retrieval configured and no tool set supplied")
-        return self.rag.retrieve_tools(query_tokens, self.tau)
-
     @staticmethod
     def _prompt(segments, store: KVStore | None, stats: dict, unstored_match_len: int = 0) -> ReconstructedPrompt:
         """Flatten `segments` once and match them against `store` (without one, `unstored_match_len` is cacheable)."""
@@ -315,11 +306,11 @@ class Weaver:
     def planner_prompt(
         self,
         query_tokens,
+        retrieved,
         k: int = 1,
         store: KVStore | None = None,
-        retrieved=None,
     ) -> ReconstructedPrompt:
-        """The reconstructed planner prompt for one query.
+        """The reconstructed planner prompt for one query, given its `retrieved` tool set.
 
         `k` is the dynamic example count appended after the single-tool
         examples.  An empty retrieved tool set still produces a valid prompt
@@ -327,7 +318,7 @@ class Weaver:
         """
         if not (0 <= k <= MAX_DYNAMIC_EXAMPLES):
             raise ValueError(f"k must be within [0, {MAX_DYNAMIC_EXAMPLES}]")
-        retrieved = self._retrieve(query_tokens, retrieved)
+        retrieved = set(retrieved)
 
         activated = self.plan.activation_sequence(retrieved)
         clustered_ids = {self.plan.cluster_by_id(cluster_id).example_id for cluster_id in activated}
@@ -369,9 +360,9 @@ class Weaver:
     def baseline_prompt(
         self,
         query_tokens,
+        retrieved,
         k_rag: int = 3,
         store: KVStore | None = None,
-        retrieved=None,
     ) -> ReconstructedPrompt:
         """Conventional prompt order used as the accounting baseline.
 
@@ -381,7 +372,7 @@ class Weaver:
         the cacheable region (it is the only prefix the baseline policy would
         ever precompute).
         """
-        retrieved = self._retrieve(query_tokens, retrieved)
+        retrieved = set(retrieved)
         desc: list[int] = []
         for tool_id in sorted(retrieved):
             desc.extend(self._tool_blocks[tool_id])

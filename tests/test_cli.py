@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from agentaccel import corpus, pipeline, simulator
+from agentaccel import corpus, exspec, pipeline, simulator
 from agentaccel.cli import main
 from agentaccel.clusterplan import ClusterPlan
-from agentaccel.tokenizer import sequence_hash
+from agentaccel.weaver import region_tokens
 
 
 def run_cli(*argv):
@@ -265,12 +265,17 @@ def _plan_without_clusters(doc):
         pytest.param(_plan_without_clusters, id="missing_clusters"),
         pytest.param(lambda doc: dict(doc, order=[999]), id="order_names_unknown_cluster"),
         pytest.param(lambda doc: dict(doc, cached_combinations=[7]), id="combination_not_a_list"),
+        pytest.param(
+            lambda doc: dict(doc, cached_combinations=[combo[::-1] for combo in doc["cached_combinations"]]),
+            id="combinations_out_of_plan_order",
+        ),
     ],
 )
 def test_plan_of_wrong_shape_fails_cleanly(workdir, tmp_path, capsys, corrupt):
     (tmp_path / "plan.json").write_text(json.dumps(corrupt(json.loads((workdir / "plan.json").read_text()))))
     cfg = _absolute_config(workdir, tmp_path, plan=str(tmp_path / "plan.json"))
-    _assert_single_error(_run_config(tmp_path, cfg), capsys)
+    assert str(tmp_path / "plan.json") in _assert_single_error(_run_config(tmp_path, cfg), capsys)
+    assert not (tmp_path / "t.jsonl").exists()
 
 
 @pytest.mark.parametrize(
@@ -398,46 +403,16 @@ def _cache_of(case, workdir, tmp_path) -> Path:
 @pytest.mark.parametrize("case, message", [
     ("other_vocabulary", "vocabulary"), ("other_plan", "plan"), ("no_provenance", "provenance.json"),
 ])
-@pytest.mark.parametrize("command", ["run", "weave"])
+@pytest.mark.parametrize("command", ["run", "emit"])
 def test_cache_of_another_plan_or_vocabulary_is_refused(workdir, tmp_path, capsys, case, message, command):
     # Such a store would serve nothing: every planner token would go uncached.
     cache = _cache_of(case, workdir, tmp_path)
-    out = tmp_path / "out.json"
-    if command == "run":
-        rc = run_cli("run", "--config", str(workdir / "run.json"), "--cache", str(cache), "--trace", str(out))
-    else:
-        rc = run_cli(
-            "weave",
-            "--query", "email maria about the budget review",
-            "--plan", str(workdir / "plan.json"),
-            "--registry", str(workdir / "registry.json"),
-            "--dataset", str(workdir / "train.jsonl"),
-            "--examples", str(workdir / "examples.jsonl"),
-            "--vocab", str(workdir / "vocab.json"),
-            "--cache", str(cache),
-            "--emit", str(out),
-        )
+    out, emit = tmp_path / "out.json", tmp_path / "queries"
+    flags = ["--emit", str(emit)] if command == "emit" else []
+    rc = run_cli("run", "--config", str(workdir / "run.json"), "--cache", str(cache), "--trace", str(out), *flags)
     error = _assert_single_error(rc, capsys)
     assert message in error and "precompute-cache" in error
-    assert not out.exists()
-
-
-def test_weave_refuses_a_dataset_the_plan_was_not_built_from(workdir, tmp_path, capsys):
-    lines = (workdir / "train.jsonl").read_text().splitlines(keepends=True)
-    (tmp_path / "train.jsonl").write_text("".join(lines[1:]))
-    emit = tmp_path / "prompt.json"
-    rc = run_cli(
-        "weave",
-        "--query", "email maria about the budget review",
-        "--plan", str(workdir / "plan.json"),
-        "--registry", str(workdir / "registry.json"),
-        "--dataset", str(tmp_path / "train.jsonl"),
-        "--examples", str(workdir / "examples.jsonl"),
-        "--vocab", str(workdir / "vocab.json"),
-        "--emit", str(emit),
-    )
-    assert "build-plan" in _assert_single_error(rc, capsys)
-    assert not emit.exists()
+    assert not out.exists() and not emit.exists()
 
 
 @pytest.mark.parametrize("model, parses", [("scripted", 0), ("markov", 1)])
@@ -468,6 +443,114 @@ def test_run_settings_default_to_run_settings(workdir, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "section, name, value",
+    [
+        ("toolrag", "top_k", -2),
+        ("toolrag", "scorer", "bm25"),
+        ("weaver", "k", -1),
+        ("weaver", "k", 5),
+        ("exspec", "n", 1),
+        ("exspec", "draft_len", 0),
+        ("exspec", "extract", "none"),
+        ("run", "model", "gpt"),
+        ("run", "max_tokens", -1),
+    ],
+)
+def test_run_knob_outside_its_allowed_values_fails_cleanly(workdir, tmp_path, capsys, section, name, value):
+    cfg = _absolute_config(workdir, tmp_path)
+    cfg[section] = dict(cfg[section], **{name: value})
+    message = _assert_single_error(_run_config(tmp_path, cfg), capsys)
+    assert str(tmp_path / "run.json") in message and f"{section}.{name}" in message
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--top-k", "-2"), ("--scorer", "bm25"), ("--k", "5"), ("--n", "1"), ("--draft-len", "0"), ("--model", "gpt")],
+)
+def test_run_flag_outside_its_allowed_values_fails_cleanly(workdir, tmp_path, capsys, flag, value):
+    trace = tmp_path / "t.jsonl"
+    rc = run_cli("run", "--config", str(workdir / "run.json"), flag, value, "--trace", str(trace))
+    assert f"flag {flag}" in _assert_single_error(rc, capsys)
+    assert not trace.exists()
+
+
+def _emitted(workdir, tmp_path, *flags) -> tuple[list[dict], dict[str, dict]]:
+    """The trace records of a `run --emit`, and its documents by query id."""
+    trace, emit = tmp_path / "t.jsonl", tmp_path / "queries"
+    assert run_cli("run", "--config", str(workdir / "run.json"), *flags, "--trace", str(trace), "--emit", str(emit)) == 0
+    records = [json.loads(line) for line in trace.read_text().splitlines()[1:]]
+    return records, {path.stem: json.loads(path.read_text()) for path in emit.iterdir()}
+
+
+@pytest.mark.parametrize("model", ["scripted", "markov"])
+def test_run_emit_documents_agree_with_the_trace(workdir, tmp_path, model):
+    records, docs = _emitted(workdir, tmp_path, "--model", model)
+    plain = tmp_path / "plain.jsonl"
+    assert run_cli("run", "--config", str(workdir / "run.json"), "--model", model, "--trace", str(plain)) == 0
+    assert plain.read_bytes() == (tmp_path / "t.jsonl").read_bytes()
+    assert sorted(docs) == [record["query_id"] for record in records]
+    for record in records:
+        doc = docs[record["query_id"]]
+        assert doc["query_id"] == record["query_id"]
+        prompts = doc["prompts"]
+        assert prompts["planner"]["total_tokens"] == record["planner"]["weaver_total"]
+        assert prompts["baseline"]["total_tokens"] == record["planner"]["baseline_total"]
+        assert prompts["arbiter"]["total_tokens"] == record["arbiter"]["weaver_total"] == record["arbiter"]["baseline_total"]
+        for prompt in prompts.values():
+            assert sum(len(seg["tokens"]) for seg in prompt["segments"]) == prompt["total_tokens"]
+            assert prompt["cacheable_tokens"] + prompt["uncacheable_tokens"] == prompt["total_tokens"]
+        assert prompts["planner"]["cacheable_tokens"] > 0  # the static prefix is served from the cache
+        for role in ("planner", "arbiter"):
+            decode = doc["decodes"][role]
+            assert decode["stats"] == record[role]["decode"]
+            assert len(decode["output_tokens"]) == record[role]["output_tokens"]
+            assert decode["matches_autoregressive"] is True
+
+
+@pytest.mark.parametrize("extract", ["fewshot", "all"])
+def test_decode_stats_use_the_extraction_region(workdir, tmp_path, extract):
+    """Each emitted decode drafted from the table of its prompt's extraction region."""
+    _, docs = _emitted(workdir, tmp_path, "--extract", extract)
+    for doc in docs.values():
+        for role in ("planner", "arbiter"):
+            segments = [(seg["kind"], seg["tokens"]) for seg in doc["prompts"][role]["segments"]]
+            lut = exspec.build_lut(region_tokens(segments, extract), exspec.DEFAULT_N)
+            assert doc["decodes"][role]["stats"]["lut_size"] == len(lut)
+
+
+def _refused_emit(config, tmp_path, capsys, *flags) -> str:
+    """The one error line of a refused `run --emit`, which writes no trace and no document."""
+    trace, emit = tmp_path / "t.jsonl", tmp_path / "queries"
+    rc = run_cli("run", "--config", str(config), *flags, "--trace", str(trace), "--emit", str(emit))
+    error = _assert_single_error(rc, capsys)
+    assert not trace.exists() and not emit.exists()
+    return error
+
+
+def test_run_emit_refuses_a_train_file_the_plan_was_not_built_from(workdir, tmp_path, capsys):
+    lines = (workdir / "train.jsonl").read_text().splitlines(keepends=True)
+    (tmp_path / "train.jsonl").write_text("".join(lines[1:]))  # still a valid dataset
+    cfg = _absolute_config(workdir, tmp_path, train=str(tmp_path / "train.jsonl"))
+    (tmp_path / "run.json").write_text(json.dumps(cfg))
+    assert "build-plan" in _refused_emit(tmp_path / "run.json", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("cache", ["missing", "empty"])
+def test_run_emit_with_unusable_cache_fails_cleanly(workdir, tmp_path, capsys, cache):
+    (tmp_path / "empty").mkdir()
+    assert "manifest" in _refused_emit(workdir / "run.json", tmp_path, capsys, "--cache", str(tmp_path / cache))
+
+
+def test_run_emit_into_a_file_fails_cleanly(workdir, tmp_path, capsys):
+    (tmp_path / "queries").write_text("")
+    trace = tmp_path / "t.jsonl"
+    rc = run_cli("run", "--config", str(workdir / "run.json"), "--trace", str(trace), "--emit", str(tmp_path / "queries"))
+    assert "--emit" in _assert_single_error(rc, capsys)
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize(
     "role, field, value",
     [
         ("planner", None, 5),
@@ -494,70 +577,6 @@ def test_trace_record_of_wrong_shape_fails_cleanly(tmp_path, capsys, role, field
     assert not (tmp_path / "r.json").exists()
 
 
-def test_weave_emits_prompt_accounting(workdir, tmp_path):
-    emit = tmp_path / "prompt.json"
-    assert (
-        run_cli(
-            "weave",
-            "--query", "schedule a video call with maria tomorrow at 5pm about the project sync",
-            "--plan", str(workdir / "plan.json"),
-            "--registry", str(workdir / "registry.json"),
-            "--dataset", str(workdir / "train.jsonl"),
-            "--examples", str(workdir / "examples.jsonl"),
-            "--vocab", str(workdir / "vocab.json"),
-            "--cache", str(workdir / "cache"),
-            "--k", "1",
-            "--emit", str(emit),
-        )
-        == 0
-    )
-    doc = json.loads(emit.read_text())
-    total = sum(len(seg["tokens"]) for seg in doc["segments"])
-    assert doc["total_tokens"] == total
-    assert doc["cacheable_tokens"] + doc["uncacheable_tokens"] == total
-    assert doc["cacheable_tokens"] > 0  # static prefix must hit the cache
-
-
-def test_weave_oracle_scorer_finds_a_training_query(workdir, tmp_path):
-    # weave has no test split: the oracle scorer falls back to the train split.
-    sample = json.loads((workdir / "train.jsonl").read_text().splitlines()[0])
-    emit = tmp_path / "prompt.json"
-    assert (
-        run_cli(
-            "weave",
-            "--query", sample["query"],
-            "--plan", str(workdir / "plan.json"),
-            "--registry", str(workdir / "registry.json"),
-            "--dataset", str(workdir / "train.jsonl"),
-            "--examples", str(workdir / "examples.jsonl"),
-            "--vocab", str(workdir / "vocab.json"),
-            "--scorer", "oracle",
-            "--emit", str(emit),
-        )
-        == 0
-    )
-    assert json.loads(emit.read_text())["stats"]["retrieved_tools"] == sorted(sample["tools"])
-
-
-@pytest.mark.parametrize("cache", ["missing", "empty"])
-def test_weave_with_unusable_cache_fails_cleanly(workdir, tmp_path, capsys, cache):
-    (tmp_path / "empty").mkdir()
-    emit = tmp_path / "prompt.json"
-    rc = run_cli(
-        "weave",
-        "--query", "email maria about the budget review",
-        "--plan", str(workdir / "plan.json"),
-        "--registry", str(workdir / "registry.json"),
-        "--dataset", str(workdir / "train.jsonl"),
-        "--examples", str(workdir / "examples.jsonl"),
-        "--vocab", str(workdir / "vocab.json"),
-        "--cache", str(tmp_path / cache),
-        "--emit", str(emit),
-    )
-    assert "manifest" in _assert_single_error(rc, capsys)
-    assert not emit.exists()
-
-
 @pytest.mark.parametrize("command, output", [("build-plan", "plan.json"), ("precompute-cache", "cache")])
 def test_offline_command_without_vocabulary_fails_cleanly(workdir, tmp_path, capsys, command, output):
     # Without the vocabulary the keys would use ids no online command produces.
@@ -579,188 +598,6 @@ def test_offline_command_without_vocabulary_fails_cleanly(workdir, tmp_path, cap
         ]
     assert "vocabulary" in _assert_single_error(run_cli(*argv), capsys)
     assert not (tmp_path / output).exists()
-
-
-def test_weave_baseline_flag(workdir, tmp_path):
-    emit = tmp_path / "base.json"
-    assert (
-        run_cli(
-            "weave",
-            "--query", "email maria about the budget review",
-            "--plan", str(workdir / "plan.json"),
-            "--registry", str(workdir / "registry.json"),
-            "--dataset", str(workdir / "train.jsonl"),
-            "--examples", str(workdir / "examples.jsonl"),
-            "--vocab", str(workdir / "vocab.json"),
-            "--baseline",
-            "--emit", str(emit),
-        )
-        == 0
-    )
-    doc = json.loads(emit.read_text())
-    kinds = [seg["kind"] for seg in doc["segments"]]
-    assert kinds[0] == "static_system"
-    assert doc["uncacheable_tokens"] < doc["total_tokens"]
-
-
-def test_decode_on_woven_prompt_markov(workdir, tmp_path):
-    emit = tmp_path / "prompt.json"
-    assert (
-        run_cli(
-            "weave",
-            "--query", "email maria about the budget review",
-            "--plan", str(workdir / "plan.json"),
-            "--registry", str(workdir / "registry.json"),
-            "--dataset", str(workdir / "train.jsonl"),
-            "--examples", str(workdir / "examples.jsonl"),
-            "--vocab", str(workdir / "vocab.json"),
-            "--k", "1",
-            "--emit", str(emit),
-        )
-        == 0
-    )
-    stats = tmp_path / "stats.json"
-    assert (
-        run_cli(
-            "decode",
-            "--prompt", str(emit),
-            "--model", "markov",
-            "--registry", str(workdir / "registry.json"),
-            "--dataset", str(workdir / "train.jsonl"),
-            "--examples", str(workdir / "examples.jsonl"),
-            "--vocab", str(workdir / "vocab.json"),
-            "--n", "3",
-            "--draft-len", "4",
-            "--selective", "on",
-            "--max-tokens", "80",
-            "--stats", str(stats),
-        )
-        == 0
-    )
-    doc = json.loads(stats.read_text())
-    assert doc["matches_autoregressive"] is True
-    assert doc["stats"]["rounds"] >= 1
-
-
-def test_decode_scripted_with_script_file(workdir, tmp_path, capsys):
-    from agentaccel import lm
-
-    emit = tmp_path / "prompt.json"
-    assert (
-        run_cli(
-            "weave",
-            "--query", "open my reading list note",
-            "--plan", str(workdir / "plan.json"),
-            "--registry", str(workdir / "registry.json"),
-            "--dataset", str(workdir / "train.jsonl"),
-            "--examples", str(workdir / "examples.jsonl"),
-            "--vocab", str(workdir / "vocab.json"),
-            "--k", "0",
-            "--emit", str(emit),
-        )
-        == 0
-    )
-    doc = json.loads(emit.read_text())
-    prompt_tokens = [t for seg in doc["segments"] for t in seg["tokens"]]
-    script_path = tmp_path / "scripts.json"
-    lm.save_scripts(script_path, {tuple(prompt_tokens): [101, 102, 103]})
-    stats = tmp_path / "stats.json"
-    assert (
-        run_cli(
-            "decode",
-            "--prompt", str(emit),
-            "--model", "scripted",
-            "--script", str(script_path),
-            "--stats", str(stats),
-        )
-        == 0
-    )
-    result = json.loads(stats.read_text())
-    assert result["output_tokens"] == [101, 102, 103]
-    assert result["matches_autoregressive"] is True
-
-    # A prompt absent from the script file is a clean error.
-    lm.save_scripts(script_path, {(1, 2, 3): [5]})
-    rc = run_cli("decode", "--prompt", str(emit), "--model", "scripted", "--script", str(script_path), "--stats", str(stats))
-    _assert_single_error(rc, capsys)
-
-
-_PROMPT = {"segments": [{"kind": "static_system", "tokens": [1, 2]}, {"kind": "query", "tokens": [3]}]}
-
-
-@pytest.mark.parametrize(
-    "prompt_doc, script_doc",
-    [
-        pytest.param({"tokens": [1, 2, 3]}, {}, id="prompt_without_segments"),
-        pytest.param([_PROMPT], {}, id="prompt_not_an_object"),
-        pytest.param({"segments": [{"kind": "query", "tokens": ["a"]}]}, {sequence_hash(["a"]): [5]}, id="prompt_token_not_an_int"),
-        pytest.param({"segments": [[1, 2, 3]]}, {}, id="segment_not_an_object"),
-        pytest.param({"segments": [{"kind": ["query"], "tokens": [1]}]}, {sequence_hash([1]): [5]}, id="segment_kind_not_a_string"),
-        pytest.param(_PROMPT, [[5, 6]], id="script_file_a_list"),
-        pytest.param(_PROMPT, {sequence_hash([1, 2, 3]): [5, "6"]}, id="script_token_not_an_int"),
-        pytest.param(_PROMPT, {sequence_hash([1, 2, 3]): 5}, id="script_not_a_list"),
-    ],
-)
-def test_decode_input_of_wrong_shape_fails_cleanly(tmp_path, capsys, prompt_doc, script_doc):
-    (tmp_path / "prompt.json").write_text(json.dumps(prompt_doc))
-    (tmp_path / "scripts.json").write_text(json.dumps(script_doc))
-    stats = tmp_path / "stats.json"
-    argv = ["--prompt", str(tmp_path / "prompt.json"), "--script", str(tmp_path / "scripts.json"), "--stats", str(stats)]
-    _assert_single_error(run_cli("decode", "--model", "scripted", *argv), capsys)
-    assert not stats.exists()
-
-
-@pytest.mark.parametrize("extract", ["fewshot", "all"])
-def test_decode_stats_use_the_extraction_region(workdir, tmp_path, extract):
-    """`decode --stats` bytes, rebuilt here from the prompt file's segments."""
-    from agentaccel import exspec, lm
-    from agentaccel.weaver import FEWSHOT_REGION_KINDS
-
-    emit = tmp_path / "prompt.json"
-    assert (
-        run_cli(
-            "weave",
-            "--query", "open my reading list note",
-            "--plan", str(workdir / "plan.json"),
-            "--registry", str(workdir / "registry.json"),
-            "--dataset", str(workdir / "train.jsonl"),
-            "--examples", str(workdir / "examples.jsonl"),
-            "--vocab", str(workdir / "vocab.json"),
-            "--k", "1",
-            "--emit", str(emit),
-        )
-        == 0
-    )
-    segments = json.loads(emit.read_text())["segments"]
-    prompt_tokens = [t for seg in segments for t in seg["tokens"]]
-    region = [t for seg in segments if extract == "all" or seg["kind"] in FEWSHOT_REGION_KINDS for t in seg["tokens"]]
-    # Scripted from the static prefix, which only `all` puts in the table.
-    static = [t for seg in segments if seg["kind"] == "static_system" for t in seg["tokens"]]
-    script_path = tmp_path / "scripts.json"
-    lm.save_scripts(script_path, {tuple(prompt_tokens): static[:40]})
-    stats = tmp_path / "stats.json"
-    argv = ["decode", "--prompt", str(emit), "--model", "scripted", "--script", str(script_path)]
-    assert run_cli(*argv, "--extract", extract, "--stats", str(stats)) == 0
-
-    model = lm.ScriptedModel(prompt_tokens, lm.load_script(script_path, prompt_tokens))
-    lut = exspec.build_lut(region, exspec.DEFAULT_N)
-    out, decode_stats = exspec.decode(model, prompt_tokens, lut, exspec.DEFAULT_DRAFT_LEN, True, 256)
-    expected = {
-        "output_tokens": out,
-        "matches_autoregressive": out == lm.greedy_decode(model, prompt_tokens, 256),
-        "stats": decode_stats.to_dict(),
-        "provenance": {
-            "prompt_sha256": hashlib.sha256(emit.read_bytes()).hexdigest(),
-            "model": "scripted",
-            "n": exspec.DEFAULT_N,
-            "draft_len": exspec.DEFAULT_DRAFT_LEN,
-            "selective": "on",
-            "extract": extract,
-        },
-    }
-    assert stats.read_text() == json.dumps(expected, sort_keys=True, indent=1) + "\n"
-    assert out == static[:40]
-    assert (decode_stats.fallbacks > 20) == (extract == "fewshot")
 
 
 def test_cache_dir_env_variable(workdir, tmp_path, monkeypatch):
@@ -839,6 +676,7 @@ _DEVICE = {"compute_tops": 1.0, "mem_bw": 1e9, "ssd_bw": 1e9}
         pytest.param("simulate", "--tax", {"a": 1}, id="tax_an_object"),
         pytest.param("simulate", "--tax", {"11": 0}, id="tax_an_object_of_pair_strings"),
         pytest.param("simulate", "--tax", ["11", "25"], id="tax_pairs_as_strings"),
+        pytest.param("simulate", "--tax", [[1, 1.0], [2.5, 1.86]], id="tax_width_not_an_integer"),
     ],
 )
 def test_preset_or_file_of_wrong_shape_fails_cleanly(workdir, tmp_path, capsys, command, flag, doc):

@@ -26,7 +26,6 @@ from agentaccel.kvstore import (
     kv_size,
     prefix_blob,
 )
-from agentaccel.lm import save_scripts
 from agentaccel.tokenizer import sequence_hash
 
 TINY = ModelGeometry(name="tiny", layers=1, kv_heads=1, head_dim=2, bytes_per_element=2, params_bytes=64)
@@ -495,11 +494,8 @@ class TestFixturePlanCounts:
         assert hashed == []
 
 
-def test_blob_names_and_script_keys_share_one_digest(tmp_path):
-    # sha256 of b"1,2,3": stores and script files already written name their
-    # blobs and scripts by it.
+def test_blob_names_are_the_sequence_digest(tmp_path):
+    # sha256 of b"1,2,3": stores already written name their blobs by it.
     digest = "8a6ae15122001229edb8866f56e342af12ae8187203c3e3b33931743e7c0c48d"
     assert sequence_hash([1, 2, 3]) == digest
     assert KVStore(tmp_path / "store").precompute({TAG_STATIC: [[1, 2, 3]]}, TINY)[0].blob_name == f"{digest}.kv"
-    save_scripts(tmp_path / "scripts.json", {(1, 2, 3): [4]})
-    assert json.loads((tmp_path / "scripts.json").read_text()) == {digest: [4]}

@@ -18,12 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agentaccel import cli, clusterplan, corpus, exspec, kvstore, lm, shapes, simulator, tokenizer
+from agentaccel import cli, clusterplan, corpus, exspec, kvstore, shapes, simulator, tokenizer
 from agentaccel.cli import main
 from agentaccel.clusterplan import ClusterPlan, PlanError
 from agentaccel.corpus import LoadError
 from agentaccel.kvstore import KVStore, ModelGeometry, StoreError
-from agentaccel.tokenizer import Tokenizer, sequence_hash
+from agentaccel.tokenizer import Tokenizer
 
 
 class Refused(ValueError):
@@ -149,9 +149,6 @@ def fx(tmp_path_factory):
          "--vocab", fx / "vocab.json", "--out", fx / "cache"),
         ("run", "--config", fx / "run.json"),
         ("simulate", "--trace", fx / "trace.jsonl", "--out", fx / "report.json"),
-        ("weave", "--query", "open my reading list note", "--plan", fx / "plan.json", "--registry", fx / "registry.json",
-         "--dataset", fx / "train.jsonl", "--examples", fx / "examples.jsonl", "--vocab", fx / "vocab.json",
-         "--emit", fx / "prompt.json"),
     ]
     for argv in steps:
         assert _cli(argv) == (0, [])
@@ -186,8 +183,6 @@ def loaders(fx) -> dict[str, "Loader"]:
     tok = Tokenizer.load(fx / "vocab.json")
     registry = corpus.load_registry(fx / "registry.json", tok)
     trace = json.loads((fx / "trace.jsonl").read_text().splitlines()[1])
-    prompt = [t for seg in doc("prompt.json")["segments"] for t in seg["tokens"]]
-    lm.save_scripts(fx / "scripts.json", {tuple(prompt): [5, 6]})
     loaders = [
         Loader("registry", "registry.json", doc("registry.json"), corpus._REGISTRY,
                lambda p: corpus.load_registry(p, Tokenizer()), LoadError, lambda p: build_plan(registry=p)),
@@ -222,13 +217,6 @@ def loaders(fx) -> dict[str, "Loader"]:
                lambda p: simulator.TaxCurve.from_list(json.loads(p.read_text())), ValueError, lambda p: simulate("--tax", p)),
         Loader("run config", "run.json", doc("run.json"), cli._RUN_CONFIG, cli._load_config, cli.CliError,
                lambda p: ["run", "--config", p]),
-        Loader("prompt", "prompt.json", doc("prompt.json"), cli._PROMPT, cli._prompt_segments, cli.CliError,
-               lambda p: ["decode", "--prompt", p, "--model", "scripted", "--script", fx / "scripts.json",
-                          "--stats", fx / "scratch" / "stats.json"]),
-        Loader("script", "scripts.json", doc("scripts.json"), shapes.Object(optional={sequence_hash(prompt): shapes.TOKEN_IDS}),
-               lambda p: lm.load_script(p, prompt), ValueError,
-               lambda p: ["decode", "--prompt", fx / "prompt.json", "--model", "scripted", "--script", p,
-                          "--stats", fx / "scratch" / "stats.json"]),
         Loader("report", "report.json", doc("report.json"), cli._REPORT, lambda p: cli.cmd_report(_ReportArgs(p)), cli.CliError,
                lambda p: ["report", "--report", p]),
     ]
@@ -250,7 +238,7 @@ def _part(doc, path):
 
 _LOADER_NAMES = [
     "registry", "registry tool", "dataset record", "dataset plan", "example record", "vocabulary", "plan", "draft table",
-    "manifest", "manifest geometry", "cache provenance", "trace record", "trace role", "geometry", "device", "tax curve", "run config", "prompt", "script",
+    "manifest", "manifest geometry", "cache provenance", "trace record", "trace role", "geometry", "device", "tax curve", "run config",
     "report",
 ]
 
