@@ -20,7 +20,7 @@ from . import corpus, fixtures, pipeline, shapes, simulator
 from .clusterplan import ClusterPlan, build_plan
 from .kvstore import KVStore, ModelGeometry, StoreError
 from .tokenizer import Tokenizer
-from .weaver import MAX_DYNAMIC_EXAMPLES, Weaver
+from .weaver import EXTRACT_MODES, MAX_DYNAMIC_EXAMPLES, Weaver
 
 CACHE_DIR_ENV = "AGENTACCEL_CACHE_DIR"
 
@@ -71,14 +71,14 @@ def _one_of(*names: str) -> shapes.Check:
 # Each knob's allowed values, in run.json and on the `run` flags alike; an int passes for a float.
 _KNOBS = {
     "tau": shapes.NUMBER,
-    "scorer": _one_of("cosine", "oracle"),
+    "scorer": _one_of(*pipeline.SCORERS),
     "top_k": shapes.COUNT,
     "k": shapes.Check(shapes.INT, lambda k: 0 <= k <= MAX_DYNAMIC_EXAMPLES, f"an integer within [0, {MAX_DYNAMIC_EXAMPLES}]"),
     "n": shapes.Check(shapes.INT, lambda n: n >= 2, "an integer of at least 2"),
     "draft_len": shapes.Check(shapes.INT, lambda draft_len: draft_len >= 1, "a positive integer"),
     "selective": shapes.BOOL,
-    "extract": _one_of("fewshot", "all"),
-    "model": _one_of("scripted", "markov"),
+    "extract": _one_of(*EXTRACT_MODES),
+    "model": _one_of(*pipeline.MODELS),
     "max_tokens": shapes.COUNT,
     "jobs": shapes.INT,
 }
@@ -179,11 +179,11 @@ def cmd_precompute_cache(args) -> int:
     tok = Tokenizer.load(vocab_path)
     registry = corpus.load_registry(registry_path, tok)
     plan = ClusterPlan.load(plan_path)
-    vocab_sha256 = _sha256(vocab_path)
-    # The plan's cluster example tokens were made with the vocabulary it
-    # records; a store keyed under another would match nothing.
-    if plan.provenance.get("vocab_sha256", vocab_sha256) != vocab_sha256:
-        raise CliError(f"vocabulary {vocab_path} is not the one plan {plan_path} was built from: use that one, or re-run build-plan")
+    # The plan's clusters were made from one registry and their example
+    # tokens with one vocabulary; a store keyed under others would match nothing.
+    registry_sha256, vocab_sha256 = _sha256(registry_path), _sha256(vocab_path)
+    _check_bound(plan.provenance, f"plan {plan_path}", "build-plan",
+                 registry=(registry_path, registry_sha256), vocab=(vocab_path, vocab_sha256))
     groups = Weaver(registry, tok, plan, examples=[]).cacheable_prefixes()
     store = KVStore(outdir)
     store.precompute(groups, geometry)
@@ -191,7 +191,7 @@ def cmd_precompute_cache(args) -> int:
     provenance = {
         "plan_sha256": _sha256(plan_path),
         "vocab_sha256": vocab_sha256,
-        "registry_sha256": _sha256(registry_path),
+        "registry_sha256": registry_sha256,
         "geometry": geometry.to_dict(),
     }
     _atomic_write(Path(outdir) / "provenance.json", json.dumps(provenance, sort_keys=True, indent=1) + "\n")
@@ -199,30 +199,29 @@ def cmd_precompute_cache(args) -> int:
     return 0
 
 
-def _vocab_sha256(vocab_path) -> str | None:
-    return vocab_path and _sha256(vocab_path)
+# What each `<name>_sha256` an artifact records is the hash of.
+_BOUND_INPUTS = {"registry": "registry", "dataset": "train dataset", "examples": "example db", "vocab": "vocabulary", "plan": "plan"}
 
 
-def _check_plan_inputs(plan: ClusterPlan, plan_path, bundle: pipeline.CorpusBundle, train_path, vocab_path) -> None:
-    """Refuse a train dataset or vocabulary other than the ones `plan` was built from."""
-    given = (
-        ("dataset_sha256", f"train dataset {train_path}", bundle.train_sha256),
-        ("vocab_sha256", f"vocabulary {vocab_path or '(none given)'}", _vocab_sha256(vocab_path)),
-    )
-    for key, what, sha256 in given:
-        bound = plan.provenance.get(key)
-        if bound is None:
-            raise CliError(f"plan {plan_path} records no {key}: re-run build-plan on the train dataset and vocabulary")
-        if bound != sha256:
-            raise CliError(f"{what} is not the one plan {plan_path} was built from: use that one, or re-run build-plan")
+def _check_bound(recorded: dict, artifact: str, rerun: str, **given: tuple[Path, str]) -> None:
+    """Refuse `artifact` unless its provenance `recorded` holds, as `<name>_sha256`, the sha256 of each `name=(path, sha256)` given.
+
+    An artifact used with inputs other than those it was built from serves
+    nothing, and one that records no hash of an input is bound to none.
+    """
+    for name, (path, sha256) in given.items():
+        key, what = f"{name}_sha256", f"{_BOUND_INPUTS[name]} {path}"
+        if key not in recorded:
+            raise CliError(f"{artifact} records no {key}: re-run {rerun} with {what}")
+        if recorded[key] != sha256:
+            raise CliError(f"{what} is not the one {artifact} was built from: use that one, or re-run {rerun}")
 
 
-def _open_store(cachedir, plan_path, vocab_path) -> KVStore | None:
+def _open_store(cachedir, **given: tuple[Path, str]) -> KVStore | None:
     """The store in `cachedir`, or None without one.
 
     A directory without a manifest is refused, and so is a store whose
-    `provenance.json` names another plan or vocabulary file: its keys would
-    match nothing, and every prompt would go uncached.
+    `provenance.json` does not bind it to the inputs `given` (see `_check_bound`).
     """
     if not cachedir:
         return None
@@ -233,17 +232,12 @@ def _open_store(cachedir, plan_path, vocab_path) -> KVStore | None:
     if not provenance_path.exists():
         raise CliError(f"cache directory {cachedir} has no provenance.json: re-run precompute-cache into an empty directory")
     provenance = shapes.load_json(provenance_path, _CACHE_PROVENANCE, f"cache provenance {provenance_path}", CliError)
-    for key, what, path, sha256 in (
-        ("plan_sha256", "plan", plan_path, _sha256(plan_path)),
-        ("vocab_sha256", "vocabulary", vocab_path or "(none given)", _vocab_sha256(vocab_path)),
-    ):
-        if provenance.get(key) != sha256:
-            raise CliError(f"cache {cachedir} was not precomputed for {what} {path}: re-run precompute-cache with it")
+    _check_bound(provenance, f"cache {cachedir}", "precompute-cache", **given)
     return store
 
 
-# A hash a cache's provenance.json lacks reads as another plan or vocabulary.
-_CACHE_PROVENANCE = shapes.Object(optional={"plan_sha256": shapes.STR, "vocab_sha256": shapes.STR})
+# A hash that a cache's provenance.json lacks is refused by `_check_bound`.
+_CACHE_PROVENANCE = shapes.Object(optional=dict.fromkeys(("plan_sha256", "vocab_sha256", "registry_sha256"), shapes.STR))
 
 
 def cmd_run(args) -> int:
@@ -263,31 +257,31 @@ def cmd_run(args) -> int:
         def emit(doc):
             _atomic_write(emit_dir / f"{doc['query_id']}.json", json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
-    bundle = pipeline.load_bundle(
-        _require_file(paths["registry"], "registry"),
-        _require_file(paths["train"], "train dataset"),
-        _require_file(paths["test"], "test dataset"),
-        _require_file(paths["examples"], "example db"),
-        paths["vocab"] and _require_file(paths["vocab"], "vocabulary"),
-    )
-    plan = ClusterPlan.load(_require_file(paths["plan"], "plan"))
-    _check_plan_inputs(plan, paths["plan"], bundle, paths["train"], paths["vocab"])
-    store = _open_store(args.cache or os.environ.get(CACHE_DIR_ENV) or paths["cachedir"], paths["plan"], paths["vocab"])
+    registry_path = _require_file(paths["registry"], "registry")
+    train_path = _require_file(paths["train"], "train dataset")
+    examples_path = _require_file(paths["examples"], "example db")
+    vocab_path = _require_file(paths["vocab"], "vocabulary")
+    bundle = pipeline.load_bundle(registry_path, train_path, _require_file(paths["test"], "test dataset"), examples_path, vocab_path)
+    plan_path = _require_file(paths["plan"], "plan")
+    plan = ClusterPlan.load(plan_path)
+    registry = (registry_path, _sha256(registry_path))
+    vocab = (vocab_path, _sha256(vocab_path))
+    _check_bound(plan.provenance, f"plan {plan_path}", "build-plan", registry=registry,
+                 dataset=(train_path, bundle.train_sha256), examples=(examples_path, _sha256(examples_path)), vocab=vocab)
+    plan_sha256 = _sha256(plan_path)
+    cachedir = args.cache or os.environ.get(CACHE_DIR_ENV) or paths["cachedir"]
+    store = _open_store(cachedir, plan=(plan_path, plan_sha256), vocab=vocab, registry=registry)
 
     records = pipeline.run_queries(bundle, plan, store, settings, emit=emit)
     header = {
         "kind": "header",
         "provenance": {
             "config_sha256": _sha256(args.config),
-            "plan_sha256": _sha256(paths["plan"]),
+            "plan_sha256": plan_sha256,
             "settings": settings.__dict__,
         },
     }
-    existing = []
-    if out_path.exists() and args.append:
-        existing = [ln for ln in out_path.read_text().splitlines() if ln.strip()]
-    lines = existing + [json.dumps(header, sort_keys=True)]
-    lines += [json.dumps(r.to_dict(), sort_keys=True) for r in records]
+    lines = [json.dumps(header, sort_keys=True)] + [json.dumps(r.to_dict(), sort_keys=True) for r in records]
     _atomic_write(out_path, "\n".join(lines) + "\n")
     print(f"traced {len(records)} queries to {out_path}" + (f", one document per query in {args.emit}" if emit else ""))
     return 0
@@ -396,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full per-query pipeline over the test split")
     p.add_argument("--config", required=True)
     p.add_argument("--trace")
-    p.add_argument("--append", action="store_true")
     p.add_argument("--cache")
     p.add_argument("--tau", type=float)
     p.add_argument("--scorer")

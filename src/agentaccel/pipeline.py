@@ -31,6 +31,11 @@ from .tokenizer import EOS_ID, Tokenizer
 from .weaver import Weaver
 
 
+# The known values of the `scorer` and `model` run settings.
+SCORERS = ("cosine", "oracle")
+MODELS = ("scripted", "markov")
+
+
 @dataclass
 class CorpusBundle:
     """The loaded corpus.  The train split is kept as the bytes read and parsed on first use."""
@@ -52,12 +57,12 @@ class CorpusBundle:
         return corpus.load_dataset(self.train_path, self.registry, self.tokenizer, self.train_bytes)
 
     def make_rag(self, scorer_name: str) -> toolrag.ToolRag:
-        if scorer_name == "oracle":
-            scorer = toolrag.OracleToolScorer(self.registry, self.test, self.tokenizer, fallback=lambda: self.train)
-        elif scorer_name == "cosine":
-            scorer = toolrag.CosineToolScorer(self.registry, self.examples, self.embedder, self.tokenizer)
-        else:
+        if scorer_name not in SCORERS:
             raise ValueError(f"unknown scorer '{scorer_name}'")
+        if scorer_name == "oracle":
+            scorer = toolrag.OracleToolScorer(self.registry, self.test, self.tokenizer)
+        else:
+            scorer = toolrag.CosineToolScorer(self.registry, self.examples, self.embedder, self.tokenizer)
         return toolrag.ToolRag(self.registry, self.examples, self.embedder, scorer, self.tokenizer)
 
 
@@ -158,7 +163,7 @@ def run_queries(
     rag = bundle.make_rag(settings.scorer)
     weaver = Weaver(bundle.registry, bundle.tokenizer, plan, bundle.examples, rag)
     markov = _build_markov(bundle) if settings.model == "markov" else None
-    if settings.model not in ("scripted", "markov"):
+    if settings.model not in MODELS:
         raise ValueError(f"unknown reference model '{settings.model}'")
     arbiter_script = bundle.tokenizer.tokenize(ARBITER_VERDICT)
     # Draft tables of regions that open with a prompt part fixed for the

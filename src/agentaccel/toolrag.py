@@ -108,29 +108,15 @@ class OracleToolScorer:
     """Ground-truth passthrough scorer used for controlled experiments.
 
     A query is looked up in `samples`, the last of equal queries winning.
-    `fallback`, a callable returning more samples, is called on the first
-    query that `samples` misses; its samples are looked up after them.
     """
 
-    def __init__(self, registry: ToolRegistry, samples: list[QuerySample], tokenizer: Tokenizer, fallback=None):
+    def __init__(self, registry: ToolRegistry, samples: list[QuerySample], tokenizer: Tokenizer):
         self._all_tools = registry.tool_ids()
         self._tokenizer = tokenizer
-        self._truth = self._index(samples)
-        self._fallback = fallback
-
-    @staticmethod
-    def _index(samples) -> dict:
-        return {tuple(s.query_tokens): s.gt_tools for s in samples}
-
-    def _lookup(self, query: tuple[int, ...]) -> frozenset[str]:
-        fallback = self._fallback
-        if fallback is not None and query not in self._truth:
-            self._truth = {**self._index(fallback()), **self._truth}
-            self._fallback = None
-        return self._truth.get(query, frozenset())
+        self._truth = {tuple(s.query_tokens): s.gt_tools for s in samples}
 
     def score(self, query_tokens) -> dict[str, float]:
-        truth = self._lookup(tuple(query_tokens))
+        truth = self._truth.get(tuple(query_tokens), frozenset())
         return {t: (1.0 if t in truth else 0.0) for t in self._all_tools}
 
 

@@ -62,12 +62,16 @@ FEWSHOT_REGION_KINDS = frozenset(
 )
 
 
+# The known values of the `extract` run setting.
+EXTRACT_MODES = ("fewshot", "all")
+
+
 def region_tokens(segments, mode: str = "fewshot") -> list[int]:
     """Token stream of `(kind, tokens)` segments the draft lookup table is built from.
 
     `all` takes the whole prompt; `fewshot` the segments in FEWSHOT_REGION_KINDS.
     """
-    if mode not in ("fewshot", "all"):
+    if mode not in EXTRACT_MODES:
         raise ValueError(f"unknown extraction mode '{mode}'")
     return list(chain.from_iterable(toks for kind, toks in segments if mode == "all" or kind in FEWSHOT_REGION_KINDS))
 

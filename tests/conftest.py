@@ -1,5 +1,8 @@
 """Shared corpus fixtures; session-scoped because generation is deterministic."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from agentaccel import corpus, fixtures, pipeline
@@ -72,8 +75,10 @@ def populated_store(tmp_path_factory, weaver, desk_geometry):
 
 @pytest.fixture()
 def precompute_cache_argv(tmp_path, fixture_paths, plan):
-    """`precompute-cache` of the fixture plan into `tmp_path / "cache"`."""
-    (tmp_path / "plan.json").write_text(plan.to_json() + "\n")
+    """`precompute-cache` of the fixture plan, bound to the fixture registry and vocabulary, into `tmp_path / "cache"`."""
+    hashes = {f"{name}_sha256": hashlib.sha256(fixture_paths[name].read_bytes()).hexdigest() for name in ("registry", "vocab")}
+    bound = dataclasses.replace(plan, provenance={**plan.provenance, **hashes})
+    (tmp_path / "plan.json").write_text(bound.to_json() + "\n")
     return [
         "precompute-cache",
         "--plan", str(tmp_path / "plan.json"),

@@ -1,5 +1,6 @@
-"""The benchmark traces the program by wrapping named public calls; each must still exist."""
+"""The benchmark traces and checks the program by wrapping named public calls; each must still exist and behave."""
 
+import sys
 import types
 from pathlib import Path
 
@@ -9,18 +10,19 @@ from agentaccel import pipeline
 from agentaccel.cli import main
 from agentaccel.kvstore import KVStore
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _load_spans() -> types.ModuleType:
+def _load(name: str) -> types.ModuleType:
     # Compiled from source so that nothing is written next to the benchmark.
-    module = types.ModuleType("bench_spans")
-    exec(compile(SPANS.read_text(), str(SPANS), "exec"), module.__dict__)
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
 def test_every_traced_call_resolves():
-    targets = _load_spans().targets()
+    targets = _load("spans").targets()
     assert targets
     missing = [name for owner, attr, name in targets if not callable(getattr(owner, attr, None))]
     assert missing == []
@@ -29,7 +31,7 @@ def test_every_traced_call_resolves():
 def test_precompute_counters_match_the_store(precompute_cache_argv, tmp_path):
     # `kvstore.bytes_written` sums the entries `precompute` returns: one per
     # distinct prefix of each tag group.
-    tracer = _load_spans().Tracer()
+    tracer = _load("spans").Tracer()
     with tracer.installed():
         assert main(precompute_cache_argv) == 0
     store = KVStore(tmp_path / "cache")
@@ -42,8 +44,37 @@ def test_run_queries_builds_two_luts_per_query(bundle, plan, populated_store, ex
     # `exspec.luts` and `exspec.lut_entries.mean` count `exspec.build_lut`
     # calls: one planner and one arbiter table per query, shared heads
     # included.
-    tracer = _load_spans().Tracer()
+    tracer = _load("spans").Tracer()
     with tracer.installed():
         records = pipeline.run_queries(bundle, plan, populated_store, pipeline.RunSettings(extract=extract))
     assert len(records) == len(bundle.test)
     assert tracer.counts["exspec.luts"] == 2 * len(bundle.test)
+
+
+@pytest.fixture(scope="module")
+def fx(tmp_path_factory):
+    """The fixture corpus with its plan and cache, made through the CLI as the benchmark makes them."""
+    fx = tmp_path_factory.mktemp("checked")
+    steps = [
+        ["fixtures", "--out", fx],
+        ["build-plan", "--dataset", fx / "train.jsonl", "--registry", fx / "registry.json",
+         "--examples", fx / "examples.jsonl", "--vocab", fx / "vocab.json", "--out", fx / "plan.json"],
+        ["precompute-cache", "--plan", fx / "plan.json", "--registry", fx / "registry.json",
+         "--vocab", fx / "vocab.json", "--out", fx / "cache"],
+    ]
+    for argv in steps:
+        assert main([str(a) for a in argv]) == 0
+    return fx
+
+
+@pytest.mark.parametrize("model", ["scripted", "markov"])
+def test_output_checker_passes_every_query_of_a_run(fx, monkeypatch, model):
+    # The benchmark's output checks rely on `settings.jobs`, the `store=`
+    # keyword of the prompt calls and the planner decoding before the arbiter.
+    monkeypatch.setitem(sys.modules, "spans", _load("spans"))
+    checker = _load("verify").Checker()
+    with checker.installed():
+        assert main(["run", "--config", str(fx / "run.json"), "--model", model, "--trace", str(fx / f"{model}.jsonl")]) == 0
+    assert checker.queries == 60
+    assert checker.failed == set()
+    assert checker._served  # served cache entries had their blobs checked

@@ -317,6 +317,42 @@ def test_run_refuses_a_train_file_the_plan_was_not_built_from(workdir, tmp_path,
     assert not (tmp_path / "t.jsonl").exists()
 
 
+def _other_registry(workdir, tmp_path) -> Path:
+    """The fixture registry with two words of one tool description swapped: valid, but not the plan's."""
+    doc = json.loads((workdir / "registry.json").read_text())
+    words = doc["tools"][0]["description"].split(" ")
+    words[0], words[1] = words[1], words[0]
+    doc["tools"][0]["description"] = " ".join(words)
+    path = tmp_path / "other_registry.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _other_examples(workdir, tmp_path) -> Path:
+    """The fixture example db without its first example: valid, but not the plan's."""
+    path = tmp_path / "other_examples.jsonl"
+    path.write_text("".join((workdir / "examples.jsonl").read_text().splitlines(keepends=True)[1:]))
+    return path
+
+
+@pytest.mark.parametrize("key, other", [("registry", _other_registry), ("examples", _other_examples)], ids=["registry", "examples"])
+def test_run_refuses_an_input_the_plan_was_not_built_from(workdir, tmp_path, capsys, key, other):
+    # A plan's clusters and cached combinations are made from its registry
+    # and example db; under others the woven prefixes match no cache entry.
+    path = other(workdir, tmp_path)
+    message = _assert_single_error(_run_config(tmp_path, _absolute_config(workdir, tmp_path, **{key: str(path)})), capsys)
+    assert str(path) in message and "build-plan" in message
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_precompute_cache_refuses_a_registry_other_than_the_plans(workdir, tmp_path, capsys):
+    path = _other_registry(workdir, tmp_path)
+    argv = ["--plan", str(workdir / "plan.json"), "--registry", str(path), "--vocab", str(workdir / "vocab.json")]
+    message = _assert_single_error(run_cli("precompute-cache", *argv, "--geometry", "desk", "--out", str(tmp_path / "cache")), capsys)
+    assert str(path) in message and "build-plan" in message
+    assert not (tmp_path / "cache").exists()
+
+
 def test_run_refuses_a_plan_without_a_dataset_hash(workdir, tmp_path, capsys):
     plan_doc = json.loads((workdir / "plan.json").read_text())
     del plan_doc["provenance"]["dataset_sha256"]
@@ -360,7 +396,7 @@ def test_run_refuses_a_vocabulary_the_plan_was_not_built_from(workdir, tmp_path,
     if given == "none":
         del cfg["paths"]["vocab"]
     message = _assert_single_error(_run_config(tmp_path, cfg), capsys)
-    assert "vocabulary" in message and "plan" in message
+    assert "vocabulary" in message and (given == "none" or "plan" in message)
     assert not (tmp_path / "t.jsonl").exists()
 
 
@@ -381,13 +417,16 @@ def _precompute(workdir, tmp_path, plan, vocab) -> Path:
 
 
 def _cache_of(case, workdir, tmp_path) -> Path:
-    """A cache that does not belong to the workdir's plan and vocabulary."""
-    if case == "other_vocabulary":
-        # precompute-cache refuses a vocabulary other than the plan's, so
-        # the store's provenance is edited to name one.
+    """A cache that does not belong to the workdir's plan, vocabulary and registry."""
+    if case in ("other_vocabulary", "other_registry"):
+        # precompute-cache refuses a vocabulary or registry other than the
+        # plan's, so the store's provenance is edited to name one.
         cache = _precompute(workdir, tmp_path, workdir / "plan.json", workdir / "vocab.json")
         provenance = json.loads((cache / "provenance.json").read_text())
-        provenance["vocab_sha256"] = hashlib.sha256(_other_vocab(workdir, tmp_path).read_bytes()).hexdigest()
+        if case == "other_vocabulary":
+            provenance["vocab_sha256"] = hashlib.sha256(_other_vocab(workdir, tmp_path).read_bytes()).hexdigest()
+        else:
+            provenance["registry_sha256"] = hashlib.sha256(_other_registry(workdir, tmp_path).read_bytes()).hexdigest()
         (cache / "provenance.json").write_text(json.dumps(provenance))
         return cache
     if case == "other_plan":
@@ -401,7 +440,7 @@ def _cache_of(case, workdir, tmp_path) -> Path:
 
 
 @pytest.mark.parametrize("case, message", [
-    ("other_vocabulary", "vocabulary"), ("other_plan", "plan"), ("no_provenance", "provenance.json"),
+    ("other_vocabulary", "vocabulary"), ("other_plan", "plan"), ("no_provenance", "provenance.json"), ("other_registry", "registry"),
 ])
 @pytest.mark.parametrize("command", ["run", "emit"])
 def test_cache_of_another_plan_or_vocabulary_is_refused(workdir, tmp_path, capsys, case, message, command):
@@ -628,14 +667,6 @@ def test_run_jobs_parallel_matches_serial(workdir, tmp_path):
     assert records(serial) == records(parallel)
 
 
-def test_run_append_keeps_prior_records(workdir, tmp_path):
-    trace = tmp_path / "t.jsonl"
-    assert run_cli("run", "--config", str(workdir / "run.json"), "--trace", str(trace)) == 0
-    first = len(trace.read_text().splitlines())
-    assert run_cli("run", "--config", str(workdir / "run.json"), "--trace", str(trace), "--append") == 0
-    assert len(trace.read_text().splitlines()) == 2 * first
-
-
 def test_simulate_accepts_measured_and_file_tax(workdir, tmp_path):
     trace = workdir / "trace.jsonl"
     if not trace.exists():
@@ -742,19 +773,17 @@ def test_json_syntax_error_names_the_file(workdir, tmp_path, capsys, name):
 def test_precompute_cache_refuses_a_vocabulary_other_than_the_plans(workdir, tmp_path, capsys, recorded):
     plan = workdir / "plan.json"
     if not recorded:
-        # A plan that records no vocabulary precomputes under any.
+        # A plan that records no vocabulary is bound to none, and refused.
         doc = json.loads(plan.read_text())
         del doc["provenance"]["vocab_sha256"]
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps(doc))
     argv = ["--plan", str(plan), "--registry", str(workdir / "registry.json"), "--vocab", str(_other_vocab(workdir, tmp_path))]
     rc = run_cli("precompute-cache", *argv, "--geometry", "desk", "--out", str(tmp_path / "cache"))
-    if recorded:
-        message = _assert_single_error(rc, capsys)
-        assert "vocabulary" in message and "plan" in message
-        assert not (tmp_path / "cache").exists()
-    else:
-        assert rc == 0
+    message = _assert_single_error(rc, capsys)
+    assert str(plan) in message and "build-plan" in message
+    assert ("vocabulary" if recorded else "vocab_sha256") in message
+    assert not (tmp_path / "cache").exists()
 
 
 def _report_doc() -> dict:

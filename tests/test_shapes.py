@@ -204,7 +204,7 @@ def loaders(fx) -> dict[str, "Loader"]:
         Loader("manifest geometry", "cache/manifest.json", doc("cache/manifest.json"), kvstore._GEOMETRY,
                lambda p: KVStore(p.parent), StoreError, lambda p: run(cachedir=p.parent), root=("geometry",)),
         Loader("cache provenance", "cache/provenance.json", doc("cache/provenance.json"), cli._CACHE_PROVENANCE,
-               lambda p: cli._open_store(p.parent, fx / "plan.json", fx / "vocab.json"), cli.CliError, lambda p: run(cachedir=p.parent)),
+               lambda p: cli._open_store(p.parent), cli.CliError, lambda p: run(cachedir=p.parent)),
         Loader("trace record", "trace.jsonl", trace, simulator._RECORD, simulator.load_trace, simulator.TraceError,
                lambda p: ["simulate", "--trace", p, "--out", fx / "scratch" / "report.json"]),
         Loader("trace role", "trace.jsonl", trace, simulator._ROLE, simulator.load_trace, simulator.TraceError,

@@ -5,7 +5,7 @@ import pytest
 
 from agentaccel import corpus
 from agentaccel.tokenizer import Tokenizer
-from agentaccel.toolrag import OracleToolScorer, TfidfEmbedder, ToolRag, cosine
+from agentaccel.toolrag import TfidfEmbedder, ToolRag, cosine
 
 
 class FixedScorer:
@@ -36,35 +36,6 @@ def test_tau_zero_selects_everything(bundle):
 def test_oracle_scorer_returns_exactly_gt(bundle, oracle_rag):
     for sample in bundle.test:
         assert oracle_rag.retrieve_tools(sample.query_tokens, 0.5) == set(sample.gt_tools)
-
-
-def test_oracle_scorer_calls_its_fallback_only_on_a_miss(bundle):
-    calls = []
-
-    def fallback():
-        calls.append(1)
-        return bundle.train
-
-    scorer = OracleToolScorer(bundle.registry, bundle.test, bundle.tokenizer, fallback=fallback)
-    for sample in bundle.test:
-        scorer.score(sample.query_tokens)
-    assert calls == []
-
-    test_queries = {s.query_tokens for s in bundle.test}
-    train_only = next(s for s in bundle.train if s.query_tokens not in test_queries)
-    for _ in range(2):
-        scores = scorer.score(train_only.query_tokens)
-        assert {t for t, v in scores.items() if v == 1.0} == set(train_only.gt_tools)
-    assert calls == [1]
-
-
-def test_oracle_scorer_prefers_its_samples_to_the_fallback(bundle):
-    sample = bundle.test[0]
-    other_tools = frozenset(bundle.registry.tool_ids()) - sample.gt_tools
-    shadowed = corpus.QuerySample(sample.query_text, sample.query_tokens, other_tools, sample.gt_plan)
-    scorer = OracleToolScorer(bundle.registry, [sample], bundle.tokenizer, fallback=lambda: [shadowed])
-    scores = scorer.score(sample.query_tokens)
-    assert {t for t, v in scores.items() if v == 1.0} == set(sample.gt_tools)
 
 
 def test_embedder_deterministic_and_self_similar(bundle):
