@@ -330,7 +330,7 @@ def cmd_simulate(args) -> int:
 
 # A document `simulate` could have written.
 _STAGE_NUMBERS = shapes.Object(dict.fromkeys(simulator.STAGES, shapes.NUMBER))
-_CELL = shapes.Object({"seconds": _STAGE_NUMBERS, "fractions": _STAGE_NUMBERS, "total": shapes.NUMBER})
+_CELL = shapes.Object({"seconds": _STAGE_NUMBERS, "fractions": _STAGE_NUMBERS, "total": shapes.NUMBER, "ssd_load_hidden": shapes.NUMBER})
 _SPEEDUPS = shapes.Check(
     shapes.Object(dict.fromkeys(simulator.CELLS[1:], shapes.NUMBER)),
     lambda speedups: len(speedups) == len(simulator.CELLS[1:]),

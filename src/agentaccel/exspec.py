@@ -276,6 +276,7 @@ class DecodeStats:
     draft_len: int = DEFAULT_DRAFT_LEN
     lut_size: int = 0
     backup_rounds: int = 0  # drafting rounds whose first token came from the backup table
+    truncated: int = 0  # 1 if the decode stopped at max_tokens without reaching EOS
 
     @property
     def accuracy(self) -> float:
@@ -295,6 +296,7 @@ class DecodeStats:
             "accuracy": self.accuracy,
             "lut_size": self.lut_size,
             "backup_rounds": self.backup_rounds,
+            "truncated": self.truncated,
         }
 
 
@@ -363,5 +365,7 @@ def decode(
             context.append(tok)
             if len(out) >= max_tokens:
                 break
+    # Each EOS ends the loop before `out` reaches the limit.
+    stats.truncated = int(len(out) == max_tokens)
     stats.output_tokens = len(out)
     return out, stats

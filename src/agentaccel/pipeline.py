@@ -60,7 +60,7 @@ class CorpusBundle:
         if scorer_name not in SCORERS:
             raise ValueError(f"unknown scorer '{scorer_name}'")
         if scorer_name == "oracle":
-            scorer = toolrag.OracleToolScorer(self.registry, self.test, self.tokenizer)
+            scorer = toolrag.OracleToolScorer(self.registry, self.test)
         else:
             scorer = toolrag.CosineToolScorer(self.registry, self.examples, self.embedder, self.tokenizer)
         return toolrag.ToolRag(self.registry, self.examples, self.embedder, scorer, self.tokenizer)
@@ -203,6 +203,7 @@ def run_queries(
             baseline_uncacheable=bp.uncacheable_tokens,
             weaver_total=wp.total_tokens,
             weaver_uncacheable=wp.uncacheable_tokens,
+            weaver_static=wp.static_tokens,
             output_tokens=len(planner_out),
             decode=planner_stats.to_dict(),
         )
@@ -213,6 +214,7 @@ def run_queries(
             baseline_uncacheable=ap.total_tokens,
             weaver_total=ap.total_tokens,
             weaver_uncacheable=ap.uncacheable_tokens,
+            weaver_static=ap.static_tokens,
             output_tokens=len(arbiter_out),
             decode=arbiter_stats.to_dict(),
         )

@@ -4,8 +4,18 @@ Stage model, per query:
   prefill   compute-bound:  2 * params * uncached_tokens / (TOPS * utilization)
   decode    bandwidth-bound: params_bytes / mem_bw per token; a k-token
             verification pass costs that times tax_curve(k)
-  ssd_load  reused-prefix bytes / ssd bandwidth
+  ssd_load  the exposed part of reading reused-prefix bytes at ssd bandwidth
   others    constant-time tool retrieval and tool execution
+
+A served prefix is loaded in two parts.  Its query-independent head (the
+planner's static head, the arbiter's guidelines: `weaver_static` tokens of
+the trace) can be read as soon as the query arrives, while work that must
+happen anyway runs: ToolRAG for the planner, the tool calls for the arbiter.
+The rest (the combination tail) depends on what was retrieved and is read
+after that work.  So a role's `ssd_load` is
+`max(0, load(static) - overlapped stage) + load(rest)`, and each cell
+records the hidden remainder as `ssd_load_hidden`, outside `total`; the
+serial figure is `ssd_load + ssd_load_hidden`.
 
 Replaying a trace produces one latency breakdown per optimization cell
 (baseline, prompt reconstruction, speculative decode, both) from the same
@@ -202,7 +212,7 @@ def specdec_speedup(
 
 # The counts of a `DecodeStats.to_dict()` that `decode_seconds` reads.
 _DECODE = shapes.Object({"rounds": shapes.COUNT, "fallbacks": shapes.COUNT, "draft_len": shapes.COUNT})
-_ROLE_FIELDS = ("baseline_total", "baseline_uncacheable", "weaver_total", "weaver_uncacheable", "output_tokens")
+_ROLE_FIELDS = ("baseline_total", "baseline_uncacheable", "weaver_total", "weaver_uncacheable", "weaver_static", "output_tokens")
 _ROLE = shapes.Object({**dict.fromkeys(_ROLE_FIELDS, shapes.COUNT), "decode": _DECODE})
 # Each role is checked by `RoleTrace.from_dict`, so that an error names it.
 _RECORD = shapes.Object({"query_id": shapes.STR, "tool_count": shapes.COUNT, "planner": shapes.OBJECT, "arbiter": shapes.OBJECT})
@@ -216,6 +226,7 @@ class RoleTrace:
     baseline_uncacheable: int
     weaver_total: int
     weaver_uncacheable: int
+    weaver_static: int  # served tokens of the run-wide head, whose load can overlap ToolRAG or the tool calls
     output_tokens: int
     decode: dict = field(default_factory=dict)
 
@@ -225,7 +236,14 @@ class RoleTrace:
         role = cls(**{k: doc[k] for k in _ROLE_FIELDS}, decode=dict(doc["decode"]))
         if role.baseline_uncacheable > role.baseline_total or role.weaver_uncacheable > role.weaver_total:
             raise TraceError(f"{where}: uncacheable tokens exceed prompt total")
+        if role.weaver_static > role.loaded_tokens:
+            raise TraceError(f"{where}: weaver_static exceeds the loaded tokens (weaver_total - weaver_uncacheable)")
         return role
+
+    @property
+    def loaded_tokens(self) -> int:
+        """Tokens of the reconstructed prompt served from the cache."""
+        return self.weaver_total - self.weaver_uncacheable
 
     def to_dict(self) -> dict:
         return {
@@ -233,6 +251,7 @@ class RoleTrace:
             "baseline_uncacheable": self.baseline_uncacheable,
             "weaver_total": self.weaver_total,
             "weaver_uncacheable": self.weaver_uncacheable,
+            "weaver_static": self.weaver_static,
             "output_tokens": self.output_tokens,
             "decode": self.decode,
         }
@@ -287,10 +306,16 @@ class SimConfig:
     tool_seconds: float = DEFAULT_TOOL_SECONDS
     toolrag_seconds: float = DEFAULT_TOOLRAG_SECONDS
 
+    def __post_init__(self):
+        # A negative stage would also hide more load than was read.
+        if not (self.tool_seconds >= 0 and self.toolrag_seconds >= 0):
+            raise ValueError("tool_seconds and toolrag_seconds must be non-negative")
+
 
 @dataclass
 class LatencyBreakdown:
     seconds: dict[str, float]
+    ssd_load_hidden: float = 0.0  # load seconds overlapped with other stages, not in `total`
 
     def __post_init__(self):
         for stage in STAGES:
@@ -315,6 +340,7 @@ class LatencyBreakdown:
             "seconds": {s: self.seconds[s] for s in STAGES},
             "total": self.total,
             "fractions": self.fractions,
+            "ssd_load_hidden": self.ssd_load_hidden,
         }
 
 
@@ -334,13 +360,30 @@ def decode_seconds(stats: dict, step_seconds: float, tax: TaxCurve) -> float:
     return drafting_rounds * (step_seconds * tax(draft_len + 1)) + fallbacks * step_seconds
 
 
+def load_seconds(role: RoleTrace, overlapped: float, config: SimConfig) -> tuple[float, float]:
+    """Exposed and hidden seconds of loading a role's served prefix.
+
+    Its `weaver_static` head is read while the `overlapped` seconds of other
+    work run; the rest is read after them.  Exposed is
+    `max(0, load(static) - overlapped) + load(rest)`; hidden is what the
+    overlap saved.
+    """
+    def load(tokens: int) -> float:
+        return ssd_load_latency(kv_size(tokens, config.geometry), config.device)
+
+    static = load(role.weaver_static)
+    hidden = min(static, overlapped)
+    return static - hidden + load(role.loaded_tokens - role.weaver_static), hidden
+
+
 def _cell_breakdown(records: list[TraceRecord], config: SimConfig, reconstructed: bool, speculative: bool) -> LatencyBreakdown:
     bd = LatencyBreakdown(seconds={})
     t1 = decode_token_latency(config.geometry, config.device)
     for rec in records:
+        tool_exec = rec.tool_count * config.tool_seconds
         bd.add("toolrag", config.toolrag_seconds)
-        bd.add("tool_exec", rec.tool_count * config.tool_seconds)
-        for role, prefix in ((rec.planner, "planner"), (rec.arbiter, "arbiter")):
+        bd.add("tool_exec", tool_exec)
+        for role, prefix, overlapped in ((rec.planner, "planner", config.toolrag_seconds), (rec.arbiter, "arbiter", tool_exec)):
             uncached = role.weaver_uncacheable if reconstructed else role.baseline_uncacheable
             bd.add(f"{prefix}_prefill", prefill_latency(uncached, config.geometry, config.device))
             if speculative:
@@ -348,8 +391,9 @@ def _cell_breakdown(records: list[TraceRecord], config: SimConfig, reconstructed
             else:
                 bd.add(f"{prefix}_decode", role.output_tokens * t1)
             if reconstructed:
-                loaded_tokens = role.weaver_total - role.weaver_uncacheable
-                bd.add("ssd_load", ssd_load_latency(kv_size(loaded_tokens, config.geometry), config.device))
+                exposed, hidden = load_seconds(role, overlapped, config)
+                bd.add("ssd_load", exposed)
+                bd.ssd_load_hidden += hidden
     return bd
 
 
@@ -371,7 +415,9 @@ class PipelineReport:
 def report_csv(doc: dict) -> str:
     """CSV rendering of a report dict, as built by `PipelineReport.to_dict`.
 
-    Speedups are listed by name, the order of the saved (sort_keys) report.
+    Each cell's `ssd_load_hidden` follows its total, with no fraction: it is
+    not part of the total.  Speedups are listed by name, the order of the
+    saved (sort_keys) report.
     """
     lines = ["cell,stage,seconds,fraction"]
     for name in CELLS:
@@ -379,6 +425,7 @@ def report_csv(doc: dict) -> str:
         for stage in STAGES:
             lines.append(f"{name},{stage},{cell['seconds'][stage]:.9g},{cell['fractions'][stage]:.9g}")
         lines.append(f"{name},total,{cell['total']:.9g},1")
+        lines.append(f"{name},ssd_load_hidden,{cell['ssd_load_hidden']:.9g},")
     for name, value in sorted(doc["speedups"].items()):
         lines.append(f"{name},speedup,{value:.9g},")
     return "\n".join(lines) + "\n"
@@ -479,6 +526,9 @@ def calibration_trace() -> list[TraceRecord]:
             "baseline_uncacheable": 1711,
             "weaver_total": 3790,
             "weaver_uncacheable": 519,
+            # The reference profile reports one load per role and does not
+            # split off its query-independent part, so both loads stay serial.
+            "weaver_static": 0,
             "output_tokens": 113,
             "decode": {
                 "rounds": 65,
@@ -495,6 +545,7 @@ def calibration_trace() -> list[TraceRecord]:
             "baseline_uncacheable": 790,
             "weaver_total": 790,
             "weaver_uncacheable": 88,
+            "weaver_static": 0,
             "output_tokens": 147,
             "decode": {
                 "rounds": 91,

@@ -110,9 +110,8 @@ class OracleToolScorer:
     A query is looked up in `samples`, the last of equal queries winning.
     """
 
-    def __init__(self, registry: ToolRegistry, samples: list[QuerySample], tokenizer: Tokenizer):
+    def __init__(self, registry: ToolRegistry, samples: list[QuerySample]):
         self._all_tools = registry.tool_ids()
-        self._tokenizer = tokenizer
         self._truth = {tuple(s.query_tokens): s.gt_tools for s in samples}
 
     def score(self, query_tokens) -> dict[str, float]:

@@ -173,6 +173,7 @@ class ReconstructedPrompt:
     tokens: list[int]
     cache_entry: CacheEntry | None
     match_len: int
+    head_len: int  # length of the run-wide head the prompt opens with
     stats: dict = field(default_factory=dict)
 
     @property
@@ -187,6 +188,11 @@ class ReconstructedPrompt:
     def uncacheable_tokens(self) -> int:
         return self.total_tokens - self.match_len
 
+    @property
+    def static_tokens(self) -> int:
+        """Served tokens inside the run-wide head: their KV does not depend on the query."""
+        return min(self.match_len, self.head_len)
+
     def extraction_region(self, mode: str = "fewshot") -> list[int]:
         """Token stream the draft lookup table is built from."""
         return region_tokens(self.segments, mode)
@@ -197,6 +203,7 @@ class ReconstructedPrompt:
             "total_tokens": self.total_tokens,
             "cacheable_tokens": self.cacheable_tokens,
             "uncacheable_tokens": self.uncacheable_tokens,
+            "static_tokens": self.static_tokens,
             "stats": self.stats,
         }
 
@@ -298,14 +305,19 @@ class Weaver:
     # ---- prompt builders ----------------------------------------------------
 
     @staticmethod
-    def _prompt(segments, store: KVStore | None, stats: dict, unstored_match_len: int = 0) -> ReconstructedPrompt:
-        """Flatten `segments` once and match them against `store` (without one, `unstored_match_len` is cacheable)."""
+    def _prompt(segments, store: KVStore | None, stats: dict, head_len: int, unstored_match_len: int = 0) -> ReconstructedPrompt:
+        """Flatten `segments` once and match them against `store` (without one, `unstored_match_len` is cacheable).
+
+        The first `head_len` tokens are the prompt's head, the same for every query of a run.
+        """
         tokens = region_tokens(segments, "all")
         if store is None:
             entry, match_len = None, unstored_match_len
         else:
             entry, match_len = store.longest_cached_prefix(tokens)
-        return ReconstructedPrompt(segments=segments, tokens=tokens, cache_entry=entry, match_len=match_len, stats=stats)
+        return ReconstructedPrompt(
+            segments=segments, tokens=tokens, cache_entry=entry, match_len=match_len, head_len=head_len, stats=stats
+        )
 
     def planner_prompt(
         self,
@@ -359,7 +371,7 @@ class Weaver:
             "duplicate_single_tool_examples": duplicate_singles,
             "degenerate_empty_retrieval": not retrieved,
         }
-        return self._prompt(segments, store, stats)
+        return self._prompt(segments, store, stats, head_len=len(self._system) + len(self._descriptions))
 
     def baseline_prompt(
         self,
@@ -398,7 +410,8 @@ class Weaver:
             "first_dynamic_token_index": len(self._baseline_header),
             "degenerate_empty_retrieval": not retrieved,
         }
-        return self._prompt(segments, store, stats, unstored_match_len=len(self._baseline_header))
+        head_len = len(self._baseline_header)
+        return self._prompt(segments, store, stats, head_len=head_len, unstored_match_len=head_len)
 
     def arbiter_prompt(self, observation_tokens, variant: str = "a", store: KVStore | None = None) -> ReconstructedPrompt:
         """Static variant prefix followed by the call-observation pairs."""
@@ -408,4 +421,4 @@ class Weaver:
             (SEG_DECISION_GUIDELINES, self._arbiter[variant]),
             (SEG_CALL_OBSERVATIONS, tuple(observation_tokens)),
         )
-        return self._prompt(segments, store, {"variant": variant})
+        return self._prompt(segments, store, {"variant": variant}, head_len=len(self._arbiter[variant]))

@@ -1,5 +1,6 @@
 """The benchmark traces and checks the program by wrapping named public calls; each must still exist and behave."""
 
+import json
 import sys
 import types
 from pathlib import Path
@@ -78,3 +79,21 @@ def test_output_checker_passes_every_query_of_a_run(fx, monkeypatch, model):
     assert checker.queries == 60
     assert checker.failed == set()
     assert checker._served  # served cache entries had their blobs checked
+
+
+def test_simulate_writes_the_report_keys_the_benchmark_reads(fx, tmp_path):
+    # `bench/run.py` reads its modeled metrics from these four keys of the
+    # report, and divides the `pw_es` total by the query count.
+    trace, out = tmp_path / "trace.jsonl", tmp_path / "report.json"
+    assert main(["run", "--config", str(fx / "run.json"), "--trace", str(trace)]) == 0
+    argv = ["simulate", "--trace", trace, "--device", "m4-pro", "--geometry", "7b-class", "--tax", "ideal",
+            "--tool-seconds", 0.4, "--toolrag-seconds", 0.66, "--out", out]
+    assert main([str(a) for a in argv]) == 0
+    report = json.loads(out.read_text())
+    cells, speedups = report["cells"], report["speedups"]
+    for name in ("pw", "es", "pw_es"):
+        assert speedups[name] == cells["baseline"]["total"] / cells[name]["total"] > 1.0
+    pw_es = cells["pw_es"]
+    # `total` is the sum of the stages; the load hidden behind other stages is not in it.
+    assert pw_es["total"] == pytest.approx(sum(pw_es["seconds"].values()), rel=1e-12)
+    assert pw_es["ssd_load_hidden"] > pw_es["seconds"]["ssd_load"] > 0

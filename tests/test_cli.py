@@ -123,6 +123,9 @@ def test_simulate_and_report(workdir, tmp_path, capsys):
     lines = csv_out.read_text().splitlines()
     assert lines[0] == "cell,stage,seconds,fraction"
     assert any(line.startswith("pw_es,speedup,") for line in lines)
+    hidden = {line.split(",")[0]: float(line.split(",")[2]) for line in lines if ",ssd_load_hidden," in line}
+    assert hidden == pytest.approx({name: doc["cells"][name]["ssd_load_hidden"] for name in simulator.CELLS})
+    assert hidden["pw_es"] > 0 and hidden["baseline"] == 0
 
 
 def test_report_csv_equals_to_csv(workdir, tmp_path, capsys):
@@ -547,6 +550,18 @@ def test_run_emit_documents_agree_with_the_trace(workdir, tmp_path, model):
             assert decode["matches_autoregressive"] is True
 
 
+def test_emitted_static_tokens_equal_the_traces_weaver_static(workdir, tmp_path, weaver):
+    records, docs = _emitted(workdir, tmp_path)
+    head = len(weaver.static_planner_prefix())
+    for record in records:
+        prompts = docs[record["query_id"]]["prompts"]
+        planner = prompts["planner"]
+        assert sum(len(seg["tokens"]) for seg in planner["segments"][:2]) == head  # system text, tool descriptions
+        assert planner["static_tokens"] == record["planner"]["weaver_static"] == min(planner["cacheable_tokens"], head)
+        assert prompts["arbiter"]["static_tokens"] == record["arbiter"]["weaver_static"]
+        assert record["planner"]["weaver_static"] > 0 and record["arbiter"]["weaver_static"] > 0
+
+
 @pytest.mark.parametrize("extract", ["fewshot", "all"])
 def test_decode_stats_use_the_extraction_region(workdir, tmp_path, extract):
     """Each emitted decode drafted from the table of its prompt's extraction region."""
@@ -613,6 +628,32 @@ def test_trace_record_of_wrong_shape_fails_cleanly(tmp_path, capsys, role, field
     trace.write_text(json.dumps(doc) + "\n")
     rc = run_cli("simulate", "--trace", str(trace), "--out", str(tmp_path / "r.json"))
     _assert_single_error(rc, capsys)
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("role", ["planner", "arbiter"])
+@pytest.mark.parametrize("excess", [None, 1])
+def test_trace_without_or_beyond_its_static_head_fails_cleanly(tmp_path, capsys, role, excess):
+    # A trace of the earlier format, without `weaver_static`, or one claiming
+    # more query-independent tokens than were loaded.
+    doc = simulator.calibration_trace()[0].to_dict()
+    if excess is None:
+        del doc[role]["weaver_static"]
+    else:
+        doc[role]["weaver_static"] = doc[role]["weaver_total"] - doc[role]["weaver_uncacheable"] + excess
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps(doc) + "\n")
+    rc = run_cli("simulate", "--trace", str(trace), "--out", str(tmp_path / "r.json"))
+    message = _assert_single_error(rc, capsys)
+    assert role in message and "weaver_static" in message
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--tool-seconds", "--toolrag-seconds"])
+@pytest.mark.parametrize("value", ["-0.5", "nan"])
+def test_simulate_refuses_a_negative_stage(tmp_path, capsys, flag, value):
+    rc = run_cli("simulate", "--trace", str(_calibration_trace_file(tmp_path)), flag, value, "--out", str(tmp_path / "r.json"))
+    assert "non-negative" in _assert_single_error(rc, capsys)
     assert not (tmp_path / "r.json").exists()
 
 

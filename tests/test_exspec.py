@@ -355,6 +355,17 @@ class TestDecode:
             out, _ = decode(model, prompt, lut, 4, True, cap)
             assert out == greedy_decode(model, prompt, cap)
 
+    def test_truncated_counts_only_a_decode_cut_at_max_tokens(self):
+        model, prompt, lut, script = _verbatim_setup()
+        assert decode(model, prompt, lut, 4, True, 50)[1].truncated == 0  # the script ends in EOS first
+        assert decode(model, prompt, lut, 4, True, len(script) - 1)[1].truncated == 1
+        # A chain trained on one repeated phrase never reaches EOS from inside it.
+        chain = train_markov([[1, 2, 3] * 4], order=2)
+        out, stats = decode(chain, [1, 2], build_lut([1, 2, 3, 1, 2, 3], 3), 4, True, 12)
+        assert out == greedy_decode(chain, [1, 2], 12) and len(out) == 12
+        assert stats.truncated == 1
+        assert stats.to_dict()["truncated"] == 1
+
     def test_empty_lut_behaves(self):
         model = ScriptedModel((1,), (5, 6))
         lut = build_lut([], n=3)
@@ -415,6 +426,7 @@ class TestBackupTable:
         out, stats = decode(model, prompt, build_lut(region, n), n_draft, selective, max_tokens, backup=backup)
         assert out == greedy_decode(model, prompt, max_tokens)
         assert 0 <= stats.backup_rounds <= stats.rounds - stats.fallbacks
+        assert stats.truncated == (len(out) == max_tokens)
 
 
 def _random_models(rng):

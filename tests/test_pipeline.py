@@ -1,6 +1,8 @@
 import dataclasses
 import json
 
+import pytest
+
 from agentaccel import corpus, exspec, fixtures, pipeline
 from agentaccel.tokenizer import EOS_ID
 
@@ -45,3 +47,18 @@ def test_run_queries_drafts_the_planner_from_the_plan_table(bundle, plan):
     rounds = [sum(r.planner.decode["rounds"] for r in records) for records in (without, with_table)]
     assert rounds[1] < rounds[0]
     assert sum(r.planner.decode["backup_rounds"] for r in with_table) > 0
+
+
+@pytest.mark.parametrize("model", pipeline.MODELS)
+def test_truncated_decodes_of_a_fixture_run(bundle, plan, model):
+    # The scripted model ends every decode with EOS; the Markov chain never
+    # learned the arbiter's verdict, so each arbiter decode runs to max_tokens.
+    settings = pipeline.RunSettings(model=model)
+    records = pipeline.run_queries(bundle, plan, None, settings)
+    for record in records:
+        for role in (record.planner, record.arbiter):
+            assert role.decode["truncated"] == (role.output_tokens == settings.max_tokens)
+    truncated = sum(r.arbiter.decode["truncated"] for r in records)
+    assert truncated == (len(records) if model == "markov" else 0)
+    if model == "scripted":
+        assert sum(r.planner.decode["truncated"] for r in records) == 0

@@ -267,3 +267,12 @@ def test_every_mutation_of_a_declared_shape_is_refused_in_one_line(fx, loaders, 
         else:
             file.write_bytes(original)
     assert rc == 1 and len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_the_fuzz_mutates_the_load_split_fields(loaders):
+    # Both fields are declared, so the mutations above delete and retype them.
+    for name, path in (("trace role", ("arbiter", "weaver_static")), ("report", ("cells", "pw", "ssd_load_hidden"))):
+        loader = loaders[name]
+        mutations = set(_mutations(loader.shape, _part(loader.doc, loader.root), loader.root))
+        assert (path, _DELETE) in mutations
+        assert any(found == path and target is not _DELETE for found, target in mutations)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -22,9 +23,11 @@ from agentaccel.simulator import (
     decode_token_latency,
     device_presets,
     geometry_presets,
+    load_seconds,
     prefill_latency,
     simulate_pipeline,
     specdec_speedup,
+    ssd_load_latency,
 )
 
 GEO_7B = geometry_presets()["7b-class"]
@@ -166,6 +169,7 @@ def _random_trace(rng, n_records=5):
                 "baseline_uncacheable": uncache_b,
                 "weaver_total": weaver_total,
                 "weaver_uncacheable": uncache_w,
+                "weaver_static": rng.randint(0, weaver_total - uncache_w),
                 "output_tokens": out,
                 "decode": {
                     "rounds": drafting + fallbacks,
@@ -208,7 +212,7 @@ class TestSimulatePipeline:
             TraceRecord.from_dict({"query_id": "x", "tool_count": 1, "planner": {}})
         with pytest.raises(TraceError):
             RoleTrace.from_dict({"baseline_total": 10}, "w")
-        bad = RoleTrace(100, 90, 100, 10, 5, decode={})
+        bad = RoleTrace(100, 90, 100, 10, 0, 5, decode={})
         record = TraceRecord("q", 1, bad, bad)
         with pytest.raises(TraceError):
             simulate_pipeline([record], SimConfig(device=M4_PRO, geometry=GEO_7B))
@@ -221,11 +225,123 @@ class TestSimulatePipeline:
                     "baseline_uncacheable": 11,
                     "weaver_total": 10,
                     "weaver_uncacheable": 0,
+                    "weaver_static": 0,
                     "output_tokens": 1,
                     "decode": {"rounds": 1, "fallbacks": 0, "draft_len": 4},
                 },
                 "w",
             )
+
+
+@st.composite
+def _roles(draw):
+    """A well-formed role whose served prefix splits into a query-independent head and a rest."""
+    weaver_total = draw(st.integers(0, 12_000))
+    weaver_uncacheable = draw(st.integers(0, weaver_total))
+    baseline_total = draw(st.integers(0, 12_000))
+    rounds = draw(st.integers(0, 200))
+    return RoleTrace(
+        baseline_total=baseline_total,
+        baseline_uncacheable=draw(st.integers(0, baseline_total)),
+        weaver_total=weaver_total,
+        weaver_uncacheable=weaver_uncacheable,
+        weaver_static=draw(st.integers(0, weaver_total - weaver_uncacheable)),
+        output_tokens=draw(st.integers(rounds, 4 * rounds)),
+        decode={"rounds": rounds, "fallbacks": draw(st.integers(0, rounds)), "draft_len": 4},
+    )
+
+
+_RECORDS = st.lists(
+    st.builds(TraceRecord, query_id=st.just("q"), tool_count=st.integers(0, 8), planner=_roles(), arbiter=_roles()),
+    min_size=1,
+    max_size=4,
+)
+_CONFIGS = st.builds(
+    SimConfig,
+    device=st.sampled_from(sorted(device_presets().values(), key=lambda d: d.name)),
+    geometry=st.sampled_from(sorted(geometry_presets().values(), key=lambda g: g.name)),
+    verify_tax=st.sampled_from([IDEAL_TAX, MEASURED_TAX]),
+    tool_seconds=st.floats(0.0, 5.0),
+    toolrag_seconds=st.floats(0.0, 5.0),
+)
+
+
+def _serial_ssd_load(records, config) -> float:
+    """Every served prefix loaded after all other stages, summed in trace order."""
+    total = 0.0
+    for rec in records:
+        for role in (rec.planner, rec.arbiter):
+            total += ssd_load_latency(kv_size(role.weaver_total - role.weaver_uncacheable, config.geometry), config.device)
+    return total
+
+
+class TestOverlappedLoads:
+    """The query-independent head of each load is priced as overlapped with ToolRAG or the tool calls."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=_RECORDS, config=_CONFIGS)
+    def test_each_load_lies_between_its_overlapped_and_serial_bounds(self, records, config):
+        def load(tokens):
+            return ssd_load_latency(kv_size(tokens, config.geometry), config.device)
+
+        exposed_sum = hidden_sum = 0.0
+        for rec in records:
+            overlaps = ((rec.planner, config.toolrag_seconds), (rec.arbiter, rec.tool_count * config.tool_seconds))
+            for role, overlapped in overlaps:
+                exposed, hidden = load_seconds(role, overlapped, config)
+                static, rest = load(role.weaver_static), load(role.loaded_tokens - role.weaver_static)
+                serial = overlapped + static + rest
+                tolerance = 1e-12 * serial
+                assert max(overlapped, static) + rest - tolerance <= overlapped + exposed <= serial + tolerance
+                assert 0.0 <= hidden <= min(static, overlapped)
+                assert exposed + hidden == pytest.approx(static + rest, rel=1e-12, abs=1e-15)
+                exposed_sum += exposed
+                hidden_sum += hidden
+        report = simulate_pipeline(records, config)
+        for name in ("pw", "pw_es"):
+            cell = report.cells[name]
+            assert cell.seconds["ssd_load"] == pytest.approx(exposed_sum, rel=1e-12, abs=1e-15)
+            assert cell.ssd_load_hidden == pytest.approx(hidden_sum, rel=1e-12, abs=1e-15)
+            assert cell.seconds["ssd_load"] + cell.ssd_load_hidden == pytest.approx(_serial_ssd_load(records, config), rel=1e-9)
+        for name in ("baseline", "es"):
+            assert report.cells[name].seconds["ssd_load"] == report.cells[name].ssd_load_hidden == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=_RECORDS, config=_CONFIGS)
+    def test_without_a_static_head_every_load_is_serial(self, records, config):
+        serial = [
+            dataclasses.replace(
+                rec,
+                planner=dataclasses.replace(rec.planner, weaver_static=0),
+                arbiter=dataclasses.replace(rec.arbiter, weaver_static=0),
+            )
+            for rec in records
+        ]
+        report, overlapped = simulate_pipeline(serial, config), simulate_pipeline(records, config)
+        for name, cell in report.cells.items():
+            assert cell.ssd_load_hidden == 0.0
+            expected = _serial_ssd_load(records, config) if name in ("pw", "pw_es") else 0.0
+            assert cell.seconds["ssd_load"] == expected  # bit for bit
+            others = {stage: seconds for stage, seconds in cell.seconds.items() if stage != "ssd_load"}
+            assert others == {stage: seconds for stage, seconds in overlapped.cells[name].seconds.items() if stage != "ssd_load"}
+        assert report.speedups["es"] == overlapped.speedups["es"]
+
+    def test_a_static_head_longer_than_the_load_is_refused(self):
+        doc = calibration_trace()[0].to_dict()["planner"]
+        loaded = doc["weaver_total"] - doc["weaver_uncacheable"]
+        assert RoleTrace.from_dict(dict(doc, weaver_static=loaded), "p").weaver_static == loaded
+        with pytest.raises(TraceError, match="weaver_static exceeds the loaded tokens"):
+            RoleTrace.from_dict(dict(doc, weaver_static=loaded + 1), "p")
+        without = dict(doc)
+        del without["weaver_static"]
+        with pytest.raises(TraceError, match="missing field 'weaver_static'"):
+            RoleTrace.from_dict(without, "p")
+
+    def test_the_calibration_trace_keeps_its_loads_serial(self, calibration_report):
+        record = calibration_trace()[0]
+        assert record.planner.weaver_static == record.arbiter.weaver_static == 0
+        for cell in calibration_report.cells.values():
+            assert cell.ssd_load_hidden == 0.0
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@ import statistics
 import pytest
 
 from agentaccel import pipeline
+from agentaccel.kvstore import TAG_STATIC, KVStore
 from agentaccel.weaver import (
     PLANNER_SEGMENT_ORDER,
     SEG_ALL_TOOL_DESCRIPTIONS,
@@ -201,3 +202,26 @@ class TestTokenReduction:
             assert recount == wp.uncacheable_tokens
         reduction = 1 - statistics.mean(woven) / statistics.mean(base)
         assert reduction >= 0.60
+
+
+class TestStaticTokens:
+    """A prompt's static tokens are the served part of its run-wide head."""
+
+    def test_served_head_of_each_prompt(self, weaver, oracle_rag, bundle, populated_store):
+        head = len(weaver.static_planner_prefix())
+        for sample in bundle.test[:10]:
+            retrieved = oracle_rag.retrieve_tools(sample.query_tokens, 0.5)
+            planner = weaver.planner_prompt(sample.query_tokens, retrieved, store=populated_store)
+            assert planner.match_len > head and planner.static_tokens == head
+            assert weaver.planner_prompt(sample.query_tokens, retrieved).static_tokens == 0  # nothing served
+            baseline = weaver.baseline_prompt(sample.query_tokens, retrieved, store=populated_store)
+            assert baseline.static_tokens == min(baseline.match_len, len(weaver.baseline_header_prefix()))
+        arbiter = weaver.arbiter_prompt([7, 8], variant="b", store=populated_store)
+        assert arbiter.static_tokens == len(weaver.arbiter_prefix("b")) == arbiter.match_len
+        assert arbiter.to_dict()["static_tokens"] == arbiter.static_tokens
+
+    def test_a_head_served_in_part_counts_only_the_served_part(self, weaver, bundle, tmp_path, desk_geometry):
+        store = KVStore(tmp_path)
+        store.precompute({TAG_STATIC: [weaver.static_planner_prefix()[:10]]}, desk_geometry)
+        prompt = weaver.planner_prompt(bundle.test[0].query_tokens, bundle.test[0].gt_tools, store=store)
+        assert prompt.match_len == prompt.static_tokens == 10
