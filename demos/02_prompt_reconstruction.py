@@ -20,7 +20,7 @@ with tempfile.TemporaryDirectory(prefix="agentaccel-demo-") as tmp:
                       budget=15, rank=8, seed=fixtures.DEFAULT_SEED)
 
     rag = bundle.make_rag("oracle")
-    weaver = Weaver(bundle.registry, bundle.tokenizer, plan, bundle.examples, rag)
+    weaver = Weaver(bundle.registry, bundle.tokenizer, plan, bundle.examples)
 
     store = KVStore(workdir / "cache")
     geometry = geometry_presets()["desk"]  # small synthetic blobs for the demo
@@ -31,9 +31,10 @@ with tempfile.TemporaryDirectory(prefix="agentaccel-demo-") as tmp:
     print(f"\nquery: {sample.query_text!r}")
     retrieved = rag.retrieve_tools(sample.query_tokens, tau=0.5)
     print(f"retrieved tools: {sorted(retrieved)}")
+    examples = rag.retrieve_examples(sample.query_tokens, retrieved, 3)
 
-    baseline = weaver.baseline_prompt(sample.query_tokens, store=store, retrieved=retrieved)
-    woven = weaver.planner_prompt(sample.query_tokens, k=1, store=store, retrieved=retrieved)
+    baseline = weaver.baseline_prompt(sample.query_tokens, retrieved, examples, store=store)
+    woven = weaver.planner_prompt(sample.query_tokens, retrieved, examples[:1], store=store)
 
     print("\nconventional prompt order:")
     for kind, tokens in baseline.segments:
@@ -50,6 +51,6 @@ with tempfile.TemporaryDirectory(prefix="agentaccel-demo-") as tmp:
     print(f"\nonline prefill work drops by {drop:.0%} for this query")
 
     obs = bundle.tokenizer.tokenize(pipeline.observation_text(sample.gt_plan))
-    arbiter = weaver.arbiter_prompt(obs, variant="a", store=store)
+    arbiter = weaver.arbiter_prompt(obs, store=store)
     frac = arbiter.cacheable_tokens / arbiter.total_tokens
-    print(f"arbiter prompt: {arbiter.total_tokens} tokens, {frac:.0%} served from the cached variant prefix")
+    print(f"arbiter prompt: {arbiter.total_tokens} tokens, {frac:.0%} served from the cached guidelines")

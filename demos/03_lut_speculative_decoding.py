@@ -24,11 +24,17 @@ matrix = build_coactivation(bundle.train, bundle.registry)
 plan = build_plan(matrix, bundle.registry, bundle.examples, bundle.train,
                   budget=15, rank=8, seed=fixtures.DEFAULT_SEED)
 rag = bundle.make_rag("oracle")
-weaver = Weaver(bundle.registry, bundle.tokenizer, plan, bundle.examples, rag)
+weaver = Weaver(bundle.registry, bundle.tokenizer, plan, bundle.examples)
+
+
+def planner_prompt(s):
+    """The query's planner prompt with its retrieved tools and top-1 retrieved example."""
+    retrieved = rag.retrieve_tools(s.query_tokens, 0.5)
+    return weaver.planner_prompt(s.query_tokens, retrieved, rag.retrieve_examples(s.query_tokens, retrieved, 1))
+
 
 sample = bundle.test[0]
-prompt = weaver.planner_prompt(sample.query_tokens, k=1,
-                               retrieved=rag.retrieve_tools(sample.query_tokens, 0.5))
+prompt = planner_prompt(sample)
 script = bundle.tokenizer.tokenize(render_plan(sample.gt_plan))
 model = ScriptedModel(prompt.tokens, script)
 
@@ -55,7 +61,7 @@ train_table = pipeline.plan_draft_table(bundle)
 print(f"\ntrain-split plan table: {len(train_table)} entries over {train_table.source_token_count} tokens")
 rounds = {"prompt table only": 0, "with the train table": 0}
 for s in bundle.test:
-    p = weaver.planner_prompt(s.query_tokens, k=1, retrieved=rag.retrieve_tools(s.query_tokens, 0.5))
+    p = planner_prompt(s)
     m = ScriptedModel(p.tokens, bundle.tokenizer.tokenize(render_plan(s.gt_plan)))
     lut_s = build_lut(p.extraction_region("fewshot"), 3)
     for label, backup in (("prompt table only", None), ("with the train table", train_table)):
@@ -70,8 +76,7 @@ for n in (2, 3, 4):
     lut_n = build_lut(region, n=n)
     gen = acc = 0
     for s in bundle.test:
-        p = weaver.planner_prompt(s.query_tokens, k=1,
-                                  retrieved=rag.retrieve_tools(s.query_tokens, 0.5))
+        p = planner_prompt(s)
         m = ScriptedModel(p.tokens, bundle.tokenizer.tokenize(render_plan(s.gt_plan)))
         _, st = decode(m, p.tokens, build_lut(p.extraction_region("fewshot"), n), 4, True, 160)
         gen += st.drafts_generated

@@ -54,13 +54,6 @@ def _require_file(path, what: str) -> Path:
     return path
 
 
-# The run.json section each RunSettings field is read from.
-_RUN_SECTIONS = {
-    "toolrag": ("tau", "scorer", "top_k"),
-    "weaver": ("k",),
-    "exspec": ("n", "draft_len", "selective", "extract"),
-    "run": ("model", "max_tokens", "jobs"),
-}
 _RUN_PATHS = ("registry", "train", "test", "examples", "vocab", "plan", "cachedir", "trace")
 
 
@@ -84,7 +77,7 @@ _KNOBS = {
 }
 _RUN_CONFIG = shapes.Object(
     optional={"paths": shapes.Object(optional=dict.fromkeys(_RUN_PATHS, shapes.STR))}
-    | {section: shapes.Object(optional={name: _KNOBS[name] for name in names}) for section, names in _RUN_SECTIONS.items()}
+    | {section: shapes.Object(optional={name: _KNOBS[name] for name in names}) for section, names in pipeline.RUN_SECTIONS.items()}
 )
 
 
@@ -291,7 +284,7 @@ def _run_settings(args, cfg: dict) -> pipeline.RunSettings:
     """Each knob from its flag (checked here), else from its run.json section (checked on load); RunSettings supplies the rest."""
     flags = dict(vars(args), selective=None if args.selective is None else args.selective == "on")
     picked = {}
-    for section, names in _RUN_SECTIONS.items():
+    for section, names in pipeline.RUN_SECTIONS.items():
         configured = cfg.get(section, {})
         for name in names:
             if flags[name] is not None:

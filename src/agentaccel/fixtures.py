@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
+
+from . import corpus, pipeline, weaver
+from .tokenizer import Tokenizer
 
 THEMES = ("calendar", "contacts", "email", "notes")
 
@@ -509,11 +512,9 @@ ARCHETYPES = (
 
 
 def render_plan_dict(plan: dict) -> str:
-    lines = []
-    for i, node in enumerate(plan["nodes"], start=1):
-        args = " , ".join(node["args"])
-        lines.append(f"{i} . {node['call']} ( {args} )")
-    return " ; ".join(lines) + " ; end of plan"
+    """`corpus.render_plan` of a plan record, so example texts and planner output share one format."""
+    nodes = tuple(corpus.PlanNode(call=node["call"], args=tuple(node["args"])) for node in plan["nodes"])
+    return corpus.render_plan(corpus.PlanDAG(nodes=nodes, edges=()))
 
 
 def dataset_records(split: str, seed: int) -> list[dict]:
@@ -577,7 +578,10 @@ DEFAULT_SEED = 11
 
 
 def default_run_config() -> dict:
-    return {
+    """The fixture run.json: its knob sections hold the RunSettings defaults."""
+    settings = asdict(pipeline.RunSettings())
+    knobs = {section: {name: settings[name] for name in names} for section, names in pipeline.RUN_SECTIONS.items()}
+    return knobs | {
         "paths": {
             "registry": "registry.json",
             "train": "train.jsonl",
@@ -588,11 +592,7 @@ def default_run_config() -> dict:
             "cachedir": "cache",
             "trace": "trace.jsonl",
         },
-        "toolrag": {"tau": 0.5, "top_k": 3, "scorer": "oracle"},
-        "weaver": {"k": 1},
-        "exspec": {"n": 3, "draft_len": 4, "selective": True, "extract": "fewshot"},
         "plan": {"budget": 15, "rank": 8, "seed": DEFAULT_SEED, "iters": 500, "tol": 1e-6},
-        "run": {"model": "scripted", "max_tokens": 160, "jobs": 1},
         "cache": {"geometry": "desk"},
         "simulate": {
             "device": "m4-pro",
@@ -606,9 +606,6 @@ def default_run_config() -> dict:
 
 def write_fixtures(outdir, seed: int = DEFAULT_SEED) -> dict[str, Path]:
     """Emit the synthetic corpus plus a ready-to-use run configuration."""
-    from . import weaver
-    from .tokenizer import Tokenizer
-
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {}

@@ -1,8 +1,9 @@
 """End-to-end per-query execution: retrieve, weave, decode, record.
 
 This is the library-side implementation of the `run` command.  Each query is
-independent: retrieval picks the tool set, the weaver builds both the
-reconstructed and the baseline prompt against the shared cache store, the
+independent: retrieval picks the tool set and then ranks the examples once,
+the weaver builds the reconstructed prompt from the top `k` of them and the
+baseline prompt from the top `top_k` against the shared cache store, the
 configured reference model decodes the plan and the arbiter verdict through
 the speculative path, and the token accounting plus decode statistics land
 in one trace record for the simulator.  The planner also drafts from the
@@ -63,7 +64,7 @@ class CorpusBundle:
             scorer = toolrag.OracleToolScorer(self.registry, self.test)
         else:
             scorer = toolrag.CosineToolScorer(self.registry, self.examples, self.embedder, self.tokenizer)
-        return toolrag.ToolRag(self.registry, self.examples, self.embedder, scorer, self.tokenizer)
+        return toolrag.ToolRag(self.examples, self.embedder, scorer, self.tokenizer)
 
 
 def load_bundle(registry_path, train_path, test_path, examples_path, vocab_path=None) -> CorpusBundle:
@@ -100,7 +101,6 @@ def observation_text(plan: corpus.PlanDAG) -> str:
     return " ".join(parts)
 
 
-ARBITER_VARIANT = "a"
 ARBITER_VERDICT = (
     "every call succeeded and the final observation answers the request , so the verdict is complete"
 )
@@ -108,10 +108,10 @@ ARBITER_VERDICT = (
 
 @dataclass
 class RunSettings:
-    tau: float = 0.5
+    tau: float = toolrag.DEFAULT_TAU
     scorer: str = "oracle"
-    top_k: int = 3  # baseline retrieved-example count
-    k: int = 1
+    top_k: int = toolrag.DEFAULT_TOP_K  # baseline retrieved-example count
+    k: int = 1  # planner retrieved-example count
     n: int = exspec.DEFAULT_N
     draft_len: int = exspec.DEFAULT_DRAFT_LEN
     selective: bool = True
@@ -119,6 +119,15 @@ class RunSettings:
     model: str = "scripted"
     max_tokens: int = 160
     jobs: int = 1
+
+
+# The run.json section each RunSettings field is read from.
+RUN_SECTIONS = {
+    "toolrag": ("tau", "scorer", "top_k"),
+    "weaver": ("k",),
+    "exspec": ("n", "draft_len", "selective", "extract"),
+    "run": ("model", "max_tokens", "jobs"),
+}
 
 
 def plan_draft_table(bundle: CorpusBundle) -> exspec.NGramLUT:
@@ -161,25 +170,27 @@ def run_queries(
 ) -> list[TraceRecord]:
     """The trace record of every test query, in test order; `emit`, if given, gets each query's document."""
     rag = bundle.make_rag(settings.scorer)
-    weaver = Weaver(bundle.registry, bundle.tokenizer, plan, bundle.examples, rag)
+    weaver = Weaver(bundle.registry, bundle.tokenizer, plan, bundle.examples)
     markov = _build_markov(bundle) if settings.model == "markov" else None
     if settings.model not in MODELS:
         raise ValueError(f"unknown reference model '{settings.model}'")
     arbiter_script = bundle.tokenizer.tokenize(ARBITER_VERDICT)
     # Draft tables of regions that open with a prompt part fixed for the
     # run extend that part's counts, taken once here.
-    arbiter_head = exspec.count_head(weaver.arbiter_prefix(ARBITER_VARIANT), settings.n)
+    arbiter_head = exspec.count_head(weaver.arbiter_prefix(), settings.n)
     planner_head = exspec.count_head(weaver.static_planner_prefix(), settings.n) if settings.extract == "all" else None
 
     def run_one(idx_sample) -> TraceRecord:
         idx, sample = idx_sample
         retrieved = rag.retrieve_tools(sample.query_tokens, settings.tau)
-        wp = weaver.planner_prompt(sample.query_tokens, k=settings.k, store=store, retrieved=retrieved)
-        bp = weaver.baseline_prompt(sample.query_tokens, k_rag=settings.top_k, store=store, retrieved=retrieved)
+        # The ranking is a total order, so each prompt's top examples are a prefix of one ranking.
+        examples = rag.retrieve_examples(sample.query_tokens, retrieved, max(settings.k, settings.top_k))
+        wp = weaver.planner_prompt(sample.query_tokens, retrieved, examples[: settings.k], store=store)
+        bp = weaver.baseline_prompt(sample.query_tokens, retrieved, examples[: settings.top_k], store=store)
 
         planner_script = bundle.tokenizer.tokenize(corpus.render_plan(sample.gt_plan))
         obs_tokens = bundle.tokenizer.tokenize(observation_text(sample.gt_plan))
-        ap = weaver.arbiter_prompt(obs_tokens, variant=ARBITER_VARIANT, store=store)
+        ap = weaver.arbiter_prompt(obs_tokens, store=store)
 
         if settings.model == "scripted":
             planner_model = lm.ScriptedModel(wp.tokens, planner_script)

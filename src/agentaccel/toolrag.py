@@ -122,15 +122,7 @@ class OracleToolScorer:
 class ToolRag:
     """Bundles the embedder, scorer, and example database behind one front."""
 
-    def __init__(
-        self,
-        registry: ToolRegistry,
-        examples: list[ToolUseExample],
-        embedder,
-        scorer,
-        tokenizer: Tokenizer,
-    ):
-        self.registry = registry
+    def __init__(self, examples: list[ToolUseExample], embedder, scorer, tokenizer: Tokenizer):
         self.examples = list(examples)
         self.embedder = embedder
         self.scorer = scorer
@@ -152,6 +144,7 @@ class ToolRag:
         if k == 0:
             return []
         query_vec = self.embedder.embed(self.tokenizer.detokenize(query_tokens))
-        eligible = [ex for ex in self.examples if ex.tools <= set(selected)]
+        selected = set(selected)
+        eligible = [ex for ex in self.examples if ex.tools <= selected]
         ranked = sorted(eligible, key=lambda ex: (-cosine(query_vec, ex.query_embedding), ex.id))
         return ranked[:k]

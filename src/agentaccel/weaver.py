@@ -6,8 +6,11 @@ id order — then appends the activated clusters' examples in plan order,
 single-tool examples for each activated tool, the retrieved top-K examples,
 and finally the query.  The static head and the leading run of cluster
 examples can then hit precomputed cache entries; only the tail is computed
-online.
+online.  The arbiter prompt is one fixed block of decision guidelines
+followed by the call observations.
 
+The weaver retrieves nothing: the caller hands each builder the query's
+retrieved tool set and retrieved examples (see `pipeline.run_queries`).
 The layout lives in one place: `Weaver.__init__` builds the static head
 once and `_cluster_run` turns cluster ids into example tokens; the offline
 cache keys (`static_planner_prefix`, `combination_prefix`) and the online
@@ -28,7 +31,6 @@ from itertools import chain
 from .clusterplan import ClusterPlan
 from .corpus import ToolRegistry, ToolUseExample
 from .kvstore import TAG_ARBITER_STATIC, TAG_CLUSTER_COMBINATION, TAG_STATIC, CacheEntry, KVStore
-from .toolrag import ToolRag
 
 SEG_STATIC_SYSTEM = "static_system"
 SEG_ALL_TOOL_DESCRIPTIONS = "all_tool_descriptions"
@@ -99,70 +101,40 @@ PLANNER_INSTRUCTIONS = (
 
 BASELINE_HEADER = "you are a helpful assistant that plans tool calls for the user."
 
-ARBITER_VARIANTS = {
-    "a": (
-        "you are the arbiter of an on device assistant. you receive the executed tool calls and "
-        "their observations and must decide whether the user request was satisfied. decision "
-        "guidelines. accept the run only if every planned call executed without an error "
-        "observation and the final observation answers the request. reject the run and ask for a "
-        "retry if any call returned an error, if a referenced result was empty, or if the plan "
-        "skipped a step the request clearly required. never invent observations that are not "
-        "listed, and never accept a run whose last call failed. when you accept, reply with the "
-        "single word complete. when you reject, reply with retry followed by the number of the "
-        "failing step. treat a warning observation as a success unless a later call depended on the "
-        "missing part. treat an empty observation from a lookup as a failure of that lookup. when "
-        "two steps failed, report the earliest one, because fixing it may fix the rest. decision "
-        "examples. example one. calls. 1 . get_email_address ( name = anna ) "
-        "observation ok address found. 2 . compose_new_email ( to = $1 ) observation ok message "
-        "sent. every call succeeded and the message was sent, so the verdict is complete. example "
-        "two. calls. 1 . get_phone_number ( name = omar ) observation error no match. the lookup "
-        "failed before anything else could run, so the verdict is retry 1. example three. calls. "
-        "1 . create_note ( title = groceries ) observation ok note created. 2 . append_note_content "
-        "( note = $1 ) observation error note locked. the second step failed after the first "
-        "succeeded, so the verdict is retry 2. example four. calls. 1 . search_notes ( phrase = "
-        "budget ) observation ok one match. 2 . open_note ( title = $1 ) observation ok note "
-        "opened. every call succeeded and the requested note is open, so the verdict is complete. "
-        "example five. calls. 1 . create_calendar_event ( title = review , when = friday ) "
-        "observation ok event created. 2 . create_reminder ( text = review ) observation error "
-        "reminders unavailable. the event exists but the requested reminder failed, so the verdict "
-        "is retry 2. example six. calls. 1 . get_zoom_link ( topic = standup ) observation ok link "
-        "created. 2 . get_email_address ( name = wei ) observation ok address found. 3 . "
-        "create_calendar_event ( title = standup , invitee = $2 , link = $1 ) observation ok event "
-        "created. all three calls succeeded and the meeting carries the link and the invitee, so "
-        "the verdict is complete. example seven. calls. 1 . summarize_inbox ( count = 10 ) "
-        "observation ok digest ready. 2 . forward_email ( subject = invoice , to = dana ) "
-        "observation error message not found. the digest worked but the forward failed to locate "
-        "its message, so the verdict is retry 2. now judge the following run."
-    ),
-    "b": (
-        "you are the arbiter of an on device assistant reviewing a retried run. you receive the "
-        "executed tool calls and their observations and must decide whether the retry satisfied the "
-        "user request. decision guidelines. the run you are judging already failed once, so be "
-        "strict. accept only if every call in this retried run executed without an error "
-        "observation and the final observation answers the request. reject again if any call "
-        "returned an error or if the retried step failed the same way, and say give up instead of "
-        "retry when the same step has now failed twice, because repeating it a third time is "
-        "unlikely to help. never invent observations that are not listed. when you accept, reply "
-        "with the single word complete. when you reject, reply with retry or give up followed by "
-        "the number of the failing step. a retried run that fails on a new, different step earns a "
-        "retry for that step rather than give up, because the original defect was fixed. decision "
-        "examples. example one. calls. 1 . get_zoom_link "
-        "( topic = standup ) observation ok link created. 2 . compose_new_email ( body = $1 ) "
-        "observation ok message sent. the retried run succeeded end to end, so the verdict is "
-        "complete. example two. calls. 1 . open_note ( title = ideas ) observation error not "
-        "found. the same lookup failed again, so the verdict is give up 1. example three. calls. "
-        "1 . get_phone_number ( name = ines ) observation ok number found. 2 . add_new_contact "
-        "( name = ines , phone = $1 ) observation error storage full. the lookup that failed last "
-        "time now works and a different step failed, so the verdict is retry 2. example four. "
-        "calls. 1 . search_notes ( phrase = trip ) observation ok two matches. 2 . open_note "
-        "( title = $1 ) observation ok note opened. 3 . append_note_content ( note = $2 , text = "
-        "flights ) observation ok text appended. the retried run completed every step and the note "
-        "now holds the new text, so the verdict is complete. example five. calls. 1 . "
-        "delete_calendar_event ( title = sync ) observation error event missing. the event this "
-        "retry was meant to move no longer exists, so repeating the plan cannot help and the "
-        "verdict is give up 1. now judge the following retried run."
-    ),
-}
+ARBITER_GUIDELINES = (
+    "you are the arbiter of an on device assistant. you receive the executed tool calls and "
+    "their observations and must decide whether the user request was satisfied. decision "
+    "guidelines. accept the run only if every planned call executed without an error "
+    "observation and the final observation answers the request. reject the run and ask for a "
+    "retry if any call returned an error, if a referenced result was empty, or if the plan "
+    "skipped a step the request clearly required. never invent observations that are not "
+    "listed, and never accept a run whose last call failed. when you accept, reply with the "
+    "single word complete. when you reject, reply with retry followed by the number of the "
+    "failing step. treat a warning observation as a success unless a later call depended on the "
+    "missing part. treat an empty observation from a lookup as a failure of that lookup. when "
+    "two steps failed, report the earliest one, because fixing it may fix the rest. decision "
+    "examples. example one. calls. 1 . get_email_address ( name = anna ) "
+    "observation ok address found. 2 . compose_new_email ( to = $1 ) observation ok message "
+    "sent. every call succeeded and the message was sent, so the verdict is complete. example "
+    "two. calls. 1 . get_phone_number ( name = omar ) observation error no match. the lookup "
+    "failed before anything else could run, so the verdict is retry 1. example three. calls. "
+    "1 . create_note ( title = groceries ) observation ok note created. 2 . append_note_content "
+    "( note = $1 ) observation error note locked. the second step failed after the first "
+    "succeeded, so the verdict is retry 2. example four. calls. 1 . search_notes ( phrase = "
+    "budget ) observation ok one match. 2 . open_note ( title = $1 ) observation ok note "
+    "opened. every call succeeded and the requested note is open, so the verdict is complete. "
+    "example five. calls. 1 . create_calendar_event ( title = review , when = friday ) "
+    "observation ok event created. 2 . create_reminder ( text = review ) observation error "
+    "reminders unavailable. the event exists but the requested reminder failed, so the verdict "
+    "is retry 2. example six. calls. 1 . get_zoom_link ( topic = standup ) observation ok link "
+    "created. 2 . get_email_address ( name = wei ) observation ok address found. 3 . "
+    "create_calendar_event ( title = standup , invitee = $2 , link = $1 ) observation ok event "
+    "created. all three calls succeeded and the meeting carries the link and the invitee, so "
+    "the verdict is complete. example seven. calls. 1 . summarize_inbox ( count = 10 ) "
+    "observation ok digest ready. 2 . forward_email ( subject = invoice , to = dana ) "
+    "observation error message not found. the digest worked but the forward failed to locate "
+    "its message, so the verdict is retry 2. now judge the following run."
+)
 
 
 @dataclass(frozen=True)
@@ -208,6 +180,11 @@ class ReconstructedPrompt:
         }
 
 
+def _example_run(examples) -> tuple[int, ...]:
+    """The tokens of the given examples, in the given order."""
+    return tuple(chain.from_iterable(ex.example_tokens for ex in examples))
+
+
 def warm_vocabulary(tokenizer) -> None:
     """Tokenize every template so persisted vocabularies cover them.
 
@@ -218,8 +195,7 @@ def warm_vocabulary(tokenizer) -> None:
     tokenizer.tokenize(PLANNER_HEADER)
     tokenizer.tokenize(PLANNER_INSTRUCTIONS)
     tokenizer.tokenize(BASELINE_HEADER)
-    for text in ARBITER_VARIANTS.values():
-        tokenizer.tokenize(text)
+    tokenizer.tokenize(ARBITER_GUIDELINES)
     for word in ("tool", "guidelines", ":", "request", "examples", "observations"):
         tokenizer.tokenize(word)
 
@@ -227,24 +203,16 @@ def warm_vocabulary(tokenizer) -> None:
 class Weaver:
     """Builds reconstructed, baseline, and arbiter prompts over one corpus."""
 
-    def __init__(
-        self,
-        registry: ToolRegistry,
-        tokenizer,
-        plan: ClusterPlan,
-        examples: list[ToolUseExample],
-        rag: ToolRag | None = None,
-    ):
+    def __init__(self, registry: ToolRegistry, tokenizer, plan: ClusterPlan, examples: list[ToolUseExample]):
         self.registry = registry
         self.tokenizer = tokenizer
         self.plan = plan
         self.examples = list(examples)
-        self.rag = rag
 
         self._instructions = tuple(tokenizer.tokenize(PLANNER_INSTRUCTIONS))
         self._system = tuple(tokenizer.tokenize(PLANNER_HEADER)) + self._instructions
         self._baseline_header = tuple(tokenizer.tokenize(BASELINE_HEADER))
-        self._arbiter = {v: tuple(tokenizer.tokenize(text)) for v, text in ARBITER_VARIANTS.items()}
+        self._arbiter = tuple(tokenizer.tokenize(ARBITER_GUIDELINES))
         self._tool_blocks = {t: self._tool_block(t) for t in registry.tool_ids()}
         self._descriptions = tuple(chain.from_iterable(self._tool_blocks[t] for t in registry.tool_ids()))
 
@@ -287,8 +255,8 @@ class Weaver:
         """Static prefix extended with one cached cluster combination."""
         return self.static_planner_prefix() + self._cluster_run(combo)
 
-    def arbiter_prefix(self, variant: str) -> tuple[int, ...]:
-        return self._arbiter[variant]
+    def arbiter_prefix(self) -> tuple[int, ...]:
+        return self._arbiter
 
     def baseline_header_prefix(self) -> tuple[int, ...]:
         return self._baseline_header
@@ -298,7 +266,7 @@ class Weaver:
         groups = {
             TAG_STATIC: [self.static_planner_prefix(), self.baseline_header_prefix()],
             TAG_CLUSTER_COMBINATION: [self.combination_prefix(c) for c in self.plan.cached_combinations],
-            TAG_ARBITER_STATIC: [self.arbiter_prefix(v) for v in sorted(self._arbiter)],
+            TAG_ARBITER_STATIC: [self.arbiter_prefix()],
         }
         return {tag: prefixes for tag, prefixes in groups.items() if prefixes}
 
@@ -323,17 +291,18 @@ class Weaver:
         self,
         query_tokens,
         retrieved,
-        k: int = 1,
+        examples: list[ToolUseExample],
         store: KVStore | None = None,
     ) -> ReconstructedPrompt:
         """The reconstructed planner prompt for one query, given its `retrieved` tool set.
 
-        `k` is the dynamic example count appended after the single-tool
-        examples.  An empty retrieved tool set still produces a valid prompt
-        (no clusters activate); the condition is flagged in the stats.
+        `examples` are the query's retrieved examples, at most
+        MAX_DYNAMIC_EXAMPLES, appended after the single-tool examples.  An
+        empty retrieved tool set still produces a valid prompt (no clusters
+        activate); the condition is flagged in the stats.
         """
-        if not (0 <= k <= MAX_DYNAMIC_EXAMPLES):
-            raise ValueError(f"k must be within [0, {MAX_DYNAMIC_EXAMPLES}]")
+        if len(examples) > MAX_DYNAMIC_EXAMPLES:
+            raise ValueError(f"the planner prompt holds at most {MAX_DYNAMIC_EXAMPLES} retrieved examples, not {len(examples)}")
         retrieved = set(retrieved)
 
         activated = self.plan.activation_sequence(retrieved)
@@ -349,25 +318,18 @@ class Weaver:
                 duplicate_singles += 1
             singles.extend(example.example_tokens)
 
-        rag_tokens: list[int] = []
-        rag_ids: list[str] = []
-        if k > 0 and self.rag is not None:
-            for ex in self.rag.retrieve_examples(query_tokens, retrieved, k):
-                rag_tokens.extend(ex.example_tokens)
-                rag_ids.append(ex.id)
-
         segments = (
             (SEG_STATIC_SYSTEM, self._system),
             (SEG_ALL_TOOL_DESCRIPTIONS, self._descriptions),
             (SEG_CLUSTERED_EXAMPLES, self._cluster_run(activated)),
             (SEG_SINGLE_TOOL_EXAMPLES, tuple(singles)),
-            (SEG_RAG_EXAMPLES, tuple(rag_tokens)),
+            (SEG_RAG_EXAMPLES, _example_run(examples)),
             (SEG_USER_QUERY, tuple(query_tokens)),
         )
         stats = {
             "retrieved_tools": sorted(retrieved),
             "activated_clusters": list(activated),
-            "rag_example_ids": rag_ids,
+            "rag_example_ids": [ex.id for ex in examples],
             "duplicate_single_tool_examples": duplicate_singles,
             "degenerate_empty_retrieval": not retrieved,
         }
@@ -377,10 +339,10 @@ class Weaver:
         self,
         query_tokens,
         retrieved,
-        k_rag: int = 3,
+        examples: list[ToolUseExample],
         store: KVStore | None = None,
     ) -> ReconstructedPrompt:
-        """Conventional prompt order used as the accounting baseline.
+        """Conventional prompt order used as the accounting baseline, ending in the retrieved `examples`.
 
         Retrieved-tool descriptions land right after a short greeting, which
         is what pushes the first dynamic token near the front and strands the
@@ -393,16 +355,11 @@ class Weaver:
         for tool_id in sorted(retrieved):
             desc.extend(self._tool_blocks[tool_id])
 
-        rag_tokens: list[int] = []
-        if k_rag > 0 and self.rag is not None:
-            for ex in self.rag.retrieve_examples(query_tokens, retrieved, k_rag):
-                rag_tokens.extend(ex.example_tokens)
-
         segments = (
             (SEG_STATIC_SYSTEM, self._baseline_header),
             (SEG_ALL_TOOL_DESCRIPTIONS, tuple(desc)),
             (SEG_DECISION_GUIDELINES, self._instructions),
-            (SEG_RAG_EXAMPLES, tuple(rag_tokens)),
+            (SEG_RAG_EXAMPLES, _example_run(examples)),
             (SEG_USER_QUERY, tuple(query_tokens)),
         )
         stats = {
@@ -413,12 +370,10 @@ class Weaver:
         head_len = len(self._baseline_header)
         return self._prompt(segments, store, stats, head_len=head_len, unstored_match_len=head_len)
 
-    def arbiter_prompt(self, observation_tokens, variant: str = "a", store: KVStore | None = None) -> ReconstructedPrompt:
-        """Static variant prefix followed by the call-observation pairs."""
-        if variant not in self._arbiter:
-            raise ValueError(f"unknown arbiter variant '{variant}'")
+    def arbiter_prompt(self, observation_tokens, store: KVStore | None = None) -> ReconstructedPrompt:
+        """The static guidelines followed by the call-observation pairs."""
         segments = (
-            (SEG_DECISION_GUIDELINES, self._arbiter[variant]),
+            (SEG_DECISION_GUIDELINES, self._arbiter),
             (SEG_CALL_OBSERVATIONS, tuple(observation_tokens)),
         )
-        return self._prompt(segments, store, {"variant": variant}, head_len=len(self._arbiter[variant]))
+        return self._prompt(segments, store, {}, head_len=len(self._arbiter))

@@ -57,8 +57,8 @@ def oracle_rag(bundle):
 
 
 @pytest.fixture(scope="session")
-def weaver(bundle, plan, oracle_rag):
-    return Weaver(bundle.registry, bundle.tokenizer, plan, bundle.examples, oracle_rag)
+def weaver(bundle, plan):
+    return Weaver(bundle.registry, bundle.tokenizer, plan, bundle.examples)
 
 
 @pytest.fixture(scope="session")

@@ -169,8 +169,9 @@ def test_criterion_05_token_accounting(bundle, weaver, oracle_rag, populated_sto
     base, woven = [], []
     for sample in bundle.test:
         retrieved = oracle_rag.retrieve_tools(sample.query_tokens, 0.5)
-        wp = weaver.planner_prompt(sample.query_tokens, k=1, store=populated_store, retrieved=retrieved)
-        bp = weaver.baseline_prompt(sample.query_tokens, store=populated_store, retrieved=retrieved)
+        examples = oracle_rag.retrieve_examples(sample.query_tokens, retrieved, 3)
+        wp = weaver.planner_prompt(sample.query_tokens, retrieved, examples[:1], store=populated_store)
+        bp = weaver.baseline_prompt(sample.query_tokens, retrieved, examples, store=populated_store)
         # Independent recount of both sides from raw segment lengths.
         assert wp.uncacheable_tokens == sum(len(t) for _, t in wp.segments) - wp.match_len
         assert bp.uncacheable_tokens == sum(len(t) for _, t in bp.segments) - bp.match_len

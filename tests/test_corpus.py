@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from agentaccel import corpus
+from agentaccel import corpus, fixtures
 from agentaccel.corpus import LoadError, PlanDAG, build_coactivation
 from agentaccel.tokenizer import Tokenizer
 
@@ -17,6 +17,30 @@ def test_registry_loads_sixteen_tools(bundle):
     assert len(bundle.registry.themes) == 4
     for tool in bundle.registry.tools.values():
         assert tool.description_tokens and tool.guideline_tokens
+
+
+def test_plan_records_render_as_their_loaded_plans(tmp_path, fixture_paths, monkeypatch):
+    # Example texts are rendered from plan records, the scripted planner's
+    # output and the draft table from loaded plans; drafting from the few-shot
+    # region needs both in one format.
+    plans = [rec["plan"] for split in ("train", "test") for rec in fixtures.dataset_records(split, fixtures.DEFAULT_SEED)]
+    render = fixtures.render_plan_dict
+    dataset_plans = len(plans)
+
+    def recording(plan):
+        plans.append(plan)
+        return render(plan)
+
+    monkeypatch.setattr(fixtures, "render_plan_dict", recording)
+    examples = fixtures.example_records()
+    assert len(plans) == dataset_plans + len(examples)
+    for example, plan in zip(examples, plans[dataset_plans:]):
+        assert example["example_text"].endswith(" . plan : " + render(plan))
+    path = tmp_path / "plans.jsonl"
+    _write_jsonl(path, [{"query": "q", "tools": sorted({n["call"] for n in p["nodes"]}), "plan": p} for p in plans])
+    tok = Tokenizer()
+    loaded = corpus.load_dataset(path, corpus.load_registry(fixture_paths["registry"], tok), tok)
+    assert [render(plan) for plan in plans] == [corpus.render_plan(sample.gt_plan) for sample in loaded]
 
 
 def test_dataset_referential_integrity_error(tmp_path, fixture_paths):

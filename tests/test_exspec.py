@@ -471,7 +471,8 @@ def per_n_stats(bundle, weaver, oracle_rag):
         gen = acc = 0
         for sample in bundle.test:
             retrieved = oracle_rag.retrieve_tools(sample.query_tokens, 0.5)
-            prompt = weaver.planner_prompt(sample.query_tokens, k=1, retrieved=retrieved)
+            examples = oracle_rag.retrieve_examples(sample.query_tokens, retrieved, 1)
+            prompt = weaver.planner_prompt(sample.query_tokens, retrieved, examples)
             script = bundle.tokenizer.tokenize(corpus_mod.render_plan(sample.gt_plan))
             model = ScriptedModel(prompt.tokens, script)
             lut = build_lut(prompt.extraction_region("fewshot"), n)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from agentaccel import corpus, exspec, fixtures, pipeline
+from agentaccel import corpus, exspec, fixtures, pipeline, toolrag
 from agentaccel.tokenizer import EOS_ID
 
 
@@ -47,6 +47,44 @@ def test_run_queries_drafts_the_planner_from_the_plan_table(bundle, plan):
     rounds = [sum(r.planner.decode["rounds"] for r in records) for records in (without, with_table)]
     assert rounds[1] < rounds[0]
     assert sum(r.planner.decode["backup_rounds"] for r in with_table) > 0
+
+
+@pytest.mark.parametrize("model", pipeline.MODELS)
+def test_run_queries_retrieves_examples_once_per_query(bundle, plan, populated_store, monkeypatch, model):
+    # The planner's top k and the baseline's top top_k examples come from one ranking.
+    calls = []
+    retrieve_examples = toolrag.ToolRag.retrieve_examples
+
+    def counting(self, query_tokens, selected, k):
+        calls.append((tuple(query_tokens), k))
+        return retrieve_examples(self, query_tokens, selected, k)
+
+    monkeypatch.setattr(toolrag.ToolRag, "retrieve_examples", counting)
+    settings = pipeline.RunSettings(model=model, k=2, top_k=3)
+    pipeline.run_queries(bundle, plan, populated_store, settings)
+    assert calls == [(tuple(sample.query_tokens), 3) for sample in bundle.test]
+
+
+def test_run_queries_lays_out_the_ranked_examples(bundle, plan):
+    emitted = []
+    pipeline.run_queries(bundle, plan, None, pipeline.RunSettings(k=2, top_k=3), emit=emitted.append)
+    rag = bundle.make_rag("oracle")
+    for sample, doc in zip(bundle.test, emitted):
+        ranked = rag.retrieve_examples(sample.query_tokens, rag.retrieve_tools(sample.query_tokens), 3)
+        planner = dict((s["kind"], s["tokens"]) for s in doc["prompts"]["planner"]["segments"])
+        baseline = dict((s["kind"], s["tokens"]) for s in doc["prompts"]["baseline"]["segments"])
+        assert doc["prompts"]["planner"]["stats"]["rag_example_ids"] == [ex.id for ex in ranked[:2]]
+        assert planner["rag_examples"] == [t for ex in ranked[:2] for t in ex.example_tokens]
+        assert baseline["rag_examples"] == [t for ex in ranked for t in ex.example_tokens]
+
+
+def test_run_json_knobs_are_the_run_settings_defaults():
+    # Every RunSettings field is read from exactly one run.json section.
+    sections = fixtures.default_run_config()
+    knobs = [name for names in pipeline.RUN_SECTIONS.values() for name in names]
+    assert sorted(knobs) == sorted(field.name for field in dataclasses.fields(pipeline.RunSettings))
+    picked = {name: sections[section][name] for section, names in pipeline.RUN_SECTIONS.items() for name in names}
+    assert pipeline.RunSettings(**picked) == pipeline.RunSettings()
 
 
 @pytest.mark.parametrize("model", pipeline.MODELS)

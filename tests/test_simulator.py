@@ -402,11 +402,7 @@ class TestCoverageCurve:
         sequences = [plan.activation_sequence(s.gt_tools) for s in bundle.train]
         cluster_tokens = {c.id: len(c.example_tokens) for c in plan.clusters}
         static_len = len(weaver.static_planner_prefix())
-        extra = (
-            len(weaver.baseline_header_prefix())
-            + len(weaver.arbiter_prefix("a"))
-            + len(weaver.arbiter_prefix("b"))
-        )
+        extra = len(weaver.baseline_header_prefix()) + len(weaver.arbiter_prefix())
         budget = len(plan.cached_combinations)
         pts = coverage_curve(
             sequences,

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentaccel import corpus
 from agentaccel.tokenizer import Tokenizer
@@ -17,7 +19,7 @@ class FixedScorer:
 
 
 def _rag_with_scores(bundle, scores):
-    return ToolRag(bundle.registry, bundle.examples, bundle.embedder, FixedScorer(scores), bundle.tokenizer)
+    return ToolRag(bundle.examples, bundle.embedder, FixedScorer(scores), bundle.tokenizer)
 
 
 def test_threshold_arithmetic(bundle):
@@ -89,7 +91,6 @@ def test_topk_matches_brute_force_scan(bundle):
 
 
 def _random_db(rng, tools, n):
-    registry = corpus.ToolRegistry(["x"], [corpus.Tool(t, t, "x", (1,), (2,)) for t in tools])
     texts = [
         " ".join(rng.choice(["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]) for _ in range(rng.randint(3, 8)))
         for _ in range(n)
@@ -106,14 +107,14 @@ def _random_db(rng, tools, n):
         )
         for i in range(n)
     ]
-    return registry, embedder, tok, examples
+    return embedder, tok, examples
 
 
 def test_randomized_rank_correctness_and_filter_soundness():
     rng = random.Random(23)
     tools = [f"t{i}" for i in range(6)]
-    registry, embedder, tok, examples = _random_db(rng, tools, 120)
-    rag = ToolRag(registry, examples, embedder, FixedScorer({}), tok)
+    embedder, tok, examples = _random_db(rng, tools, 120)
+    rag = ToolRag(examples, embedder, FixedScorer({}), tok)
     for _ in range(40):
         query = tok.tokenize(" ".join(rng.choice(["alpha", "beta", "gamma", "kappa"]) for _ in range(4)))
         selected = set(rng.sample(tools, rng.randint(0, 6)))
@@ -132,14 +133,27 @@ def test_randomized_rank_correctness_and_filter_soundness():
 def test_monotonicity_enlarging_selected_never_removes_eligible():
     rng = random.Random(29)
     tools = [f"t{i}" for i in range(6)]
-    registry, embedder, tok, examples = _random_db(rng, tools, 60)
-    rag = ToolRag(registry, examples, embedder, FixedScorer({}), tok)
+    embedder, tok, examples = _random_db(rng, tools, 60)
+    rag = ToolRag(examples, embedder, FixedScorer({}), tok)
     query = tok.tokenize("alpha beta")
     small = set(rng.sample(tools, 3))
     large = small | set(rng.sample(tools, 3))
     small_ids = {e.id for e in rag.retrieve_examples(query, small, 1000)}
     large_ids = {e.id for e in rag.retrieve_examples(query, large, 1000)}
     assert small_ids <= large_ids
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_top_k_is_a_prefix_of_top_m(bundle, data):
+    # One retrieval of the top max(k, top_k) examples serves both prompts of a query.
+    rag = bundle.make_rag("cosine")
+    query = data.draw(st.sampled_from(bundle.test + bundle.train[:40])).query_tokens
+    selected = data.draw(st.sets(st.sampled_from(bundle.registry.tool_ids())))
+    m = data.draw(st.integers(0, len(bundle.examples) + 1))
+    ranked = rag.retrieve_examples(query, selected, m)
+    for k in range(m + 1):
+        assert rag.retrieve_examples(query, selected, k) == ranked[:k]
 
 
 def test_cosine_scorer_scores_every_tool(bundle):

@@ -5,6 +5,7 @@ import pytest
 from agentaccel import pipeline
 from agentaccel.kvstore import TAG_STATIC, KVStore
 from agentaccel.weaver import (
+    MAX_DYNAMIC_EXAMPLES,
     PLANNER_SEGMENT_ORDER,
     SEG_ALL_TOOL_DESCRIPTIONS,
     SEG_CLUSTERED_EXAMPLES,
@@ -17,7 +18,19 @@ from agentaccel.weaver import (
 
 def _planner(weaver, oracle_rag, sample, k=1, store=None):
     retrieved = oracle_rag.retrieve_tools(sample.query_tokens, 0.5)
-    return weaver.planner_prompt(sample.query_tokens, k=k, store=store, retrieved=retrieved)
+    examples = oracle_rag.retrieve_examples(sample.query_tokens, retrieved, k)
+    return weaver.planner_prompt(sample.query_tokens, retrieved, examples, store=store)
+
+
+def _prompts(weaver, oracle_rag, sample, store=None):
+    """The planner and baseline prompts of one query at the default run settings."""
+    settings = pipeline.RunSettings()
+    retrieved = oracle_rag.retrieve_tools(sample.query_tokens, settings.tau)
+    examples = oracle_rag.retrieve_examples(sample.query_tokens, retrieved, max(settings.k, settings.top_k))
+    return (
+        weaver.planner_prompt(sample.query_tokens, retrieved, examples[: settings.k], store=store),
+        weaver.baseline_prompt(sample.query_tokens, retrieved, examples[: settings.top_k], store=store),
+    )
 
 
 class TestPlannerPrompt:
@@ -62,14 +75,18 @@ class TestPlannerPrompt:
             pytest.fail("no test query hit a fully cached combination")
 
     def test_empty_retrieval_is_degenerate_but_valid(self, weaver, bundle):
-        prompt = weaver.planner_prompt(bundle.test[0].query_tokens, k=0, retrieved=set())
+        prompt = weaver.planner_prompt(bundle.test[0].query_tokens, set(), [])
         assert prompt.stats["degenerate_empty_retrieval"]
         assert prompt.total_tokens > 0
         assert dict(prompt.segments)[SEG_CLUSTERED_EXAMPLES] == ()
 
-    def test_k_bounds_enforced(self, weaver, bundle):
-        with pytest.raises(ValueError):
-            weaver.planner_prompt(bundle.test[0].query_tokens, k=5, retrieved=set())
+    def test_more_than_max_dynamic_examples_refused(self, weaver, bundle):
+        query = bundle.test[0].query_tokens
+        examples = bundle.examples[: MAX_DYNAMIC_EXAMPLES + 1]
+        prompt = weaver.planner_prompt(query, set(bundle.registry.tool_ids()), examples[:MAX_DYNAMIC_EXAMPLES])
+        assert prompt.stats["rag_example_ids"] == [ex.id for ex in examples[:MAX_DYNAMIC_EXAMPLES]]
+        with pytest.raises(ValueError, match=f"at most {MAX_DYNAMIC_EXAMPLES}"):
+            weaver.planner_prompt(query, set(bundle.registry.tool_ids()), examples)
 
     def test_double_tool_substitute_used_for_missing_singles(self, weaver, bundle, oracle_rag):
         # get_zoom_link has no single-tool example in the database; a
@@ -89,25 +106,20 @@ class TestPlannerPrompt:
 
 class TestBaselinePrompt:
     def test_identical_query_gives_identical_prompt(self, weaver, oracle_rag, bundle):
-        sample = bundle.test[0]
-        retrieved = oracle_rag.retrieve_tools(sample.query_tokens, 0.5)
-        a = weaver.baseline_prompt(sample.query_tokens, retrieved=retrieved)
-        b = weaver.baseline_prompt(sample.query_tokens, retrieved=retrieved)
+        _, a = _prompts(weaver, oracle_rag, bundle.test[0])
+        _, b = _prompts(weaver, oracle_rag, bundle.test[0])
         assert a.tokens == b.tokens
 
     def test_weaver_prompt_is_longer(self, weaver, oracle_rag, bundle):
         for sample in bundle.test[:10]:
-            retrieved = oracle_rag.retrieve_tools(sample.query_tokens, 0.5)
-            wp = weaver.planner_prompt(sample.query_tokens, k=1, retrieved=retrieved)
-            bp = weaver.baseline_prompt(sample.query_tokens, retrieved=retrieved)
+            wp, bp = _prompts(weaver, oracle_rag, sample)
             assert wp.total_tokens >= bp.total_tokens
 
     def test_baseline_mostly_uncacheable_with_early_dynamicity(self, weaver, oracle_rag, bundle):
         fractions = []
         first_dynamic = []
         for sample in bundle.test:
-            retrieved = oracle_rag.retrieve_tools(sample.query_tokens, 0.5)
-            bp = weaver.baseline_prompt(sample.query_tokens, retrieved=retrieved)
+            _, bp = _prompts(weaver, oracle_rag, sample)
             fractions.append(bp.uncacheable_tokens / bp.total_tokens)
             first_dynamic.append(bp.stats["first_dynamic_token_index"] / bp.total_tokens)
         assert statistics.mean(fractions) > 0.90
@@ -115,9 +127,7 @@ class TestBaselinePrompt:
 
     def test_reuse_dominance(self, weaver, oracle_rag, bundle, populated_store):
         for sample in bundle.test[:15]:
-            retrieved = oracle_rag.retrieve_tools(sample.query_tokens, 0.5)
-            wp = weaver.planner_prompt(sample.query_tokens, k=1, store=populated_store, retrieved=retrieved)
-            bp = weaver.baseline_prompt(sample.query_tokens, store=populated_store, retrieved=retrieved)
+            wp, bp = _prompts(weaver, oracle_rag, sample, store=populated_store)
             assert wp.match_len >= bp.match_len
 
     def test_structural_preservation(self, weaver, oracle_rag, bundle):
@@ -125,8 +135,7 @@ class TestBaselinePrompt:
         # baseline's top-1 example appears in the weaver prompt at k >= 1.
         for sample in bundle.test[:15]:
             retrieved = oracle_rag.retrieve_tools(sample.query_tokens, 0.5)
-            wp = weaver.planner_prompt(sample.query_tokens, k=1, retrieved=retrieved)
-            bp = weaver.baseline_prompt(sample.query_tokens, retrieved=retrieved)
+            wp, bp = _prompts(weaver, oracle_rag, sample)
             wp_desc = dict(wp.segments)[SEG_ALL_TOOL_DESCRIPTIONS]
             bp_desc = dict(bp.segments)[SEG_ALL_TOOL_DESCRIPTIONS]
             assert set(bp_desc) <= set(wp_desc)
@@ -139,25 +148,20 @@ class TestBaselinePrompt:
 
 class TestArbiterPrompt:
     def test_empty_observations_fully_cacheable(self, weaver, populated_store):
-        prompt = weaver.arbiter_prompt([], variant="a", store=populated_store)
+        prompt = weaver.arbiter_prompt([], store=populated_store)
         assert prompt.cacheable_tokens == prompt.total_tokens
 
     def test_uncached_store_gives_zero(self, weaver):
-        prompt = weaver.arbiter_prompt([1, 2, 3], variant="a", store=None)
+        prompt = weaver.arbiter_prompt([1, 2, 3], store=None)
         assert prompt.cacheable_tokens == 0
 
     def test_precomputed_variants_mostly_cacheable(self, weaver, bundle, populated_store):
         fractions = []
         for sample in bundle.test:
             obs = bundle.tokenizer.tokenize(pipeline.observation_text(sample.gt_plan))
-            for variant in ("a", "b"):
-                prompt = weaver.arbiter_prompt(obs, variant=variant, store=populated_store)
-                fractions.append(prompt.cacheable_tokens / prompt.total_tokens)
+            prompt = weaver.arbiter_prompt(obs, store=populated_store)
+            fractions.append(prompt.cacheable_tokens / prompt.total_tokens)
         assert min(fractions) >= 0.85
-
-    def test_unknown_variant_rejected(self, weaver):
-        with pytest.raises(ValueError):
-            weaver.arbiter_prompt([], variant="z")
 
 
 class TestOfflineKeysMatchOnlineLayout:
@@ -175,15 +179,14 @@ class TestOfflineKeysMatchOnlineLayout:
         assert len(cases) > 1
         for combo, key in cases:
             retrieved = self._retrieval_activating(plan, combo)
-            prompt = weaver.planner_prompt(query, k=1, store=populated_store, retrieved=retrieved)
+            prompt = weaver.planner_prompt(query, retrieved, bundle.examples[:1], store=populated_store)
             assert tuple(prompt.stats["activated_clusters"]) == tuple(combo)
             assert tuple(prompt.tokens[: len(key)]) == key
             assert prompt.match_len >= len(key)
 
-    @pytest.mark.parametrize("variant", ["a", "b"])
-    def test_arbiter_keys(self, weaver, populated_store, variant):
-        key = weaver.arbiter_prefix(variant)
-        prompt = weaver.arbiter_prompt([], variant=variant, store=populated_store)
+    def test_arbiter_keys(self, weaver, populated_store):
+        key = weaver.arbiter_prefix()
+        prompt = weaver.arbiter_prompt([], store=populated_store)
         assert tuple(prompt.tokens[: len(key)]) == key
         assert prompt.match_len >= len(key)
 
@@ -192,9 +195,7 @@ class TestTokenReduction:
     def test_uncacheable_reduced_at_least_sixty_percent(self, weaver, oracle_rag, bundle, populated_store):
         base, woven = [], []
         for sample in bundle.test:
-            retrieved = oracle_rag.retrieve_tools(sample.query_tokens, 0.5)
-            wp = weaver.planner_prompt(sample.query_tokens, k=1, store=populated_store, retrieved=retrieved)
-            bp = weaver.baseline_prompt(sample.query_tokens, store=populated_store, retrieved=retrieved)
+            wp, bp = _prompts(weaver, oracle_rag, sample, store=populated_store)
             base.append(bp.uncacheable_tokens)
             woven.append(wp.uncacheable_tokens)
             # Independent recount: segments after the matched prefix.
@@ -210,18 +211,16 @@ class TestStaticTokens:
     def test_served_head_of_each_prompt(self, weaver, oracle_rag, bundle, populated_store):
         head = len(weaver.static_planner_prefix())
         for sample in bundle.test[:10]:
-            retrieved = oracle_rag.retrieve_tools(sample.query_tokens, 0.5)
-            planner = weaver.planner_prompt(sample.query_tokens, retrieved, store=populated_store)
+            planner, baseline = _prompts(weaver, oracle_rag, sample, store=populated_store)
             assert planner.match_len > head and planner.static_tokens == head
-            assert weaver.planner_prompt(sample.query_tokens, retrieved).static_tokens == 0  # nothing served
-            baseline = weaver.baseline_prompt(sample.query_tokens, retrieved, store=populated_store)
+            assert _prompts(weaver, oracle_rag, sample)[0].static_tokens == 0  # nothing served
             assert baseline.static_tokens == min(baseline.match_len, len(weaver.baseline_header_prefix()))
-        arbiter = weaver.arbiter_prompt([7, 8], variant="b", store=populated_store)
-        assert arbiter.static_tokens == len(weaver.arbiter_prefix("b")) == arbiter.match_len
+        arbiter = weaver.arbiter_prompt([7, 8], store=populated_store)
+        assert arbiter.static_tokens == len(weaver.arbiter_prefix()) == arbiter.match_len
         assert arbiter.to_dict()["static_tokens"] == arbiter.static_tokens
 
     def test_a_head_served_in_part_counts_only_the_served_part(self, weaver, bundle, tmp_path, desk_geometry):
         store = KVStore(tmp_path)
         store.precompute({TAG_STATIC: [weaver.static_planner_prefix()[:10]]}, desk_geometry)
-        prompt = weaver.planner_prompt(bundle.test[0].query_tokens, bundle.test[0].gt_tools, store=store)
+        prompt = weaver.planner_prompt(bundle.test[0].query_tokens, bundle.test[0].gt_tools, [], store=store)
         assert prompt.match_len == prompt.static_tokens == 10
