@@ -38,7 +38,7 @@ prompt = planner_prompt(sample)
 script = bundle.tokenizer.tokenize(render_plan(sample.gt_plan))
 model = ScriptedModel(prompt.tokens, script)
 
-region = prompt.extraction_region("fewshot")
+region = prompt.extraction_region()
 lut = build_lut(region, n=3)
 print(f"query: {sample.query_text!r}")
 print(f"trigram table built from {lut.source_token_count} region tokens -> {len(lut)} entries (a few KB)")
@@ -63,7 +63,7 @@ rounds = {"prompt table only": 0, "with the train table": 0}
 for s in bundle.test:
     p = planner_prompt(s)
     m = ScriptedModel(p.tokens, bundle.tokenizer.tokenize(render_plan(s.gt_plan)))
-    lut_s = build_lut(p.extraction_region("fewshot"), 3)
+    lut_s = build_lut(p.extraction_region(), 3)
     for label, backup in (("prompt table only", None), ("with the train table", train_table)):
         out, st = decode(m, p.tokens, lut_s, 4, True, 160, backup=backup)
         assert out == greedy_decode(m, p.tokens, 160)
@@ -78,7 +78,7 @@ for n in (2, 3, 4):
     for s in bundle.test:
         p = planner_prompt(s)
         m = ScriptedModel(p.tokens, bundle.tokenizer.tokenize(render_plan(s.gt_plan)))
-        _, st = decode(m, p.tokens, build_lut(p.extraction_region("fewshot"), n), 4, True, 160)
+        _, st = decode(m, p.tokens, build_lut(p.extraction_region(), n), 4, True, 160)
         gen += st.drafts_generated
         acc += st.drafts_accepted
     print(f"  n={n}: {acc}/{gen} drafts accepted ({acc / gen:.0%})")

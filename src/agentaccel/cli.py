@@ -20,7 +20,7 @@ from . import corpus, fixtures, pipeline, shapes, simulator
 from .clusterplan import ClusterPlan, build_plan
 from .kvstore import KVStore, ModelGeometry, StoreError
 from .tokenizer import Tokenizer
-from .weaver import EXTRACT_MODES, MAX_DYNAMIC_EXAMPLES, Weaver
+from .weaver import MAX_DYNAMIC_EXAMPLES, Weaver
 
 CACHE_DIR_ENV = "AGENTACCEL_CACHE_DIR"
 
@@ -70,14 +70,18 @@ _KNOBS = {
     "n": shapes.Check(shapes.INT, lambda n: n >= 2, "an integer of at least 2"),
     "draft_len": shapes.Check(shapes.INT, lambda draft_len: draft_len >= 1, "a positive integer"),
     "selective": shapes.BOOL,
-    "extract": _one_of(*EXTRACT_MODES),
     "model": _one_of(*pipeline.MODELS),
     "max_tokens": shapes.COUNT,
     "jobs": shapes.INT,
 }
+# Knobs run.json once took, by section: one still set is refused rather than ignored.
+_REMOVED = {"exspec": dict.fromkeys(("extract",), shapes.Check(shapes.ANY, lambda value: False, "a setting any more: delete it"))}
 _RUN_CONFIG = shapes.Object(
     optional={"paths": shapes.Object(optional=dict.fromkeys(_RUN_PATHS, shapes.STR))}
-    | {section: shapes.Object(optional={name: _KNOBS[name] for name in names}) for section, names in pipeline.RUN_SECTIONS.items()}
+    | {
+        section: shapes.Object(optional={name: _KNOBS[name] for name in names} | _REMOVED.get(section, {}))
+        for section, names in pipeline.RUN_SECTIONS.items()
+    }
 )
 
 
@@ -391,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--draft-len", dest="draft_len", type=int)
     p.add_argument("--selective", choices=("on", "off"))
-    p.add_argument("--extract")
     p.add_argument("--model")
     p.add_argument("--max-tokens", dest="max_tokens", type=int)
     p.add_argument("--jobs", type=int)

@@ -12,7 +12,8 @@ per entry and per token run, never per token of that head: `precompute`
 walks the keys of all tag groups in one sorted running stream (each
 distinct block synthesized once) and publishes the manifest once; opening
 a store hashes no key; matching walks a radix tree of token runs, built at
-the first match, comparing each edge as one slice.
+the first match, comparing each edge as one slice; a head shared by many
+prompts is walked once (`resolve`), and their matches continue below it.
 
 Layout on disk:
   <root>/manifest.json          entry table + geometry, swapped atomically
@@ -174,6 +175,37 @@ class _RadixNode:
         self.best = best
 
 
+def _descend(node: _RadixNode, tokens: tuple, depth: int):
+    """Follow `tokens` from `node`, at `depth`, down every edge they match whole.
+
+    Returns the last node reached, its depth, and the match: the entry
+    served and how many leading tokens it covers.
+    """
+    while depth < len(tokens):
+        edge = node.children.get(tokens[depth])
+        if edge is None:
+            break
+        run, child = edge
+        end = depth + len(run)
+        if tokens[depth:end] != run:
+            # Every key through this edge runs to its end, so the entry
+            # served inside it is the one served at its end.
+            return node, depth, (child.best, depth + _common_head(run, tokens[depth:end]))
+        node, depth = child, end
+    return node, depth, (node.best, depth)
+
+
+@dataclass(frozen=True)
+class ResolvedHead:
+    """Where `head` leaves the radix tree `index` (see `KVStore.resolve`)."""
+
+    index: _RadixNode
+    head: tuple[int, ...]
+    node: _RadixNode  # the deepest node `head` reaches through whole edges, at `depth`
+    depth: int
+    served: tuple[CacheEntry | None, int] | None  # the match of every prompt opening with `head`, if no tail changes it
+
+
 class KVStore:
     """A directory-backed store of precomputed prefix KV blobs."""
 
@@ -230,20 +262,16 @@ class KVStore:
                 return self._index
             root = _RadixNode(None)
             for entry in sorted(self.entries.values(), key=lambda e: (e.token_count, e.key)):
-                key, node, depth = entry.key, root, 0
-                while depth < len(key):
-                    edge = node.children.get(key[depth])
-                    if edge is None:
-                        node.children[key[depth]] = (key[depth:], _RadixNode(entry))
-                        break
-                    run, child = edge
-                    head = _common_head(run, key[depth : depth + len(run)])
-                    if head < len(run):
-                        mid = _RadixNode(child.best)
-                        mid.children[run[head]] = (run[head:], child)
-                        node.children[key[depth]] = (run[:head], mid)
-                        child = mid
-                    node, depth = child, depth + head
+                key = entry.key
+                node, depth, (_, shared) = _descend(root, key, 0)
+                if shared > depth:  # the key leaves the edge on key[depth] inside it: split it there
+                    run, child = node.children[key[depth]]
+                    mid = _RadixNode(child.best)
+                    mid.children[run[shared - depth]] = (run[shared - depth:], child)
+                    node.children[key[depth]] = (run[: shared - depth], mid)
+                    node, depth = mid, shared
+                if depth < len(key):
+                    node.children[key[depth]] = (key[depth:], _RadixNode(entry))
             self._index = root
             return root
 
@@ -320,29 +348,29 @@ class KVStore:
         tmp.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
         os.replace(tmp, self.manifest_path)
 
-    def longest_cached_prefix(self, prompt) -> tuple[CacheEntry | None, int]:
+    def resolve(self, head) -> ResolvedHead:
+        """Where `head` leaves the current index, for matching prompts that open with it."""
+        index = self._index or self._build_index()
+        head = tuple(head)
+        node, depth, served = _descend(index, head, 0)
+        # A head ending inside an edge continues from the node above it.
+        return ResolvedHead(index, head, node, depth, served if served[1] < len(head) else None)
+
+    def longest_cached_prefix(self, prompt, start: ResolvedHead | None = None) -> tuple[CacheEntry | None, int]:
         """Entry and token count of the best reusable prefix for `prompt`.
 
         An entry covers min(len(entry.key), first-mismatch position) leading
         tokens of the prompt: reuse halts at the first token mismatch, but an
         entry longer than the match still serves its matching head with the
         tail cut off.  Returns (None, 0) when nothing matches.
+
+        Given `start`, the `resolve` of a head `prompt` opens with, the head
+        is not read again; a start of an older index (or another store) is
+        resolved anew.
         """
-        node = self._index or self._build_index()
-        prompt = tuple(prompt)
-        depth = 0
-        while depth < len(prompt):
-            edge = node.children.get(prompt[depth])
-            if edge is None:
-                break
-            run, child = edge
-            end = depth + len(run)
-            if prompt[depth:end] != run:
-                # Every key through this edge runs to its end, so the entry
-                # served inside it is the one served at its end.
-                return child.best, depth + _common_head(run, prompt[depth:end])
-            node, depth = child, end
-        return node.best, depth
+        if start is None or start.index is not (self._index or self._build_index()):
+            start = self.resolve(() if start is None else start.head)
+        return start.served or _descend(start.node, tuple(prompt), start.depth)[2]
 
     def load_blob(self, entry: CacheEntry) -> bytes:
         """The persisted KV stream for `entry`, verified against its checksum."""

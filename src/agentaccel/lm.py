@@ -13,7 +13,8 @@ costs is priced by `agentaccel.simulator` from the round counts.
 `ReferenceModel.bind(prompt)` gives a decode its per-prompt state: a model
 valid for every context that extends the prompt.  ScriptedModel checks there,
 once, that the prompt extends its own, so a bound step reads only the tokens
-past it; the Markov step needs no such state and binds to itself.
+past it (the model's own prompt object needs no check); the Markov step needs
+no such state and binds to itself.
 `greedy_decode` never binds and stays the oracle that speculative output is
 checked against.
 """
@@ -77,8 +78,9 @@ class ScriptedModel(ReferenceModel):
 
     def bind(self, prompt) -> ReferenceModel:
         """A step reading only the tokens past the model's prompt, checked once
-        to hold for `prompt`; `self` when `prompt` does not extend the model's."""
-        if tuple(prompt[: len(self.prompt)]) != self.prompt:
+        to hold for `prompt` (unless it is that prompt); `self` when `prompt`
+        does not extend the model's."""
+        if prompt is not self.prompt and tuple(prompt[: len(self.prompt)]) != self.prompt:
             return self
         return _BoundScript(self)
 

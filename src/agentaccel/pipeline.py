@@ -63,7 +63,7 @@ class CorpusBundle:
         if scorer_name == "oracle":
             scorer = toolrag.OracleToolScorer(self.registry, self.test)
         else:
-            scorer = toolrag.CosineToolScorer(self.registry, self.examples, self.embedder, self.tokenizer)
+            scorer = toolrag.CosineToolScorer(self.registry, self.examples)
         return toolrag.ToolRag(self.examples, self.embedder, scorer, self.tokenizer)
 
 
@@ -115,7 +115,6 @@ class RunSettings:
     n: int = exspec.DEFAULT_N
     draft_len: int = exspec.DEFAULT_DRAFT_LEN
     selective: bool = True
-    extract: str = "fewshot"
     model: str = "scripted"
     max_tokens: int = 160
     jobs: int = 1
@@ -125,7 +124,7 @@ class RunSettings:
 RUN_SECTIONS = {
     "toolrag": ("tau", "scorer", "top_k"),
     "weaver": ("k",),
-    "exspec": ("n", "draft_len", "selective", "extract"),
+    "exspec": ("n", "draft_len", "selective"),
     "run": ("model", "max_tokens", "jobs"),
 }
 
@@ -175,10 +174,9 @@ def run_queries(
     if settings.model not in MODELS:
         raise ValueError(f"unknown reference model '{settings.model}'")
     arbiter_script = bundle.tokenizer.tokenize(ARBITER_VERDICT)
-    # Draft tables of regions that open with a prompt part fixed for the
-    # run extend that part's counts, taken once here.
+    # The arbiter's draft table extends the counts of its guidelines, which
+    # open every arbiter prompt, taken once here.
     arbiter_head = exspec.count_head(weaver.arbiter_prefix(), settings.n)
-    planner_head = exspec.count_head(weaver.static_planner_prefix(), settings.n) if settings.extract == "all" else None
 
     def run_one(idx_sample) -> TraceRecord:
         idx, sample = idx_sample
@@ -192,61 +190,43 @@ def run_queries(
         obs_tokens = bundle.tokenizer.tokenize(observation_text(sample.gt_plan))
         ap = weaver.arbiter_prompt(obs_tokens, store=store)
 
-        if settings.model == "scripted":
-            planner_model = lm.ScriptedModel(wp.tokens, planner_script)
-            arbiter_model = lm.ScriptedModel(ap.tokens, arbiter_script)
-        else:
-            planner_model = markov
-            arbiter_model = markov
+        decoded = {}  # role -> (model, prompt, output, decode stats); the planner decodes first
+        for role, prompt, script, head, backup in (
+            ("planner", wp, planner_script, None, plan.draft_table),
+            ("arbiter", ap, arbiter_script, arbiter_head, None),
+        ):
+            model = lm.ScriptedModel(prompt.tokens, script) if settings.model == "scripted" else markov
+            lut = exspec.build_lut(prompt.extraction_region(), settings.n, head)
+            out, stats = exspec.decode(
+                model, prompt.tokens, lut, settings.draft_len, settings.selective, settings.max_tokens, backup=backup
+            )
+            decoded[role] = model, prompt, out, stats.to_dict()
 
-        planner_lut = exspec.build_lut(wp.extraction_region(settings.extract), settings.n, planner_head)
-        planner_out, planner_stats = exspec.decode(
-            planner_model, wp.tokens, planner_lut, settings.draft_len, settings.selective, settings.max_tokens,
-            backup=plan.draft_table,
-        )
-        arbiter_lut = exspec.build_lut(ap.extraction_region(settings.extract), settings.n, arbiter_head)
-        arbiter_out, arbiter_stats = exspec.decode(
-            arbiter_model, ap.tokens, arbiter_lut, settings.draft_len, settings.selective, settings.max_tokens
-        )
+        def role_trace(role, baseline_total, baseline_uncacheable) -> RoleTrace:
+            _, prompt, out, stats = decoded[role]
+            return RoleTrace(
+                baseline_total, baseline_uncacheable, prompt.total_tokens, prompt.uncacheable_tokens, prompt.static_tokens, len(out), stats
+            )
 
-        planner_role = RoleTrace(
-            baseline_total=bp.total_tokens,
-            baseline_uncacheable=bp.uncacheable_tokens,
-            weaver_total=wp.total_tokens,
-            weaver_uncacheable=wp.uncacheable_tokens,
-            weaver_static=wp.static_tokens,
-            output_tokens=len(planner_out),
-            decode=planner_stats.to_dict(),
-        )
-        # The arbiter has a single prompt shape; its baseline is the same
-        # prompt with nothing precomputed.
-        arbiter_role = RoleTrace(
-            baseline_total=ap.total_tokens,
-            baseline_uncacheable=ap.total_tokens,
-            weaver_total=ap.total_tokens,
-            weaver_uncacheable=ap.uncacheable_tokens,
-            weaver_static=ap.static_tokens,
-            output_tokens=len(arbiter_out),
-            decode=arbiter_stats.to_dict(),
-        )
         record = TraceRecord(
             query_id=f"q{idx:04d}",
             tool_count=len(sample.gt_plan.nodes),
-            planner=planner_role,
-            arbiter=arbiter_role,
+            planner=role_trace("planner", bp.total_tokens, bp.uncacheable_tokens),
+            # The arbiter has a single prompt shape; its baseline is the same
+            # prompt with nothing precomputed.
+            arbiter=role_trace("arbiter", ap.total_tokens, ap.total_tokens),
         )
         if emit is not None:
-            decoded = {"planner": (planner_model, wp, planner_out), "arbiter": (arbiter_model, ap, arbiter_out)}
             emit({
                 "query_id": record.query_id,
                 "prompts": {"planner": wp.to_dict(), "baseline": bp.to_dict(), "arbiter": ap.to_dict()},
                 "decodes": {
                     role: {
                         "output_tokens": out,
-                        "stats": getattr(record, role).decode,
+                        "stats": stats,
                         "matches_autoregressive": out == lm.greedy_decode(model, prompt.tokens, settings.max_tokens),
                     }
-                    for role, (model, prompt, out) in decoded.items()
+                    for role, (model, prompt, out, stats) in decoded.items()
                 },
             })
         return record

@@ -82,9 +82,7 @@ class CosineToolScorer:
     score 0.
     """
 
-    def __init__(self, registry: ToolRegistry, examples: list[ToolUseExample], embedder, tokenizer: Tokenizer):
-        self._embedder = embedder
-        self._tokenizer = tokenizer
+    def __init__(self, registry: ToolRegistry, examples: list[ToolUseExample]):
         self._prototypes: dict[str, np.ndarray] = {}
         for tool_id in registry.tool_ids():
             vecs = [ex.query_embedding for ex in examples if tool_id in ex.tools]
@@ -92,8 +90,8 @@ class CosineToolScorer:
                 self._prototypes[tool_id] = np.mean(np.stack(vecs), axis=0)
         self._all_tools = registry.tool_ids()
 
-    def score(self, query_tokens) -> dict[str, float]:
-        query_vec = self._embedder.embed(self._tokenizer.detokenize(query_tokens))
+    def score(self, query_tokens, embed_query) -> dict[str, float]:
+        query_vec = embed_query(query_tokens)
         scores = {}
         for tool_id in self._all_tools:
             proto = self._prototypes.get(tool_id)
@@ -114,23 +112,31 @@ class OracleToolScorer:
         self._all_tools = registry.tool_ids()
         self._truth = {tuple(s.query_tokens): s.gt_tools for s in samples}
 
-    def score(self, query_tokens) -> dict[str, float]:
+    def score(self, query_tokens, embed_query) -> dict[str, float]:
         truth = self._truth.get(tuple(query_tokens), frozenset())
         return {t: (1.0 if t in truth else 0.0) for t in self._all_tools}
 
 
 class ToolRag:
-    """Bundles the embedder, scorer, and example database behind one front."""
+    """Bundles the embedder, scorer, and example database behind one front; scorers read `embed_query`."""
 
     def __init__(self, examples: list[ToolUseExample], embedder, scorer, tokenizer: Tokenizer):
         self.examples = list(examples)
         self.embedder = embedder
         self.scorer = scorer
         self.tokenizer = tokenizer
+        self._last_query = None  # (query tokens, embedding) of the query embedded last
+
+    def embed_query(self, query_tokens) -> np.ndarray:
+        """The query's embedding, kept for the last query: scoring and ranking both read it."""
+        last = self._last_query
+        if last is None or last[0] != tuple(query_tokens):
+            last = self._last_query = tuple(query_tokens), self.embedder.embed(self.tokenizer.detokenize(query_tokens))
+        return last[1]
 
     def retrieve_tools(self, query_tokens, tau: float = DEFAULT_TAU) -> set[str]:
         """Tools whose score reaches the threshold; may be empty."""
-        scores = self.scorer.score(query_tokens)
+        scores = self.scorer.score(query_tokens, self.embed_query)
         return {tool_id for tool_id, s in scores.items() if s >= tau}
 
     def retrieve_examples(self, query_tokens, selected: set[str], k: int = DEFAULT_TOP_K) -> list[ToolUseExample]:
@@ -143,7 +149,7 @@ class ToolRag:
             raise ValueError("k must be non-negative")
         if k == 0:
             return []
-        query_vec = self.embedder.embed(self.tokenizer.detokenize(query_tokens))
+        query_vec = self.embed_query(query_tokens)
         selected = set(selected)
         eligible = [ex for ex in self.examples if ex.tools <= selected]
         ranked = sorted(eligible, key=lambda ex: (-cosine(query_vec, ex.query_embedding), ex.id))

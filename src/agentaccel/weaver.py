@@ -14,8 +14,10 @@ retrieved tool set and retrieved examples (see `pipeline.run_queries`).
 The layout lives in one place: `Weaver.__init__` builds the static head
 once and `_cluster_run` turns cluster ids into example tokens; the offline
 cache keys (`static_planner_prefix`, `combination_prefix`) and the online
-`planner_prompt` are assembled from those same pieces, and `_prompt`
-flattens each prompt once.
+`planner_prompt` are assembled from those same pieces.  Each prompt opens
+with a head the same for every query of a run, one tuple built once: per
+query, `_prompt` flattens only the query's own tail onto it, and its match
+continues from the head's one resolution in the store (`KVStore.resolve`).
 
 The baseline builder mirrors the conventional layout (retrieved-tool
 descriptions injected right after a short greeting, guidance text trapped
@@ -30,7 +32,7 @@ from itertools import chain
 
 from .clusterplan import ClusterPlan
 from .corpus import ToolRegistry, ToolUseExample
-from .kvstore import TAG_ARBITER_STATIC, TAG_CLUSTER_COMBINATION, TAG_STATIC, CacheEntry, KVStore
+from .kvstore import TAG_ARBITER_STATIC, TAG_CLUSTER_COMBINATION, TAG_STATIC, CacheEntry, KVStore, ResolvedHead
 
 SEG_STATIC_SYSTEM = "static_system"
 SEG_ALL_TOOL_DESCRIPTIONS = "all_tool_descriptions"
@@ -50,8 +52,8 @@ PLANNER_SEGMENT_ORDER = (
     SEG_USER_QUERY,
 )
 
-# Segments the on-the-fly draft table is built from under the default
-# extraction policy: the few-shot material plus the live request.
+# Segments the on-the-fly draft table is built from: the few-shot material
+# plus the live request.
 FEWSHOT_REGION_KINDS = frozenset(
     {
         SEG_CLUSTERED_EXAMPLES,
@@ -63,19 +65,9 @@ FEWSHOT_REGION_KINDS = frozenset(
     }
 )
 
-
-# The known values of the `extract` run setting.
-EXTRACT_MODES = ("fewshot", "all")
-
-
-def region_tokens(segments, mode: str = "fewshot") -> list[int]:
-    """Token stream of `(kind, tokens)` segments the draft lookup table is built from.
-
-    `all` takes the whole prompt; `fewshot` the segments in FEWSHOT_REGION_KINDS.
-    """
-    if mode not in EXTRACT_MODES:
-        raise ValueError(f"unknown extraction mode '{mode}'")
-    return list(chain.from_iterable(toks for kind, toks in segments if mode == "all" or kind in FEWSHOT_REGION_KINDS))
+def region_tokens(segments) -> list[int]:
+    """Token stream of `(kind, tokens)` segments the draft lookup table is built from: those in FEWSHOT_REGION_KINDS."""
+    return list(chain.from_iterable(toks for kind, toks in segments if kind in FEWSHOT_REGION_KINDS))
 
 
 MAX_DYNAMIC_EXAMPLES = 4
@@ -142,7 +134,7 @@ class ReconstructedPrompt:
     """An ordered list of (kind, tokens) segments, their concatenation, plus cache accounting."""
 
     segments: tuple[tuple[str, tuple[int, ...]], ...]
-    tokens: list[int]
+    tokens: tuple[int, ...]
     cache_entry: CacheEntry | None
     match_len: int
     head_len: int  # length of the run-wide head the prompt opens with
@@ -165,9 +157,9 @@ class ReconstructedPrompt:
         """Served tokens inside the run-wide head: their KV does not depend on the query."""
         return min(self.match_len, self.head_len)
 
-    def extraction_region(self, mode: str = "fewshot") -> list[int]:
+    def extraction_region(self) -> list[int]:
         """Token stream the draft lookup table is built from."""
-        return region_tokens(self.segments, mode)
+        return region_tokens(self.segments)
 
     def to_dict(self) -> dict:
         return {
@@ -218,6 +210,13 @@ class Weaver:
 
         self._single_example = {t: self._pick_single_example(t) for t in registry.tool_ids()}
 
+        # Each prompt's head: its segments, and their tokens as one tuple.
+        head = ((SEG_STATIC_SYSTEM, self._system), (SEG_ALL_TOOL_DESCRIPTIONS, self._descriptions))
+        self._planner_head = head, self._system + self._descriptions
+        self._baseline_head = ((SEG_STATIC_SYSTEM, self._baseline_header),), self._baseline_header
+        self._arbiter_head = ((SEG_DECISION_GUIDELINES, self._arbiter),), self._arbiter
+        self._starts: dict[int, tuple[KVStore, ResolvedHead]] = {}  # id of a head's tokens -> (store, its resolve)
+
     def _tool_block(self, tool_id: str) -> tuple[int, ...]:
         tool = self.registry[tool_id]
         head = self.tokenizer.tokenize(f"tool {tool.id} :")
@@ -248,8 +247,8 @@ class Weaver:
     # ---- cacheable prefixes -------------------------------------------------
 
     def static_planner_prefix(self) -> tuple[int, ...]:
-        """Header, instructions, and every tool's description block."""
-        return self._system + self._descriptions
+        """Header, instructions, and every tool's description block: the planner prompt's head."""
+        return self._planner_head[1]
 
     def combination_prefix(self, combo) -> tuple[int, ...]:
         """Static prefix extended with one cached cluster combination."""
@@ -272,20 +271,20 @@ class Weaver:
 
     # ---- prompt builders ----------------------------------------------------
 
-    @staticmethod
-    def _prompt(segments, store: KVStore | None, stats: dict, head_len: int, unstored_match_len: int = 0) -> ReconstructedPrompt:
-        """Flatten `segments` once and match them against `store` (without one, `unstored_match_len` is cacheable).
+    def _prompt(self, head, tail, store: KVStore | None, stats: dict, unstored_match_len: int = 0) -> ReconstructedPrompt:
+        """One of the weaver's heads, then the `tail` segments, matched against `store` from the head's resolution.
 
-        The first `head_len` tokens are the prompt's head, the same for every query of a run.
+        Without a store, `unstored_match_len` tokens are cacheable.
         """
-        tokens = region_tokens(segments, "all")
-        if store is None:
-            entry, match_len = None, unstored_match_len
-        else:
-            entry, match_len = store.longest_cached_prefix(tokens)
-        return ReconstructedPrompt(
-            segments=segments, tokens=tokens, cache_entry=entry, match_len=match_len, head_len=head_len, stats=stats
-        )
+        segments, head_tokens = head
+        tokens = head_tokens + tuple(chain.from_iterable(toks for _, toks in tail))
+        entry, match_len = None, unstored_match_len
+        if store is not None:
+            known = self._starts.get(id(head_tokens))
+            if known is None or known[0] is not store:
+                known = self._starts[id(head_tokens)] = store, store.resolve(head_tokens)
+            entry, match_len = store.longest_cached_prefix(tokens, start=known[1])
+        return ReconstructedPrompt(segments + tail, tokens, entry, match_len, len(head_tokens), stats)
 
     def planner_prompt(
         self,
@@ -308,21 +307,10 @@ class Weaver:
         activated = self.plan.activation_sequence(retrieved)
         clustered_ids = {self.plan.cluster_by_id(cluster_id).example_id for cluster_id in activated}
 
-        singles: list[int] = []
-        duplicate_singles = 0
-        for tool_id in sorted(retrieved):
-            example = self._single_example.get(tool_id)
-            if example is None:
-                continue
-            if example.id in clustered_ids:
-                duplicate_singles += 1
-            singles.extend(example.example_tokens)
-
-        segments = (
-            (SEG_STATIC_SYSTEM, self._system),
-            (SEG_ALL_TOOL_DESCRIPTIONS, self._descriptions),
+        singles = [ex for ex in map(self._single_example.get, sorted(retrieved)) if ex is not None]
+        tail = (
             (SEG_CLUSTERED_EXAMPLES, self._cluster_run(activated)),
-            (SEG_SINGLE_TOOL_EXAMPLES, tuple(singles)),
+            (SEG_SINGLE_TOOL_EXAMPLES, _example_run(singles)),
             (SEG_RAG_EXAMPLES, _example_run(examples)),
             (SEG_USER_QUERY, tuple(query_tokens)),
         )
@@ -330,10 +318,10 @@ class Weaver:
             "retrieved_tools": sorted(retrieved),
             "activated_clusters": list(activated),
             "rag_example_ids": [ex.id for ex in examples],
-            "duplicate_single_tool_examples": duplicate_singles,
+            "duplicate_single_tool_examples": sum(ex.id in clustered_ids for ex in singles),
             "degenerate_empty_retrieval": not retrieved,
         }
-        return self._prompt(segments, store, stats, head_len=len(self._system) + len(self._descriptions))
+        return self._prompt(self._planner_head, tail, store, stats)
 
     def baseline_prompt(
         self,
@@ -351,13 +339,8 @@ class Weaver:
         ever precompute).
         """
         retrieved = set(retrieved)
-        desc: list[int] = []
-        for tool_id in sorted(retrieved):
-            desc.extend(self._tool_blocks[tool_id])
-
-        segments = (
-            (SEG_STATIC_SYSTEM, self._baseline_header),
-            (SEG_ALL_TOOL_DESCRIPTIONS, tuple(desc)),
+        tail = (
+            (SEG_ALL_TOOL_DESCRIPTIONS, tuple(chain.from_iterable(self._tool_blocks[t] for t in sorted(retrieved)))),
             (SEG_DECISION_GUIDELINES, self._instructions),
             (SEG_RAG_EXAMPLES, _example_run(examples)),
             (SEG_USER_QUERY, tuple(query_tokens)),
@@ -367,13 +350,8 @@ class Weaver:
             "first_dynamic_token_index": len(self._baseline_header),
             "degenerate_empty_retrieval": not retrieved,
         }
-        head_len = len(self._baseline_header)
-        return self._prompt(segments, store, stats, head_len=head_len, unstored_match_len=head_len)
+        return self._prompt(self._baseline_head, tail, store, stats, unstored_match_len=len(self._baseline_header))
 
     def arbiter_prompt(self, observation_tokens, store: KVStore | None = None) -> ReconstructedPrompt:
         """The static guidelines followed by the call-observation pairs."""
-        segments = (
-            (SEG_DECISION_GUIDELINES, self._arbiter),
-            (SEG_CALL_OBSERVATIONS, tuple(observation_tokens)),
-        )
-        return self._prompt(segments, store, {}, head_len=len(self._arbiter))
+        return self._prompt(self._arbiter_head, ((SEG_CALL_OBSERVATIONS, tuple(observation_tokens)),), store, {})

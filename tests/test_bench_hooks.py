@@ -40,16 +40,32 @@ def test_precompute_counters_match_the_store(precompute_cache_argv, tmp_path):
     assert tracer.counts["kvstore.entries"] == len(store.entries)
 
 
-@pytest.mark.parametrize("extract", ["fewshot", "all"])
-def test_run_queries_builds_two_luts_per_query(bundle, plan, populated_store, extract):
+@pytest.mark.parametrize("region", ["fewshot"])
+def test_run_queries_builds_two_luts_per_query(bundle, plan, populated_store, region):
     # `exspec.luts` and `exspec.lut_entries.mean` count `exspec.build_lut`
-    # calls: one planner and one arbiter table per query, shared heads
-    # included.
+    # calls: one planner table of the few-shot region and one arbiter table
+    # per query, the arbiter's shared head included.
     tracer = _load("spans").Tracer()
     with tracer.installed():
-        records = pipeline.run_queries(bundle, plan, populated_store, pipeline.RunSettings(extract=extract))
+        records = pipeline.run_queries(bundle, plan, populated_store, pipeline.RunSettings())
     assert len(records) == len(bundle.test)
     assert tracer.counts["exspec.luts"] == 2 * len(bundle.test)
+
+
+def test_run_queries_matches_three_prompts_per_query(bundle, plan, populated_store):
+    # `kvstore.match.calls`, `kvstore.served_tokens_frac` and
+    # `weaver.planner_uncacheable_frac` read `KVStore.longest_cached_prefix`
+    # calls: one per prompt, the heads each prompt continues from resolved
+    # outside them.  The served counts are those of matching every prompt
+    # from the root.
+    tracer = _load("spans").Tracer()
+    with tracer.installed():
+        pipeline.run_queries(bundle, plan, populated_store, pipeline.RunSettings())
+    queries = {span[4] for span in tracer.spans if span[0] == "kvstore.match"}
+    assert sum(span[0] == "kvstore.match" for span in tracer.spans) == 3 * len(bundle.test)
+    assert queries == set(range(len(bundle.test)))
+    assert tracer.counts["kvstore.matched_tokens"] == 197_914
+    assert tracer.counts["planner.served_tokens"] == 164_314
 
 
 @pytest.fixture(scope="module")

@@ -493,7 +493,6 @@ def test_run_settings_default_to_run_settings(workdir, tmp_path):
         ("weaver", "k", 5),
         ("exspec", "n", 1),
         ("exspec", "draft_len", 0),
-        ("exspec", "extract", "none"),
         ("run", "model", "gpt"),
         ("run", "max_tokens", -1),
     ],
@@ -503,6 +502,15 @@ def test_run_knob_outside_its_allowed_values_fails_cleanly(workdir, tmp_path, ca
     cfg[section] = dict(cfg[section], **{name: value})
     message = _assert_single_error(_run_config(tmp_path, cfg), capsys)
     assert str(tmp_path / "run.json") in message and f"{section}.{name}" in message
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_run_json_setting_a_removed_knob_fails_cleanly(workdir, tmp_path, capsys):
+    # A knob run.json no longer takes is refused, not silently ignored.
+    cfg = _absolute_config(workdir, tmp_path)
+    cfg["exspec"] = dict(cfg["exspec"], extract="fewshot")
+    message = _assert_single_error(_run_config(tmp_path, cfg), capsys)
+    assert str(tmp_path / "run.json") in message and "exspec.extract" in message and "delete it" in message
     assert not (tmp_path / "t.jsonl").exists()
 
 
@@ -562,14 +570,14 @@ def test_emitted_static_tokens_equal_the_traces_weaver_static(workdir, tmp_path,
         assert record["planner"]["weaver_static"] > 0 and record["arbiter"]["weaver_static"] > 0
 
 
-@pytest.mark.parametrize("extract", ["fewshot", "all"])
-def test_decode_stats_use_the_extraction_region(workdir, tmp_path, extract):
-    """Each emitted decode drafted from the table of its prompt's extraction region."""
-    _, docs = _emitted(workdir, tmp_path, "--extract", extract)
+@pytest.mark.parametrize("region", ["fewshot"])
+def test_decode_stats_use_the_extraction_region(workdir, tmp_path, region):
+    """Each emitted decode drafted from the table of its prompt's few-shot region."""
+    _, docs = _emitted(workdir, tmp_path)
     for doc in docs.values():
         for role in ("planner", "arbiter"):
             segments = [(seg["kind"], seg["tokens"]) for seg in doc["prompts"][role]["segments"]]
-            lut = exspec.build_lut(region_tokens(segments, extract), exspec.DEFAULT_N)
+            lut = exspec.build_lut(region_tokens(segments), exspec.DEFAULT_N)
             assert doc["decodes"][role]["stats"]["lut_size"] == len(lut)
 
 

@@ -475,7 +475,7 @@ def per_n_stats(bundle, weaver, oracle_rag):
             prompt = weaver.planner_prompt(sample.query_tokens, retrieved, examples)
             script = bundle.tokenizer.tokenize(corpus_mod.render_plan(sample.gt_plan))
             model = ScriptedModel(prompt.tokens, script)
-            lut = build_lut(prompt.extraction_region("fewshot"), n)
+            lut = build_lut(prompt.extraction_region(), n)
             _, stats = decode(model, prompt.tokens, lut, 4, True, 160)
             gen += stats.drafts_generated
             acc += stats.drafts_accepted

@@ -387,6 +387,74 @@ class TestLongestPrefix:
         assert store.longest_cached_prefix([1, 2, 3]) == (first, 3)
 
 
+class TestResolvedHead:
+    """A match continued from `resolve(head)` equals the match of the whole prompt from the root."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), calls=_precompute_calls())
+    def test_continued_match_equals_full_match_and_oracle(self, data, calls):
+        with tempfile.TemporaryDirectory() as tmp:
+            store = KVStore(Path(tmp) / "store")
+            store.precompute(calls[0], TINY)
+            keys = [e.key for e in store.entries.values()]
+            prompts = data.draw(st.lists(_prompts(keys), min_size=1, max_size=10))
+            # Cut each prompt anywhere: heads end at a node, inside an edge,
+            # after leaving every key inside an edge, or past every key.
+            heads = [tuple(p[: data.draw(st.integers(0, len(p)))]) for p in prompts]
+            starts = [store.resolve(head) for head in heads]
+            for groups in calls[1:]:
+                store.precompute(groups, TINY)  # the starts are now stale
+            entries = list(store.entries.values())
+            trie = _TokenTrie.build(entries)
+            for prompt, head, start in zip(prompts, heads, starts):
+                for tail in (tuple(prompt[len(head):]), *data.draw(st.lists(st.lists(st.integers(0, 3), max_size=6), max_size=3))):
+                    whole = head + tuple(tail)
+                    served = store.longest_cached_prefix(whole, start=start)
+                    assert served == store.longest_cached_prefix(whole) == _oracle_served(entries, whole) == trie.served(whole)
+
+    @pytest.fixture
+    def forked(self, store):
+        # root -[1 2 3]-> node -[4 5]-> (the five-token key)
+        #                      -[9]---> (the four-token key)
+        store.precompute({TAG_STATIC: [[1, 2, 3, 4, 5], [1, 2, 3, 9]]}, TINY)
+        return store
+
+    def _entry(self, store, key):
+        return store.entries[sequence_hash(tuple(key))]
+
+    def test_head_ending_inside_an_edge_continues_above_it(self, forked):
+        start = forked.resolve([1, 2])
+        assert (start.depth, start.served) == (0, None)
+        assert forked.longest_cached_prefix((1, 2, 3, 4, 7), start=start) == (self._entry(forked, [1, 2, 3, 4, 5]), 4)
+        assert forked.longest_cached_prefix((1, 2, 7), start=start) == (self._entry(forked, [1, 2, 3, 9]), 2)
+
+    def test_head_ending_at_a_node_continues_there(self, forked):
+        start = forked.resolve([1, 2, 3])
+        assert (start.depth, start.served) == (3, None)
+        assert forked.longest_cached_prefix((1, 2, 3, 9, 9), start=start) == (self._entry(forked, [1, 2, 3, 9]), 4)
+
+    @pytest.mark.parametrize("head, served", [([1, 7], ([1, 2, 3, 9], 1)), ([1, 2, 3, 4, 5, 6], ([1, 2, 3, 4, 5], 5)), ([8], (None, 0))])
+    def test_head_leaving_every_key_serves_the_same_for_any_tail(self, forked, head, served):
+        # It leaves every key inside an edge, runs past every key, or shares no token with any.
+        key, length = served
+        expected = (key and self._entry(forked, key), length)
+        start = forked.resolve(head)
+        assert start.served == expected
+        for tail in ((), (1, 2, 3), (4, 5, 9)):
+            assert forked.longest_cached_prefix(tuple(head) + tail, start=start) == expected
+
+    def test_empty_head_and_empty_store(self, store, forked):
+        assert forked.longest_cached_prefix((1, 2, 3, 9), start=forked.resolve(())) == (self._entry(forked, [1, 2, 3, 9]), 4)
+        empty = KVStore(store.root.parent / "empty")
+        for head in ((), (1, 2)):
+            assert empty.longest_cached_prefix(head + (3,), start=empty.resolve(head)) == (None, 0)
+
+    def test_start_resolved_before_a_precompute_is_resolved_again(self, forked):
+        start = forked.resolve([1, 7])
+        longer = forked.precompute({TAG_STATIC: [[1, 7, 7]]}, TINY)[0]
+        assert forked.longest_cached_prefix((1, 7, 7, 7), start=start) == (longer, 3)
+
+
 class TestLoad:
     def test_round_trip_is_byte_identical(self, store):
         entries = store.precompute({TAG_STATIC: [[4, 5, 6]]}, TINY)

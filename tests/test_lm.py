@@ -163,6 +163,16 @@ def _tails(prompt, model, drawn):
     return tails
 
 
+class _ReadCounting(tuple):
+    """A tuple that counts its item and slice reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
 class TestBoundScripted:
     """`bind` against the unbound distribution, the oracle it replaces."""
 
@@ -191,6 +201,26 @@ class TestBoundScripted:
         expected = greedy_decode(model, prompt, max_tokens)
         for selective in (True, False):
             assert decode(model, prompt, lut, n_draft, selective, max_tokens)[0] == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=bound_prompts(), drawn=st.lists(st.lists(tokens, max_size=8), max_size=4))
+    def test_own_prompt_binds_like_an_equal_one(self, case, drawn):
+        # The pipeline decodes the model's own prompt object, which `bind` takes unchecked.
+        _, model = case
+        prompt = list(model.prompt)
+        own, equal = model.bind(model.prompt), model.bind(tuple(prompt))
+        assert type(own) is type(equal) is not ScriptedModel
+        for tail in _tails(prompt, model, drawn):
+            ctx = prompt + tail
+            assert own.greedy_next(ctx) == equal.greedy_next(ctx) == _lowest_id_argmax(model.next_distribution(ctx))
+
+    def test_only_the_own_prompt_object_skips_the_check(self):
+        model = ScriptedModel((1, 2, 3), (4, 5))
+        model.prompt = own = _ReadCounting((1, 2, 3))
+        assert type(model.bind(own)) is not ScriptedModel and own.reads == 0
+        equal = _ReadCounting((1, 2, 3))
+        assert type(model.bind(equal)) is not ScriptedModel and equal.reads > 0
+        assert model.bind(_ReadCounting((1, 2, 9))) is model
 
     def test_markov_binds_to_itself(self):
         model = train_markov([[1, 2, 3]], order=2)

@@ -1,11 +1,13 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agentaccel import corpus
+from agentaccel import corpus, pipeline
 from agentaccel.tokenizer import Tokenizer
 from agentaccel.toolrag import TfidfEmbedder, ToolRag, cosine
 
@@ -14,7 +16,7 @@ class FixedScorer:
     def __init__(self, scores):
         self._scores = scores
 
-    def score(self, query_tokens):
+    def score(self, query_tokens, embed_query):
         return dict(self._scores)
 
 
@@ -158,6 +160,37 @@ def test_top_k_is_a_prefix_of_top_m(bundle, data):
 
 def test_cosine_scorer_scores_every_tool(bundle):
     rag = bundle.make_rag("cosine")
-    scores = rag.scorer.score(bundle.test[0].query_tokens)
+    scores = rag.scorer.score(bundle.test[0].query_tokens, rag.embed_query)
     assert set(scores) == set(bundle.registry.tool_ids())
     assert all(0.0 <= v <= 1.0 for v in scores.values())
+
+
+def test_cosine_run_embeds_each_example_and_query_once(fixture_paths, plan, monkeypatch):
+    # Loading embeds each example; scoring and ranking share each query's
+    # embedding, and a query equal to the one before it reuses that one's.
+    texts = []
+    embed = TfidfEmbedder.embed
+    monkeypatch.setattr(TfidfEmbedder, "embed", lambda self, text: texts.append(text) or embed(self, text))
+    paths = [fixture_paths[name] for name in ("registry", "train", "test", "examples", "vocab")]
+    bundle = pipeline.load_bundle(*paths)
+    records = pipeline.run_queries(bundle, plan, None, pipeline.RunSettings(scorer="cosine"))
+    queries = [sample.query_tokens for sample in bundle.test]
+    fresh = [q for i, q in enumerate(queries) if i == 0 or q != queries[i - 1]]
+    assert (len(bundle.examples), len(records), len(fresh)) == (36, 60, 59)
+    assert len(texts) == 36 + 59
+    assert texts[36:] == [bundle.tokenizer.detokenize(q) for q in fresh]
+
+
+def test_embed_query_from_many_threads_returns_each_querys_embedding(bundle):
+    # `--jobs` shares one ToolRag between threads; they race on its one kept embedding.
+    rag = bundle.make_rag("cosine")
+    queries = [sample.query_tokens for sample in bundle.test]
+    expected = [bundle.embedder.embed(bundle.tokenizer.detokenize(q)) for q in queries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda i: rag.embed_query(queries[i % len(queries)]), range(3000), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(vec, expected[i % len(queries)]) for i, vec in enumerate(got))

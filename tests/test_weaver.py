@@ -141,7 +141,7 @@ class TestBaselinePrompt:
             assert set(bp_desc) <= set(wp_desc)
             top1 = oracle_rag.retrieve_examples(sample.query_tokens, retrieved, 1)
             if top1:
-                needle = list(top1[0].example_tokens)
+                needle = top1[0].example_tokens
                 hay = wp.tokens
                 assert any(hay[i: i + len(needle)] == needle for i in range(len(hay)))
 
