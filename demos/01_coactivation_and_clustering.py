@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 # Offline planning walkthrough: co-activation statistics, NMF clustering,
-# theme ordering, and budgeted combination selection on the bundled corpus.
+# theme ordering, and budgeted tool-set selection on the bundled corpus.
 
 import tempfile
 
 from agentaccel import build_coactivation, build_plan, fixtures, pipeline
+from agentaccel.clusterplan import sample_leaves
 from agentaccel.simulator import coverage_curve, coverage_saturation_budget, geometry_presets
 
 with tempfile.TemporaryDirectory(prefix="agentaccel-demo-") as workdir:
@@ -26,16 +27,15 @@ print("\nclusters in their fixed prompt order (theme groups adjacent):")
 for cluster in plan.clusters:
     print(f"  [{cluster.id}] {cluster.theme:9s} {', '.join(cluster.tool_ids)}")
 
-print("\ncached cluster combinations, in greedy pick order:")
-for combo in plan.cached_combinations:
-    print(f"  {'-'.join(str(c) for c in combo)}")
+print("\ncached tool sets (activated clusters), in greedy pick order:")
+for tools in plan.cached_tool_sets:
+    print(f"  {', '.join(tools)} ({'-'.join(str(c) for c in plan.activation_sequence(tools))})")
 
-sequences = [plan.activation_sequence(s.gt_tools) for s in bundle.train]
-cluster_tokens = {c.id: len(c.example_tokens) for c in plan.clusters}
-saturation = coverage_saturation_budget(sequences)
-points = coverage_curve(sequences, cluster_tokens, range(saturation + 1),
+leaves = sample_leaves(plan, bundle.train)
+saturation = coverage_saturation_budget(leaves)
+points = coverage_curve(leaves, range(saturation + 1),
                         geometry_presets()["7b-class"], static_prefix_tokens=2641)
-print("\ncoverage vs cache budget (token-weighted) and storage cost:")
+print("\nshare of the cacheable example tokens served vs cache budget, and storage cost:")
 for p in points:
     bar = "#" * round(p.coverage_fraction * 40)
     print(f"  budget {p.budget:2d}  {p.coverage_fraction:6.1%}  {p.storage_bytes / 1e9:5.2f} GB  {bar}")

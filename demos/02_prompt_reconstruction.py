@@ -20,7 +20,7 @@ with tempfile.TemporaryDirectory(prefix="agentaccel-demo-") as tmp:
                       budget=15, rank=8, seed=fixtures.DEFAULT_SEED)
 
     rag = bundle.make_rag("oracle")
-    weaver = Weaver(bundle.registry, bundle.tokenizer, plan, bundle.examples)
+    weaver = Weaver(bundle.registry, bundle.tokenizer, plan)
 
     store = KVStore(workdir / "cache")
     geometry = geometry_presets()["desk"]  # small synthetic blobs for the demo

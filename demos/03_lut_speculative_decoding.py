@@ -24,7 +24,7 @@ matrix = build_coactivation(bundle.train, bundle.registry)
 plan = build_plan(matrix, bundle.registry, bundle.examples, bundle.train,
                   budget=15, rank=8, seed=fixtures.DEFAULT_SEED)
 rag = bundle.make_rag("oracle")
-weaver = Weaver(bundle.registry, bundle.tokenizer, plan, bundle.examples)
+weaver = Weaver(bundle.registry, bundle.tokenizer, plan)
 
 
 def planner_prompt(s):

@@ -161,7 +161,7 @@ def cmd_build_plan(args) -> int:
         draft_table=pipeline.plan_draft_table(bundle),
     )
     _atomic_write(args.out, plan.to_json() + "\n")
-    print(f"plan written to {args.out} ({len(plan.clusters)} clusters, {len(plan.cached_combinations)} cached combinations)")
+    print(f"plan written to {args.out} ({len(plan.clusters)} clusters, {len(plan.cached_tool_sets)} cached tool sets)")
     return 0
 
 
@@ -181,7 +181,7 @@ def cmd_precompute_cache(args) -> int:
     registry_sha256, vocab_sha256 = _sha256(registry_path), _sha256(vocab_path)
     _check_bound(plan.provenance, f"plan {plan_path}", "build-plan",
                  registry=(registry_path, registry_sha256), vocab=(vocab_path, vocab_sha256))
-    groups = Weaver(registry, tok, plan, examples=[]).cacheable_prefixes()
+    groups = Weaver(registry, tok, plan).cacheable_prefixes()
     store = KVStore(outdir)
     store.precompute(groups, geometry)
     total = sum(map(len, groups.values()))
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=fixtures.DEFAULT_SEED)
     p.set_defaults(func=cmd_fixtures)
 
-    p = sub.add_parser("build-plan", help="cluster tools and select cached combinations")
+    p = sub.add_parser("build-plan", help="cluster tools and select cached tool sets")
     p.add_argument("--dataset", required=True)
     p.add_argument("--registry", required=True)
     p.add_argument("--examples", required=True)

@@ -2,9 +2,18 @@
 
 Pipeline: factorize the tool co-activation matrix with NMF, partition tools
 by their dominant factor, label each cluster with its modal theme, impose a
-fixed total order (theme groups first, cluster id second), then greedily pick
-the cluster-combination prefixes whose cached KV would cover the most
-activation sequences in the training data, under a fixed budget.
+fixed total order (theme groups first, cluster id second), choose each
+cluster's example and each tool's single-tool example, then greedily pick,
+under a fixed budget, the training tool sets whose cached planner streams
+would serve the most tokens of the training queries.
+
+A tool set's stream (`ClusterPlan.leaf`) is everything its planner prompt
+lays out after the static head that depends on the tool set alone: the
+activated clusters' examples in plan order, then the single-tool examples.
+The store keeps each picked stream behind the static head as one key, and
+its radix tree serves a key's leading cluster run to queries whose tool set
+differs, so no shorter combination prefix is a candidate: the leaf it is a
+prefix of covers at least as much of every query.
 
 Everything is deterministic given (matrix, rank, seed, tol), so a plan can be
 rebuilt byte-identically from its provenance block.  A plan may also carry
@@ -14,10 +23,11 @@ from when a prompt's own table misses.
 
 from __future__ import annotations
 
-import heapq
+import dataclasses
 import json
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +35,7 @@ import numpy as np
 from . import shapes
 from .corpus import CoactivationMatrix, ToolRegistry, ToolUseExample
 from .exspec import NGramLUT
+from .kvstore import common_head
 
 DEFAULT_RANK = 8
 DEFAULT_ITERS = 500
@@ -103,34 +114,44 @@ class PlanError(ValueError):
 _CLUSTER = shapes.Object(
     {"id": shapes.INT, "tools": shapes.STRINGS, "theme": shapes.STR, "example_id": shapes.STR, "example_tokens": shapes.TOKEN_IDS}
 )
-_CLUSTER_IDS = shapes.ListOf(shapes.INT, "a list of cluster ids")
+_SINGLE = shapes.Object({"tool": shapes.STR, "example_id": shapes.STR, "example_tokens": shapes.TOKEN_IDS})
 _PLAN = shapes.Object(
-    {"clusters": shapes.ListOf(_CLUSTER), "order": _CLUSTER_IDS, "cached_combinations": shapes.ListOf(_CLUSTER_IDS)},
+    {
+        "clusters": shapes.ListOf(_CLUSTER),
+        "order": shapes.ListOf(shapes.INT, "a list of cluster ids"),
+        "single_examples": shapes.ListOf(_SINGLE),
+        "cached_tool_sets": shapes.ListOf(shapes.STRINGS),
+    },
     {"provenance": shapes.OBJECT, "draft_table": shapes.OBJECT},
 )
 
 
 @dataclass(frozen=True)
 class ClusterPlan:
-    """Ordered clusters plus the budgeted set of cached combination prefixes.
+    """Ordered clusters, each tool's single-tool example, and the budgeted set of cached tool sets.
 
-    `clusters` is stored in plan order.  `cached_combinations` holds the
-    prefixes returned by the greedy selection, as tuples of cluster ids in
-    plan order; the empty prefix is always implicitly cached.
-    `draft_table`, when present, is the planner's backup draft table.
+    `clusters` is stored in plan order.  `single_examples` maps a tool id to
+    the (id, tokens) of its single-tool example; a tool without one is
+    absent.  `cached_tool_sets` holds the tool sets the greedy selection
+    picked, in pick order, each as sorted tool ids; the static head is always
+    cached.  `draft_table`, when present, is the planner's backup draft table.
     """
 
     clusters: tuple[Cluster, ...]
-    cached_combinations: tuple[tuple[int, ...], ...]
+    single_examples: dict[str, tuple[str, tuple[int, ...]]] = field(default_factory=dict)
+    cached_tool_sets: tuple[tuple[str, ...], ...] = ()
     provenance: dict = field(default_factory=dict)
     draft_table: NGramLUT | None = None
 
     def __post_init__(self):
-        positions = {c.id: i for i, c in enumerate(self.clusters)}
-        for combo in self.cached_combinations:
-            pos = [positions[cid] for cid in combo]
-            if pos != sorted(pos) or len(set(pos)) != len(pos):
-                raise ValueError(f"combination {combo} does not respect plan order")
+        known = {t for c in self.clusters for t in c.tool_ids}
+        for tools in (*self.cached_tool_sets, tuple(self.single_examples)):
+            unknown = sorted(set(tools) - known)
+            if unknown:
+                raise ValueError(f"tool '{unknown[0]}' is in no cluster")
+        for tools in self.cached_tool_sets:
+            if not tools or list(tools) != sorted(set(tools)):
+                raise ValueError(f"tool set {list(tools)} is not a non-empty list of distinct tool ids in sorted order")
 
     def position(self, cluster_id: int) -> int:
         for i, c in enumerate(self.clusters):
@@ -146,6 +167,18 @@ class ClusterPlan:
         tools = set(sample_tools)
         return tuple(c.id for c in self.clusters if tools & set(c.tool_ids))
 
+    def leaf(self, tools) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The two token runs a planner prompt retrieving `tools` lays out after its static head.
+
+        First the examples of the activated clusters in plan order, then the
+        single-tool examples of `tools` in tool-id order (a tool without one
+        adds nothing).  Both depend on the tool set alone, so the static head
+        followed by them is the tool set's cache key.
+        """
+        clustered = chain.from_iterable(self.cluster_by_id(c).example_tokens for c in self.activation_sequence(tools))
+        singles = chain.from_iterable(self.single_examples[t][1] for t in sorted(tools) if t in self.single_examples)
+        return tuple(clustered), tuple(singles)
+
     def to_json(self) -> str:
         doc = {
             "clusters": [
@@ -159,7 +192,11 @@ class ClusterPlan:
                 for c in self.clusters
             ],
             "order": [c.id for c in self.clusters],
-            "cached_combinations": [list(combo) for combo in self.cached_combinations],
+            "single_examples": [
+                {"tool": tool, "example_id": ex_id, "example_tokens": list(tokens)}
+                for tool, (ex_id, tokens) in sorted(self.single_examples.items())
+            ],
+            "cached_tool_sets": [list(tools) for tools in self.cached_tool_sets],
             "provenance": self.provenance,
         }
         if self.draft_table is not None:
@@ -168,8 +205,12 @@ class ClusterPlan:
 
     @classmethod
     def from_json(cls, text: str, where: str = "plan") -> "ClusterPlan":
-        """Parse a `to_json` document; a document of another shape raises PlanError."""
-        doc = shapes.parse_json(text, _PLAN, where, PlanError)
+        """Parse a `to_json` document; a document of another shape, or of an older format, raises PlanError."""
+        doc = shapes.parse_json(text, shapes.OBJECT, where, PlanError)
+        # Not a misfit the shape would name: it ignores fields it does not declare.
+        if "cached_combinations" in doc:
+            raise PlanError(f"{where} holds cached_combinations, the format of an older build-plan: re-run build-plan")
+        shapes.check(doc, _PLAN, where, PlanError)
         by_id = {}
         for rec in doc["clusters"]:
             by_id[rec["id"]] = Cluster(
@@ -179,19 +220,23 @@ class ClusterPlan:
                 example_id=rec["example_id"],
                 example_tokens=tuple(rec["example_tokens"]),
             )
-        for key, combos in (("order", [doc["order"]]), ("cached_combinations", doc["cached_combinations"])):
-            unknown = [cid for combo in combos for cid in combo if cid not in by_id]
-            if unknown:
-                raise PlanError(f"{where} field '{key}' names unknown cluster id {unknown[0]}")
+        unknown = [cid for cid in doc["order"] if cid not in by_id]
+        if unknown:
+            raise PlanError(f"{where} field 'order' names unknown cluster id {unknown[0]}")
         table = doc.get("draft_table")
         if table is not None:
             table = NGramLUT.from_dict(table, f"{where} draft_table", PlanError)
-        clusters = tuple(by_id[cid] for cid in doc["order"])
-        combos = tuple(tuple(c) for c in doc["cached_combinations"])
+        singles = {rec["tool"]: (rec["example_id"], tuple(rec["example_tokens"])) for rec in doc["single_examples"]}
         try:
-            return cls(clusters=clusters, cached_combinations=combos, provenance=doc.get("provenance", {}), draft_table=table)
-        except ValueError as exc:  # a combination out of plan order
-            raise PlanError(f"{where} field 'cached_combinations': {exc}") from None
+            return cls(
+                clusters=tuple(by_id[cid] for cid in doc["order"]),
+                single_examples=singles,
+                cached_tool_sets=tuple(map(tuple, doc["cached_tool_sets"])),
+                provenance=doc.get("provenance", {}),
+                draft_table=table,
+            )
+        except ValueError as exc:  # a tool set out of order, or a tool in no cluster
+            raise PlanError(f"{where}: {exc}") from None
 
     @classmethod
     def load(cls, path) -> "ClusterPlan":
@@ -271,64 +316,77 @@ def order_clusters(groups: dict[int, list[str]], registry: ToolRegistry, example
     return tuple(clusters)
 
 
-def coverage(sequences, combos) -> int:
-    """Total cached-prefix length over all activation sequences.
+def choose_single_example(tool_id: str, examples: list[ToolUseExample]) -> ToolUseExample | None:
+    """The single-tool example of a tool, or its double-tool substitute.
 
-    Each sequence contributes the length of the longest element of
-    `combos` (plus the empty prefix) that is a prefix of it.  Selection does
-    not call this; it is the brute-force oracle the tests check against.
+    A few tools have no single-tool example in the database; for those the
+    lowest-id two-tool example mentioning the tool stands in.
     """
-    cached = set(tuple(c) for c in combos)
-    total = 0
-    for seq in sequences:
-        seq = tuple(seq)
-        for length in range(len(seq), 0, -1):
-            if seq[:length] in cached:
-                total += length
-                break
-    return total
+    singles = sorted((ex for ex in examples if ex.tools == frozenset({tool_id})), key=lambda e: e.id)
+    if singles:
+        return singles[0]
+    doubles = sorted((ex for ex in examples if tool_id in ex.tools and len(ex.tools) == 2), key=lambda e: e.id)
+    return doubles[0] if doubles else None
 
 
-def prefix_counts(sequences) -> Counter:
-    """Number of sequences starting with each prefix, over the non-empty prefix closure."""
-    counts: Counter = Counter()
-    for seq in sequences:
-        seq = tuple(seq)
-        counts.update(seq[:length] for length in range(1, len(seq) + 1))
-    return counts
+def coverage(streams, keys) -> int:
+    """Leading tokens of `streams` that cached `keys` serve, summed.
+
+    Each stream counts its longest common prefix with any key, as the
+    store's longest-prefix match serves it.  Selection does not call this;
+    it is the brute-force oracle the tests check against.
+    """
+    keys = [tuple(k) for k in keys]
+    return sum(max((common_head(tuple(s), k) for k in keys), default=0) for s in streams)
 
 
-def select_combinations(budget: int, sequences) -> list[tuple[int, ...]]:
-    """Greedy prefix selection under a cluster-combination budget.
+def select_combinations(budget: int, leaves) -> list[tuple[str, ...]]:
+    """Greedy selection of cached tool sets under a count budget.
 
-    Candidates are prefixes observed in the dataset; a prefix is eligible in
-    a round only if it is a singleton or its parent (the prefix minus its
-    last cluster) was already selected.  Each round takes the candidate with
-    the largest coverage gain; ties prefer shorter prefixes, then
-    lexicographically smaller cluster-id tuples.  Returns the selections in
-    pick order (at most `budget` of them; fewer if candidates run out).
+    `leaves` holds one (tool set, stream) pair per training query; a tool set
+    always comes with the same stream.  The candidates are the distinct tool
+    sets.  Each round takes the candidate that adds the most covered tokens
+    (`coverage` of every query's stream by the picked candidates' streams);
+    ties prefer the shorter stream, then the smaller tool-id tuple.  Returns
+    the picks in pick order: at most `budget`, and none that adds nothing.
 
-    Selections stay prefix-closed, so an eligible prefix's gain is exactly
-    its prefix count and never changes: each round pops the best
-    `(-count, length, prefix)` off a heap over the eligible frontier, then
-    pushes the pick's children.
+    In lexicographic order the common prefix of two streams is the least
+    common prefix of the neighbours between them, so one pass over
+    neighbours gives every pair's, and each round's gains are one matrix
+    product over them.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    counts = prefix_counts(sequences)
-    children: dict[tuple[int, ...], list[tuple[int, ...]]] = defaultdict(list)
-    for p in counts:
-        children[p[:-1]].append(p)
+    weights = Counter(tools for tools, _ in leaves)
+    streams = {tools: tuple(stream) for tools, stream in leaves}
+    ids = sorted(streams, key=streams.get)
+    n = len(ids)
+    neighbours = np.array([common_head(streams[a], streams[b]) for a, b in zip(ids, ids[1:])], dtype=np.int64)
+    shared = np.diag(np.array([len(streams[t]) for t in ids], dtype=np.int64))
+    for i in range(n - 1):
+        shared[i, i + 1:] = np.minimum.accumulate(neighbours[i:])
+    shared = np.maximum(shared, shared.T)
+    count = np.array([weights[t] for t in ids], dtype=np.int64)
+    tie = {i: (len(streams[t]), t) for i, t in enumerate(ids)}
 
-    frontier = [(-counts[p], len(p), p) for p in children[()]]
-    heapq.heapify(frontier)
-    chosen: list[tuple[int, ...]] = []
-    while frontier and len(chosen) < budget:
-        _, _, best = heapq.heappop(frontier)
-        chosen.append(best)
-        for child in children[best]:
-            heapq.heappush(frontier, (-counts[child], len(child), child))
+    covered = np.zeros(n, dtype=np.int64)  # tokens of each stream served so far
+    chosen: list[tuple[str, ...]] = []
+    while len(chosen) < budget:
+        gains = count @ np.maximum(shared - covered[:, None], 0)
+        best = gains.max(initial=0)
+        if best <= 0:
+            break
+        pick = min(np.flatnonzero(gains == best), key=tie.get)
+        chosen.append(ids[pick])
+        covered = np.maximum(covered, shared[:, pick])
     return chosen
+
+
+def sample_leaves(plan: ClusterPlan, samples) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
+    """Each sample's (sorted tool set, stream): the `plan.leaf` of its tool set, as one run."""
+    tool_sets = [tuple(sorted(s.gt_tools)) for s in samples]
+    streams = {tools: tuple(chain.from_iterable(plan.leaf(tools))) for tools in set(tool_sets)}
+    return [(tools, streams[tools]) for tools in tool_sets]
 
 
 def build_plan(
@@ -350,9 +408,10 @@ def build_plan(
     groups = assign_clusters(result.w, matrix)
     clusters = order_clusters(groups, registry, examples)
     ordered_ids = [c.id for c in clusters]
-    interim = ClusterPlan(clusters=clusters, cached_combinations=())
-    sequences = [interim.activation_sequence(s.gt_tools) for s in samples]
-    combos = select_combinations(budget, sequences)
+    singles = {t: choose_single_example(t, examples) for t in registry.tool_ids()}
+    singles = {t: (ex.id, ex.example_tokens) for t, ex in singles.items() if ex is not None}
+    interim = ClusterPlan(clusters=clusters, single_examples=singles)
+    picks = select_combinations(budget, sample_leaves(interim, samples))
     prov = dict(provenance or {})
     prov.update(
         {
@@ -365,4 +424,4 @@ def build_plan(
             "order": ordered_ids,
         }
     )
-    return ClusterPlan(clusters=clusters, cached_combinations=tuple(combos), provenance=prov, draft_table=draft_table)
+    return dataclasses.replace(interim, cached_tool_sets=tuple(picks), provenance=prov, draft_table=draft_table)

@@ -10,10 +10,11 @@ reuse testable without weights.
 Every key shares the agent's long static prompt head, so the store works
 per entry and per token run, never per token of that head: `precompute`
 walks the keys of all tag groups in one sorted running stream (each
-distinct block synthesized once) and publishes the manifest once; opening
-a store hashes no key; matching walks a radix tree of token runs, built at
-the first match, comparing each edge as one slice; a head shared by many
-prompts is walked once (`resolve`), and their matches continue below it.
+distinct block synthesized and hashed once) and publishes the manifest
+once; opening a store hashes no key; matching walks a radix tree of token
+runs, built at the first match, comparing each edge as one slice; a head
+shared by many prompts is walked once (`resolve`), and their matches
+continue below it.
 
 Layout on disk:
   <root>/manifest.json          entry table + geometry, swapped atomically
@@ -26,6 +27,7 @@ publishes by replacing the manifest, so readers never observe a torn store.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -34,13 +36,12 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import shapes
-from .tokenizer import sequence_hash
 
 MAGIC = b"AGENTKVCACHE"  # 12 bytes; followed by a 4-byte version field
 VERSION = 1
 
 TAG_STATIC = "static"
-TAG_CLUSTER_COMBINATION = "cluster_combination"
+TAG_CLUSTER_COMBINATION = "cluster_combination"  # a cached tool set: static head, cluster run, single-tool examples
 TAG_ARBITER_STATIC = "arbiter_static"
 _TAGS = (TAG_STATIC, TAG_CLUSTER_COMBINATION, TAG_ARBITER_STATIC)
 
@@ -101,7 +102,7 @@ def kv_size(token_count: int, geometry: ModelGeometry) -> int:
     return token_count * geometry.kv_bytes_per_token
 
 
-def _common_head(a: tuple, b: tuple) -> int:
+def common_head(a: tuple, b: tuple) -> int:
     """Number of leading tokens `a` and `b` share, bisected over slice equality (compared in C)."""
     lo, hi = 0, min(len(a), len(b)) + 1  # a[:lo] == b[:lo]; a[:hi] != b[:hi], or hi is past the end
     while hi - lo > 1:
@@ -110,16 +111,17 @@ def _common_head(a: tuple, b: tuple) -> int:
     return lo
 
 
+@functools.lru_cache(maxsize=None)
+def _counter_suffixes(size: int) -> tuple[bytes, ...]:
+    """The `|<counter>` suffix of each sha256 digest a `size`-byte block is expanded from."""
+    return tuple(b"|%d" % counter for counter in range(-(-size // hashlib.sha256().digest_size)))
+
+
 def _token_block(geometry: ModelGeometry, token: int, position: int) -> bytes:
     """Deterministic pseudo-KV bytes for one token position."""
     size = geometry.kv_bytes_per_token
-    out = bytearray()
-    counter = 0
     seed = f"{geometry.name}|{token}|{position}".encode()
-    while len(out) < size:
-        out.extend(hashlib.sha256(seed + b"|" + str(counter).encode()).digest())
-        counter += 1
-    return bytes(out[:size])
+    return b"".join([hashlib.sha256(seed + suffix).digest() for suffix in _counter_suffixes(size)])[:size]
 
 
 def prefix_blob(prefix, geometry: ModelGeometry) -> bytes:
@@ -131,10 +133,15 @@ def prefix_blob(prefix, geometry: ModelGeometry) -> bytes:
     return b"".join(_token_block(geometry, tok, pos) for pos, tok in enumerate(prefix))
 
 
-def _blob_file_bytes(stream, geometry: ModelGeometry) -> bytes:
-    header = MAGIC + VERSION.to_bytes(4, "little")
+def _blob_header(geometry: ModelGeometry) -> bytes:
+    """What a blob file holds ahead of its KV stream: magic, version and geometry descriptor."""
     descriptor = json.dumps(geometry.to_dict(), sort_keys=True).encode()
-    return header + len(descriptor).to_bytes(4, "little") + descriptor + stream
+    return MAGIC + VERSION.to_bytes(4, "little") + len(descriptor).to_bytes(4, "little") + descriptor
+
+
+def _blob_file_bytes(stream, geometry: ModelGeometry) -> bytes:
+    """A blob file's bytes as one object; `precompute` writes the two parts without joining them."""
+    return _blob_header(geometry) + stream
 
 
 def _split_blob_file(raw: bytes) -> bytes:
@@ -190,7 +197,7 @@ def _descend(node: _RadixNode, tokens: tuple, depth: int):
         if tokens[depth:end] != run:
             # Every key through this edge runs to its end, so the entry
             # served inside it is the one served at its end.
-            return node, depth, (child.best, depth + _common_head(run, tokens[depth:end]))
+            return node, depth, (child.best, depth + common_head(run, tokens[depth:end]))
         node, depth = child, end
     return node, depth, (node.best, depth)
 
@@ -298,21 +305,37 @@ class KVStore:
         self.blob_dir.mkdir(parents=True, exist_ok=True)
         # In sorted order a key's longest common head with any earlier key is
         # its head with its predecessor, so one running stream, cut back to
-        # that head and extended, synthesizes each shared block once.
+        # that head and extended, synthesizes each shared block once.  The
+        # key hash (`tokenizer.sequence_hash`) and the blob file's checksum
+        # run along the same stream; their states are kept at each head a
+        # later key starts from.
         block = geometry.kv_bytes_per_token
+        header = _blob_header(geometry)
+        keys = sorted({key for key, _ in order})
+        heads = [0] + [common_head(a, b) for a, b in zip(keys, keys[1:])]
+        starts = set(heads)
+        saved = [(0, hashlib.sha256(), hashlib.sha256(header))]  # (position, key hash, checksum), positions rising
         stream = bytearray()
-        previous: tuple[int, ...] = ()
         blobs = {}  # key -> (key hash, blob file checksum)
-        for prefix in sorted({key for key, _ in order}):
-            head = _common_head(previous, prefix)
+        for key, head in zip(keys, heads):
+            while saved[-1][0] > head:
+                saved.pop()
+            khash, checksum = saved[-1][1].copy(), saved[-1][2].copy()
             del stream[head * block:]
-            for pos in range(head, len(prefix)):
-                stream += _token_block(geometry, prefix[pos], pos)
-            previous = prefix
-            khash = sequence_hash(prefix)
-            raw = _blob_file_bytes(stream, geometry)
-            (self.blob_dir / f"{khash}.kv").write_bytes(raw)
-            blobs[prefix] = khash, hashlib.sha256(raw).hexdigest()
+            for pos in range(head, len(key)):
+                if pos in starts and pos > head:
+                    saved.append((pos, khash.copy(), checksum.copy()))
+                data = _token_block(geometry, key[pos], pos)
+                stream += data
+                checksum.update(data)
+                khash.update(b",%d" % key[pos] if pos else b"%d" % key[pos])
+            if len(key) in starts:
+                saved.append((len(key), khash.copy(), checksum.copy()))
+            name = khash.hexdigest()
+            with open(self.blob_dir / f"{name}.kv", "wb") as fh:
+                fh.write(header)
+                fh.write(stream)
+            blobs[key] = name, checksum.hexdigest()
 
         created, new_entries = [], dict(self.entries)
         for key, tag in order:
@@ -326,11 +349,17 @@ class KVStore:
         return created
 
     def _write_manifest(self, geometry: ModelGeometry, entries: dict[str, CacheEntry]):
-        doc = {
-            "version": VERSION,
-            "geometry": geometry.to_dict(),
-            "entries": [
-                {
+        # Compact separators keep json's C encoder; `indent` would not.
+        compact = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+        tmp = self.manifest_path.with_suffix(".json.tmp")
+        self.root.mkdir(parents=True, exist_ok=True)
+        # The text of `compact` of the whole document ("entries" sorts before
+        # "geometry" and "version"), written one entry at a time so that the
+        # encoding of every key is never held at once.
+        with open(tmp, "w") as fh:
+            fh.write('{"entries":[')
+            for i, (khash, e) in enumerate(sorted(entries.items())):
+                rec = {
                     "key_hash": khash,
                     "key": list(e.key),
                     "token_count": e.token_count,
@@ -339,13 +368,8 @@ class KVStore:
                     "blob": e.blob_name,
                     "checksum": e.checksum,
                 }
-                for khash, e in sorted(entries.items())
-            ],
-        }
-        tmp = self.manifest_path.with_suffix(".json.tmp")
-        self.root.mkdir(parents=True, exist_ok=True)
-        # Compact separators keep json's C encoder; `indent` would not.
-        tmp.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+                fh.write("," * bool(i) + compact(rec))
+            fh.write("]," + compact({"geometry": geometry.to_dict(), "version": VERSION})[1:] + "\n")
         os.replace(tmp, self.manifest_path)
 
     def resolve(self, head) -> ResolvedHead:

@@ -169,7 +169,7 @@ def run_queries(
 ) -> list[TraceRecord]:
     """The trace record of every test query, in test order; `emit`, if given, gets each query's document."""
     rag = bundle.make_rag(settings.scorer)
-    weaver = Weaver(bundle.registry, bundle.tokenizer, plan, bundle.examples)
+    weaver = Weaver(bundle.registry, bundle.tokenizer, plan)
     markov = _build_markov(bundle) if settings.model == "markov" else None
     if settings.model not in MODELS:
         raise ValueError(f"unknown reference model '{settings.model}'")

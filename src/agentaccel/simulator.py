@@ -37,12 +37,13 @@ defaults differ.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from . import shapes
-from .clusterplan import prefix_counts, select_combinations
+from .clusterplan import coverage, select_combinations
 from .kvstore import ModelGeometry, kv_size
 
 STAGES = (
@@ -452,61 +453,56 @@ class CoveragePoint:
 
 
 def coverage_curve(
-    sequences,
-    cluster_tokens: dict[int, int],
+    leaves,
     budgets,
     geometry: ModelGeometry,
     static_prefix_tokens: int,
     extra_static_tokens: int = 0,
 ) -> list[CoveragePoint]:
-    """Token-weighted coverage and storage cost per cache budget.
+    """Token coverage and storage cost per cache budget.
 
-    Coverage weights each covered cluster by its example length, so the
-    fraction reflects how much of the activated few-shot region loads from
-    cache rather than recomputing.  Storage counts the always-cached static
-    prefixes plus one full blob per selected combination (each combination
-    entry embeds the static planner prefix ahead of its cluster examples).
+    `leaves` holds one (tool set, stream) pair per training query, as
+    `clusterplan.select_combinations` takes them: the stream is what the
+    query's planner prompt lays out after the static head and could load
+    from cache (`ClusterPlan.leaf`).  The fraction is the share of those
+    tokens the selection at each budget serves (`clusterplan.coverage`).
+    Storage counts the always-cached static prefixes plus one full blob per
+    selected tool set (each entry embeds the static planner prefix ahead of
+    its stream).
 
     One greedy run at the largest budget supplies every smaller budget,
-    since the selection sequence is incremental.  The selection is
-    prefix-closed, so each pick adds its last cluster's tokens once for every
-    sequence that starts with it, and both figures are running sums over the
-    picks.
+    since the selection sequence is incremental.
     """
-    sequences = [tuple(s) for s in sequences]
+    leaves = [(tools, tuple(stream)) for tools, stream in leaves]
     budgets = sorted(set(int(b) for b in budgets))
     if budgets and budgets[0] < 0:
         raise ValueError("budgets must be non-negative")
-    counts = prefix_counts(sequences)
-    full = select_combinations(budgets[-1] if budgets else 0, sequences)
+    streams = dict(leaves)
+    counts = Counter(tools for tools, _ in leaves)  # a tool set's queries share its stream: count it once
+    full = select_combinations(budgets[-1] if budgets else 0, leaves)
 
-    denom = sum(n * cluster_tokens[p[-1]] for p, n in counts.items())
-    covered = [0]
-    storage = [kv_size(static_prefix_tokens + extra_static_tokens, geometry)]
-    for combo in full:
-        covered.append(covered[-1] + counts[combo] * cluster_tokens[combo[-1]])
-        weight = sum(cluster_tokens[cid] for cid in combo)
-        storage.append(storage[-1] + kv_size(static_prefix_tokens + weight, geometry))
+    denom = sum(len(stream) for _, stream in leaves)
+    static = kv_size(static_prefix_tokens + extra_static_tokens, geometry)
     points = []
     for budget in budgets:
-        taken = min(budget, len(full))
+        keys = [streams[tools] for tools in full[:budget]]
         points.append(
             CoveragePoint(
                 budget=budget,
-                coverage_fraction=(covered[taken] / denom if denom else 0.0),
-                storage_bytes=storage[taken],
+                coverage_fraction=(sum(n * coverage([streams[t]], keys) for t, n in counts.items()) / denom if denom else 0.0),
+                storage_bytes=static + sum(kv_size(static_prefix_tokens + len(key), geometry) for key in keys),
             )
         )
     return points
 
 
-def coverage_saturation_budget(sequences) -> int:
-    """Budget at which every distinct activation sequence is fully cached.
+def coverage_saturation_budget(leaves) -> int:
+    """Budget at which the selection serves every training stream in full.
 
-    Selection builds prefixes one extension at a time, so saturation needs
-    the whole prefix closure of the distinct sequences.
+    The selection stops only when no candidate adds a covered token, and
+    each stream's own tool set covers it, so that is where it stops.
     """
-    return len(prefix_counts(sequences))
+    return len(select_combinations(len(leaves), leaves))
 
 
 def calibration_trace() -> list[TraceRecord]:

@@ -3,17 +3,19 @@
 The reconstructed planner prompt front-loads everything static — system
 text plus descriptions and guidelines for every registered tool in ascending
 id order — then appends the activated clusters' examples in plan order,
-single-tool examples for each activated tool, the retrieved top-K examples,
-and finally the query.  The static head and the leading run of cluster
-examples can then hit precomputed cache entries; only the tail is computed
-online.  The arbiter prompt is one fixed block of decision guidelines
+single-tool examples for each retrieved tool, the retrieved top-K examples,
+and finally the query.  The static head and the examples before the
+retrieved ones depend on the retrieved tool set alone, so they can hit a
+precomputed cache entry (a tool set's leaf, or the leading cluster run of
+another); only the tail is computed online.  The arbiter prompt is one fixed block of decision guidelines
 followed by the call observations.
 
 The weaver retrieves nothing: the caller hands each builder the query's
 retrieved tool set and retrieved examples (see `pipeline.run_queries`).
 The layout lives in one place: `Weaver.__init__` builds the static head
-once and `_cluster_run` turns cluster ids into example tokens; the offline
-cache keys (`static_planner_prefix`, `combination_prefix`) and the online
+once and the plan's `leaf` lays out what a tool set adds to it (cluster
+examples, then single-tool examples, both chosen by `build-plan`); the
+offline cache keys (`static_planner_prefix`, `leaf_prefix`) and the online
 `planner_prompt` are assembled from those same pieces.  Each prompt opens
 with a head the same for every query of a run, one tuple built once: per
 query, `_prompt` flattens only the query's own tail onto it, and its match
@@ -195,11 +197,10 @@ def warm_vocabulary(tokenizer) -> None:
 class Weaver:
     """Builds reconstructed, baseline, and arbiter prompts over one corpus."""
 
-    def __init__(self, registry: ToolRegistry, tokenizer, plan: ClusterPlan, examples: list[ToolUseExample]):
+    def __init__(self, registry: ToolRegistry, tokenizer, plan: ClusterPlan):
         self.registry = registry
         self.tokenizer = tokenizer
         self.plan = plan
-        self.examples = list(examples)
 
         self._instructions = tuple(tokenizer.tokenize(PLANNER_INSTRUCTIONS))
         self._system = tuple(tokenizer.tokenize(PLANNER_HEADER)) + self._instructions
@@ -208,14 +209,14 @@ class Weaver:
         self._tool_blocks = {t: self._tool_block(t) for t in registry.tool_ids()}
         self._descriptions = tuple(chain.from_iterable(self._tool_blocks[t] for t in registry.tool_ids()))
 
-        self._single_example = {t: self._pick_single_example(t) for t in registry.tool_ids()}
-
         # Each prompt's head: its segments, and their tokens as one tuple.
         head = ((SEG_STATIC_SYSTEM, self._system), (SEG_ALL_TOOL_DESCRIPTIONS, self._descriptions))
         self._planner_head = head, self._system + self._descriptions
         self._baseline_head = ((SEG_STATIC_SYSTEM, self._baseline_header),), self._baseline_header
         self._arbiter_head = ((SEG_DECISION_GUIDELINES, self._arbiter),), self._arbiter
         self._starts: dict[int, tuple[KVStore, ResolvedHead]] = {}  # id of a head's tokens -> (store, its resolve)
+        # Retrieved tool set -> its leaf (`ClusterPlan.leaf`), activated clusters and duplicate singles: laid out once per set.
+        self._leaves: dict[frozenset[str], tuple] = {}
 
     def _tool_block(self, tool_id: str) -> tuple[int, ...]:
         tool = self.registry[tool_id]
@@ -223,36 +224,18 @@ class Weaver:
         mid = self.tokenizer.tokenize("guidelines :")
         return tuple(head) + tool.description_tokens + tuple(mid) + tool.guideline_tokens
 
-    def _pick_single_example(self, tool_id: str) -> ToolUseExample | None:
-        """Single-tool example for a tool, or its double-tool substitute.
-
-        A few tools have no single-tool example in the database; for those
-        the smallest two-tool example mentioning the tool stands in.
-        """
-        singles = sorted((ex for ex in self.examples if ex.tools == frozenset({tool_id})), key=lambda e: e.id)
-        if singles:
-            return singles[0]
-        doubles = sorted(
-            (ex for ex in self.examples if tool_id in ex.tools and len(ex.tools) == 2),
-            key=lambda e: e.id,
-        )
-        if doubles:
-            return doubles[0]
-        return None
-
-    def _cluster_run(self, cluster_ids) -> tuple[int, ...]:
-        """The example tokens of the given clusters, in the given order."""
-        return tuple(chain.from_iterable(self.plan.cluster_by_id(c).example_tokens for c in cluster_ids))
-
     # ---- cacheable prefixes -------------------------------------------------
 
     def static_planner_prefix(self) -> tuple[int, ...]:
         """Header, instructions, and every tool's description block: the planner prompt's head."""
         return self._planner_head[1]
 
-    def combination_prefix(self, combo) -> tuple[int, ...]:
-        """Static prefix extended with one cached cluster combination."""
-        return self.static_planner_prefix() + self._cluster_run(combo)
+    def leaf_prefix(self, tools) -> tuple[int, ...]:
+        """The cache key of a tool set: the static head, then the plan's `leaf` of `tools`.
+
+        It is the head of every planner prompt that retrieves exactly `tools`.
+        """
+        return self.static_planner_prefix() + tuple(chain.from_iterable(self.plan.leaf(tools)))
 
     def arbiter_prefix(self) -> tuple[int, ...]:
         return self._arbiter
@@ -264,7 +247,7 @@ class Weaver:
         """Everything the offline phase should precompute, grouped by tag; empty groups left out."""
         groups = {
             TAG_STATIC: [self.static_planner_prefix(), self.baseline_header_prefix()],
-            TAG_CLUSTER_COMBINATION: [self.combination_prefix(c) for c in self.plan.cached_combinations],
+            TAG_CLUSTER_COMBINATION: [self.leaf_prefix(tools) for tools in self.plan.cached_tool_sets],
             TAG_ARBITER_STATIC: [self.arbiter_prefix()],
         }
         return {tag: prefixes for tag, prefixes in groups.items() if prefixes}
@@ -302,15 +285,17 @@ class Weaver:
         """
         if len(examples) > MAX_DYNAMIC_EXAMPLES:
             raise ValueError(f"the planner prompt holds at most {MAX_DYNAMIC_EXAMPLES} retrieved examples, not {len(examples)}")
-        retrieved = set(retrieved)
-
-        activated = self.plan.activation_sequence(retrieved)
-        clustered_ids = {self.plan.cluster_by_id(cluster_id).example_id for cluster_id in activated}
-
-        singles = [ex for ex in map(self._single_example.get, sorted(retrieved)) if ex is not None]
+        retrieved = frozenset(retrieved)
+        leaf = self._leaves.get(retrieved)
+        if leaf is None:
+            activated = self.plan.activation_sequence(retrieved)
+            clustered_ids = {self.plan.cluster_by_id(cluster_id).example_id for cluster_id in activated}
+            duplicates = sum(self.plan.single_examples[t][0] in clustered_ids for t in retrieved if t in self.plan.single_examples)
+            leaf = self._leaves[retrieved] = self.plan.leaf(retrieved), activated, duplicates
+        (clustered, singles), activated, duplicates = leaf
         tail = (
-            (SEG_CLUSTERED_EXAMPLES, self._cluster_run(activated)),
-            (SEG_SINGLE_TOOL_EXAMPLES, _example_run(singles)),
+            (SEG_CLUSTERED_EXAMPLES, clustered),
+            (SEG_SINGLE_TOOL_EXAMPLES, singles),
             (SEG_RAG_EXAMPLES, _example_run(examples)),
             (SEG_USER_QUERY, tuple(query_tokens)),
         )
@@ -318,7 +303,7 @@ class Weaver:
             "retrieved_tools": sorted(retrieved),
             "activated_clusters": list(activated),
             "rag_example_ids": [ex.id for ex in examples],
-            "duplicate_single_tool_examples": sum(ex.id in clustered_ids for ex in singles),
+            "duplicate_single_tool_examples": duplicates,
             "degenerate_empty_retrieval": not retrieved,
         }
         return self._prompt(self._planner_head, tail, store, stats)

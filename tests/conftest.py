@@ -58,7 +58,7 @@ def oracle_rag(bundle):
 
 @pytest.fixture(scope="session")
 def weaver(bundle, plan):
-    return Weaver(bundle.registry, bundle.tokenizer, plan, bundle.examples)
+    return Weaver(bundle.registry, bundle.tokenizer, plan)
 
 
 @pytest.fixture(scope="session")

@@ -7,12 +7,13 @@ pass lines alongside the pytest report.
 import random
 import statistics
 import time
+import types
 
 import numpy as np
 import pytest
 
 from agentaccel import exspec, simulator
-from agentaccel.clusterplan import coverage, nmf_factorize, select_combinations
+from agentaccel.clusterplan import Cluster, ClusterPlan, coverage, nmf_factorize, sample_leaves, select_combinations
 from agentaccel.kvstore import TAG_STATIC, IntegrityError, KVStore, ModelGeometry, prefix_blob
 from agentaccel.lm import ScriptedModel, greedy_decode, train_markov
 from agentaccel.simulator import (
@@ -73,34 +74,61 @@ def test_criterion_01_speculative_equivalence():
     _verdict(1, f"{cases} randomized decode cases ({backed} with a backup table) token-identical to greedy ({elapsed:.1f}s)")
 
 
+def _random_plan_and_samples(rng):
+    """A plan over up to 7 tools, its examples drawn from a 3-token alphabet, and up to 12 train samples.
+
+    Some tools lack a single-tool example, and a cluster's tools share its
+    example, so distinct tool sets often share a cluster run or a whole stream.
+    """
+    tools = [f"t{i}" for i in range(rng.randint(2, 7))]
+    assignment = {t: rng.randrange(rng.randint(1, len(tools))) for t in tools}
+    clusters = tuple(
+        Cluster(cid, members, "x", f"c{cid}", tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4))))
+        for cid in sorted(set(assignment.values()))
+        for members in [tuple(t for t in tools if assignment[t] == cid)]
+    )
+    singles = {t: (f"s{t}", tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))) for t in tools if rng.random() < 0.7}
+    samples = [
+        types.SimpleNamespace(gt_tools=frozenset(rng.sample(tools, rng.randint(1, min(3, len(tools))))))
+        for _ in range(rng.randint(1, 12))
+    ]
+    return ClusterPlan(clusters=clusters, single_examples=singles), samples
+
+
 def test_criterion_02_greedy_selection_oracle():
     start = time.monotonic()
     rng = random.Random(7)
-    instances = 0
+    instances = rounds = shared_runs = without_single = 0
     for _ in range(60):
-        n_clusters = rng.randint(2, 6)
-        sequences = [
-            tuple(sorted(rng.sample(range(n_clusters), rng.randint(1, n_clusters))))
-            for _ in range(rng.randint(1, 12))
-        ]
+        plan, samples = _random_plan_and_samples(rng)
+        leaves = sample_leaves(plan, samples)
+        streams, queries = dict(leaves), [stream for _, stream in leaves]
+        runs = [plan.activation_sequence(tools) for tools in streams]
+        shared_runs += len(set(runs)) < len(runs)
+        without_single += any(t not in plan.single_examples for tools in streams for t in tools)
         budget = rng.randint(0, 4)
-        chosen = select_combinations(budget, sequences)
-        prefixes = {seq[:ln] for seq in sequences for ln in range(1, len(seq) + 1)}
-        current = set()
-        last_cov = coverage(sequences, current)
-        for pick in chosen:
-            options = [p for p in prefixes if p not in current and (len(p) == 1 or p[:-1] in current)]
-            base = coverage(sequences, current)
-            best_gain = max(coverage(sequences, current | {p}) - base for p in options)
-            assert coverage(sequences, current | {pick}) - base == best_gain
-            current.add(pick)
-            new_cov = coverage(sequences, current)
-            assert new_cov >= last_cov
-            last_cov = new_cov
+        chosen = select_combinations(budget, leaves)
+        current = []
+        for pick in chosen + [None]:
+            base = coverage(queries, [streams[t] for t in current])
+            gains = {t: coverage(queries, [streams[t] for t in current + [t]]) - base for t in streams if t not in current}
+            if pick is None:  # the selection stopped: at its budget, or where no tool set adds a token
+                assert len(chosen) == budget or max(gains.values(), default=0) == 0
+                break
+            best = max(gains.values())
+            assert gains[pick] == best > 0
+            assert pick == min((t for t, gain in gains.items() if gain == best), key=lambda t: (len(streams[t]), t))
+            current.append(pick)
+            rounds += 1
         instances += 1
     elapsed = time.monotonic() - start
+    assert shared_runs and without_single
     assert elapsed < 10.0
-    _verdict(2, f"{instances} exhaustive greedy-round checks, gains maximal and coverage monotone ({elapsed:.1f}s)")
+    _verdict(
+        2,
+        f"{instances} instances, {rounds} greedy rounds recounted exhaustively, gains maximal and ties broken as documented "
+        f"({shared_runs} with tool sets sharing a cluster run, {without_single} with a tool lacking a single-tool example; {elapsed:.1f}s)",
+    )
 
 
 def test_criterion_03_prefix_match_oracle(tmp_path):
@@ -146,12 +174,11 @@ def test_criterion_03_prefix_match_oracle(tmp_path):
 
 
 def test_criterion_04_coverage_curve(bundle, plan):
-    sequences = [plan.activation_sequence(s.gt_tools) for s in bundle.train]
-    cluster_tokens = {c.id: len(c.example_tokens) for c in plan.clusters}
+    leaves = sample_leaves(plan, bundle.train)
     geometry = simulator.geometry_presets()["7b-class"]
-    saturation = coverage_saturation_budget(sequences)
-    knee = 5  # the shipped fixture's knee: half its saturation budget
-    points = coverage_curve(sequences, cluster_tokens, range(saturation + 1), geometry, static_prefix_tokens=2641)
+    saturation = coverage_saturation_budget(leaves)
+    knee = 5  # the shipped fixture's knee
+    points = coverage_curve(leaves, range(saturation + 1), geometry, static_prefix_tokens=2641)
     fractions = [p.coverage_fraction for p in points]
     assert fractions[0] == 0.0
     assert fractions == sorted(fractions)

@@ -64,8 +64,8 @@ def test_run_queries_matches_three_prompts_per_query(bundle, plan, populated_sto
     queries = {span[4] for span in tracer.spans if span[0] == "kvstore.match"}
     assert sum(span[0] == "kvstore.match" for span in tracer.spans) == 3 * len(bundle.test)
     assert queries == set(range(len(bundle.test)))
-    assert tracer.counts["kvstore.matched_tokens"] == 197_914
-    assert tracer.counts["planner.served_tokens"] == 164_314
+    assert tracer.counts["kvstore.matched_tokens"] == 201_997
+    assert tracer.counts["planner.served_tokens"] == 168_397
 
 
 @pytest.fixture(scope="module")

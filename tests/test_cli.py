@@ -264,14 +264,16 @@ def _plan_without_clusters(doc):
     "corrupt",
     [
         pytest.param(lambda doc: [], id="not_an_object"),
-        pytest.param(lambda doc: {"clusters": 5, "order": [], "cached_combinations": []}, id="clusters_not_a_list"),
+        pytest.param(lambda doc: {"clusters": 5, "order": [], "single_examples": [], "cached_tool_sets": []}, id="clusters_not_a_list"),
         pytest.param(_plan_without_clusters, id="missing_clusters"),
         pytest.param(lambda doc: dict(doc, order=[999]), id="order_names_unknown_cluster"),
-        pytest.param(lambda doc: dict(doc, cached_combinations=[7]), id="combination_not_a_list"),
+        pytest.param(lambda doc: dict(doc, cached_tool_sets=[7]), id="combination_not_a_list"),
         pytest.param(
-            lambda doc: dict(doc, cached_combinations=[combo[::-1] for combo in doc["cached_combinations"]]),
+            lambda doc: dict(doc, cached_tool_sets=[tools[::-1] for tools in doc["cached_tool_sets"]]),
             id="combinations_out_of_plan_order",
         ),
+        pytest.param(lambda doc: dict(doc, cached_tool_sets=[["no_such_tool"]]), id="tool_set_names_unknown_tool"),
+        pytest.param(lambda doc: dict(doc, single_examples=[{"tool": "x", "example_id": "e1"}]), id="single_example_without_tokens"),
     ],
 )
 def test_plan_of_wrong_shape_fails_cleanly(workdir, tmp_path, capsys, corrupt):
@@ -279,6 +281,25 @@ def test_plan_of_wrong_shape_fails_cleanly(workdir, tmp_path, capsys, corrupt):
     cfg = _absolute_config(workdir, tmp_path, plan=str(tmp_path / "plan.json"))
     assert str(tmp_path / "plan.json") in _assert_single_error(_run_config(tmp_path, cfg), capsys)
     assert not (tmp_path / "t.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "precompute-cache"])
+def test_plan_of_an_older_format_asks_for_build_plan(workdir, tmp_path, capsys, command):
+    # An older build-plan wrote cluster-id combinations where tool sets and
+    # single-tool examples now stand.
+    doc = json.loads((workdir / "plan.json").read_text())
+    del doc["cached_tool_sets"], doc["single_examples"]
+    doc["cached_combinations"] = [[doc["order"][0]]]
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(doc))
+    if command == "run":
+        rc = _run_config(tmp_path, _absolute_config(workdir, tmp_path, plan=str(plan)))
+    else:
+        argv = ["--plan", str(plan), "--registry", str(workdir / "registry.json"), "--vocab", str(workdir / "vocab.json")]
+        rc = run_cli("precompute-cache", *argv, "--out", str(tmp_path / "cache"))
+    message = _assert_single_error(rc, capsys)
+    assert str(plan) in message and message.endswith("re-run build-plan")
+    assert not (tmp_path / "t.jsonl").exists() and not (tmp_path / "cache").exists()
 
 
 @pytest.mark.parametrize(
@@ -434,7 +455,7 @@ def _cache_of(case, workdir, tmp_path) -> Path:
         return cache
     if case == "other_plan":
         plan_doc = json.loads((workdir / "plan.json").read_text())
-        plan_doc["cached_combinations"] = plan_doc["cached_combinations"][:3]
+        plan_doc["cached_tool_sets"] = plan_doc["cached_tool_sets"][:3]
         (tmp_path / "plan.json").write_text(json.dumps(plan_doc))
         return _precompute(workdir, tmp_path, tmp_path / "plan.json", workdir / "vocab.json")
     cache = _precompute(workdir, tmp_path, workdir / "plan.json", workdir / "vocab.json")

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import json
 import random
 
@@ -17,9 +16,10 @@ from agentaccel.clusterplan import (
     build_plan,
     coverage,
     label_theme,
+    choose_single_example,
     nmf_factorize,
     order_clusters,
-    prefix_counts,
+    sample_leaves,
     select_combinations,
 )
 from agentaccel.corpus import CoactivationMatrix
@@ -168,7 +168,7 @@ class TestOrdering:
 class TestActivation:
     def _plan_of(self, ids_tools):
         clusters = tuple(Cluster(cid, tuple(tools), "x", f"e{cid}", (1,)) for cid, tools in ids_tools)
-        return ClusterPlan(clusters=clusters, cached_combinations=())
+        return ClusterPlan(clusters=clusters)
 
     def test_plain_intersection(self):
         plan = self._plan_of([(1, ["a", "b"]), (3, ["c"]), (2, ["d"])])
@@ -192,14 +192,15 @@ class TestActivation:
             assert plan.activation_sequence(chosen) == expected
 
 
-def _brute_coverage(sequences, combos):
+def _brute_coverage(streams, keys):
     total = 0
-    for seq in sequences:
+    for stream in streams:
         best = 0
-        for combo in combos:
-            combo = tuple(combo)
-            if len(combo) <= len(seq) and tuple(seq[: len(combo)]) == combo:
-                best = max(best, len(combo))
+        for key in keys:
+            length = len(key)
+            while tuple(key[:length]) != tuple(stream[:length]):
+                length -= 1
+            best = max(best, length)
         total += best
     return total
 
@@ -209,161 +210,153 @@ class TestCoverage:
         assert coverage([(1, 2), (3,)], set()) == 0
 
     def test_prefix_reuse_with_tail_cut(self):
-        # A sequence [1, 3, 2] against cached {[1], [1, 3]} reuses two clusters.
+        # A stream [1, 3, 2] against cached {[1], [1, 3]} reuses two tokens.
         assert coverage([(1, 3, 2)], {(1,), (1, 3)}) == 2
+
+    def test_a_key_leaving_the_stream_serves_its_common_head(self):
+        # As the store serves it: an entry longer than the match, tail cut off.
+        assert coverage([(1, 2, 3), (1, 2)], [(1, 2, 9, 9)]) == 4
 
     def test_randomized_against_bruteforce(self):
         rng = random.Random(43)
         for _ in range(60):
-            sequences = [
-                tuple(sorted(rng.sample(range(8), rng.randint(1, 5))))
+            streams = [
+                tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 8)))
                 for _ in range(rng.randint(1, 10))
             ]
-            prefixes = set()
-            for seq in sequences:
-                for ln in range(1, len(seq) + 1):
-                    prefixes.add(seq[:ln])
-            combos = set(rng.sample(sorted(prefixes), min(len(prefixes), rng.randint(0, 6))))
-            assert coverage(sequences, combos) == _brute_coverage(sequences, combos)
+            prefixes = sorted({s[:ln] for s in streams for ln in range(1, len(s) + 1)})
+            keys = set(rng.sample(prefixes, min(len(prefixes), rng.randint(0, 6))))
+            keys |= {tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 6))) for _ in range(rng.randint(0, 2))}
+            assert coverage(streams, keys) == _brute_coverage(streams, keys)
 
 
-def _reference_select(budget, sequences):
+def _reference_select(budget, leaves):
     """Greedy selection by a full coverage recount for every candidate in every round."""
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    prefixes = set()
-    for seq in sequences:
-        seq = tuple(seq)
-        for length in range(1, len(seq) + 1):
-            prefixes.add(seq[:length])
-
+    streams = dict(leaves)
+    queries = [stream for _, stream in leaves]
     chosen = []
-    chosen_set = set()
-    current = coverage(sequences, chosen_set)
+    current = 0
     for _ in range(budget):
-        options = [
-            p
-            for p in prefixes
-            if p not in chosen_set and (len(p) == 1 or p[:-1] in chosen_set)
-        ]
-        if not options:
-            break
-        best = None
-        best_key = None
-        for p in options:
-            gain = coverage(sequences, chosen_set | {p}) - current
-            key = (-gain, len(p), p)
+        best = best_key = None
+        for tools in streams:
+            if tools in chosen:
+                continue
+            gain = coverage(queries, [streams[t] for t in chosen + [tools]]) - current
+            key = (-gain, len(streams[tools]), tools)
             if best_key is None or key < best_key:
-                best_key = key
-                best = p
+                best, best_key = tools, key
+        if best is None or best_key[0] == 0:
+            break
         chosen.append(best)
-        chosen_set.add(best)
-        current += -best_key[0]
+        current -= best_key[0]
     return chosen
 
 
 @st.composite
-def _sequence_lists(draw):
-    # A small pool drawn with replacement: repeated sequences, tied prefix
-    # counts, empty and unsorted sequences (repeated clusters included).
-    pool = draw(st.lists(st.lists(st.integers(0, 4), max_size=5).map(tuple), min_size=1, max_size=6))
-    return draw(st.lists(st.sampled_from(pool), max_size=14))
+def _leaf_lists(draw):
+    # A few tool sets, each with one stream cut from a shared base and
+    # extended over a 3-token alphabet: streams that are heads of others,
+    # equal streams of different tool sets, empty streams; then the queries,
+    # drawn with replacement so that counts tie.
+    base = draw(st.lists(st.integers(0, 2), max_size=8))
+    tool_sets = draw(st.lists(st.lists(st.sampled_from("abcde"), min_size=1, max_size=3, unique=True).map(lambda t: tuple(sorted(t))),
+                              min_size=1, max_size=6, unique=True))
+    streams = {
+        tools: tuple(base[: draw(st.integers(0, len(base)))] + draw(st.lists(st.integers(0, 2), max_size=4)))
+        for tools in tool_sets
+    }
+    return [(tools, streams[tools]) for tools in draw(st.lists(st.sampled_from(tool_sets), max_size=14))]
+
+
+def _random_leaves(rng):
+    """Queries over up to six tool sets whose streams share random heads."""
+    base = [rng.randint(0, 3) for _ in range(rng.randint(0, 10))]
+    streams = {}
+    for i in range(rng.randint(1, 6)):
+        streams[(f"t{i}",)] = tuple(base[: rng.randint(0, len(base))] + [rng.randint(0, 3) for _ in range(rng.randint(0, 4))])
+    tool_sets = sorted(streams)
+    return [(tools, streams[tools]) for tools in (rng.choice(tool_sets) for _ in range(rng.randint(1, 12)))]
 
 
 class TestSelection:
     def test_budget_zero(self):
-        assert select_combinations(0, [(1, 2)]) == []
+        assert select_combinations(0, [(("a",), (1, 2))]) == []
 
-    def test_identical_sequences_build_chain(self):
-        # Oracle: brute force over all candidate pairs confirms optimality.
-        sequences = [(1, 2)] * 4
-        got = select_combinations(2, sequences)
-        assert got == [(1,), (1, 2)]
-        best = max(
-            (
-                coverage(sequences, set(pair))
-                for pair in itertools.combinations([(1,), (1, 2), (2,)], 2)
-            ),
-        )
-        assert coverage(sequences, set(got)) == best
+    def test_identical_streams_take_one_slot(self):
+        # Two tool sets with one stream: the first pick covers both, so the
+        # second adds nothing and the budget is not spent on it.
+        leaves = [(("a",), (1, 2))] * 2 + [(("a", "b"), (1, 2))] * 3
+        assert select_combinations(2, leaves) == [("a",)]
 
-    def test_candidate_rule_requires_parent(self):
-        sequences = [(1, 2, 3)] * 3
-        got = select_combinations(3, sequences)
-        assert got == [(1,), (1, 2), (1, 2, 3)]
+    def test_prefixes_of_a_leaf_are_no_candidates(self):
+        # The stream's own tool set covers every head of it: one pick, not a chain.
+        leaves = [(("a", "b", "c"), (1, 2, 3))] * 3
+        assert select_combinations(3, leaves) == [("a", "b", "c")]
 
     def test_early_return_when_candidates_exhaust(self):
-        sequences = [(1,)]
-        got = select_combinations(5, sequences)
-        assert got == [(1,)]
+        assert select_combinations(5, [(("a",), (1,))]) == [("a",)]
 
     def test_deterministic_tie_break(self):
-        # Two disjoint singletons with equal weight: the lexicographically
-        # smaller cluster id wins the first round.
-        sequences = [(2,), (1,)]
-        got = select_combinations(1, sequences)
-        assert got == [(1,)]
+        # Equal gains: the shorter stream wins, then the smaller tool-id tuple.
+        assert select_combinations(1, [(("b",), (2,)), (("a",), (1,))]) == [("a",)]
+        assert select_combinations(1, [(("a",), (1, 1))] + [(("b",), (2,))] * 2) == [("b",)]
+
+    def test_gain_counts_what_a_pick_adds_to_queries_already_served(self):
+        # (1, 2) is served 2 tokens by (1, 2, 3) already; (5,) adds its own 1 x 2.
+        leaves = [(("x",), (1, 2, 3))] * 3 + [(("y",), (1, 2))] * 4 + [(("z",), (5,))] * 2
+        assert select_combinations(3, leaves) == [("x",), ("z",)]
 
     @settings(max_examples=300, deadline=None)
-    @given(sequences=_sequence_lists(), budget=st.integers(0, 25))
-    def test_matches_reference_selection(self, sequences, budget):
-        assert select_combinations(budget, sequences) == _reference_select(budget, sequences)
-
-    def test_prefix_counts(self):
-        counts = prefix_counts([(1, 2), (1,), (), (1, 2), (2, 1)])
-        assert counts == {(1,): 3, (1, 2): 2, (2,): 1, (2, 1): 1}
-
-    def _random_instance(self, rng):
-        n_clusters = rng.randint(2, 6)
-        sequences = []
-        for _ in range(rng.randint(1, 12)):
-            length = rng.randint(1, n_clusters)
-            sequences.append(tuple(sorted(rng.sample(range(n_clusters), length))))
-        return sequences
+    @given(leaves=_leaf_lists(), budget=st.integers(0, 8))
+    def test_matches_reference_selection(self, leaves, budget):
+        assert select_combinations(budget, leaves) == _reference_select(budget, leaves)
 
     def test_each_round_attains_max_marginal_gain(self):
         # Exhaustive per-round check on small instances.
         rng = random.Random(47)
         for _ in range(40):
-            sequences = self._random_instance(rng)
-            budget = rng.randint(0, 4)
-            chosen = select_combinations(budget, sequences)
-            prefixes = set()
-            for seq in sequences:
-                for ln in range(1, len(seq) + 1):
-                    prefixes.add(seq[:ln])
-            current: set = set()
+            leaves = _random_leaves(rng)
+            streams, queries = dict(leaves), [stream for _, stream in leaves]
+            chosen = select_combinations(rng.randint(0, 4), leaves)
+            current: list = []
             for pick in chosen:
-                options = [
-                    p for p in prefixes if p not in current and (len(p) == 1 or p[:-1] in current)
-                ]
-                base = coverage(sequences, current)
-                best_gain = max(coverage(sequences, current | {p}) - base for p in options)
-                pick_gain = coverage(sequences, current | {pick}) - base
-                assert pick_gain == best_gain
-                current.add(pick)
+                base = coverage(queries, current)
+                best_gain = max(coverage(queries, current + [streams[t]]) - base for t in streams)
+                assert coverage(queries, current + [streams[pick]]) - base == best_gain > 0
+                current.append(streams[pick])
 
     def test_greedy_trajectory_monotone(self):
         rng = random.Random(53)
         for _ in range(20):
-            sequences = self._random_instance(rng)
-            chosen = select_combinations(4, sequences)
-            values = []
-            current: set = set()
-            for pick in chosen:
-                current.add(pick)
-                values.append(coverage(sequences, current))
-            assert values == sorted(values)
+            leaves = _random_leaves(rng)
+            streams, queries = dict(leaves), [stream for _, stream in leaves]
+            chosen = select_combinations(4, leaves)
+            values = [coverage(queries, [streams[t] for t in chosen[:i]]) for i in range(len(chosen) + 1)]
+            assert values == sorted(set(values))
 
     def test_coverage_monotone_in_added_prefix(self):
         rng = random.Random(59)
         for _ in range(30):
-            sequences = self._random_instance(rng)
-            prefixes = sorted({seq[:ln] for seq in sequences for ln in range(1, len(seq) + 1)})
-            base_set = set(rng.sample(prefixes, min(len(prefixes), 2)))
-            base = coverage(sequences, base_set)
+            queries = [stream for _, stream in _random_leaves(rng)]
+            prefixes = sorted({s[:ln] for s in queries for ln in range(1, len(s) + 1)})
+            base_set = rng.sample(prefixes, min(len(prefixes), 2))
+            base = coverage(queries, base_set)
             for p in prefixes:
-                assert coverage(sequences, base_set | {p}) >= base
+                assert coverage(queries, base_set + [p]) >= base
+
+    def test_fixture_leaves(self, plan, bundle):
+        # Every stream is the plan's leaf of its tool set, and the picks are
+        # distinct train tool sets, as many as the budget allows.
+        leaves = sample_leaves(plan, bundle.train)
+        assert [tools for tools, _ in leaves] == [tuple(sorted(s.gt_tools)) for s in bundle.train]
+        for tools, stream in leaves:
+            clustered, singles = plan.leaf(tools)
+            assert stream == clustered + singles and clustered
+        budget = plan.provenance["budget"]
+        assert len(set(plan.cached_tool_sets)) == len(plan.cached_tool_sets) == budget
+        assert select_combinations(budget, leaves) == list(plan.cached_tool_sets)
 
 
 class TestPlanArtifact:
@@ -408,11 +401,27 @@ class TestPlanArtifact:
         )
         assert rebuilt.to_json() == plan.to_json()
 
-    def test_combinations_respect_plan_order(self, plan):
-        positions = {c.id: i for i, c in enumerate(plan.clusters)}
-        for combo in plan.cached_combinations:
-            pos = [positions[cid] for cid in combo]
-            assert pos == sorted(pos)
+    def test_combinations_respect_plan_order(self, plan, bundle):
+        # Each cached tool set is a train tool set, as sorted tool ids; a plan
+        # holding one out of order, or one naming a tool in no cluster, is refused.
+        train = {tuple(sorted(s.gt_tools)) for s in bundle.train}
+        assert plan.cached_tool_sets and set(plan.cached_tool_sets) <= train
+        for tools in ((plan.cached_tool_sets[0][::-1]), ("no_such_tool",)):
+            doc = json.loads(plan.to_json())
+            doc["cached_tool_sets"] = [list(tools)]
+            with pytest.raises(PlanError):
+                ClusterPlan.from_json(json.dumps(doc))
+
+    def test_single_examples_are_chosen_offline(self, plan, bundle):
+        chosen = {t: choose_single_example(t, bundle.examples) for t in bundle.registry.tool_ids()}
+        assert plan.single_examples == {t: (ex.id, ex.example_tokens) for t, ex in chosen.items() if ex is not None}
+        assert plan.single_examples
+
+    def test_plan_of_the_older_format_is_refused(self, plan):
+        doc = json.loads(plan.to_json())
+        doc["cached_combinations"] = [[doc["order"][0]]]
+        with pytest.raises(PlanError, match="re-run build-plan"):
+            ClusterPlan.from_json(json.dumps(doc))
 
     def test_cluster_examples_cover_exact_tool_sets(self, plan, bundle):
         by_id = {e.id: e for e in bundle.examples}

@@ -557,7 +557,7 @@ class TestFixturePlanCounts:
 
     def test_open_hashes_no_key(self, populated_store, monkeypatch):
         hashed = []
-        monkeypatch.setattr(kvmod, "sequence_hash", hashed.append)
+        monkeypatch.setattr(kvmod.hashlib, "sha256", lambda *data: hashed.append(data))
         assert KVStore(populated_store.root).entries == populated_store.entries
         assert hashed == []
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agentaccel.clusterplan import select_combinations
+from agentaccel.clusterplan import sample_leaves, select_combinations
 from agentaccel.kvstore import kv_size
 from agentaccel.simulator import (
     IDEAL_TAX,
@@ -374,40 +374,53 @@ class TestCalibration:
         assert 0 < cell.seconds["ssd_load"] < 0.2 * (prefill + cell.seconds["ssd_load"])
 
 
+def _served(stream, keys) -> int:
+    """Brute force: the most leading tokens of `stream` any key shares, scanned position by position."""
+    best = 0
+    for key in keys:
+        length = 0
+        while length < min(len(key), len(stream)) and key[length] == stream[length]:
+            length += 1
+        best = max(best, length)
+    return best
+
+
 class TestCoverageCurve:
     def _inputs(self):
-        sequences = [(1,)] * 6 + [(1, 2)] * 5 + [(3,)] * 3 + [(1, 2, 4)] * 2 + [(5,)] * 2 + [(3, 5)]
-        cluster_tokens = {1: 40, 2: 30, 3: 50, 4: 20, 5: 25}
-        return sequences, cluster_tokens
+        streams = {
+            ("a",): (1,) * 4,
+            ("a", "b"): (1,) * 4 + (2,) * 3,
+            ("c",): (3,) * 5,
+            ("a", "b", "d"): (1,) * 4 + (2,) * 3 + (4,) * 2,
+            ("e",): (5,) * 2,
+            ("c", "e"): (3,) * 5 + (5,) * 2,
+        }
+        counts = {("a",): 6, ("a", "b"): 5, ("c",): 3, ("a", "b", "d"): 2, ("e",): 2, ("c", "e"): 1}
+        return [(tools, streams[tools]) for tools, n in counts.items() for _ in range(n)]
 
     def test_budget_zero_covers_nothing_but_statics(self):
-        sequences, cluster_tokens = self._inputs()
-        pts = coverage_curve(sequences, cluster_tokens, [0], GEO_7B, static_prefix_tokens=1000, extra_static_tokens=500)
+        pts = coverage_curve(self._inputs(), [0], GEO_7B, static_prefix_tokens=1000, extra_static_tokens=500)
         assert pts[0].coverage_fraction == 0.0
         assert pts[0].storage_bytes == 1500 * GEO_7B.kv_bytes_per_token
 
     def test_monotone_and_saturating(self):
-        sequences, cluster_tokens = self._inputs()
-        saturation = coverage_saturation_budget(sequences)
-        pts = coverage_curve(sequences, cluster_tokens, range(saturation + 2), GEO_7B, 1000)
+        leaves = self._inputs()
+        saturation = coverage_saturation_budget(leaves)
+        pts = coverage_curve(leaves, range(saturation + 2), GEO_7B, 1000)
         fractions = [p.coverage_fraction for p in pts]
         assert fractions == sorted(fractions)
-        assert fractions[-1] == pytest.approx(1.0)
+        assert fractions[saturation - 1] < fractions[saturation] == fractions[-1] == 1.0
         storage = [p.storage_bytes for p in pts]
         assert storage == sorted(storage)
 
     def test_storage_matches_store_accounting(self, bundle, plan, weaver, populated_store, desk_geometry):
         # The curve's storage arithmetic must agree with what an actual
         # store reports after precomputing the same prefixes.
-        sequences = [plan.activation_sequence(s.gt_tools) for s in bundle.train]
-        cluster_tokens = {c.id: len(c.example_tokens) for c in plan.clusters}
         static_len = len(weaver.static_planner_prefix())
         extra = len(weaver.baseline_header_prefix()) + len(weaver.arbiter_prefix())
-        budget = len(plan.cached_combinations)
         pts = coverage_curve(
-            sequences,
-            cluster_tokens,
-            [budget],
+            sample_leaves(plan, bundle.train),
+            [len(plan.cached_tool_sets)],
             desk_geometry,
             static_prefix_tokens=static_len,
             extra_static_tokens=extra,
@@ -415,47 +428,34 @@ class TestCoverageCurve:
         assert pts[0].storage_bytes == populated_store.total_bytes
 
     def test_exhaustive_coverage_recount(self):
-        # Oracle: recompute the token-weighted fraction by scanning every
-        # sequence against every selected prefix.
-        from agentaccel.clusterplan import select_combinations
-
-        sequences, cluster_tokens = self._inputs()
+        # Oracle: recompute the token fraction by scanning every stream
+        # against every selected key.
+        leaves = self._inputs()
         budget = 3
-        pts = coverage_curve(sequences, cluster_tokens, [budget], GEO_7B, 100)
-        chosen = set(select_combinations(budget, sequences))
-        covered = denom = 0
-        for seq in sequences:
-            denom += sum(cluster_tokens[c] for c in seq)
-            best = ()
-            for combo in chosen:
-                if seq[: len(combo)] == combo and len(combo) > len(best):
-                    best = combo
-            covered += sum(cluster_tokens[c] for c in best)
+        pts = coverage_curve(leaves, [budget], GEO_7B, 100)
+        streams = dict(leaves)
+        keys = [streams[tools] for tools in select_combinations(budget, leaves)]
+        covered = sum(_served(stream, keys) for _, stream in leaves)
+        denom = sum(len(stream) for _, stream in leaves)
         assert pts[0].coverage_fraction == pytest.approx(covered / denom)
 
     @settings(max_examples=200, deadline=None)
     @given(
-        sequences=st.lists(st.lists(st.integers(1, 5), max_size=4).map(tuple), max_size=12),
-        weights=st.lists(st.integers(0, 60), min_size=5, max_size=5),
+        streams=st.lists(st.lists(st.integers(1, 3), max_size=6).map(tuple), min_size=1, max_size=5),
+        picks=st.lists(st.integers(0, 4), max_size=12),
     )
-    def test_curve_equals_brute_recount_at_every_budget(self, sequences, weights):
-        # Oracle: at each budget, walk every sequence against the selection
-        # at that budget and sum storage per selected combination; exact.
-        cluster_tokens = dict(zip(range(1, 6), weights))
-        budgets = range(coverage_saturation_budget(sequences) + 2)
-        pts = coverage_curve(sequences, cluster_tokens, budgets, GEO_7B, 100, extra_static_tokens=7)
+    def test_curve_equals_brute_recount_at_every_budget(self, streams, picks):
+        # Oracle: at each budget, walk every stream against the selection at
+        # that budget and sum storage per selected tool set; exact.
+        leaves = [((f"t{i % len(streams)}",), streams[i % len(streams)]) for i in picks]
+        budgets = range(coverage_saturation_budget(leaves) + 2)
+        pts = coverage_curve(leaves, budgets, GEO_7B, 100, extra_static_tokens=7)
 
-        def weight(seq):
-            return sum(cluster_tokens[c] for c in seq)
-
-        denom = sum(weight(seq) for seq in sequences)
+        denom = sum(len(stream) for _, stream in leaves)
         for point, budget in zip(pts, budgets):
-            chosen = select_combinations(budget, sequences)
-            covered = 0
-            for seq in sequences:
-                best = max((combo for combo in chosen if seq[: len(combo)] == combo), key=len, default=())
-                covered += weight(best)
-            storage = kv_size(107, GEO_7B) + sum(kv_size(100 + weight(combo), GEO_7B) for combo in chosen)
+            keys = [dict(leaves)[tools] for tools in select_combinations(budget, leaves)]
+            covered = sum(_served(stream, keys) for _, stream in leaves)
+            storage = kv_size(107, GEO_7B) + sum(kv_size(100 + len(key), GEO_7B) for key in keys)
             assert point.budget == budget
             assert point.coverage_fraction == (covered / denom if denom else 0.0)
             assert point.storage_bytes == storage

@@ -10,7 +10,6 @@ from agentaccel.weaver import (
     SEG_ALL_TOOL_DESCRIPTIONS,
     SEG_CLUSTERED_EXAMPLES,
     SEG_RAG_EXAMPLES,
-    SEG_SINGLE_TOOL_EXAMPLES,
     SEG_USER_QUERY,
     Weaver,
 )
@@ -57,22 +56,19 @@ class TestPlannerPrompt:
         assert a.segments == b.segments
 
     def test_hand_counted_accounting_on_cached_combination(self, weaver, oracle_rag, bundle, populated_store, plan):
-        # Pick a query whose activated combination is cached in full; the
-        # uncacheable region is then exactly singles + rag + query, counted
-        # segment by segment.
-        cached = set(plan.cached_combinations)
+        # Pick a query whose retrieved tool set is cached; the uncacheable
+        # region is then exactly rag + query, counted segment by segment.
+        cached = set(plan.cached_tool_sets)
         for sample in bundle.test:
             prompt = _planner(weaver, oracle_rag, sample, k=1, store=populated_store)
-            activated = tuple(prompt.stats["activated_clusters"])
-            if activated in cached:
+            if tuple(prompt.stats["retrieved_tools"]) in cached:
                 segments = dict(prompt.segments)
-                singles = len(segments[SEG_SINGLE_TOOL_EXAMPLES])
                 rag = len(segments[SEG_RAG_EXAMPLES])
                 query = len(segments[SEG_USER_QUERY])
-                assert prompt.uncacheable_tokens == singles + rag + query
+                assert prompt.uncacheable_tokens == rag + query
                 break
         else:
-            pytest.fail("no test query hit a fully cached combination")
+            pytest.fail("no test query retrieved a cached tool set")
 
     def test_empty_retrieval_is_degenerate_but_valid(self, weaver, bundle):
         prompt = weaver.planner_prompt(bundle.test[0].query_tokens, set(), [])
@@ -88,12 +84,13 @@ class TestPlannerPrompt:
         with pytest.raises(ValueError, match=f"at most {MAX_DYNAMIC_EXAMPLES}"):
             weaver.planner_prompt(query, set(bundle.registry.tool_ids()), examples)
 
-    def test_double_tool_substitute_used_for_missing_singles(self, weaver, bundle, oracle_rag):
+    def test_double_tool_substitute_used_for_missing_singles(self, plan, bundle):
         # get_zoom_link has no single-tool example in the database; a
         # two-tool example mentioning it stands in.
-        sub = weaver._single_example["get_zoom_link"]
-        assert sub is not None
+        sub_id, tokens = plan.single_examples["get_zoom_link"]
+        sub = next(ex for ex in bundle.examples if ex.id == sub_id)
         assert len(sub.tools) == 2 and "get_zoom_link" in sub.tools
+        assert tokens == sub.example_tokens
 
     def test_duplicate_singles_flagged_not_removed(self, weaver, oracle_rag, bundle, plan):
         # A cluster whose example IS a single-tool example would duplicate;
@@ -167,22 +164,43 @@ class TestArbiterPrompt:
 class TestOfflineKeysMatchOnlineLayout:
     """Every precomputed key is the head of the prompt that should use it, and is served in full."""
 
-    @staticmethod
-    def _retrieval_activating(plan, combo) -> set[str]:
-        outside = {t for c in plan.clusters if c.id not in combo for t in c.tool_ids}
-        return {t for c in plan.clusters if c.id in combo for t in c.tool_ids} - outside
-
     def test_planner_keys(self, weaver, bundle, plan, populated_store):
         query = bundle.test[0].query_tokens
         cases = [((), weaver.static_planner_prefix())]
-        cases += [(combo, weaver.combination_prefix(combo)) for combo in plan.cached_combinations]
+        cases += [(tools, weaver.leaf_prefix(tools)) for tools in plan.cached_tool_sets]
         assert len(cases) > 1
-        for combo, key in cases:
-            retrieved = self._retrieval_activating(plan, combo)
-            prompt = weaver.planner_prompt(query, retrieved, bundle.examples[:1], store=populated_store)
-            assert tuple(prompt.stats["activated_clusters"]) == tuple(combo)
+        for tools, key in cases:
+            prompt = weaver.planner_prompt(query, tools, bundle.examples[:1], store=populated_store)
             assert tuple(prompt.tokens[: len(key)]) == key
             assert prompt.match_len >= len(key)
+
+    def test_each_leaf_key_is_the_prompt_head_of_a_train_query(self, weaver, bundle, plan):
+        # The key ends where the retrieved examples begin, in the prompt of a
+        # train query that retrieves its true tool set, the key's.
+        train = {tuple(sorted(s.gt_tools)): s for s in bundle.train}
+        for tools in plan.cached_tool_sets:
+            sample = train[tools]
+            prompt = weaver.planner_prompt(sample.query_tokens, sample.gt_tools, bundle.examples[:1])
+            segments = [kind for kind, _ in prompt.segments]
+            head = sum(len(toks) for _, toks in prompt.segments[: segments.index(SEG_RAG_EXAMPLES)])
+            assert weaver.leaf_prefix(tools) == prompt.tokens[:head]
+
+    def test_an_uncached_tool_set_is_served_through_its_shared_cluster_run(self, weaver, bundle, plan, populated_store):
+        # A tool set that is not cached, but activates the same clusters as a
+        # cached one, is served at least through their common cluster run.
+        cached = set(plan.cached_tool_sets)
+        query = bundle.test[0].query_tokens
+        cases = 0
+        for tools in cached:
+            activated = plan.activation_sequence(tools)
+            for other in {tuple(sorted(s.gt_tools)) for s in bundle.train} | {tuple(sorted(set(tools) - {t})) for t in tools}:
+                if other in cached or not other or plan.activation_sequence(other) != activated:
+                    continue
+                prompt = weaver.planner_prompt(query, other, [], store=populated_store)
+                clustered = dict(prompt.segments)[SEG_CLUSTERED_EXAMPLES]
+                assert prompt.match_len >= len(weaver.static_planner_prefix()) + len(clustered) > 0
+                cases += 1
+        assert cases
 
     def test_arbiter_keys(self, weaver, populated_store):
         key = weaver.arbiter_prefix()
