@@ -33,7 +33,7 @@ with tempfile.TemporaryDirectory(prefix="agentaccel-demo-") as tmp:
     print(f"retrieved tools: {sorted(retrieved)}")
     examples = rag.retrieve_examples(sample.query_tokens, retrieved, 3)
 
-    baseline = weaver.baseline_prompt(sample.query_tokens, retrieved, examples, store=store)
+    baseline = weaver.baseline_prompt(sample.query_tokens, retrieved, examples)
     woven = weaver.planner_prompt(sample.query_tokens, retrieved, examples[:1], store=store)
 
     print("\nconventional prompt order:")

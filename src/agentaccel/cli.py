@@ -72,10 +72,10 @@ _KNOBS = {
     "selective": shapes.BOOL,
     "model": _one_of(*pipeline.MODELS),
     "max_tokens": shapes.COUNT,
-    "jobs": shapes.INT,
 }
 # Knobs run.json once took, by section: one still set is refused rather than ignored.
-_REMOVED = {"exspec": dict.fromkeys(("extract",), shapes.Check(shapes.ANY, lambda value: False, "a setting any more: delete it"))}
+_GONE = shapes.Check(shapes.ANY, lambda value: False, "a setting any more: delete it")
+_REMOVED = {"exspec": {"extract": _GONE}, "run": {"jobs": _GONE}}
 _RUN_CONFIG = shapes.Object(
     optional={"paths": shapes.Object(optional=dict.fromkeys(_RUN_PATHS, shapes.STR))}
     | {
@@ -181,8 +181,11 @@ def cmd_precompute_cache(args) -> int:
     registry_sha256, vocab_sha256 = _sha256(registry_path), _sha256(vocab_path)
     _check_bound(plan.provenance, f"plan {plan_path}", "build-plan",
                  registry=(registry_path, registry_sha256), vocab=(vocab_path, vocab_sha256))
-    groups = Weaver(registry, tok, plan).cacheable_prefixes()
     store = KVStore(outdir)
+    # Merging would keep entries this plan never chose, and serve them.
+    if store.entries:
+        raise CliError(f"cache directory {outdir} already holds a store: precompute into an empty or new directory")
+    groups = Weaver(registry, tok, plan).cacheable_prefixes()
     store.precompute(groups, geometry)
     total = sum(map(len, groups.values()))
     provenance = {
@@ -229,7 +232,7 @@ def _open_store(cachedir, **given: tuple[Path, str]) -> KVStore | None:
     if not provenance_path.exists():
         raise CliError(f"cache directory {cachedir} has no provenance.json: re-run precompute-cache into an empty directory")
     provenance = shapes.load_json(provenance_path, _CACHE_PROVENANCE, f"cache provenance {provenance_path}", CliError)
-    _check_bound(provenance, f"cache {cachedir}", "precompute-cache", **given)
+    _check_bound(provenance, f"cache {cachedir}", "precompute-cache into an empty directory", **given)
     return store
 
 
@@ -397,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selective", choices=("on", "off"))
     p.add_argument("--model")
     p.add_argument("--max-tokens", dest="max_tokens", type=int)
-    p.add_argument("--jobs", type=int)
     p.add_argument("--emit", help="directory to write each query's prompts and decodes into, as <query_id>.json")
     p.set_defaults(func=cmd_run)
 

@@ -31,7 +31,6 @@ import functools
 import hashlib
 import json
 import os
-import threading
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -222,7 +221,6 @@ class KVStore:
         self.entries: dict[str, CacheEntry] = {}
         # Built from `entries` at the first match; None whenever they change.
         self._index: _RadixNode | None = None
-        self._index_lock = threading.Lock()
         if self.manifest_path.exists():
             self._load_manifest()
 
@@ -259,28 +257,24 @@ class KVStore:
             )
 
     def _build_index(self) -> _RadixNode:
+        """The radix tree of `entries`, kept as `_index` until they change."""
         # Shortest (then smallest) key first: the first entry to reach a node
         # is the one it serves, and a node split off an edge serves what the
-        # edge's end served.  Matches read `_index` without the lock, so the
-        # root is published only once it is complete; the lock keeps
-        # concurrent first matches from each building their own.
-        with self._index_lock:
-            if self._index is not None:
-                return self._index
-            root = _RadixNode(None)
-            for entry in sorted(self.entries.values(), key=lambda e: (e.token_count, e.key)):
-                key = entry.key
-                node, depth, (_, shared) = _descend(root, key, 0)
-                if shared > depth:  # the key leaves the edge on key[depth] inside it: split it there
-                    run, child = node.children[key[depth]]
-                    mid = _RadixNode(child.best)
-                    mid.children[run[shared - depth]] = (run[shared - depth:], child)
-                    node.children[key[depth]] = (run[: shared - depth], mid)
-                    node, depth = mid, shared
-                if depth < len(key):
-                    node.children[key[depth]] = (key[depth:], _RadixNode(entry))
-            self._index = root
-            return root
+        # edge's end served.
+        root = _RadixNode(None)
+        for entry in sorted(self.entries.values(), key=lambda e: (e.token_count, e.key)):
+            key = entry.key
+            node, depth, (_, shared) = _descend(root, key, 0)
+            if shared > depth:  # the key leaves the edge on key[depth] inside it: split it there
+                run, child = node.children[key[depth]]
+                mid = _RadixNode(child.best)
+                mid.children[run[shared - depth]] = (run[shared - depth:], child)
+                node.children[key[depth]] = (run[: shared - depth], mid)
+                node, depth = mid, shared
+            if depth < len(key):
+                node.children[key[depth]] = (key[depth:], _RadixNode(entry))
+        self._index = root
+        return root
 
     def precompute(self, groups: dict[str, list], geometry: ModelGeometry) -> list[CacheEntry]:
         """Persist one entry per distinct prefix of each `{tag: prefixes}` group; idempotent.

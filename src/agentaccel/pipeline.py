@@ -1,10 +1,10 @@
 """End-to-end per-query execution: retrieve, weave, decode, record.
 
-This is the library-side implementation of the `run` command.  Each query is
-independent: retrieval picks the tool set and then ranks the examples once,
-the weaver builds the reconstructed prompt from the top `k` of them and the
-baseline prompt from the top `top_k` against the shared cache store, the
-configured reference model decodes the plan and the arbiter verdict through
+This is the library-side implementation of the `run` command.  Queries run
+one at a time, in test order, and each is independent: retrieval picks the
+tool set and then ranks the examples once, the weaver builds the
+reconstructed prompt from the top `k` of them against the shared cache store
+and the baseline prompt from the top `top_k`, the configured reference model decodes the plan and the arbiter verdict through
 the speculative path, and the token accounting plus decode statistics land
 in one trace record for the simulator.  The planner also drafts from the
 plan's table of the train split's plans (`plan_draft_table`) wherever its
@@ -19,10 +19,10 @@ disagree.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import ClassVar
 
 from . import corpus, exspec, lm, toolrag
 from .clusterplan import ClusterPlan
@@ -117,7 +117,9 @@ class RunSettings:
     selective: bool = True
     model: str = "scripted"
     max_tokens: int = 160
-    jobs: int = 1
+    # Not a setting: queries run one at a time, in test order.  The
+    # benchmark's output checker still reads it; ROADMAP item 1 deletes the two together.
+    jobs: ClassVar[int] = 1
 
 
 # The run.json section each RunSettings field is read from.
@@ -125,7 +127,7 @@ RUN_SECTIONS = {
     "toolrag": ("tau", "scorer", "top_k"),
     "weaver": ("k",),
     "exspec": ("n", "draft_len", "selective"),
-    "run": ("model", "max_tokens", "jobs"),
+    "run": ("model", "max_tokens"),
 }
 
 
@@ -178,13 +180,13 @@ def run_queries(
     # open every arbiter prompt, taken once here.
     arbiter_head = exspec.count_head(weaver.arbiter_prefix(), settings.n)
 
-    def run_one(idx_sample) -> TraceRecord:
-        idx, sample = idx_sample
+    records = []
+    for idx, sample in enumerate(bundle.test):
         retrieved = rag.retrieve_tools(sample.query_tokens, settings.tau)
         # The ranking is a total order, so each prompt's top examples are a prefix of one ranking.
         examples = rag.retrieve_examples(sample.query_tokens, retrieved, max(settings.k, settings.top_k))
         wp = weaver.planner_prompt(sample.query_tokens, retrieved, examples[: settings.k], store=store)
-        bp = weaver.baseline_prompt(sample.query_tokens, retrieved, examples[: settings.top_k], store=store)
+        bp = weaver.baseline_prompt(sample.query_tokens, retrieved, examples[: settings.top_k])
 
         planner_script = bundle.tokenizer.tokenize(corpus.render_plan(sample.gt_plan))
         obs_tokens = bundle.tokenizer.tokenize(observation_text(sample.gt_plan))
@@ -229,10 +231,5 @@ def run_queries(
                     for role, (model, prompt, out, stats) in decoded.items()
                 },
             })
-        return record
-
-    items = list(enumerate(bundle.test))
-    if settings.jobs > 1:
-        with ThreadPoolExecutor(max_workers=settings.jobs) as pool:
-            return list(pool.map(run_one, items))
-    return [run_one(item) for item in items]
+        records.append(record)
+    return records

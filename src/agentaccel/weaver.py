@@ -24,12 +24,14 @@ continues from the head's one resolution in the store (`KVStore.resolve`).
 The baseline builder mirrors the conventional layout (retrieved-tool
 descriptions injected right after a short greeting, guidance text trapped
 behind them) for token-accounting comparisons.  It is a documented
-approximation of that prompt family, not a verbatim template.
+approximation of that prompt family, not a verbatim template.  Its greeting
+is the only prefix that policy would ever precompute, so it counts as
+cached without being stored, and the baseline is matched against no store.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 
 from .clusterplan import ClusterPlan
@@ -240,13 +242,10 @@ class Weaver:
     def arbiter_prefix(self) -> tuple[int, ...]:
         return self._arbiter
 
-    def baseline_header_prefix(self) -> tuple[int, ...]:
-        return self._baseline_header
-
     def cacheable_prefixes(self) -> dict[str, list[tuple[int, ...]]]:
         """Everything the offline phase should precompute, grouped by tag; empty groups left out."""
         groups = {
-            TAG_STATIC: [self.static_planner_prefix(), self.baseline_header_prefix()],
+            TAG_STATIC: [self.static_planner_prefix()],
             TAG_CLUSTER_COMBINATION: [self.leaf_prefix(tools) for tools in self.plan.cached_tool_sets],
             TAG_ARBITER_STATIC: [self.arbiter_prefix()],
         }
@@ -254,14 +253,11 @@ class Weaver:
 
     # ---- prompt builders ----------------------------------------------------
 
-    def _prompt(self, head, tail, store: KVStore | None, stats: dict, unstored_match_len: int = 0) -> ReconstructedPrompt:
-        """One of the weaver's heads, then the `tail` segments, matched against `store` from the head's resolution.
-
-        Without a store, `unstored_match_len` tokens are cacheable.
-        """
+    def _prompt(self, head, tail, store: KVStore | None, stats: dict) -> ReconstructedPrompt:
+        """One of the weaver's heads, then the `tail` segments, matched against `store` from the head's resolution."""
         segments, head_tokens = head
         tokens = head_tokens + tuple(chain.from_iterable(toks for _, toks in tail))
-        entry, match_len = None, unstored_match_len
+        entry, match_len = None, 0
         if store is not None:
             known = self._starts.get(id(head_tokens))
             if known is None or known[0] is not store:
@@ -308,20 +304,13 @@ class Weaver:
         }
         return self._prompt(self._planner_head, tail, store, stats)
 
-    def baseline_prompt(
-        self,
-        query_tokens,
-        retrieved,
-        examples: list[ToolUseExample],
-        store: KVStore | None = None,
-    ) -> ReconstructedPrompt:
+    def baseline_prompt(self, query_tokens, retrieved, examples: list[ToolUseExample]) -> ReconstructedPrompt:
         """Conventional prompt order used as the accounting baseline, ending in the retrieved `examples`.
 
         Retrieved-tool descriptions land right after a short greeting, which
         is what pushes the first dynamic token near the front and strands the
-        guidance text behind it.  Without a store, the greeting is treated as
-        the cacheable region (it is the only prefix the baseline policy would
-        ever precompute).
+        guidance text behind it.  The greeting is the cached region: it is
+        the only prefix the baseline policy would ever precompute.
         """
         retrieved = set(retrieved)
         tail = (
@@ -335,7 +324,7 @@ class Weaver:
             "first_dynamic_token_index": len(self._baseline_header),
             "degenerate_empty_retrieval": not retrieved,
         }
-        return self._prompt(self._baseline_head, tail, store, stats, unstored_match_len=len(self._baseline_header))
+        return replace(self._prompt(self._baseline_head, tail, None, stats), match_len=len(self._baseline_header))
 
     def arbiter_prompt(self, observation_tokens, store: KVStore | None = None) -> ReconstructedPrompt:
         """The static guidelines followed by the call-observation pairs."""

@@ -198,7 +198,7 @@ def test_criterion_05_token_accounting(bundle, weaver, oracle_rag, populated_sto
         retrieved = oracle_rag.retrieve_tools(sample.query_tokens, 0.5)
         examples = oracle_rag.retrieve_examples(sample.query_tokens, retrieved, 3)
         wp = weaver.planner_prompt(sample.query_tokens, retrieved, examples[:1], store=populated_store)
-        bp = weaver.baseline_prompt(sample.query_tokens, retrieved, examples, store=populated_store)
+        bp = weaver.baseline_prompt(sample.query_tokens, retrieved, examples)
         # Independent recount of both sides from raw segment lengths.
         assert wp.uncacheable_tokens == sum(len(t) for _, t in wp.segments) - wp.match_len
         assert bp.uncacheable_tokens == sum(len(t) for _, t in bp.segments) - bp.match_len

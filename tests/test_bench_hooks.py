@@ -40,8 +40,7 @@ def test_precompute_counters_match_the_store(precompute_cache_argv, tmp_path):
     assert tracer.counts["kvstore.entries"] == len(store.entries)
 
 
-@pytest.mark.parametrize("region", ["fewshot"])
-def test_run_queries_builds_two_luts_per_query(bundle, plan, populated_store, region):
+def test_run_queries_builds_two_luts_per_query(bundle, plan, populated_store):
     # `exspec.luts` and `exspec.lut_entries.mean` count `exspec.build_lut`
     # calls: one planner table of the few-shot region and one arbiter table
     # per query, the arbiter's shared head included.
@@ -52,19 +51,19 @@ def test_run_queries_builds_two_luts_per_query(bundle, plan, populated_store, re
     assert tracer.counts["exspec.luts"] == 2 * len(bundle.test)
 
 
-def test_run_queries_matches_three_prompts_per_query(bundle, plan, populated_store):
+def test_run_queries_matches_two_prompts_per_query(bundle, plan, populated_store):
     # `kvstore.match.calls`, `kvstore.served_tokens_frac` and
     # `weaver.planner_uncacheable_frac` read `KVStore.longest_cached_prefix`
-    # calls: one per prompt, the heads each prompt continues from resolved
-    # outside them.  The served counts are those of matching every prompt
-    # from the root.
+    # calls: one per planner and arbiter prompt, the heads each prompt
+    # continues from resolved outside them; the baseline matches no store.
+    # The served counts are those of matching every prompt from the root.
     tracer = _load("spans").Tracer()
     with tracer.installed():
         pipeline.run_queries(bundle, plan, populated_store, pipeline.RunSettings())
     queries = {span[4] for span in tracer.spans if span[0] == "kvstore.match"}
-    assert sum(span[0] == "kvstore.match" for span in tracer.spans) == 3 * len(bundle.test)
+    assert sum(span[0] == "kvstore.match" for span in tracer.spans) == 2 * len(bundle.test)
     assert queries == set(range(len(bundle.test)))
-    assert tracer.counts["kvstore.matched_tokens"] == 201_997
+    assert tracer.counts["kvstore.matched_tokens"] == 201_217
     assert tracer.counts["planner.served_tokens"] == 168_397
 
 

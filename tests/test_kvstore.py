@@ -3,9 +3,7 @@ import json
 import os
 import random
 import re
-import sys
 import tempfile
-import threading
 from pathlib import Path
 
 import pytest
@@ -341,43 +339,6 @@ class TestLongestPrefix:
             else:
                 prompt = [rng.randint(1, 9) for _ in range(rng.randint(0, 60))]
             assert store.longest_cached_prefix(prompt) == _oracle_served(entries, prompt)
-
-    def test_concurrent_first_match_on_fresh_store(self, store):
-        rng = random.Random(7)
-        keys = [[rng.randint(1, 4) for _ in range(rng.randint(1, 300))] for _ in range(60)]
-        store.precompute({TAG_STATIC: keys}, TINY)
-        fresh = KVStore(store.root)
-        entries = list(fresh.entries.values())
-        prompts = [list(rng.choice(keys)[: rng.randint(0, 300)]) + [rng.randint(1, 4)] for _ in range(40)]
-        expected = [_oracle_served(entries, p) for p in prompts]
-        builds = []
-
-        class CountingEntries(dict):
-            def values(self):
-                builds.append(threading.current_thread().name)
-                return super().values()
-
-        fresh.entries = CountingEntries(fresh.entries)
-        barrier = threading.Barrier(4)
-        results = [None] * 4
-
-        def worker(i):
-            barrier.wait(timeout=30)
-            results[i] = [fresh.longest_cached_prefix(p) for p in prompts]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert results == [expected] * 4
-        assert len(builds) == 1
 
     def test_match_after_precompute_sees_new_entries(self, store):
         first = store.precompute({TAG_STATIC: [[1, 2, 3]]}, TINY)[0]

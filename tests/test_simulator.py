@@ -417,7 +417,7 @@ class TestCoverageCurve:
         # The curve's storage arithmetic must agree with what an actual
         # store reports after precomputing the same prefixes.
         static_len = len(weaver.static_planner_prefix())
-        extra = len(weaver.baseline_header_prefix()) + len(weaver.arbiter_prefix())
+        extra = len(weaver.arbiter_prefix())
         pts = coverage_curve(
             sample_leaves(plan, bundle.train),
             [len(plan.cached_tool_sets)],

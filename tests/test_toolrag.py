@@ -1,6 +1,4 @@
 import random
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -179,18 +177,3 @@ def test_cosine_run_embeds_each_example_and_query_once(fixture_paths, plan, monk
     assert (len(bundle.examples), len(records), len(fresh)) == (36, 60, 59)
     assert len(texts) == 36 + 59
     assert texts[36:] == [bundle.tokenizer.detokenize(q) for q in fresh]
-
-
-def test_embed_query_from_many_threads_returns_each_querys_embedding(bundle):
-    # `--jobs` shares one ToolRag between threads; they race on its one kept embedding.
-    rag = bundle.make_rag("cosine")
-    queries = [sample.query_tokens for sample in bundle.test]
-    expected = [bundle.embedder.embed(bundle.tokenizer.detokenize(q)) for q in queries]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            got = list(pool.map(lambda i: rag.embed_query(queries[i % len(queries)]), range(3000), timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(np.array_equal(vec, expected[i % len(queries)]) for i, vec in enumerate(got))

@@ -28,7 +28,7 @@ def _prompts(weaver, oracle_rag, sample, store=None):
     examples = oracle_rag.retrieve_examples(sample.query_tokens, retrieved, max(settings.k, settings.top_k))
     return (
         weaver.planner_prompt(sample.query_tokens, retrieved, examples[: settings.k], store=store),
-        weaver.baseline_prompt(sample.query_tokens, retrieved, examples[: settings.top_k], store=store),
+        weaver.baseline_prompt(sample.query_tokens, retrieved, examples[: settings.top_k]),
     )
 
 
@@ -232,7 +232,7 @@ class TestStaticTokens:
             planner, baseline = _prompts(weaver, oracle_rag, sample, store=populated_store)
             assert planner.match_len > head and planner.static_tokens == head
             assert _prompts(weaver, oracle_rag, sample)[0].static_tokens == 0  # nothing served
-            assert baseline.static_tokens == min(baseline.match_len, len(weaver.baseline_header_prefix()))
+            assert baseline.static_tokens == baseline.match_len == baseline.stats["first_dynamic_token_index"]  # the greeting
         arbiter = weaver.arbiter_prompt([7, 8], store=populated_store)
         assert arbiter.static_tokens == len(weaver.arbiter_prefix()) == arbiter.match_len
         assert arbiter.to_dict()["static_tokens"] == arbiter.static_tokens
