@@ -4,12 +4,13 @@
 # them in one pass -- falling back to plain autoregressive steps whenever the
 # table has nothing to say.  Where the prompt's table misses, the planner can
 # also draft from a table counted offline over the train split's plans, which
-# `build-plan` ships in plan.json.  Output is token-identical to greedy
-# decoding by design.
+# `build-plan` ships in plan.json, and from a grammar of the plan format,
+# which drafts its step numbers, `.` and `end`.  Output is token-identical to
+# greedy decoding by design.
 
 import tempfile
 
-from agentaccel import build_coactivation, build_lut, build_plan, decode, fixtures, pipeline
+from agentaccel import PlanGrammar, build_coactivation, build_lut, build_plan, decode, fixtures, pipeline
 from agentaccel.corpus import render_plan
 from agentaccel.lm import ScriptedModel, greedy_decode
 from agentaccel.simulator import MEASURED_TAX, decode_seconds
@@ -70,6 +71,16 @@ for s in bundle.test:
         rounds[label] += st.rounds
 for label, count in rounds.items():
     print(f"  {label}: {count} planner rounds over {len(bundle.test)} test queries")
+
+# The grammar awaits the tools the query retrieved: it drafts the next step
+# number after a step's `;` while one of them is uncalled, then `end`.
+retrieved = rag.retrieve_tools(sample.query_tokens, 0.5)
+grammar = PlanGrammar.read(bundle.tokenizer, 160).awaiting(map(bundle.tokenizer.id_of, retrieved))
+print(f"\nplan grammar on the demo query (awaiting {len(grammar.tools)} retrieved tools):")
+for label, g in (("without the grammar", None), ("with the grammar", grammar)):
+    out, st = decode(model, prompt.tokens, lut, 4, True, 160, backup=train_table, grammar=g)
+    assert out == reference
+    print(f"  {label}: {st.rounds} planner rounds, {st.fallbacks} fallbacks, {st.grammar_drafts} grammar drafts")
 
 print("\ndraft-length ablation (selective, trigram):")
 for n in (2, 3, 4):

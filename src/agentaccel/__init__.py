@@ -5,7 +5,8 @@ Three capabilities behind one library:
 * cache-planning and prompt reconstruction that turns agent prompts into
   mostly-precomputable prefixes (clusterplan, kvstore, weaver),
 * draft-model-free speculative decoding from an on-the-fly n-gram lookup
-  table with selective fallback (lm, exspec), which counts rounds,
+  table with selective fallback, plus a grammar of the plan format for the
+  planner (lm, exspec), which counts rounds,
 * an analytical latency simulator that replays traces of the above under
   device cost models and is the one place decoding is priced (simulator).
 """
@@ -23,7 +24,7 @@ from .corpus import (
     load_example_db,
     load_registry,
 )
-from .exspec import DecodeStats, NGramLUT, build_lut, decode, draft, verify
+from .exspec import DecodeStats, NGramLUT, PlanGrammar, build_lut, decode, draft, verify
 from .kvstore import CacheEntry, KVStore, ModelGeometry, kv_size
 from .lm import MarkovModel, ScriptedModel, greedy_decode, train_markov
 from .simulator import (

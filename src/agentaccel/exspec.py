@@ -12,7 +12,10 @@ misses, the round degenerates to a single autoregressive step instead of
 paying a multi-token verification pass that would likely reject everything.
 A decode may also be given a backup table, drafted from only when the
 prompt's table misses: the planner's is counted offline over the train
-split's plans and shipped in the plan.
+split's plans and shipped in the plan.  The planner's decode also has a
+`PlanGrammar`, asked before either table at every draft position: a state
+machine over the output that drafts the plan format's step numbers, `.` and
+`end`.
 
 Decoding counts and does not price: `DecodeStats` records rounds, fallbacks
 and drafts, and `simulator.decode_seconds` turns those counts into modeled
@@ -22,7 +25,8 @@ time under a tax curve.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 from . import shapes
 from .lm import ReferenceModel
@@ -47,8 +51,7 @@ class NGramLUT:
     source_token_count: int
 
     def lookup(self, context) -> int | None:
-        if len(context) < self.n - 1:
-            return None
+        # Every key holds n-1 tokens, so a shorter context finds none.
         hit = self.table.get(tuple(context[-(self.n - 1):]))
         return hit[0] if hit else None
 
@@ -212,7 +215,138 @@ def _extend_head(head: LutHead, stream: list[int], n: int) -> NGramLUT:
     return NGramLUT(n=n, table=table, filler=filler, source_token_count=len(stream))
 
 
+# The phases of a `PlanGrammar` state: at an empty output, after a step
+# number, after its `.` (the step's call is next), inside the step, after its `;`.
+_START, _NUMBER, _CALL, _BODY, _SEMICOLON = range(5)
+# No token has this id, so a state waiting for it is moved by none.
+_NO_TOKEN = -1
+# The state after `end` or a token off the format: silent for the rest of the decode.
+_DONE = (None, _NO_TOKEN, -1, 0, 0)
+
+
+@dataclass
+class PlanGrammar:
+    """Drafts the fixed tokens of `corpus.render_plan`'s format, `1 . tool ( … ) ; 2 . … ; end of plan`.
+
+    A state is a `(proposal, until, phase, step, named)` tuple read from the
+    output so far.  `proposal` is the token the format fixes next, or None.
+    `until` is None, or the one token that can move the state: every other
+    token leaves it as it is, so a decode steps it only on that token.
+    `step` is the last step number, counted from the output's first token,
+    and `named` has the bit of every awaited tool a step has called.
+
+    After step number k the grammar proposes `.`; after a step's `;` it
+    proposes step number k + 1 while an awaited tool is unnamed, and `end`
+    once every one is.  It proposes nothing at an empty output, after
+    `end`, or ever again once a token leaves the format.  `advance` is O(1)
+    and returns a new state, so a draft chain advances a copy and undoes
+    nothing.
+
+    Every id is read from a vocabulary without allocating one: a step number
+    it lacks is never proposed, and a tool whose id is not one of its words
+    is not awaited.
+    """
+
+    dot: int | None
+    semicolon: int | None
+    end: int | None
+    steps: dict[int, int]  # step number -> its id
+    numbers: dict[int, int]  # id -> the step number
+    tools: dict[int, int] = field(default_factory=dict)  # the id of each awaited tool -> its bit
+    every_tool: int = 0  # the bits of all awaited tools
+
+    START: ClassVar[tuple] = (None, None, _START, 0, 0)
+
+    @classmethod
+    def read(cls, tokenizer, max_steps: int) -> "PlanGrammar":
+        """The format's ids in `tokenizer`'s vocabulary, step numbers 1 to `max_steps`, awaiting no tool."""
+        steps = {k: tid for k in range(1, max_steps + 1) if (tid := tokenizer.id_of(str(k))) is not None}
+        return cls(
+            dot=tokenizer.id_of("."),
+            semicolon=tokenizer.id_of(";"),
+            end=tokenizer.id_of("end"),
+            steps=steps,
+            numbers={tid: k for k, tid in steps.items()},
+        )
+
+    def awaiting(self, tool_ids) -> "PlanGrammar":
+        """This grammar awaiting the tools of these ids; a None id is skipped."""
+        ids = set(tool_ids)
+        ids.discard(None)
+        tools = {tid: 1 << bit for bit, tid in enumerate(ids)}
+        return type(self)(self.dot, self.semicolon, self.end, self.steps, self.numbers, tools, (1 << len(tools)) - 1)
+
+    def advance(self, state, token: int) -> tuple:
+        """The state after `token`."""
+        _, _, phase, step, named = state
+        if phase == _BODY:
+            if token != self.semicolon:
+                return state
+            following = self.end if named == self.every_tool else self.steps.get(step + 1)
+            return following, None, _SEMICOLON, step, named
+        if phase == _CALL:
+            # A step's body ends at its `;`, the one token that moves it.
+            return None, self.semicolon, _BODY, step, named | self.tools.get(token, 0)
+        if phase == _NUMBER:
+            return (None, None, _CALL, step, named) if token == self.dot else _DONE
+        if phase == _SEMICOLON and token == self.steps.get(step + 1):
+            return self.dot, None, _NUMBER, step + 1, named
+        if phase == _START and token in self.numbers:
+            return self.dot, None, _NUMBER, self.numbers[token], 0
+        return _DONE
+
+
 MISS = None
+
+
+def _chain(lut: NGramLUT, backup: NGramLUT | None, context, n_draft: int, grammar: PlanGrammar | None, state):
+    """A round's drafts, whether the backup drafted and how many the grammar proposed; MISS if nothing drafts the first.
+
+    At each position the grammar, in `state` advanced by the chain, proposes
+    first.  Where it has nothing, the chain's table drafts: the first of
+    `lut` and `backup` whose lookup hits where the grammar first leaves a
+    position to the tables.  Its later misses emit its filler, as the chain
+    keeps going to full length; verification weeds out bad guesses.  The
+    chain ends early only where the grammar is silent and neither table has
+    a hit yet.
+    """
+    # The first position is spelled out: a miss there, the round of a
+    # decode that falls back, is its commonest round and returns at once.
+    if grammar is None or (tok := state[0]) is None:
+        table, tok = lut, lut.lookup(context)
+        if tok is None and backup is not None:
+            table, tok = backup, backup.lookup(context)
+        if tok is None:
+            return MISS
+        proposed = 0
+    else:
+        table, proposed = None, 1
+    # Lookups only read the last n-1 tokens, so chain on that window alone.
+    ctx = list(context[-(lut.n - 1 if backup is None or backup.n <= lut.n else backup.n - 1):])
+    drafts = [tok]
+    while len(drafts) < n_draft:
+        ctx.append(tok)
+        if grammar is not None:
+            if state[1] is None or tok == state[1]:
+                state = grammar.advance(state, tok)
+            tok = state[0]
+            if tok is not None:
+                proposed += 1
+                drafts.append(tok)
+                continue
+        if table is None:
+            table, tok = lut, lut.lookup(ctx)
+            if tok is None and backup is not None:
+                table, tok = backup, backup.lookup(ctx)
+            if tok is None:
+                table = None
+                break
+        else:
+            tok = table.lookup(ctx)
+            if tok is None:
+                tok = table.filler
+        drafts.append(tok)
+    return drafts, backup is not None and table is backup, proposed
 
 
 def draft(lut: NGramLUT, context, n_draft: int) -> list[int] | None:
@@ -223,20 +357,8 @@ def draft(lut: NGramLUT, context, n_draft: int) -> list[int] | None:
     """
     if n_draft < 1:
         raise ValueError("n_draft must be at least 1")
-    first = lut.lookup(context)
-    if first is None:
-        return MISS
-    # Lookups only read the last n-1 tokens, so chain on that window alone.
-    ctx = list(context[-(lut.n - 1):])
-    drafts = [first]
-    ctx.append(first)
-    while len(drafts) < n_draft:
-        nxt = lut.lookup(ctx)
-        if nxt is None:
-            nxt = lut.filler
-        drafts.append(nxt)
-        ctx.append(nxt)
-    return drafts
+    chain = _chain(lut, None, context, n_draft, None, None)
+    return MISS if chain is MISS else chain[0]
 
 
 def verify(target: ReferenceModel, context, drafts) -> tuple[int, int]:
@@ -275,7 +397,8 @@ class DecodeStats:
     selective: bool = True
     draft_len: int = DEFAULT_DRAFT_LEN
     lut_size: int = 0
-    backup_rounds: int = 0  # drafting rounds whose first token came from the backup table
+    backup_rounds: int = 0  # drafting rounds whose table tokens came from the backup table
+    grammar_drafts: int = 0  # draft tokens the plan grammar proposed
     truncated: int = 0  # 1 if the decode stopped at max_tokens without reaching EOS
 
     @property
@@ -296,6 +419,7 @@ class DecodeStats:
             "accuracy": self.accuracy,
             "lut_size": self.lut_size,
             "backup_rounds": self.backup_rounds,
+            "grammar_drafts": self.grammar_drafts,
             "truncated": self.truncated,
         }
 
@@ -308,15 +432,18 @@ def decode(
     selective: bool = True,
     max_tokens: int = 256,
     backup: NGramLUT | None = None,
+    grammar: PlanGrammar | None = None,
 ) -> tuple[list[int], DecodeStats]:
     """Speculative decoding loop; output always equals greedy_decode.
 
     The target is bound to the prompt once (`ReferenceModel.bind`) and every
     step of the loop goes to the bound model.  A round drafts from `lut`,
-    or, when its first lookup misses, from `backup`.  In selective mode a
-    miss of both costs one plain step.  In non-selective mode every round
-    drafts (fillers on a miss) and pays the full verification pass, which is
-    what makes the two modes comparable on cost while identical on output.
+    or, when its first lookup misses, from `backup`; a `grammar`, advanced
+    over the committed output, proposes before either table at every draft
+    position.  In selective mode a round where nothing drafts costs one
+    plain step.  In non-selective mode every round drafts (fillers on a
+    miss) and pays the full verification pass, which is what makes the two
+    modes comparable on cost while identical on output.
     """
     if max_tokens < 0:
         raise ValueError("max_tokens must be non-negative")
@@ -325,15 +452,13 @@ def decode(
     stats = DecodeStats(selective=selective, draft_len=n_draft, lut_size=len(lut))
     target = target.bind(prompt)
     context = list(prompt)
-    out: list[int] = []
+    start = len(context)
+    limit = start + max_tokens
+    state = None if grammar is None else grammar.START
     done = False
-    while not done and len(out) < max_tokens:
-        drafts = draft(lut, context, n_draft)
-        from_backup = False
-        if drafts is MISS and backup is not None:
-            drafts = draft(backup, context, n_draft)
-            from_backup = drafts is not MISS
-        if drafts is MISS and selective:
+    while not done and len(context) < limit:
+        chain = _chain(lut, backup, context, n_draft, grammar, state)
+        if chain is MISS and selective:
             tok = target.greedy_next(context)
             if tok == EOS_ID:
                 break
@@ -341,30 +466,34 @@ def decode(
             # the terminal end-of-sequence probe above is not one.
             stats.rounds += 1
             stats.fallbacks += 1
-            out.append(tok)
-            context.append(tok)
-            continue
-        if drafts is MISS:
-            drafts = [lut.filler] * n_draft
-        accepted, corrected = verify(target, context, drafts)
-        emit = drafts[:accepted] + [corrected]
-        if emit[0] == EOS_ID:
-            # The pass only discovered the end of the sequence; like the
-            # baseline's terminal probe it contributes no output and is
-            # left out of the per-round accounting.
-            break
-        stats.rounds += 1
-        stats.backup_rounds += from_backup
-        stats.drafts_generated += len(drafts)
-        stats.drafts_accepted += accepted
-        for tok in emit:
-            if tok == EOS_ID:
+            emit = [tok]
+        else:
+            drafts, from_backup, proposed = ([lut.filler] * n_draft, False, 0) if chain is MISS else chain
+            accepted, corrected = verify(target, context, drafts)
+            emit = drafts[:accepted]
+            emit.append(corrected)
+            if emit[0] == EOS_ID:
+                # The pass only discovered the end of the sequence; like the
+                # baseline's terminal probe it contributes no output and is
+                # left out of the per-round accounting.
+                break
+            stats.rounds += 1
+            stats.backup_rounds += from_backup
+            stats.grammar_drafts += proposed
+            stats.drafts_generated += len(drafts)
+            stats.drafts_accepted += accepted
+            if EOS_ID in emit:
+                del emit[emit.index(EOS_ID):]
                 done = True
-                break
-            out.append(tok)
-            context.append(tok)
-            if len(out) >= max_tokens:
-                break
+            del emit[limit - len(context):]
+        context += emit
+        if grammar is not None:
+            for tok in emit:
+                if state[1] is None or tok == state[1]:
+                    state = grammar.advance(state, tok)
+            if state is _DONE:
+                grammar = None  # silent for the rest of the decode
+    out = context[start:]
     # Each EOS ends the loop before `out` reaches the limit.
     stats.truncated = int(len(out) == max_tokens)
     stats.output_tokens = len(out)

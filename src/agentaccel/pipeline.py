@@ -8,12 +8,14 @@ and the baseline prompt from the top `top_k`, the configured reference model dec
 the speculative path, and the token accounting plus decode statistics land
 in one trace record for the simulator.  The planner also drafts from the
 plan's table of the train split's plans (`plan_draft_table`) wherever its
-prompt's table misses.  Given `emit`, `run_queries` also hands over each
-query's document: its planner, baseline and arbiter prompts, and for the
-planner and the arbiter the output, the record's own `decode` statistics and
-whether the output equals `lm.greedy_decode` of the same model and prompt.
-It is built from the same objects as the trace record, so the two cannot
-disagree.
+prompt's table misses, and from the plan format's grammar
+(`exspec.PlanGrammar`) before either table; the grammar awaits the query's
+retrieved tools, which its prompt shows.  Given `emit`, `run_queries` also
+hands over each query's document: its planner, baseline and arbiter
+prompts, and for the planner and the arbiter the output, the record's own
+`decode` statistics and whether the output equals `lm.greedy_decode` of the
+same model and prompt.  It is built from the same objects as the trace
+record, so the two cannot disagree.
 """
 
 from __future__ import annotations
@@ -179,6 +181,8 @@ def run_queries(
     # The arbiter's draft table extends the counts of its guidelines, which
     # open every arbiter prompt, taken once here.
     arbiter_head = exspec.count_head(weaver.arbiter_prefix(), settings.n)
+    # A plan of at most max_tokens tokens has fewer steps than that.
+    grammar = exspec.PlanGrammar.read(bundle.tokenizer, settings.max_tokens)
 
     records = []
     for idx, sample in enumerate(bundle.test):
@@ -192,15 +196,16 @@ def run_queries(
         obs_tokens = bundle.tokenizer.tokenize(observation_text(sample.gt_plan))
         ap = weaver.arbiter_prompt(obs_tokens, store=store)
 
+        planner_grammar = grammar.awaiting(map(bundle.tokenizer.id_of, retrieved))
         decoded = {}  # role -> (model, prompt, output, decode stats); the planner decodes first
-        for role, prompt, script, head, backup in (
-            ("planner", wp, planner_script, None, plan.draft_table),
-            ("arbiter", ap, arbiter_script, arbiter_head, None),
+        for role, prompt, script, head, backup, role_grammar in (
+            ("planner", wp, planner_script, None, plan.draft_table, planner_grammar),
+            ("arbiter", ap, arbiter_script, arbiter_head, None, None),
         ):
             model = lm.ScriptedModel(prompt.tokens, script) if settings.model == "scripted" else markov
             lut = exspec.build_lut(prompt.extraction_region(), settings.n, head)
             out, stats = exspec.decode(
-                model, prompt.tokens, lut, settings.draft_len, settings.selective, settings.max_tokens, backup=backup
+                model, prompt.tokens, lut, settings.draft_len, settings.selective, settings.max_tokens, backup, role_grammar
             )
             decoded[role] = model, prompt, out, stats.to_dict()
 

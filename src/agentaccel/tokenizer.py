@@ -70,6 +70,10 @@ class Tokenizer:
     def vocab_size(self) -> int:
         return len(self._word_to_id)
 
+    def id_of(self, word: str) -> int | None:
+        """The id of one vocabulary word, or None; unlike `tokenize`, allocates nothing."""
+        return self._word_to_id.get(word)
+
     def tokenize(self, text: str) -> list[int]:
         ids = []
         for word in split_words(text):

@@ -44,12 +44,26 @@ def test_criterion_01_speculative_equivalence():
     for order in (1, 2, 3):
         data = [[rng.randint(1, 9) for _ in range(rng.randint(5, 40))] for _ in range(10)]
         markov_pool.append((train_markov(data, order=order, smoothing=rng.choice([0.0, 0.2])), data[0][:4]))
+    # Scripts in the plan format, for the plan grammar below: step numbers
+    # 1-3 are ids 1-3, `.` 4, `;` 5, `end` 6, and ids 7 and 8 are tools.
+    plan_rng = random.Random(2026)
+    for _ in range(6):
+        steps = [
+            [k, 4, plan_rng.choice([7, 8]), *plan_rng.choices(range(1, 10), k=plan_rng.randint(0, 4)), 5]
+            for k in (1, 2, 3)
+        ]
+        script = [tok for step in steps[: plan_rng.randint(1, 3)] for tok in step] + [6, 9]
+        prompt = tuple(plan_rng.randint(1, 9) for _ in range(plan_rng.randint(1, 8)))
+        scripted_pool.append((ScriptedModel(prompt, script), list(prompt)))
     pool = scripted_pool + markov_pool
+    plan_grammar = exspec.PlanGrammar(4, 5, 6, {1: 1, 2: 2, 3: 3}, {1: 1, 2: 2, 3: 3})
 
-    # Every other pair of cases also drafts from an arbitrary backup table,
-    # as the planner drafts from the train split's, drawn from its own stream.
+    # Every other pair of cases decodes as the planner does: from an
+    # arbitrary backup table, drawn from its own stream, as the planner's is
+    # counted over the train split, and with the plan grammar, awaiting one
+    # or both tools.
     table_rng = random.Random(2025)
-    cases = backed = 0
+    cases = backed = proposed = 0
     for i in range(520):
         model, prompt = pool[i % len(pool)]
         n = rng.choice([2, 3, 4])
@@ -58,20 +72,27 @@ def test_criterion_01_speculative_equivalence():
         max_tokens = rng.randint(0, 48)
         region = [rng.randint(1, 9) for _ in range(rng.randint(0, 80))]
         lut = exspec.build_lut(region, n=n)
-        backup = None
+        backup = grammar = None
         if i % 4 >= 2:
             table = [table_rng.randint(0, 9) for _ in range(table_rng.randint(0, 120))]
             backup = exspec.build_lut(table, n=table_rng.choice([2, 3, 4]))
+            grammar = plan_grammar.awaiting(table_rng.choice([[7], [8], [7, 8]]))
             backed += 1
-        out, _ = exspec.decode(model, prompt, lut, n_draft, selective, max_tokens, backup=backup)
+        out, stats = exspec.decode(model, prompt, lut, n_draft, selective, max_tokens, backup, grammar)
         assert out == greedy_decode(model, prompt, max_tokens), (
-            f"divergence at case {i}: n={n} n_draft={n_draft} selective={selective} backup={backup is not None}"
+            f"divergence at case {i}: n={n} n_draft={n_draft} selective={selective} planner={backup is not None}"
         )
+        proposed += stats.grammar_drafts
         cases += 1
     elapsed = time.monotonic() - start
     assert cases >= 500
+    assert proposed > 0
     assert elapsed < 30.0
-    _verdict(1, f"{cases} randomized decode cases ({backed} with a backup table) token-identical to greedy ({elapsed:.1f}s)")
+    _verdict(
+        1,
+        f"{cases} randomized decode cases ({backed} with a backup table and the plan grammar, "
+        f"which drafted {proposed} tokens) token-identical to greedy ({elapsed:.1f}s)",
+    )
 
 
 def _random_plan_and_samples(rng):

@@ -415,6 +415,9 @@ def test_run_records_lut_size_and_backup_rounds(workdir, tmp_path):
     assert all(r[role]["decode"]["lut_size"] > 0 for r in records for role in ("planner", "arbiter"))
     assert sum(r["planner"]["decode"]["backup_rounds"] for r in records) > 0
     assert all(r["arbiter"]["decode"]["backup_rounds"] == 0 for r in records)
+    # Only the planner drafts from the plan grammar.
+    assert sum(r["planner"]["decode"]["grammar_drafts"] for r in records) > 0
+    assert all(r["arbiter"]["decode"]["grammar_drafts"] == 0 for r in records)
 
 
 def _other_vocab(workdir, tmp_path) -> Path:

@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agentaccel import pipeline
-from agentaccel.exspec import MISS, NGramLUT, build_lut, count_head, decode, draft, verify
+from agentaccel.exspec import MISS, NGramLUT, PlanGrammar, build_lut, count_head, decode, draft, verify
 from agentaccel.lm import ReferenceModel, ScriptedModel, greedy_decode, train_markov
 from agentaccel.simulator import MEASURED_TAX, decode_seconds
-from agentaccel.tokenizer import EOS_ID
+from agentaccel.tokenizer import EOS_ID, Tokenizer
 
 
 def _reference_lut(extraction_region, n, defined=None):
@@ -427,6 +427,171 @@ class TestBackupTable:
         assert out == greedy_decode(model, prompt, max_tokens)
         assert 0 <= stats.backup_rounds <= stats.rounds - stats.fallbacks
         assert stats.truncated == (len(out) == max_tokens)
+
+
+_PLAN_WORDS = "1 2 3 . ; end of plan get_a get_b ( ) = x , when"
+
+
+def _plan_grammar(words=_PLAN_WORDS, tools=("get_a", "get_b")):
+    """A tokenizer over `words` and its plan grammar awaiting `tools`."""
+    tok = Tokenizer({w: i for i, w in enumerate(words.split(), start=1)})
+    return tok, PlanGrammar.read(tok, 8).awaiting(map(tok.id_of, tools))
+
+
+def _proposals(grammar, tokens):
+    """The grammar's proposal before each token and after the last."""
+    state, out = grammar.START, []
+    for token in tokens:
+        out.append(state[0])
+        state = grammar.advance(state, token)
+    return out + [state[0]]
+
+
+class TestPlanGrammar:
+    def test_dot_after_a_step_number(self):
+        tok, grammar = _plan_grammar()
+        assert _proposals(grammar, tok.tokenize("1"))[-1] == tok.id_of(".")
+        # Steps count from the output's first number.
+        assert _proposals(grammar, tok.tokenize("2 . get_a ( ) ; 3"))[-1] == tok.id_of(".")
+
+    def test_end_only_once_every_awaited_tool_is_named(self):
+        tok, grammar = _plan_grammar()
+        first = tok.tokenize("1 . get_a ( x = get_b ) ;")
+        # A tool named only inside the arguments is not a step's call.
+        assert _proposals(grammar, first)[-1] == tok.id_of("2")
+        second = first + tok.tokenize("2 . get_a ( ) ;")
+        assert _proposals(grammar, second)[-1] == tok.id_of("3")
+        assert _proposals(grammar, second + tok.tokenize("3 . get_b ( ) ;"))[-1] == tok.id_of("end")
+        # A grammar awaiting no tool proposes `end` after the first step.
+        assert _proposals(_plan_grammar(tools=())[1], first)[-1] == tok.id_of("end")
+
+    def test_proposes_only_the_format_tokens(self):
+        tok, grammar = _plan_grammar()
+        plan = tok.tokenize("1 . get_a ( x ) ; 2 . get_b ( when ) ; end of plan")
+        expected = [None, ".", *[None] * 5, "2", ".", *[None] * 5, "end", None, None, None]
+        assert _proposals(grammar, plan) == [tok.id_of(w) if w else None for w in expected]
+
+    def test_nothing_at_an_empty_output(self):
+        _, grammar = _plan_grammar()
+        assert grammar.START[0] is None
+
+    def test_silent_after_the_first_token_off_the_format(self):
+        tok, grammar = _plan_grammar()
+        # The Markov planner continues the query before it starts a plan.
+        assert set(_proposals(grammar, tok.tokenize(", when = x . plan 1 . get_a ( ) ;"))) == {None}
+        for off in ("1 ,", "1 . get_a ( ) ; 3", "1 . get_a ( ) ; x", "1 . get_a ( ) ; end"):
+            tail = tok.tokenize("1 . get_b ( ) ; 2 .")
+            assert set(_proposals(grammar, tok.tokenize(off) + tail)[len(tok.tokenize(off)):]) == {None}, off
+
+    def test_a_word_the_vocabulary_lacks_is_never_proposed(self):
+        tok, grammar = _plan_grammar(words="1 . ; end get_a get_b ( )")
+        assert _proposals(grammar, tok.tokenize("1 . get_a ( ) ;"))[-1] is None  # no id for step 2
+        # A tool id that is not one word is not awaited.
+        tok, grammar = _plan_grammar(tools=("get_a", "no_such_tool"))
+        assert _proposals(grammar, tok.tokenize("1 . get_a ( ) ;"))[-1] == tok.id_of("end")
+
+    def test_reading_the_grammar_allocates_no_id(self, bundle):
+        size = bundle.tokenizer.vocab_size
+        grammar = PlanGrammar.read(bundle.tokenizer, 10_000)
+        grammar.awaiting(map(bundle.tokenizer.id_of, [*bundle.registry.tool_ids(), "no_such_tool", "get a"]))
+        assert bundle.tokenizer.vocab_size == size
+        assert grammar.steps[1] == bundle.tokenizer.id_of("1") and len(grammar.steps) < 10_000
+
+    def test_a_waiting_state_is_moved_only_by_its_token(self):
+        tok, grammar = _plan_grammar()
+        state, waited = grammar.START, 0
+        for token in tok.tokenize("1 . get_a ( x ) ; 2 . get_b ( when ) ; end of plan"):
+            if state[1] is not None:
+                waited += 1
+                assert all(grammar.advance(state, other) == state for other in range(20) if other != state[1])
+            state = grammar.advance(state, token)
+        # The four tokens of each step's body wait for its `;`; after `end`, `of` and `plan` wait for no token.
+        assert waited == 10 and grammar.advance(state, state[1]) == state
+
+    def test_at_most_one_state_step_per_token(self):
+        tok, grammar = _plan_grammar()
+        steps = []
+
+        class Counting(PlanGrammar):
+            def advance(self, state, token):
+                steps.append(token)
+                return super().advance(state, token)
+
+        script = tok.tokenize("1 . get_a ( x ) ; 2 . get_b ( when ) ; end of plan")
+        model = ScriptedModel([1], script)
+        out, stats = decode(model, [1], build_lut([], 3), 4, True, 50, grammar=Counting(**vars(grammar)))
+        assert out == script
+        # Each committed token steps the decode's state once, each chained draft its chain's copy once.
+        assert len(steps) <= stats.output_tokens + stats.drafts_generated
+
+    def test_a_chain_drafts_format_tokens_in_a_row(self):
+        tok, grammar = _plan_grammar()
+        script = tok.tokenize("1 . get_a ( x ) ; 2 . get_b ( when ) ; end of plan")
+        out, stats = decode(ScriptedModel([1], script), [1], build_lut([], 3), 4, True, 50, grammar=grammar)
+        assert out == script
+        # With no table to draft from, the grammar drafts `.` after `1`, then
+        # `2 .` in one chain after the first `;`, then `end`; the rest falls back.
+        assert stats.grammar_drafts == stats.drafts_generated == stats.drafts_accepted == 4
+        assert (stats.rounds, stats.fallbacks) == (13, 10)
+
+    def test_decode_drafts_the_format_and_equals_greedy(self):
+        tok, grammar = _plan_grammar()
+        script = tok.tokenize("1 . get_a ( x ) ; 2 . get_b ( when ) ; end of plan")
+        model = ScriptedModel([1], script)
+        lut = build_lut(tok.tokenize("get_a ( x ) ; get_b ( when ) ; end of plan"), 3)
+        out, without = decode(model, [1], lut, 4, True, 50)
+        out_g, with_g = decode(model, [1], lut, 4, True, 50, grammar=grammar)
+        assert out == out_g == script
+        assert without.grammar_drafts == 0 < with_g.grammar_drafts == with_g.to_dict()["grammar_drafts"]
+        assert (with_g.rounds, with_g.fallbacks) < (without.rounds, without.fallbacks)
+
+
+class _TableGrammar:
+    """A grammar whose state after a token is drawn from a table keyed by that token: any proposals at all.
+
+    The table gives each state's proposal and the one token it waits for, or
+    None; the decode must not step a state on any other token.
+    """
+
+    def __init__(self, table):
+        self.table = table
+        self.START = *table.get(None, (None, None)), None
+
+    def advance(self, state, token):
+        assert state[1] in (None, token)
+        return *self.table.get(token, (None, None)), token
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    prompt=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+    script=st.lists(st.integers(1, 5), max_size=20),
+    region=st.lists(st.integers(1, 5), max_size=30),
+    table=st.lists(st.integers(0, 5), max_size=60),
+    proposals=st.dictionaries(st.none() | st.integers(0, 5), st.tuples(st.integers(0, 5), st.none() | st.integers(0, 5))),
+    plan_ids=st.none() | st.lists(st.integers(1, 5), min_size=6, max_size=6),
+    n=st.integers(2, 4),
+    n_draft=st.integers(1, 6),
+    selective=st.booleans(),
+    markov=st.booleans(),
+    max_tokens=st.integers(0, 30),
+)
+def test_decode_equals_greedy_with_any_grammar(
+    prompt, script, region, table, proposals, plan_ids, n, n_draft, selective, markov, max_tokens
+):
+    model = train_markov([prompt + script, region or [1]], order=2) if markov else ScriptedModel(prompt, script)
+    if plan_ids is None:
+        grammar = _TableGrammar(proposals)
+    else:
+        # A plan grammar whose `.`, `;`, `end`, step numbers 1-2 and awaited tool share one small alphabet.
+        dot, semicolon, end, one, two, tool = plan_ids
+        steps = {1: one, 2: two}
+        grammar = PlanGrammar(dot, semicolon, end, steps, {v: k for k, v in steps.items()}).awaiting([tool])
+    backup = build_lut(table, 3)
+    out, stats = decode(model, prompt, build_lut(region, n), n_draft, selective, max_tokens, backup, grammar)
+    assert out == greedy_decode(model, prompt, max_tokens)
+    assert 0 <= stats.grammar_drafts <= stats.drafts_generated
+    assert 0 <= stats.backup_rounds <= stats.rounds - stats.fallbacks
 
 
 def _random_models(rng):

@@ -50,6 +50,29 @@ def test_run_queries_drafts_the_planner_from_the_plan_table(bundle, plan):
 
 
 @pytest.mark.parametrize("model", pipeline.MODELS)
+def test_the_planner_grammar_awaits_the_retrieved_tools(bundle, plan, monkeypatch, model):
+    grammars = []
+    decode = exspec.decode
+
+    def recording(*args):
+        grammars.append(args[7])
+        return decode(*args)
+
+    monkeypatch.setattr(exspec, "decode", recording)
+    settings = pipeline.RunSettings(model=model)
+    records = pipeline.run_queries(bundle, plan, None, settings)
+    rag = bundle.make_rag(settings.scorer)
+    for sample, planner, arbiter in zip(bundle.test, grammars[::2], grammars[1::2]):
+        retrieved = rag.retrieve_tools(sample.query_tokens, settings.tau)
+        assert set(planner.tools) == {bundle.tokenizer.id_of(tool) for tool in retrieved}
+        assert planner.end == bundle.tokenizer.id_of("end")
+        assert arbiter is None
+    drafted = sum(r.planner.decode["grammar_drafts"] for r in records)
+    # The Markov planner continues the query before any plan, so the grammar never drafts for it.
+    assert (drafted > 0) == (model == "scripted")
+
+
+@pytest.mark.parametrize("model", pipeline.MODELS)
 def test_run_queries_retrieves_examples_once_per_query(bundle, plan, populated_store, monkeypatch, model):
     # The planner's top k and the baseline's top top_k examples come from one ranking.
     calls = []

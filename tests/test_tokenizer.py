@@ -77,6 +77,14 @@ def test_vocabulary_persistence_across_restart(tmp_path):
     assert extended[1] not in first
 
 
+def test_id_of_reads_one_word_and_allocates_nothing():
+    tok = Tokenizer({"end": 3, ".": 7})
+    assert (tok.id_of("end"), tok.id_of("."), tok.id_of("12"), tok.id_of("end of")) == (3, 7, None, None)
+    assert tok.vocab_size == 2
+    assert tok.tokenize("12") == [8]
+    assert tok.id_of("12") == 8
+
+
 def test_eos_id_reserved():
     tok = Tokenizer()
     ids = tok.tokenize("a b c")
