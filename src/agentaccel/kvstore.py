@@ -11,13 +11,18 @@ Every key shares the agent's long static prompt head, so the store works
 per entry and per token run, never per token of that head: `precompute`
 walks the keys of all tag groups in one sorted running stream (each
 distinct block synthesized and hashed once) and publishes the manifest
-once; opening a store hashes no key; matching walks a radix tree of token
-runs, built at the first match, comparing each edge as one slice; a head
-shared by many prompts is walked once (`resolve`), and their matches
-continue below it.
+once; the manifest is the keys' radix tree, each distinct token run
+written once, and opening a store builds the match index straight from it
+and hashes no key; matching walks that tree, comparing each edge as one
+slice; a head shared by many prompts is walked once (`resolve`), and
+their matches continue below it.
 
 Layout on disk:
-  <root>/manifest.json          entry table + geometry, swapped atomically
+  <root>/manifest.json          geometry, the radix tree's edges (`[parent,
+                                tokens]`, node 0 the root, edge i ending
+                                at node i + 1, parents first) and the
+                                entries, each naming the node its key ends
+                                at; compact JSON, swapped atomically
   <root>/blobs/<keyhash>.kv     16-byte magic/version header, geometry
                                 descriptor, then the raw KV byte stream
 
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import os
 from dataclasses import asdict, dataclass, fields
@@ -37,7 +43,8 @@ from pathlib import Path
 from . import shapes
 
 MAGIC = b"AGENTKVCACHE"  # 12 bytes; followed by a 4-byte version field
-VERSION = 1
+BLOB_VERSION = 1
+VERSION = 2  # of the manifest
 
 TAG_STATIC = "static"
 TAG_CLUSTER_COMBINATION = "cluster_combination"  # a cached tool set: static head, cluster run, single-tool examples
@@ -135,7 +142,7 @@ def prefix_blob(prefix, geometry: ModelGeometry) -> bytes:
 def _blob_header(geometry: ModelGeometry) -> bytes:
     """What a blob file holds ahead of its KV stream: magic, version and geometry descriptor."""
     descriptor = json.dumps(geometry.to_dict(), sort_keys=True).encode()
-    return MAGIC + VERSION.to_bytes(4, "little") + len(descriptor).to_bytes(4, "little") + descriptor
+    return MAGIC + BLOB_VERSION.to_bytes(4, "little") + len(descriptor).to_bytes(4, "little") + descriptor
 
 
 def _blob_file_bytes(stream, geometry: ModelGeometry) -> bytes:
@@ -147,7 +154,7 @@ def _split_blob_file(raw: bytes) -> bytes:
     if len(raw) < 20 or raw[:12] != MAGIC:
         raise IntegrityError("bad blob header")
     version = int.from_bytes(raw[12:16], "little")
-    if version != VERSION:
+    if version != BLOB_VERSION:
         raise IntegrityError(f"unsupported blob version {version}")
     desc_len = int.from_bytes(raw[16:20], "little")
     return raw[20 + desc_len:]
@@ -165,8 +172,14 @@ class CacheEntry:
 
 _TAG = shapes.Check(shapes.STR, lambda tag: tag in _TAGS, f"one of {', '.join(_TAGS)}")
 _ENTRY_STRINGS = dict.fromkeys(("key_hash", "blob", "checksum"), shapes.STR)
-_ENTRY = shapes.Object({**_ENTRY_STRINGS, "key": shapes.TOKEN_IDS, "token_count": shapes.INT, "byte_size": shapes.INT, "tag": _TAG})
-_MANIFEST = shapes.Object({"geometry": shapes.OBJECT, "entries": shapes.ListOf(_ENTRY)})
+_ENTRY_INTS = dict.fromkeys(("node", "token_count", "byte_size"), shapes.INT)
+_ENTRY = shapes.Object({**_ENTRY_STRINGS, **_ENTRY_INTS, "tag": _TAG})
+_EDGE = shapes.Check(
+    shapes.Shape("a list", list),
+    lambda edge: len(edge) == 2 and not shapes.INT.misfit(edge[0]) and not shapes.TOKEN_IDS.misfit(edge[1]),
+    "a [parent node, token ids] pair",
+)
+_MANIFEST = shapes.Object({"geometry": shapes.OBJECT, "edges": shapes.ListOf(_EDGE), "entries": shapes.ListOf(_ENTRY)})
 
 
 class _RadixNode:
@@ -201,6 +214,52 @@ def _descend(node: _RadixNode, tokens: tuple, depth: int):
     return node, depth, (node.best, depth)
 
 
+def _radix_edges(keys: list[tuple], heads: list[int]) -> tuple[list, list[int]]:
+    """The radix tree of sorted, distinct, non-empty `keys` as manifest edges, and the node each key ends at.
+
+    `heads[i]` is how many leading tokens `keys[i]` shares with `keys[i - 1]`
+    (0 for the first key).  Edges are `[parent, tokens]`; node 0 is the root
+    and edge i ends at node i + 1.  Nodes are numbered in preorder: key by
+    key, each key's new nodes by depth.
+    """
+    edges, nodes = [], []
+    path = [(0, 0)]  # (depth, node) of each node on the previous key, root first
+    for i, (key, head) in enumerate(zip(keys, heads)):
+        # Below its head with the previous key, a key's nodes are new: where
+        # it ends, and where a later key leaves it (a running minimum of the
+        # later heads, until one falls to this key's head).
+        cuts, low = {len(key)}, len(key)
+        for later in itertools.islice(heads, i + 1, None):
+            if later <= head:
+                break
+            low = min(low, later)
+            cuts.add(low)
+        while path[-1][0] > head:
+            path.pop()
+        depth, node = path[-1]
+        for cut in sorted(cuts):
+            edges.append([node, key[depth:cut]])
+            depth, node = cut, len(edges)
+            path.append((depth, node))
+        nodes.append(node)
+    return edges, nodes
+
+
+def _radix_index(edges, ends: dict[int, CacheEntry]) -> _RadixNode:
+    """The match index of `edges`, with `ends` the entry at each node (see `_radix_edges`)."""
+    nodes = [_RadixNode(None)]
+    for parent, run in edges:
+        nodes.append(_RadixNode(None))
+        nodes[parent].children[run[0]] = (tuple(run), nodes[-1])
+    # Shortest (then smallest) key first: the first entry to reach a node
+    # serves it, and every node above it.
+    for node, entry in sorted(ends.items(), key=lambda end: (end[1].token_count, end[1].key)):
+        while node and nodes[node].best is None:
+            nodes[node].best = entry
+            node = edges[node - 1][0]
+    return nodes[0]
+
+
 @dataclass(frozen=True)
 class ResolvedHead:
     """Where `head` leaves the radix tree `index` (see `KVStore.resolve`)."""
@@ -219,8 +278,8 @@ class KVStore:
         self.root = Path(root)
         self.geometry: ModelGeometry | None = None
         self.entries: dict[str, CacheEntry] = {}
-        # Built from `entries` at the first match; None whenever they change.
-        self._index: _RadixNode | None = None
+        # The radix tree of `entries`' keys, replaced whenever they change.
+        self._index = _RadixNode(None)
         if self.manifest_path.exists():
             self._load_manifest()
 
@@ -247,34 +306,37 @@ class KVStore:
             self.geometry = ModelGeometry.from_dict(doc["geometry"], f"{where} geometry", StoreError)
         except ValueError as exc:
             raise StoreError(f"{where} geometry: {exc}") from exc
+        edges = doc["edges"]
+        depths, firsts = [0], set()  # each node's depth; each edge's (parent, first token)
+        for i, (parent, run) in enumerate(edges):
+            if not 0 <= parent <= i:
+                raise StoreError(f"{where}: edges[{i}] has parent {parent}, expected an earlier node (0 to {i})")
+            if not run:
+                raise StoreError(f"{where}: edges[{i}] has no tokens")
+            if (parent, run[0]) in firsts:
+                raise StoreError(f"{where}: edges[{i}] starts with the same token as an earlier edge from node {parent}")
+            firsts.add((parent, run[0]))
+            depths.append(depths[parent] + len(run))
+        ends = {}
         for i, rec in enumerate(doc["entries"]):
-            if rec["token_count"] != len(rec["key"]):
-                raise StoreError(f"{where}: entries[{i}].token_count has the wrong value, expected the length of key")
+            node = rec["node"]
+            if not 0 < node < len(depths):
+                raise StoreError(f"{where}: entries[{i}].node is {node}, expected the end of an edge (1 to {len(edges)})")
+            if rec["token_count"] != depths[node]:
+                raise StoreError(f"{where}: entries[{i}].token_count has the wrong value, expected the depth of its node")
             if rec["byte_size"] != kv_size(rec["token_count"], self.geometry):
                 raise StoreError(f"{where}: entries[{i}].byte_size has the wrong value, expected the KV size of token_count tokens")
-            self.entries[rec["key_hash"]] = CacheEntry(
-                tuple(rec["key"]), rec["token_count"], rec["byte_size"], rec["tag"], rec["blob"], rec["checksum"]
+            runs, up = [], node
+            while up:
+                up, run = edges[up - 1]
+                runs.append(run)
+            # Grown in place from the runs: a list copied into the tuple
+            # would leave a hole in the heap per key.
+            key = tuple(itertools.chain.from_iterable(reversed(runs)))
+            ends[node] = self.entries[rec["key_hash"]] = CacheEntry(
+                key, rec["token_count"], rec["byte_size"], rec["tag"], rec["blob"], rec["checksum"]
             )
-
-    def _build_index(self) -> _RadixNode:
-        """The radix tree of `entries`, kept as `_index` until they change."""
-        # Shortest (then smallest) key first: the first entry to reach a node
-        # is the one it serves, and a node split off an edge serves what the
-        # edge's end served.
-        root = _RadixNode(None)
-        for entry in sorted(self.entries.values(), key=lambda e: (e.token_count, e.key)):
-            key = entry.key
-            node, depth, (_, shared) = _descend(root, key, 0)
-            if shared > depth:  # the key leaves the edge on key[depth] inside it: split it there
-                run, child = node.children[key[depth]]
-                mid = _RadixNode(child.best)
-                mid.children[run[shared - depth]] = (run[shared - depth:], child)
-                node.children[key[depth]] = (run[: shared - depth], mid)
-                node, depth = mid, shared
-            if depth < len(key):
-                node.children[key[depth]] = (key[depth:], _RadixNode(entry))
-        self._index = root
-        return root
+        self._index = _radix_index(edges, ends)
 
     def precompute(self, groups: dict[str, list], geometry: ModelGeometry) -> list[CacheEntry]:
         """Persist one entry per distinct prefix of each `{tag: prefixes}` group; idempotent.
@@ -310,7 +372,7 @@ class KVStore:
         starts = set(heads)
         saved = [(0, hashlib.sha256(), hashlib.sha256(header))]  # (position, key hash, checksum), positions rising
         stream = bytearray()
-        blobs = {}  # key -> (key hash, blob file checksum)
+        blobs = {}  # key -> (key hash, blob file checksum), in key order
         for key, head in zip(keys, heads):
             while saved[-1][0] > head:
                 saved.pop()
@@ -336,43 +398,52 @@ class KVStore:
             khash, checksum = blobs[key]
             new_entries[khash] = CacheEntry(key, len(key), kv_size(len(key), geometry), tag, f"{khash}.kv", checksum)
             created.append(new_entries[khash])
-        self._write_manifest(geometry, new_entries)
-        self.geometry = geometry
-        self.entries = new_entries
-        self._index = None
+        if len(new_entries) == len(keys):  # no entry of another key was merged in
+            self._publish(geometry, new_entries, [name for name, _ in blobs.values()], heads)
+        else:
+            self._publish(geometry, new_entries)
         return created
 
-    def _write_manifest(self, geometry: ModelGeometry, entries: dict[str, CacheEntry]):
-        # Compact separators keep json's C encoder; `indent` would not.
-        compact = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    def _publish(self, geometry: ModelGeometry, entries: dict[str, CacheEntry], names=None, heads=None):
+        """Atomically replace the manifest with `entries`, then make them the store's.
+
+        `names` are the entries' key hashes in key order and `heads` how many
+        leading tokens each key shares with the one before; both are worked
+        out when not given.
+        """
+        names = names or sorted(entries, key=lambda name: entries[name].key)
+        keys = [entries[name].key for name in names]
+        heads = heads or [0] + [common_head(a, b) for a, b in zip(keys, keys[1:])]
+        edges, nodes = _radix_edges(keys, heads)
+        node_of = dict(zip(names, nodes))
+        records = [
+            {
+                "key_hash": khash,
+                "node": node_of[khash],
+                "token_count": e.token_count,
+                "byte_size": e.byte_size,
+                "tag": e.tag,
+                "blob": e.blob_name,
+                "checksum": e.checksum,
+            }
+            for khash, e in sorted(entries.items())
+        ]
+        doc = {"edges": edges, "entries": records, "geometry": geometry.to_dict(), "version": VERSION}
         tmp = self.manifest_path.with_suffix(".json.tmp")
         self.root.mkdir(parents=True, exist_ok=True)
-        # The text of `compact` of the whole document ("entries" sorts before
-        # "geometry" and "version"), written one entry at a time so that the
-        # encoding of every key is never held at once.
-        with open(tmp, "w") as fh:
-            fh.write('{"entries":[')
-            for i, (khash, e) in enumerate(sorted(entries.items())):
-                rec = {
-                    "key_hash": khash,
-                    "key": list(e.key),
-                    "token_count": e.token_count,
-                    "byte_size": e.byte_size,
-                    "tag": e.tag,
-                    "blob": e.blob_name,
-                    "checksum": e.checksum,
-                }
-                fh.write("," * bool(i) + compact(rec))
-            fh.write("]," + compact({"geometry": geometry.to_dict(), "version": VERSION})[1:] + "\n")
+        # Compact separators keep json's C encoder; `indent` would not.
+        tmp.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
         os.replace(tmp, self.manifest_path)
+        self.geometry = geometry
+        self.entries = entries
+        self._index = _radix_index(edges, {node_of[name]: entries[name] for name in names})
 
     def resolve(self, head) -> ResolvedHead:
         """Where `head` leaves the current index, for matching prompts that open with it."""
-        index = self._index or self._build_index()
         head = tuple(head)
-        node, depth, served = _descend(index, head, 0)
+        node, depth, served = _descend(self._index, head, 0)
         # A head ending inside an edge continues from the node above it.
-        return ResolvedHead(index, head, node, depth, served if served[1] < len(head) else None)
+        return ResolvedHead(self._index, head, node, depth, served if served[1] < len(head) else None)
 
     def longest_cached_prefix(self, prompt, start: ResolvedHead | None = None) -> tuple[CacheEntry | None, int]:
         """Entry and token count of the best reusable prefix for `prompt`.
@@ -386,7 +457,7 @@ class KVStore:
         is not read again; a start of an older index (or another store) is
         resolved anew.
         """
-        if start is None or start.index is not (self._index or self._build_index()):
+        if start is None or start.index is not self._index:
             start = self.resolve(() if start is None else start.head)
         return start.served or _descend(start.node, tuple(prompt), start.depth)[2]
 

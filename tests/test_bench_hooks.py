@@ -1,5 +1,6 @@
 """The benchmark traces and checks the program by wrapping named public calls; each must still exist and behave."""
 
+import hashlib
 import json
 import sys
 import types
@@ -9,7 +10,7 @@ import pytest
 
 from agentaccel import pipeline
 from agentaccel.cli import main
-from agentaccel.kvstore import KVStore
+from agentaccel.kvstore import MAGIC, KVStore, kv_size, prefix_blob
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -81,6 +82,26 @@ def fx(tmp_path_factory):
     for argv in steps:
         assert main([str(a) for a in argv]) == 0
     return fx
+
+
+def test_reopened_store_keeps_what_the_benchmark_reads(fx):
+    # `bench/test_bench.py` flips the first KV byte of the blob of every
+    # object in the manifest's `entries` list and re-signs its `checksum`;
+    # `bench/verify.py` compares each served head of a blob with `prefix_blob`.
+    store = KVStore(fx / "cache")
+    assert type(store.entries) is dict
+    records = json.loads(store.manifest_path.read_text())["entries"]
+    assert type(records) is list
+    assert {rec["blob"]: rec["checksum"] for rec in records} == {e.blob_name: e.checksum for e in store.entries.values()}
+    for entry in store.entries.values():
+        raw = (store.blob_dir / entry.blob_name).read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == entry.checksum
+        assert raw[:12] == MAGIC and int.from_bytes(raw[12:16], "little") == 1
+        blob = store.load_blob(entry)
+        assert raw[20 + int.from_bytes(raw[16:20], "little"):] == blob
+        assert len(blob) == entry.byte_size == kv_size(entry.token_count, store.geometry)
+        for n in (1, entry.token_count):
+            assert blob[: kv_size(n, store.geometry)] == prefix_blob(entry.key[:n], store.geometry)
 
 
 @pytest.mark.parametrize("model", ["scripted", "markov"])

@@ -199,7 +199,7 @@ _MANIFEST_SHAPES = {
     "not_an_object": (lambda doc: [], "not a JSON object"),
     "entry_not_an_object": (lambda doc: dict(doc, entries=[1]), "entries[0] is not an object"),
     "version_missing": (lambda doc: {k: v for k, v in doc.items() if k != "version"}, "re-run precompute-cache"),
-    "version_other": (lambda doc: dict(doc, version=2), "re-run precompute-cache"),
+    "version_other": (lambda doc: dict(doc, version=1), "re-run precompute-cache"),
 }
 
 
@@ -226,9 +226,10 @@ def test_manifest_of_wrong_shape_fails_cleanly(workdir, tmp_path, capsys, shape,
 @pytest.mark.parametrize(
     "field, corrupt",
     [
-        pytest.param("key", lambda rec: {"key": [str(t) for t in rec["key"]]}, id="key_of_strings"),
-        pytest.param("key", lambda rec: {"key": 7}, id="key_not_a_list"),
-        pytest.param("key", lambda rec: {"key": [True] * len(rec["key"])}, id="key_of_bools"),
+        # An entry's key is the path to its `node` (format version 1 held the key itself).
+        pytest.param("node", lambda rec: {"node": str(rec["node"])}, id="key_of_strings"),
+        pytest.param("node", lambda rec: {"node": [rec["node"]]}, id="key_not_a_list"),
+        pytest.param("node", lambda rec: {"node": True}, id="key_of_bools"),
         pytest.param("token_count", lambda rec: {"token_count": str(rec["token_count"])}, id="token_count_a_string"),
         pytest.param("token_count", lambda rec: {"token_count": rec["token_count"] + 1}, id="token_count_not_key_length"),
         pytest.param("byte_size", lambda rec: {"byte_size": str(rec["byte_size"])}, id="byte_size_a_string"),
@@ -244,6 +245,54 @@ def test_manifest_entry_of_wrong_type_fails_cleanly(workdir, tmp_path, capsys, f
     (tmp_path / "manifest.json").write_text(json.dumps(doc))
     rc = run_cli("run", "--config", str(workdir / "run.json"), "--cache", str(tmp_path), "--trace", str(tmp_path / "t.jsonl"))
     assert f"entries[0].{field} " in _assert_single_error(rc, capsys)
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+def _set(*path, value):
+    """A manifest mangle that replaces the part at `path` (keys and indices) with `value` of it."""
+
+    def mangle(doc):
+        *parents, last = path
+        for step in parents:
+            doc = doc[step]
+        doc[last] = value(doc[last])
+
+    return mangle
+
+
+def _as_version_1(doc):
+    """The manifest as format version 1 wrote it: each entry holds its whole key, and there are no edges."""
+    edges = doc.pop("edges")
+    doc["version"] = 1
+    for rec in doc["entries"]:
+        key, node = [], rec.pop("node")
+        while node:
+            node, run = edges[node - 1]
+            key[:0] = run
+        rec["key"] = key
+
+
+@pytest.mark.parametrize(
+    "mangle, named",
+    [
+        pytest.param(_set("edges", 0, 1, value=lambda run: [str(t) for t in run]), "edges[0] is not a [parent node, token ids] pair", id="edge_tokens_of_strings"),
+        pytest.param(_set("edges", 1, 0, value=lambda parent: 2), "edges[1] has parent 2, expected an earlier node", id="parent_not_earlier"),
+        pytest.param(_set("edges", 0, 0, value=lambda parent: -1), "edges[0] has parent -1", id="parent_negative"),
+        pytest.param(_set("edges", 1, 1, value=lambda run: []), "edges[1] has no tokens", id="edge_without_tokens"),
+        pytest.param(_set("edges", value=lambda edges: edges + edges[:1]), "starts with the same token as an earlier edge from node 0", id="sibling_edges_share_a_token"),
+        pytest.param(_set("entries", 0, "node", value=lambda node: 0), "entries[0].node is 0, expected the end of an edge", id="node_the_root"),
+        pytest.param(_set("entries", 0, "node", value=lambda node: 10**6), "entries[0].node is 1000000", id="node_past_the_edges"),
+        pytest.param(_set("entries", 0, "token_count", value=lambda n: n - 1), "entries[0].token_count has the wrong value", id="token_count_not_node_depth"),
+        pytest.param(_set("entries", 0, "byte_size", value=lambda n: n + 1), "entries[0].byte_size has the wrong value", id="byte_size_not_kv_size"),
+        pytest.param(_as_version_1, "format version 1, not 2: re-run precompute-cache", id="version_1_with_keys"),
+    ],
+)
+def test_manifest_tree_of_wrong_structure_fails_cleanly(workdir, tmp_path, capsys, mangle, named):
+    doc = json.loads((workdir / "cache" / "manifest.json").read_text())
+    mangle(doc)
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    rc = run_cli("run", "--config", str(workdir / "run.json"), "--cache", str(tmp_path), "--trace", str(tmp_path / "t.jsonl"))
+    assert named in _assert_single_error(rc, capsys)
     assert not (tmp_path / "t.jsonl").exists()
 
 

@@ -172,9 +172,7 @@ def _reference_precompute(store, prefixes, geometry, tag=TAG_STATIC):
         (store.blob_dir / blob_name).write_bytes(raw)
         new_entries[khash] = entry
         created.append(entry)
-    store._write_manifest(geometry, new_entries)
-    store.geometry = geometry
-    store.entries = new_entries
+    store._publish(geometry, new_entries)
     return created
 
 
@@ -261,6 +259,15 @@ class _TokenTrie:
             for tok in entry.key:
                 node = node.children.setdefault(tok, cls(entry))
         return root
+
+    def size(self) -> int:
+        """Nodes below this one: one per distinct non-empty key head."""
+        stack, size = [self], 0
+        while stack:
+            node = stack.pop()
+            size += len(node.children)
+            stack.extend(node.children.values())
+        return size
 
     def served(self, prompt):
         node, depth = self, 0
@@ -462,10 +469,10 @@ class TestLoad:
             (lambda doc: dict(doc, geometry=[]), "'geometry'"),
             (lambda doc: dict(doc, entries={}), "'entries'"),
             (lambda doc: dict(doc, entries=[1]), "entries[0]"),
-            (lambda doc: dict(doc, entries=[dict(doc["entries"][0], key=5)]), "wrong type"),
-            (lambda doc: {k: v for k, v in doc.items() if k != "version"}, "format version None, not 1: re-run precompute-cache"),
-            (lambda doc: dict(doc, version=2), "format version 2, not 1"),
-            (lambda doc: dict(doc, version="1"), "format version '1', not 1"),
+            (lambda doc: dict(doc, edges=[{"parent": 0, "tokens": [1, 2]}]), "wrong type"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "version"}, "format version None, not 2: re-run precompute-cache"),
+            (lambda doc: dict(doc, version=1), "format version 1, not 2"),
+            (lambda doc: dict(doc, version="2"), "format version '2', not 2"),
         ],
     )
     def test_manifest_of_wrong_shape_raises_store_error(self, store, mangle, named):
@@ -485,6 +492,40 @@ class TestLoad:
         assert reader.load_blob(first) == prefix_blob([1, 2, 3], TINY)
         fresh = KVStore(store.root)
         assert len(fresh.entries) == 2
+
+
+class TestManifestTree:
+    """The manifest is the keys' radix tree: edges of token runs, and entries naming the node their key ends at."""
+
+    def test_each_run_is_written_once(self, store):
+        store.precompute({TAG_STATIC: [[1, 2, 3, 4, 5], [1, 2, 3, 9], [1, 2], [7]]}, TINY)
+        doc = json.loads(store.manifest_path.read_text())
+        # Preorder, parents first: node 0 is the root and edge i ends at node i + 1.
+        assert doc["edges"] == [[0, [1, 2]], [1, [3]], [2, [4, 5]], [2, [9]], [0, [7]]]
+        node_of = {store.entries[rec["key_hash"]].key: rec["node"] for rec in doc["entries"]}
+        assert node_of == {(1, 2): 1, (1, 2, 3, 4, 5): 3, (1, 2, 3, 9): 4, (7,): 5}
+        assert "key" not in doc["entries"][0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), calls=_precompute_calls())
+    def test_reopened_store_serves_what_was_written(self, data, calls):
+        with tempfile.TemporaryDirectory() as tmp:
+            store = KVStore(Path(tmp) / "store")
+            for groups in calls:
+                store.precompute(groups, TINY)
+            manifest = store.manifest_path.read_bytes()
+            reopened = KVStore(store.root)
+            assert reopened.geometry == TINY
+            assert reopened.entries == store.entries
+            entries = list(store.entries.values())
+            # Every distinct key token is written once: one per node of the per-token trie.
+            assert sum(len(run) for _, run in json.loads(manifest)["edges"]) == _TokenTrie.build(entries).size()
+            for prompt in data.draw(st.lists(_prompts([e.key for e in entries]), min_size=1, max_size=30)):
+                assert reopened.longest_cached_prefix(prompt) == _oracle_served(entries, prompt)
+            # A rerun, merged into the reopened store, writes the same bytes.
+            for groups in calls:
+                reopened.precompute(groups, TINY)
+            assert reopened.manifest_path.read_bytes() == manifest
 
 
 class TestFixturePlanCounts:
@@ -509,12 +550,7 @@ class TestFixturePlanCounts:
         assert len(published) == 1
         # One block per distinct non-empty key head (a per-token trie node),
         # however many groups share the head.
-        stack, heads = [_TokenTrie.build(store.entries.values())], 0
-        while stack:
-            node = stack.pop()
-            heads += len(node.children)
-            stack.extend(node.children.values())
-        assert len(blocks) == heads
+        assert len(blocks) == _TokenTrie.build(store.entries.values()).size()
 
     def test_open_hashes_no_key(self, populated_store, monkeypatch):
         hashed = []
