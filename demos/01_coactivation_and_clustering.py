@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 # Offline planning walkthrough: co-activation statistics, NMF clustering,
-# theme ordering, and budgeted tool-set selection on the bundled corpus.
+# theme ordering, and budgeted cached-leaf selection on the bundled corpus.
 
 import tempfile
 
@@ -21,17 +21,19 @@ anchor = "get_zoom_link"
 for other in ("get_email_address", "compose_new_email", "get_phone_number"):
     print(f"  P({other} | {anchor}) = {matrix.conditional(other, anchor):.2f}")
 
+top_examples = bundle.top_train_examples()
 plan = build_plan(matrix, bundle.registry, bundle.examples, bundle.train,
-                  budget=15, rank=8, seed=fixtures.DEFAULT_SEED)
+                  top_examples, budget=15, rank=8, seed=fixtures.DEFAULT_SEED)
 print("\nclusters in their fixed prompt order (theme groups adjacent):")
 for cluster in plan.clusters:
     print(f"  [{cluster.id}] {cluster.theme:9s} {', '.join(cluster.tool_ids)}")
 
-print("\ncached tool sets (activated clusters), in greedy pick order:")
-for tools in plan.cached_tool_sets:
-    print(f"  {', '.join(tools)} ({'-'.join(str(c) for c in plan.activation_sequence(tools))})")
+print("\ncached leaves (tool set, activated clusters, top example), in greedy pick order:")
+for leaf in plan.cached_leaves:
+    clusters = "-".join(str(c) for c in plan.activation_sequence(leaf.tools))
+    print(f"  {', '.join(leaf.tools)} ({clusters}) + {leaf.example_id or 'no example'}")
 
-leaves = sample_leaves(plan, bundle.train)
+leaves = sample_leaves(plan, bundle.train, top_examples)
 saturation = coverage_saturation_budget(leaves)
 points = coverage_curve(leaves, range(saturation + 1),
                         geometry_presets()["7b-class"], static_prefix_tokens=2641)

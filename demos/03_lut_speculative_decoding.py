@@ -23,7 +23,7 @@ with tempfile.TemporaryDirectory(prefix="agentaccel-demo-") as workdir:
     )
 matrix = build_coactivation(bundle.train, bundle.registry)
 plan = build_plan(matrix, bundle.registry, bundle.examples, bundle.train,
-                  budget=15, rank=8, seed=fixtures.DEFAULT_SEED)
+                  bundle.top_train_examples(), budget=15, rank=8, seed=fixtures.DEFAULT_SEED)
 rag = bundle.make_rag("oracle")
 weaver = Weaver(bundle.registry, bundle.tokenizer, plan)
 

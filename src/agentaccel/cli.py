@@ -152,6 +152,7 @@ def cmd_build_plan(args) -> int:
         bundle.registry,
         bundle.examples,
         bundle.train,
+        bundle.top_train_examples(),
         budget=args.budget,
         rank=args.rank,
         iters=args.iters,
@@ -161,7 +162,7 @@ def cmd_build_plan(args) -> int:
         draft_table=pipeline.plan_draft_table(bundle),
     )
     _atomic_write(args.out, plan.to_json() + "\n")
-    print(f"plan written to {args.out} ({len(plan.clusters)} clusters, {len(plan.cached_tool_sets)} cached tool sets)")
+    print(f"plan written to {args.out} ({len(plan.clusters)} clusters, {len(plan.cached_leaves)} cached leaves)")
     return 0
 
 
@@ -366,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=fixtures.DEFAULT_SEED)
     p.set_defaults(func=cmd_fixtures)
 
-    p = sub.add_parser("build-plan", help="cluster tools and select cached tool sets")
+    p = sub.add_parser("build-plan", help="cluster tools and select cached leaves")
     p.add_argument("--dataset", required=True)
     p.add_argument("--registry", required=True)
     p.add_argument("--examples", required=True)

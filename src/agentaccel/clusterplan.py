@@ -4,16 +4,21 @@ Pipeline: factorize the tool co-activation matrix with NMF, partition tools
 by their dominant factor, label each cluster with its modal theme, impose a
 fixed total order (theme groups first, cluster id second), choose each
 cluster's example and each tool's single-tool example, then greedily pick,
-under a fixed budget, the training tool sets whose cached planner streams
-would serve the most tokens of the training queries.
+under a fixed budget, the cached planner streams that would serve the most
+tokens of the training queries.
 
-A tool set's stream (`ClusterPlan.leaf`) is everything its planner prompt
+A tool set's leaf (`ClusterPlan.leaf`) is everything its planner prompt
 lays out after the static head that depends on the tool set alone: the
 activated clusters' examples in plan order, then the single-tool examples.
-The store keeps each picked stream behind the static head as one key, and
-its radix tree serves a key's leading cluster run to queries whose tool set
-differs, so no shorter combination prefix is a candidate: the leaf it is a
-prefix of covers at least as much of every query.
+Next the prompt lays out the example retrieval ranks first, so a training
+query's stream is its tool set's leaf, then that example
+(`ToolRag.top_examples`), and the candidates are the distinct (tool set,
+example id) streams; the plan keeps each pick as a `CachedLeaf`.  The
+store keeps each picked stream behind
+the static head as one key, and its radix tree serves a key's leaf to
+queries whose top example differs, and its leading cluster run to queries
+whose tool set differs, so no shorter prefix is a candidate: the stream it
+is a prefix of covers at least as much of every query.
 
 Everything is deterministic given (matrix, rank, seed, tol), so a plan can be
 rebuilt byte-identically from its provenance block.  A plan may also carry
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -81,7 +87,9 @@ def nmf_factorize(
     h = rng.random((rank, t)) + 1e-3
 
     def frob(w_, h_):
-        return float(np.linalg.norm(m - w_ @ h_))
+        # np.linalg.norm's own arithmetic, without its per-call dispatch
+        residual = (m - w_ @ h_).ravel()
+        return math.sqrt(residual.dot(residual))
 
     err = frob(w, h)
     history = [err]
@@ -107,6 +115,19 @@ class Cluster:
     example_tokens: tuple[int, ...]
 
 
+@dataclass(frozen=True)
+class CachedLeaf:
+    """A cached planner stream: the tool set's `ClusterPlan.leaf`, then the example retrieval ranks first for a query of it.
+
+    `example_id` is empty, and `example_tokens` too, when no example is
+    eligible for the tool set.
+    """
+
+    tools: tuple[str, ...]
+    example_id: str
+    example_tokens: tuple[int, ...]
+
+
 class PlanError(ValueError):
     """A plan document failed schema validation."""
 
@@ -115,12 +136,15 @@ _CLUSTER = shapes.Object(
     {"id": shapes.INT, "tools": shapes.STRINGS, "theme": shapes.STR, "example_id": shapes.STR, "example_tokens": shapes.TOKEN_IDS}
 )
 _SINGLE = shapes.Object({"tool": shapes.STR, "example_id": shapes.STR, "example_tokens": shapes.TOKEN_IDS})
+_LEAF = shapes.Object({"tools": shapes.STRINGS, "example_id": shapes.STR, "example_tokens": shapes.TOKEN_IDS})
+# Fields of the formats older build-plans wrote; a plan holding one is refused.
+_OLDER_FIELDS = ("cached_combinations", "cached_tool_sets")
 _PLAN = shapes.Object(
     {
         "clusters": shapes.ListOf(_CLUSTER),
         "order": shapes.ListOf(shapes.INT, "a list of cluster ids"),
         "single_examples": shapes.ListOf(_SINGLE),
-        "cached_tool_sets": shapes.ListOf(shapes.STRINGS),
+        "cached_leaves": shapes.ListOf(_LEAF),
     },
     {"provenance": shapes.OBJECT, "draft_table": shapes.OBJECT},
 )
@@ -128,28 +152,30 @@ _PLAN = shapes.Object(
 
 @dataclass(frozen=True)
 class ClusterPlan:
-    """Ordered clusters, each tool's single-tool example, and the budgeted set of cached tool sets.
+    """Ordered clusters, each tool's single-tool example, and the budgeted set of cached leaves.
 
     `clusters` is stored in plan order.  `single_examples` maps a tool id to
     the (id, tokens) of its single-tool example; a tool without one is
-    absent.  `cached_tool_sets` holds the tool sets the greedy selection
-    picked, in pick order, each as sorted tool ids; the static head is always
-    cached.  `draft_table`, when present, is the planner's backup draft table.
+    absent.  `cached_leaves` holds the streams the greedy selection picked,
+    in pick order, each with its tool set as sorted tool ids; two may share
+    a tool set.  The static head is always cached.  `draft_table`, when
+    present, is the planner's backup draft table.
     """
 
     clusters: tuple[Cluster, ...]
     single_examples: dict[str, tuple[str, tuple[int, ...]]] = field(default_factory=dict)
-    cached_tool_sets: tuple[tuple[str, ...], ...] = ()
+    cached_leaves: tuple[CachedLeaf, ...] = ()
     provenance: dict = field(default_factory=dict)
     draft_table: NGramLUT | None = None
 
     def __post_init__(self):
         known = {t for c in self.clusters for t in c.tool_ids}
-        for tools in (*self.cached_tool_sets, tuple(self.single_examples)):
+        tool_sets = [leaf.tools for leaf in self.cached_leaves]
+        for tools in (*tool_sets, tuple(self.single_examples)):
             unknown = sorted(set(tools) - known)
             if unknown:
                 raise ValueError(f"tool '{unknown[0]}' is in no cluster")
-        for tools in self.cached_tool_sets:
+        for tools in tool_sets:
             if not tools or list(tools) != sorted(set(tools)):
                 raise ValueError(f"tool set {list(tools)} is not a non-empty list of distinct tool ids in sorted order")
 
@@ -173,7 +199,7 @@ class ClusterPlan:
         First the examples of the activated clusters in plan order, then the
         single-tool examples of `tools` in tool-id order (a tool without one
         adds nothing).  Both depend on the tool set alone, so the static head
-        followed by them is the tool set's cache key.
+        followed by them opens each cache key of the tool set.
         """
         clustered = chain.from_iterable(self.cluster_by_id(c).example_tokens for c in self.activation_sequence(tools))
         singles = chain.from_iterable(self.single_examples[t][1] for t in sorted(tools) if t in self.single_examples)
@@ -196,20 +222,25 @@ class ClusterPlan:
                 {"tool": tool, "example_id": ex_id, "example_tokens": list(tokens)}
                 for tool, (ex_id, tokens) in sorted(self.single_examples.items())
             ],
-            "cached_tool_sets": [list(tools) for tools in self.cached_tool_sets],
+            "cached_leaves": [
+                {"tools": list(leaf.tools), "example_id": leaf.example_id, "example_tokens": list(leaf.example_tokens)}
+                for leaf in self.cached_leaves
+            ],
             "provenance": self.provenance,
         }
         if self.draft_table is not None:
             doc["draft_table"] = self.draft_table.to_dict()
-        return json.dumps(doc, sort_keys=True, indent=1)
+        # Compact separators keep json's C encoder; `indent` would not.
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str, where: str = "plan") -> "ClusterPlan":
         """Parse a `to_json` document; a document of another shape, or of an older format, raises PlanError."""
         doc = shapes.parse_json(text, shapes.OBJECT, where, PlanError)
         # Not a misfit the shape would name: it ignores fields it does not declare.
-        if "cached_combinations" in doc:
-            raise PlanError(f"{where} holds cached_combinations, the format of an older build-plan: re-run build-plan")
+        for name in _OLDER_FIELDS:
+            if name in doc:
+                raise PlanError(f"{where} holds {name}, the format of an older build-plan: re-run build-plan")
         shapes.check(doc, _PLAN, where, PlanError)
         by_id = {}
         for rec in doc["clusters"]:
@@ -231,7 +262,9 @@ class ClusterPlan:
             return cls(
                 clusters=tuple(by_id[cid] for cid in doc["order"]),
                 single_examples=singles,
-                cached_tool_sets=tuple(map(tuple, doc["cached_tool_sets"])),
+                cached_leaves=tuple(
+                    CachedLeaf(tuple(rec["tools"]), rec["example_id"], tuple(rec["example_tokens"])) for rec in doc["cached_leaves"]
+                ),
                 provenance=doc.get("provenance", {}),
                 draft_table=table,
             )
@@ -340,53 +373,75 @@ def coverage(streams, keys) -> int:
     return sum(max((common_head(tuple(s), k) for k in keys), default=0) for s in streams)
 
 
-def select_combinations(budget: int, leaves) -> list[tuple[str, ...]]:
-    """Greedy selection of cached tool sets under a count budget.
+def select_combinations(budget: int, leaves) -> list:
+    """Greedy selection of cached streams under a count budget.
 
-    `leaves` holds one (tool set, stream) pair per training query; a tool set
-    always comes with the same stream.  The candidates are the distinct tool
-    sets.  Each round takes the candidate that adds the most covered tokens
-    (`coverage` of every query's stream by the picked candidates' streams);
-    ties prefer the shorter stream, then the smaller tool-id tuple.  Returns
-    the picks in pick order: at most `budget`, and none that adds nothing.
+    `leaves` holds one (key, stream) pair per training query, as
+    `sample_leaves` makes them; a key always comes with the same stream.  The
+    candidates are the distinct keys.  Each round takes the candidate that
+    adds the most covered tokens (`coverage` of every query's stream by the
+    picked candidates' streams); ties prefer the shorter stream, then the
+    smaller key.  Returns the picks in pick order: at most `budget`, and none
+    that adds nothing.
 
     In lexicographic order the common prefix of two streams is the least
     common prefix of the neighbours between them, so one pass over
     neighbours gives every pair's, and each round's gains are one matrix
-    product over them.
+    product over what each candidate would add to each stream.  Counts are
+    integers well inside float64's exact range, so the product is exact.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    weights = Counter(tools for tools, _ in leaves)
-    streams = {tools: tuple(stream) for tools, stream in leaves}
+    weights = Counter(key for key, _ in leaves)
+    streams = {key: tuple(stream) for key, stream in leaves}
     ids = sorted(streams, key=streams.get)
     n = len(ids)
     neighbours = np.array([common_head(streams[a], streams[b]) for a, b in zip(ids, ids[1:])], dtype=np.int64)
     shared = np.diag(np.array([len(streams[t]) for t in ids], dtype=np.int64))
     for i in range(n - 1):
         shared[i, i + 1:] = np.minimum.accumulate(neighbours[i:])
-    shared = np.maximum(shared, shared.T)
-    count = np.array([weights[t] for t in ids], dtype=np.int64)
+    shared = np.maximum(shared, shared.T).astype(float)
+    count = np.array([weights[t] for t in ids], dtype=float)
     tie = {i: (len(streams[t]), t) for i, t in enumerate(ids)}
 
-    covered = np.zeros(n, dtype=np.int64)  # tokens of each stream served so far
-    chosen: list[tuple[str, ...]] = []
+    covered = np.zeros(n)  # tokens of each stream served so far
+    adds = shared.copy()  # tokens of stream i that candidate j would add: max(shared - covered, 0)
+    chosen = []
     while len(chosen) < budget:
-        gains = count @ np.maximum(shared - covered[:, None], 0)
+        gains = count @ adds
         best = gains.max(initial=0)
         if best <= 0:
             break
         pick = min(np.flatnonzero(gains == best), key=tie.get)
         chosen.append(ids[pick])
-        covered = np.maximum(covered, shared[:, pick])
+        served = np.flatnonzero(shared[:, pick] > covered)  # the streams the pick serves further
+        covered[served] = shared[served, pick]
+        adds[served] = np.maximum(shared[served] - covered[served, None], 0)
     return chosen
 
 
-def sample_leaves(plan: ClusterPlan, samples) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
-    """Each sample's (sorted tool set, stream): the `plan.leaf` of its tool set, as one run."""
-    tool_sets = [tuple(sorted(s.gt_tools)) for s in samples]
-    streams = {tools: tuple(chain.from_iterable(plan.leaf(tools))) for tools in set(tool_sets)}
-    return [(tools, streams[tools]) for tools in tool_sets]
+def sample_leaves(plan: ClusterPlan, samples, top_examples) -> list[tuple[tuple[tuple[str, ...], str], tuple[int, ...]]]:
+    """Each sample's candidate, as (sorted tool set, example id), and its stream.
+
+    The stream is the `plan.leaf` of the tool set as one run, then the
+    tokens of the sample's top example.  `top_examples` holds each sample's
+    top example for its own tool set, or None, as `ToolRag.top_examples`
+    ranks them; without one the id is empty and the stream is the leaf.  The
+    samples of one candidate share one stream.
+    """
+    leaves: dict[tuple[str, ...], tuple[int, ...]] = {}
+    pairs: dict[tuple[tuple[str, ...], str], tuple] = {}
+    out = []
+    for sample, example in zip(samples, top_examples, strict=True):
+        key = tuple(sorted(sample.gt_tools)), example.id if example else ""
+        pair = pairs.get(key)
+        if pair is None:
+            tools = key[0]
+            if tools not in leaves:
+                leaves[tools] = tuple(chain.from_iterable(plan.leaf(tools)))
+            pair = pairs[key] = key, leaves[tools] + (example.example_tokens if example else ())
+        out.append(pair)
+    return out
 
 
 def build_plan(
@@ -394,6 +449,7 @@ def build_plan(
     registry: ToolRegistry,
     examples: list[ToolUseExample],
     samples,
+    top_examples,
     budget: int,
     rank: int = DEFAULT_RANK,
     iters: int = DEFAULT_ITERS,
@@ -402,7 +458,10 @@ def build_plan(
     provenance: dict | None = None,
     draft_table: NGramLUT | None = None,
 ) -> ClusterPlan:
-    """Run the full offline pipeline and return an immutable plan carrying `draft_table`."""
+    """Run the full offline pipeline and return an immutable plan carrying `draft_table`.
+
+    `top_examples` holds each sample's top example for its own tool set (see `sample_leaves`).
+    """
     rank = min(rank, matrix.size)
     result = nmf_factorize(matrix.counts, rank=rank, iters=iters, seed=seed, tol=tol)
     groups = assign_clusters(result.w, matrix)
@@ -411,7 +470,8 @@ def build_plan(
     singles = {t: choose_single_example(t, examples) for t in registry.tool_ids()}
     singles = {t: (ex.id, ex.example_tokens) for t, ex in singles.items() if ex is not None}
     interim = ClusterPlan(clusters=clusters, single_examples=singles)
-    picks = select_combinations(budget, sample_leaves(interim, samples))
+    picks = select_combinations(budget, sample_leaves(interim, samples, top_examples))
+    tokens = {example.id: example.example_tokens for example in top_examples if example}
     prov = dict(provenance or {})
     prov.update(
         {
@@ -424,4 +484,5 @@ def build_plan(
             "order": ordered_ids,
         }
     )
-    return dataclasses.replace(interim, cached_tool_sets=tuple(picks), provenance=prov, draft_table=draft_table)
+    leaves = tuple(CachedLeaf(tools, example_id, tokens.get(example_id, ())) for tools, example_id in picks)
+    return dataclasses.replace(interim, cached_leaves=leaves, provenance=prov, draft_table=draft_table)

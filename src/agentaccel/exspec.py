@@ -180,7 +180,7 @@ def build_lut(
         best = table.get(key)
         if best is None or count > best[1]:
             table[key] = (gram[-1], count)
-    tokens = Counter(stream if defined is None else (t for t in stream if t in defined))
+    tokens = Counter(stream if defined is None else filter(defined.__contains__, stream))
     return NGramLUT(n=n, table=table, filler=_filler(tokens), source_token_count=len(stream))
 
 

@@ -37,17 +37,18 @@ import hashlib
 import itertools
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import shapes
 
 MAGIC = b"AGENTKVCACHE"  # 12 bytes; followed by a 4-byte version field
+_RUN = 64  # the most token positions `precompute` synthesizes and hashes at once
 BLOB_VERSION = 1
 VERSION = 2  # of the manifest
 
 TAG_STATIC = "static"
-TAG_CLUSTER_COMBINATION = "cluster_combination"  # a cached tool set: static head, cluster run, single-tool examples
+TAG_CLUSTER_COMBINATION = "cluster_combination"  # a cached leaf: static head, cluster run, single-tool examples, one example
 TAG_ARBITER_STATIC = "arbiter_static"
 _TAGS = (TAG_STATIC, TAG_CLUSTER_COMBINATION, TAG_ARBITER_STATIC)
 
@@ -124,10 +125,15 @@ def _counter_suffixes(size: int) -> tuple[bytes, ...]:
 
 
 def _token_block(geometry: ModelGeometry, token: int, position: int) -> bytes:
-    """Deterministic pseudo-KV bytes for one token position."""
+    """Deterministic pseudo-KV bytes for one token position: the sha256 of its seed and each counter suffix, joined."""
     size = geometry.kv_bytes_per_token
-    seed = f"{geometry.name}|{token}|{position}".encode()
-    return b"".join([hashlib.sha256(seed + suffix).digest() for suffix in _counter_suffixes(size)])[:size]
+    seed = hashlib.sha256(f"{geometry.name}|{token}|{position}".encode())
+    digests = []
+    for suffix in _counter_suffixes(size):
+        digest = seed.copy()  # the seed's state, hashed once per block
+        digest.update(suffix)
+        digests.append(digest.digest())
+    return b"".join(digests)[:size]
 
 
 def prefix_blob(prefix, geometry: ModelGeometry) -> bytes:
@@ -162,12 +168,27 @@ def _split_blob_file(raw: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class CacheEntry:
-    key: tuple[int, ...]
+    """One stored prefix, whose `key` is the concatenation of its token `runs`.
+
+    An entry made by `precompute` holds its key as one run.  One opened from
+    a manifest holds the runs of the radix tree's edges on its path, root
+    first, and joins them on the first read of `key`: opening a store builds
+    no key that nothing reads.  Entries compare by their recorded fields,
+    since the blob name is the key's hash.
+    """
+
+    runs: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
     token_count: int
     byte_size: int
     tag: str
     blob_name: str
     checksum: str
+
+    @functools.cached_property
+    def key(self) -> tuple[int, ...]:
+        # Grown in place from the runs: a list copied into the tuple would
+        # leave a hole in the heap per key.
+        return self.runs[0] if len(self.runs) == 1 else tuple(itertools.chain.from_iterable(self.runs))
 
 
 _TAG = shapes.Check(shapes.STR, lambda tag: tag in _TAGS, f"one of {', '.join(_TAGS)}")
@@ -252,11 +273,16 @@ def _radix_index(edges, ends: dict[int, CacheEntry]) -> _RadixNode:
         nodes.append(_RadixNode(None))
         nodes[parent].children[run[0]] = (tuple(run), nodes[-1])
     # Shortest (then smallest) key first: the first entry to reach a node
-    # serves it, and every node above it.
-    for node, entry in sorted(ends.items(), key=lambda end: (end[1].token_count, end[1].key)):
-        while node and nodes[node].best is None:
-            nodes[node].best = entry
-            node = edges[node - 1][0]
+    # serves it, and every node above it.  Keys are read only where lengths tie.
+    by_length = sorted(ends.items(), key=lambda end: end[1].token_count)
+    for _, tied in itertools.groupby(by_length, key=lambda end: end[1].token_count):
+        tied = list(tied)
+        if len(tied) > 1:
+            tied.sort(key=lambda end: end[1].key)
+        for node, entry in tied:
+            while node and nodes[node].best is None:
+                nodes[node].best = entry
+                node = edges[node - 1][0]
     return nodes[0]
 
 
@@ -306,7 +332,8 @@ class KVStore:
             self.geometry = ModelGeometry.from_dict(doc["geometry"], f"{where} geometry", StoreError)
         except ValueError as exc:
             raise StoreError(f"{where} geometry: {exc}") from exc
-        edges = doc["edges"]
+        # Tuples once: the index and the entries share each edge's run.
+        edges = [(parent, tuple(run)) for parent, run in doc["edges"]]
         depths, firsts = [0], set()  # each node's depth; each edge's (parent, first token)
         for i, (parent, run) in enumerate(edges):
             if not 0 <= parent <= i:
@@ -330,11 +357,8 @@ class KVStore:
             while up:
                 up, run = edges[up - 1]
                 runs.append(run)
-            # Grown in place from the runs: a list copied into the tuple
-            # would leave a hole in the heap per key.
-            key = tuple(itertools.chain.from_iterable(reversed(runs)))
             ends[node] = self.entries[rec["key_hash"]] = CacheEntry(
-                key, rec["token_count"], rec["byte_size"], rec["tag"], rec["blob"], rec["checksum"]
+                tuple(reversed(runs)), rec["token_count"], rec["byte_size"], rec["tag"], rec["blob"], rec["checksum"]
             )
         self._index = _radix_index(edges, ends)
 
@@ -378,15 +402,19 @@ class KVStore:
                 saved.pop()
             khash, checksum = saved[-1][1].copy(), saved[-1][2].copy()
             del stream[head * block:]
-            for pos in range(head, len(key)):
-                if pos in starts and pos > head:
-                    saved.append((pos, khash.copy(), checksum.copy()))
-                data = _token_block(geometry, key[pos], pos)
+            # Synthesized and hashed a run at a time: up to each head a later
+            # key starts from, and at most _RUN positions, so runs stay small.
+            stops = {p for p in starts if head < p < len(key)} | set(range(head + _RUN, len(key), _RUN)) | {len(key)}
+            pos = head
+            for stop in sorted(stops):
+                data = b"".join([_token_block(geometry, key[i], i) for i in range(pos, stop)])
                 stream += data
                 checksum.update(data)
-                khash.update(b",%d" % key[pos] if pos else b"%d" % key[pos])
-            if len(key) in starts:
-                saved.append((len(key), khash.copy(), checksum.copy()))
+                ids = ",".join(map(str, key[pos:stop]))
+                khash.update((f",{ids}" if pos else ids).encode())
+                if stop in starts:
+                    saved.append((stop, khash.copy(), checksum.copy()))
+                pos = stop
             name = khash.hexdigest()
             with open(self.blob_dir / f"{name}.kv", "wb") as fh:
                 fh.write(header)
@@ -396,7 +424,7 @@ class KVStore:
         created, new_entries = [], dict(self.entries)
         for key, tag in order:
             khash, checksum = blobs[key]
-            new_entries[khash] = CacheEntry(key, len(key), kv_size(len(key), geometry), tag, f"{khash}.kv", checksum)
+            new_entries[khash] = CacheEntry((key,), len(key), kv_size(len(key), geometry), tag, f"{khash}.kv", checksum)
             created.append(new_entries[khash])
         if len(new_entries) == len(keys):  # no entry of another key was merged in
             self._publish(geometry, new_entries, [name for name, _ in blobs.values()], heads)

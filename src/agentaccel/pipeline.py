@@ -68,6 +68,10 @@ class CorpusBundle:
             scorer = toolrag.CosineToolScorer(self.registry, self.examples)
         return toolrag.ToolRag(self.examples, self.embedder, scorer, self.tokenizer)
 
+    def top_train_examples(self) -> list[corpus.ToolUseExample | None]:
+        """Each train sample's top example for its own tool set (`ToolRag.top_examples`): what `build-plan` caches."""
+        return toolrag.ToolRag(self.examples, self.embedder, None, self.tokenizer).top_examples(self.train)
+
 
 def load_bundle(registry_path, train_path, test_path, examples_path, vocab_path=None) -> CorpusBundle:
     """Load and cross-validate the corpus behind one call.

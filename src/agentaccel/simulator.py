@@ -461,31 +461,31 @@ def coverage_curve(
 ) -> list[CoveragePoint]:
     """Token coverage and storage cost per cache budget.
 
-    `leaves` holds one (tool set, stream) pair per training query, as
+    `leaves` holds one (key, stream) pair per training query, as
     `clusterplan.select_combinations` takes them: the stream is what the
     query's planner prompt lays out after the static head and could load
-    from cache (`ClusterPlan.leaf`).  The fraction is the share of those
-    tokens the selection at each budget serves (`clusterplan.coverage`).
+    from cache (`clusterplan.sample_leaves`).  The fraction is the share of
+    those tokens the selection at each budget serves (`clusterplan.coverage`).
     Storage counts the always-cached static prefixes plus one full blob per
-    selected tool set (each entry embeds the static planner prefix ahead of
+    selected stream (each entry embeds the static planner prefix ahead of
     its stream).
 
     One greedy run at the largest budget supplies every smaller budget,
     since the selection sequence is incremental.
     """
-    leaves = [(tools, tuple(stream)) for tools, stream in leaves]
+    leaves = [(key, tuple(stream)) for key, stream in leaves]
     budgets = sorted(set(int(b) for b in budgets))
     if budgets and budgets[0] < 0:
         raise ValueError("budgets must be non-negative")
     streams = dict(leaves)
-    counts = Counter(tools for tools, _ in leaves)  # a tool set's queries share its stream: count it once
+    counts = Counter(key for key, _ in leaves)  # a candidate's queries share its stream: count it once
     full = select_combinations(budgets[-1] if budgets else 0, leaves)
 
     denom = sum(len(stream) for _, stream in leaves)
     static = kv_size(static_prefix_tokens + extra_static_tokens, geometry)
     points = []
     for budget in budgets:
-        keys = [streams[tools] for tools in full[:budget]]
+        keys = [streams[pick] for pick in full[:budget]]
         points.append(
             CoveragePoint(
                 budget=budget,
@@ -500,7 +500,7 @@ def coverage_saturation_budget(leaves) -> int:
     """Budget at which the selection serves every training stream in full.
 
     The selection stops only when no candidate adds a covered token, and
-    each stream's own tool set covers it, so that is where it stops.
+    each stream's own candidate covers it, so that is where it stops.
     """
     return len(select_combinations(len(leaves), leaves))
 

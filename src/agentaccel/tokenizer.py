@@ -70,20 +70,28 @@ class Tokenizer:
     def vocab_size(self) -> int:
         return len(self._word_to_id)
 
+    @property
+    def next_id(self) -> int:
+        """The id the next new word gets: every id allocated so far is below it."""
+        return self._next_id
+
     def id_of(self, word: str) -> int | None:
         """The id of one vocabulary word, or None; unlike `tokenize`, allocates nothing."""
         return self._word_to_id.get(word)
 
     def tokenize(self, text: str) -> list[int]:
-        ids = []
-        for word in split_words(text):
-            tid = self._word_to_id.get(word)
-            if tid is None:
-                tid = self._next_id
-                self._next_id += 1
-                self._word_to_id[word] = tid
-                self._id_to_word[tid] = word
-            ids.append(tid)
+        words = split_words(text)
+        ids = list(map(self._word_to_id.get, words))
+        if None in ids:  # new words get ids in order of first sight
+            for i, word in enumerate(words):
+                if ids[i] is None:
+                    tid = self._word_to_id.get(word)
+                    if tid is None:
+                        tid = self._next_id
+                        self._next_id += 1
+                        self._word_to_id[word] = tid
+                        self._id_to_word[tid] = word
+                    ids[i] = tid
         return ids
 
     def detokenize(self, tokens) -> str:

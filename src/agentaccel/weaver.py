@@ -5,10 +5,12 @@ text plus descriptions and guidelines for every registered tool in ascending
 id order — then appends the activated clusters' examples in plan order,
 single-tool examples for each retrieved tool, the retrieved top-K examples,
 and finally the query.  The static head and the examples before the
-retrieved ones depend on the retrieved tool set alone, so they can hit a
-precomputed cache entry (a tool set's leaf, or the leading cluster run of
-another); only the tail is computed online.  The arbiter prompt is one fixed block of decision guidelines
-followed by the call observations.
+retrieved ones depend on the retrieved tool set alone, and a cached entry
+extends them by the example retrieval ranks first for that tool set, so a
+prompt can hit a precomputed entry through its first retrieved example (or
+a tool set's leaf, or the leading cluster run of another); only the tail is
+computed online.  The arbiter prompt is one fixed block of decision
+guidelines followed by the call observations.
 
 The weaver retrieves nothing: the caller hands each builder the query's
 retrieved tool set and retrieved examples (see `pipeline.run_queries`).
@@ -232,12 +234,14 @@ class Weaver:
         """Header, instructions, and every tool's description block: the planner prompt's head."""
         return self._planner_head[1]
 
-    def leaf_prefix(self, tools) -> tuple[int, ...]:
-        """The cache key of a tool set: the static head, then the plan's `leaf` of `tools`.
+    def leaf_prefix(self, tools, example_tokens=()) -> tuple[int, ...]:
+        """The static head, then the plan's `leaf` of `tools`, then `example_tokens`.
 
-        It is the head of every planner prompt that retrieves exactly `tools`.
+        Without an example it is the head of every planner prompt that
+        retrieves exactly `tools`; with the example such a prompt retrieves
+        first, the cache key of a `CachedLeaf`.
         """
-        return self.static_planner_prefix() + tuple(chain.from_iterable(self.plan.leaf(tools)))
+        return self.static_planner_prefix() + tuple(chain(*self.plan.leaf(tools), example_tokens))
 
     def arbiter_prefix(self) -> tuple[int, ...]:
         return self._arbiter
@@ -246,7 +250,7 @@ class Weaver:
         """Everything the offline phase should precompute, grouped by tag; empty groups left out."""
         groups = {
             TAG_STATIC: [self.static_planner_prefix()],
-            TAG_CLUSTER_COMBINATION: [self.leaf_prefix(tools) for tools in self.plan.cached_tool_sets],
+            TAG_CLUSTER_COMBINATION: [self.leaf_prefix(leaf.tools, leaf.example_tokens) for leaf in self.plan.cached_leaves],
             TAG_ARBITER_STATIC: [self.arbiter_prefix()],
         }
         return {tag: prefixes for tag, prefixes in groups.items() if prefixes}

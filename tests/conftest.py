@@ -45,6 +45,7 @@ def plan(bundle, coactivation):
         bundle.registry,
         bundle.examples,
         bundle.train,
+        bundle.top_train_examples(),
         budget=PLAN_BUDGET,
         rank=PLAN_RANK,
         seed=PLAN_SEED,

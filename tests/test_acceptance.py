@@ -96,10 +96,12 @@ def test_criterion_01_speculative_equivalence():
 
 
 def _random_plan_and_samples(rng):
-    """A plan over up to 7 tools, its examples drawn from a 3-token alphabet, and up to 12 train samples.
+    """A plan over up to 7 tools, its examples drawn from a 3-token alphabet, up to 12 train samples of up to 4 tool sets, and their top examples.
 
     Some tools lack a single-tool example, and a cluster's tools share its
-    example, so distinct tool sets often share a cluster run or a whole stream.
+    example, so distinct tool sets often share a cluster run or a whole leaf.
+    A sample's top example is one of up to 3, possibly empty, or none, so
+    the samples of one tool set often rank different examples first.
     """
     tools = [f"t{i}" for i in range(rng.randint(2, 7))]
     assignment = {t: rng.randrange(rng.randint(1, len(tools))) for t in tools}
@@ -109,24 +111,27 @@ def _random_plan_and_samples(rng):
         for members in [tuple(t for t in tools if assignment[t] == cid)]
     )
     singles = {t: (f"s{t}", tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))) for t in tools if rng.random() < 0.7}
-    samples = [
-        types.SimpleNamespace(gt_tools=frozenset(rng.sample(tools, rng.randint(1, min(3, len(tools))))))
-        for _ in range(rng.randint(1, 12))
+    tool_sets = [frozenset(rng.sample(tools, rng.randint(1, min(3, len(tools))))) for _ in range(rng.randint(1, 4))]
+    samples = [types.SimpleNamespace(gt_tools=rng.choice(tool_sets)) for _ in range(rng.randint(1, 12))]
+    examples = [
+        types.SimpleNamespace(id=f"e{i}", example_tokens=tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 3))))
+        for i in range(rng.randint(1, 3))
     ]
-    return ClusterPlan(clusters=clusters, single_examples=singles), samples
+    top_examples = [rng.choice(examples + [None]) for _ in samples]
+    return ClusterPlan(clusters=clusters, single_examples=singles), samples, top_examples
 
 
 def test_criterion_02_greedy_selection_oracle():
     start = time.monotonic()
     rng = random.Random(7)
-    instances = rounds = shared_runs = without_single = 0
-    for _ in range(60):
-        plan, samples = _random_plan_and_samples(rng)
-        leaves = sample_leaves(plan, samples)
+    instances = rounds = shared_runs = without_single = shared_leaves = 0
+    for _ in range(200):
+        plan, samples, top_examples = _random_plan_and_samples(rng)
+        leaves = sample_leaves(plan, samples, top_examples)
         streams, queries = dict(leaves), [stream for _, stream in leaves]
-        runs = [plan.activation_sequence(tools) for tools in streams]
+        runs = [plan.activation_sequence(tools) for tools, _ in streams]
         shared_runs += len(set(runs)) < len(runs)
-        without_single += any(t not in plan.single_examples for tools in streams for t in tools)
+        without_single += any(t not in plan.single_examples for tools, _ in streams for t in tools)
         budget = rng.randint(0, 4)
         chosen = select_combinations(budget, leaves)
         current = []
@@ -141,14 +146,16 @@ def test_criterion_02_greedy_selection_oracle():
             assert pick == min((t for t, gain in gains.items() if gain == best), key=lambda t: (len(streams[t]), t))
             current.append(pick)
             rounds += 1
+        shared_leaves += len({tools for tools, _ in chosen}) < len(chosen)
         instances += 1
     elapsed = time.monotonic() - start
-    assert shared_runs and without_single
+    assert shared_runs and without_single and shared_leaves
     assert elapsed < 10.0
     _verdict(
         2,
-        f"{instances} instances, {rounds} greedy rounds recounted exhaustively, gains maximal and ties broken as documented "
-        f"({shared_runs} with tool sets sharing a cluster run, {without_single} with a tool lacking a single-tool example; {elapsed:.1f}s)",
+        f"{instances} instances, {rounds} greedy rounds over (tool set, example) streams recounted exhaustively, "
+        f"gains maximal and ties broken as documented ({shared_runs} with tool sets sharing a cluster run, "
+        f"{without_single} with a tool lacking a single-tool example, {shared_leaves} with two picks sharing a leaf; {elapsed:.1f}s)",
     )
 
 
@@ -195,7 +202,7 @@ def test_criterion_03_prefix_match_oracle(tmp_path):
 
 
 def test_criterion_04_coverage_curve(bundle, plan):
-    leaves = sample_leaves(plan, bundle.train)
+    leaves = sample_leaves(plan, bundle.train, bundle.top_train_examples())
     geometry = simulator.geometry_presets()["7b-class"]
     saturation = coverage_saturation_budget(leaves)
     knee = 5  # the shipped fixture's knee

@@ -64,8 +64,8 @@ def test_run_queries_matches_two_prompts_per_query(bundle, plan, populated_store
     queries = {span[4] for span in tracer.spans if span[0] == "kvstore.match"}
     assert sum(span[0] == "kvstore.match" for span in tracer.spans) == 2 * len(bundle.test)
     assert queries == set(range(len(bundle.test)))
-    assert tracer.counts["kvstore.matched_tokens"] == 201_217
-    assert tracer.counts["planner.served_tokens"] == 168_397
+    assert tracer.counts["kvstore.matched_tokens"] == 203_307
+    assert tracer.counts["planner.served_tokens"] == 170_487
 
 
 @pytest.fixture(scope="module")

@@ -325,15 +325,19 @@ def _plan_without_clusters(doc):
     "corrupt",
     [
         pytest.param(lambda doc: [], id="not_an_object"),
-        pytest.param(lambda doc: {"clusters": 5, "order": [], "single_examples": [], "cached_tool_sets": []}, id="clusters_not_a_list"),
+        pytest.param(lambda doc: {"clusters": 5, "order": [], "single_examples": [], "cached_leaves": []}, id="clusters_not_a_list"),
         pytest.param(_plan_without_clusters, id="missing_clusters"),
         pytest.param(lambda doc: dict(doc, order=[999]), id="order_names_unknown_cluster"),
-        pytest.param(lambda doc: dict(doc, cached_tool_sets=[7]), id="combination_not_a_list"),
+        pytest.param(lambda doc: dict(doc, cached_leaves=[7]), id="combination_not_a_list"),
         pytest.param(
-            lambda doc: dict(doc, cached_tool_sets=[tools[::-1] for tools in doc["cached_tool_sets"]]),
+            lambda doc: dict(doc, cached_leaves=[dict(leaf, tools=leaf["tools"][::-1]) for leaf in doc["cached_leaves"]]),
             id="combinations_out_of_plan_order",
         ),
-        pytest.param(lambda doc: dict(doc, cached_tool_sets=[["no_such_tool"]]), id="tool_set_names_unknown_tool"),
+        pytest.param(
+            lambda doc: dict(doc, cached_leaves=[{"tools": ["no_such_tool"], "example_id": "", "example_tokens": []}]),
+            id="tool_set_names_unknown_tool",
+        ),
+        pytest.param(lambda doc: dict(doc, cached_leaves=[dict(doc["cached_leaves"][0], example_tokens=None)]), id="leaf_without_tokens"),
         pytest.param(lambda doc: dict(doc, single_examples=[{"tool": "x", "example_id": "e1"}]), id="single_example_without_tokens"),
     ],
 )
@@ -346,10 +350,10 @@ def test_plan_of_wrong_shape_fails_cleanly(workdir, tmp_path, capsys, corrupt):
 
 @pytest.mark.parametrize("command", ["run", "precompute-cache"])
 def test_plan_of_an_older_format_asks_for_build_plan(workdir, tmp_path, capsys, command):
-    # An older build-plan wrote cluster-id combinations where tool sets and
-    # single-tool examples now stand.
+    # An older build-plan wrote cluster-id combinations where cached leaves
+    # and single-tool examples now stand.
     doc = json.loads((workdir / "plan.json").read_text())
-    del doc["cached_tool_sets"], doc["single_examples"]
+    del doc["cached_leaves"], doc["single_examples"]
     doc["cached_combinations"] = [[doc["order"][0]]]
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps(doc))
@@ -361,6 +365,17 @@ def test_plan_of_an_older_format_asks_for_build_plan(workdir, tmp_path, capsys, 
     message = _assert_single_error(rc, capsys)
     assert str(plan) in message and message.endswith("re-run build-plan")
     assert not (tmp_path / "t.jsonl").exists() and not (tmp_path / "cache").exists()
+
+
+def test_plan_of_cached_tool_sets_asks_for_build_plan(workdir, tmp_path, capsys):
+    # Plans that cached tool sets' leaves without their top example.
+    doc = json.loads((workdir / "plan.json").read_text())
+    doc["cached_tool_sets"] = [leaf["tools"] for leaf in doc.pop("cached_leaves")]
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(doc))
+    message = _assert_single_error(_run_config(tmp_path, _absolute_config(workdir, tmp_path, plan=str(plan))), capsys)
+    assert f"plan {plan} holds cached_tool_sets" in message and message.endswith("re-run build-plan")
+    assert not (tmp_path / "t.jsonl").exists()
 
 
 @pytest.mark.parametrize(
@@ -519,7 +534,7 @@ def _cache_of(case, workdir, tmp_path) -> Path:
         return cache
     if case == "other_plan":
         plan_doc = json.loads((workdir / "plan.json").read_text())
-        plan_doc["cached_tool_sets"] = plan_doc["cached_tool_sets"][:3]
+        plan_doc["cached_leaves"] = plan_doc["cached_leaves"][:3]
         (tmp_path / "plan.json").write_text(json.dumps(plan_doc))
         return _precompute(workdir, tmp_path, tmp_path / "plan.json", workdir / "vocab.json")
     cache = _precompute(workdir, tmp_path, workdir / "plan.json", workdir / "vocab.json")

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import random
+import types
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -347,16 +349,33 @@ class TestSelection:
                 assert coverage(queries, base_set + [p]) >= base
 
     def test_fixture_leaves(self, plan, bundle):
-        # Every stream is the plan's leaf of its tool set, and the picks are
-        # distinct train tool sets, as many as the budget allows.
-        leaves = sample_leaves(plan, bundle.train)
-        assert [tools for tools, _ in leaves] == [tuple(sorted(s.gt_tools)) for s in bundle.train]
-        for tools, stream in leaves:
+        # Every stream is the plan's leaf of its tool set, then the tokens of
+        # that query's top example, and the picks are distinct candidates, as
+        # many as the budget allows.
+        top = bundle.top_train_examples()
+        leaves = sample_leaves(plan, bundle.train, top)
+        assert [key for key, _ in leaves] == [(tuple(sorted(s.gt_tools)), ex.id) for s, ex in zip(bundle.train, top)]
+        for ((tools, _), stream), example in zip(leaves, top):
             clustered, singles = plan.leaf(tools)
-            assert stream == clustered + singles and clustered
+            assert stream == clustered + singles + example.example_tokens and clustered
+        # Samples of one candidate share its stream.
+        assert len({id(stream) for _, stream in leaves}) == len({key for key, _ in leaves})
         budget = plan.provenance["budget"]
-        assert len(set(plan.cached_tool_sets)) == len(plan.cached_tool_sets) == budget
-        assert select_combinations(budget, leaves) == list(plan.cached_tool_sets)
+        assert len(set(plan.cached_leaves)) == len(plan.cached_leaves) == budget
+        assert [(leaf.tools, leaf.example_id) for leaf in plan.cached_leaves] == select_combinations(budget, leaves)
+        by_id = {ex.id: ex for ex in top}
+        assert all(leaf.example_tokens == by_id[leaf.example_id].example_tokens for leaf in plan.cached_leaves)
+
+    def test_two_picks_may_share_a_tool_set(self, plan):
+        # The fixture's budget caches two top examples behind one leaf.
+        tool_sets = [leaf.tools for leaf in plan.cached_leaves]
+        assert len(set(tool_sets)) < len(tool_sets)
+
+    def test_a_tool_set_without_an_eligible_example_is_its_leaf(self, plan):
+        sample = types.SimpleNamespace(gt_tools=frozenset(plan.clusters[0].tool_ids))
+        [(key, stream)] = sample_leaves(plan, [sample], [None])
+        assert key == (tuple(sorted(sample.gt_tools)), "")
+        assert stream == tuple(chain.from_iterable(plan.leaf(key[0])))
 
 
 class TestPlanArtifact:
@@ -395,6 +414,7 @@ class TestPlanArtifact:
             bundle.registry,
             bundle.examples,
             bundle.train,
+            bundle.top_train_examples(),
             budget=15,
             rank=8,
             seed=11,
@@ -402,13 +422,14 @@ class TestPlanArtifact:
         assert rebuilt.to_json() == plan.to_json()
 
     def test_combinations_respect_plan_order(self, plan, bundle):
-        # Each cached tool set is a train tool set, as sorted tool ids; a plan
-        # holding one out of order, or one naming a tool in no cluster, is refused.
+        # Each cached leaf's tool set is a train tool set, as sorted tool ids;
+        # a plan holding one out of order, or one naming a tool in no
+        # cluster, is refused.
         train = {tuple(sorted(s.gt_tools)) for s in bundle.train}
-        assert plan.cached_tool_sets and set(plan.cached_tool_sets) <= train
-        for tools in ((plan.cached_tool_sets[0][::-1]), ("no_such_tool",)):
+        assert plan.cached_leaves and {leaf.tools for leaf in plan.cached_leaves} <= train
+        for tools in ((plan.cached_leaves[0].tools[::-1]), ("no_such_tool",)):
             doc = json.loads(plan.to_json())
-            doc["cached_tool_sets"] = [list(tools)]
+            doc["cached_leaves"] = [{"tools": list(tools), "example_id": "", "example_tokens": []}]
             with pytest.raises(PlanError):
                 ClusterPlan.from_json(json.dumps(doc))
 
@@ -421,6 +442,12 @@ class TestPlanArtifact:
         doc = json.loads(plan.to_json())
         doc["cached_combinations"] = [[doc["order"][0]]]
         with pytest.raises(PlanError, match="re-run build-plan"):
+            ClusterPlan.from_json(json.dumps(doc))
+
+    def test_plan_of_cached_tool_sets_is_refused(self, plan):
+        doc = json.loads(plan.to_json())
+        doc["cached_tool_sets"] = [leaf["tools"] for leaf in doc.pop("cached_leaves")]
+        with pytest.raises(PlanError, match="holds cached_tool_sets, .*: re-run build-plan"):
             ClusterPlan.from_json(json.dumps(doc))
 
     def test_cluster_examples_cover_exact_tool_sets(self, plan, bundle):

@@ -162,7 +162,7 @@ def _reference_precompute(store, prefixes, geometry, tag=TAG_STATIC):
         raw = kvmod._blob_file_bytes(prefix_blob(prefix, geometry), geometry)
         blob_name = f"{khash}.kv"
         entry = CacheEntry(
-            key=prefix,
+            runs=(prefix,),
             token_count=len(prefix),
             byte_size=kv_size(len(prefix), geometry),
             tag=tag,
@@ -506,6 +506,22 @@ class TestManifestTree:
         assert node_of == {(1, 2): 1, (1, 2, 3, 4, 5): 3, (1, 2, 3, 9): 4, (7,): 5}
         assert "key" not in doc["entries"][0]
 
+    def test_open_builds_no_key_until_one_is_read(self, store):
+        keys = [(1, 2, 3, 4, 5), (1, 2, 3, 9), (1, 2), (7,)]
+        store.precompute({TAG_STATIC: keys}, TINY)
+        reopened = KVStore(store.root)
+        assert reopened.longest_cached_prefix([1, 2, 3, 9, 9])[1] == 4
+        assert not any("key" in vars(e) for e in reopened.entries.values())
+        assert sorted(e.key for e in reopened.entries.values()) == sorted(keys)
+
+    def test_keys_are_compared_only_where_lengths_tie(self, store):
+        # Shortest, then smallest key serves the shared head (1, 2).
+        store.precompute({TAG_STATIC: [[1, 2, 4], [1, 2, 3], [1, 2, 3, 5, 6], [8]]}, TINY)
+        reopened = KVStore(store.root)
+        assert {e.token_count for e in reopened.entries.values() if "key" in vars(e)} == {3}
+        entry, served = reopened.longest_cached_prefix([1, 2, 7])
+        assert (entry.key, served) == ((1, 2, 3), 2)
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), calls=_precompute_calls())
     def test_reopened_store_serves_what_was_written(self, data, calls):
@@ -517,6 +533,7 @@ class TestManifestTree:
             reopened = KVStore(store.root)
             assert reopened.geometry == TINY
             assert reopened.entries == store.entries
+            assert {name: e.key for name, e in reopened.entries.items()} == {name: e.key for name, e in store.entries.items()}
             entries = list(store.entries.values())
             # Every distinct key token is written once: one per node of the per-token trie.
             assert sum(len(run) for _, run in json.loads(manifest)["edges"]) == _TokenTrie.build(entries).size()

@@ -419,8 +419,8 @@ class TestCoverageCurve:
         static_len = len(weaver.static_planner_prefix())
         extra = len(weaver.arbiter_prefix())
         pts = coverage_curve(
-            sample_leaves(plan, bundle.train),
-            [len(plan.cached_tool_sets)],
+            sample_leaves(plan, bundle.train, bundle.top_train_examples()),
+            [len(plan.cached_leaves)],
             desk_geometry,
             static_prefix_tokens=static_len,
             extra_static_tokens=extra,

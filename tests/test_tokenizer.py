@@ -19,6 +19,13 @@ def test_empty_input():
     assert Tokenizer().tokenize("") == []
 
 
+def test_new_words_get_ids_in_order_of_first_sight():
+    # A word repeated before its first sight is done takes the one id.
+    tok = Tokenizer({"a": 1})
+    assert tok.tokenize("b a b c a") == [2, 1, 2, 3, 1]
+    assert tok.next_id == 4 and tok.tokenize("c b") == [3, 2]
+
+
 def test_determinism():
     tok = Tokenizer()
     a = tok.tokenize("schedule a meeting")

@@ -1,4 +1,5 @@
 import random
+import types
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentaccel import corpus, pipeline
-from agentaccel.tokenizer import Tokenizer
+from agentaccel.tokenizer import EOS_ID, Tokenizer
 from agentaccel.toolrag import TfidfEmbedder, ToolRag, cosine
 
 
@@ -164,16 +165,87 @@ def test_cosine_scorer_scores_every_tool(bundle):
 
 
 def test_cosine_run_embeds_each_example_and_query_once(fixture_paths, plan, monkeypatch):
-    # Loading embeds each example; scoring and ranking share each query's
-    # embedding, and a query equal to the one before it reuses that one's.
-    texts = []
-    embed = TfidfEmbedder.embed
+    # Loading embeds each example's text; scoring and ranking share each
+    # query's embedding, made from its token ids, and a query equal to the
+    # one before it reuses that one's.
+    texts, embedded = [], []
+    embed, embed_dims = TfidfEmbedder.embed, TfidfEmbedder.embed_dims
     monkeypatch.setattr(TfidfEmbedder, "embed", lambda self, text: texts.append(text) or embed(self, text))
+    monkeypatch.setattr(TfidfEmbedder, "embed_dims", lambda self, dims: embedded.append(list(dims)) or embed_dims(self, dims))
     paths = [fixture_paths[name] for name in ("registry", "train", "test", "examples", "vocab")]
     bundle = pipeline.load_bundle(*paths)
     records = pipeline.run_queries(bundle, plan, None, pipeline.RunSettings(scorer="cosine"))
     queries = [sample.query_tokens for sample in bundle.test]
     fresh = [q for i, q in enumerate(queries) if i == 0 or q != queries[i - 1]]
     assert (len(bundle.examples), len(records), len(fresh)) == (36, 60, 59)
-    assert len(texts) == 36 + 59
-    assert texts[36:] == [bundle.tokenizer.detokenize(q) for q in fresh]
+    assert len(texts) == 36 and len(embedded) == 36 + 59
+    dims = bundle.embedder.token_dims(bundle.tokenizer)
+    assert embedded[36:] == [list(dims[list(q)]) for q in fresh]
+
+
+def _embedded_both_ways(embedder, tokenizer, tokens):
+    """The embedding of `tokens` from their ids, and of their detokenized text."""
+    from_ids = embedder.embed_dims(embedder.token_dims(tokenizer)[np.array(tokens, dtype=np.intp)])
+    return from_ids, embedder.embed(tokenizer.detokenize(tokens))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_embedding_from_token_ids_is_bit_identical_to_embedding_the_text(bundle, data):
+    # Any sequence over the fixture vocabulary, EOS included; words the
+    # embedder was not fitted on count nowhere either way.
+    ids = sorted(bundle.tokenizer.defined_ids | {EOS_ID})
+    query = data.draw(st.sampled_from(bundle.train + bundle.test)).query_tokens
+    tokens = data.draw(st.one_of(st.just(list(query)), st.lists(st.sampled_from(ids), max_size=40)))
+    from_ids, from_text = _embedded_both_ways(bundle.embedder, bundle.tokenizer, tokens)
+    assert from_ids.tobytes() == from_text.tobytes()
+
+
+def test_every_fixture_query_embeds_bit_identically_from_its_ids(bundle):
+    rag = bundle.make_rag("cosine")
+    for sample in bundle.train + bundle.test:
+        from_ids, from_text = _embedded_both_ways(bundle.embedder, bundle.tokenizer, sample.query_tokens)
+        assert from_ids.tobytes() == from_text.tobytes() == rag.embed_query(sample.query_tokens).tobytes()
+
+
+def test_a_query_with_a_word_tokenized_after_the_id_map_embeds_it(bundle):
+    # The map is rebuilt once a query holds an id past it.
+    texts = ["alpha beta", "beta gamma"]
+    embedder, tok = TfidfEmbedder.fit(texts), Tokenizer()
+    rag = ToolRag([], embedder, FixedScorer({}), tok)
+    first = rag.embed_query(tok.tokenize("alpha"))
+    later = rag.embed_query(tok.tokenize("alpha gamma"))
+    assert first.tobytes() == embedder.embed("alpha").tobytes()
+    assert later.tobytes() == embedder.embed("alpha gamma").tobytes()
+
+
+def test_top_examples_equal_the_first_retrieved_for_every_fixture_train_query(bundle):
+    # What build-plan caches behind each leaf ranks first online for the
+    # same query and tool set.
+    rag = bundle.make_rag("oracle")
+    top = bundle.top_train_examples()
+    assert len(top) == len(bundle.train) and all(top)
+    for sample, example in zip(bundle.train, top):
+        assert rag.retrieve_examples(sample.query_tokens, sample.gt_tools, 1) == [example]
+
+
+def test_top_examples_take_ties_and_near_ties_as_retrieval_does():
+    # Six words over tiny texts: many examples score equally, or within a
+    # few ulps, for one query, and some tool sets have no eligible example.
+    rng = random.Random(31)
+    tools = [f"t{i}" for i in range(6)]
+    embedder, tok, examples = _random_db(rng, tools, 80)
+    rag = ToolRag(examples, embedder, FixedScorer({}), tok)
+    samples = [
+        types.SimpleNamespace(
+            query_tokens=tuple(tok.tokenize(" ".join(rng.choice(["alpha", "beta", "gamma", "kappa"]) for _ in range(rng.randint(0, 5))))),
+            gt_tools=frozenset(rng.sample(tools, rng.randint(1, 3)) if rng.random() < 0.9 else ["t_unused"]),
+        )
+        for _ in range(400)
+    ]
+    top = ToolRag(examples, embedder, None, tok).top_examples(samples)
+    assert top == [(rag.retrieve_examples(s.query_tokens, s.gt_tools, 1) or [None])[0] for s in samples]
+    assert None in top
+    first_two = [rag.retrieve_examples(s.query_tokens, s.gt_tools, 2) for s in samples]
+    query_vecs = [rag.embed_query(s.query_tokens) for s in samples]
+    assert any(len(two) == 2 and cosine(q, two[0].query_embedding) == cosine(q, two[1].query_embedding) for q, two in zip(query_vecs, first_two))

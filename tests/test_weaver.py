@@ -3,13 +3,12 @@ import statistics
 import pytest
 
 from agentaccel import pipeline
-from agentaccel.kvstore import TAG_STATIC, KVStore
+from agentaccel.kvstore import TAG_STATIC, KVStore, common_head
 from agentaccel.weaver import (
     MAX_DYNAMIC_EXAMPLES,
     PLANNER_SEGMENT_ORDER,
     SEG_ALL_TOOL_DESCRIPTIONS,
     SEG_CLUSTERED_EXAMPLES,
-    SEG_RAG_EXAMPLES,
     SEG_USER_QUERY,
     Weaver,
 )
@@ -56,19 +55,16 @@ class TestPlannerPrompt:
         assert a.segments == b.segments
 
     def test_hand_counted_accounting_on_cached_combination(self, weaver, oracle_rag, bundle, populated_store, plan):
-        # Pick a query whose retrieved tool set is cached; the uncacheable
-        # region is then exactly rag + query, counted segment by segment.
-        cached = set(plan.cached_tool_sets)
+        # Pick a query whose retrieved tool set and first example are cached
+        # as one leaf; the uncacheable region is then exactly the query.
+        cached = {(leaf.tools, leaf.example_id) for leaf in plan.cached_leaves}
         for sample in bundle.test:
             prompt = _planner(weaver, oracle_rag, sample, k=1, store=populated_store)
-            if tuple(prompt.stats["retrieved_tools"]) in cached:
-                segments = dict(prompt.segments)
-                rag = len(segments[SEG_RAG_EXAMPLES])
-                query = len(segments[SEG_USER_QUERY])
-                assert prompt.uncacheable_tokens == rag + query
+            if (tuple(prompt.stats["retrieved_tools"]), prompt.stats["rag_example_ids"][0]) in cached:
+                assert prompt.uncacheable_tokens == len(dict(prompt.segments)[SEG_USER_QUERY])
                 break
         else:
-            pytest.fail("no test query retrieved a cached tool set")
+            pytest.fail("no test query retrieved a cached leaf")
 
     def test_empty_retrieval_is_degenerate_but_valid(self, weaver, bundle):
         prompt = weaver.planner_prompt(bundle.test[0].query_tokens, set(), [])
@@ -166,29 +162,54 @@ class TestOfflineKeysMatchOnlineLayout:
 
     def test_planner_keys(self, weaver, bundle, plan, populated_store):
         query = bundle.test[0].query_tokens
-        cases = [((), weaver.static_planner_prefix())]
-        cases += [(tools, weaver.leaf_prefix(tools)) for tools in plan.cached_tool_sets]
+        by_id = {ex.id: ex for ex in bundle.examples}
+        cases = [((), [], weaver.static_planner_prefix())]
+        cases += [
+            (leaf.tools, [by_id[leaf.example_id]], weaver.leaf_prefix(leaf.tools) + leaf.example_tokens) for leaf in plan.cached_leaves
+        ]
         assert len(cases) > 1
-        for tools, key in cases:
-            prompt = weaver.planner_prompt(query, tools, bundle.examples[:1], store=populated_store)
+        for tools, examples, key in cases:
+            prompt = weaver.planner_prompt(query, tools, examples, store=populated_store)
             assert tuple(prompt.tokens[: len(key)]) == key
             assert prompt.match_len >= len(key)
 
-    def test_each_leaf_key_is_the_prompt_head_of_a_train_query(self, weaver, bundle, plan):
-        # The key ends where the retrieved examples begin, in the prompt of a
-        # train query that retrieves its true tool set, the key's.
-        train = {tuple(sorted(s.gt_tools)): s for s in bundle.train}
-        for tools in plan.cached_tool_sets:
-            sample = train[tools]
-            prompt = weaver.planner_prompt(sample.query_tokens, sample.gt_tools, bundle.examples[:1])
-            segments = [kind for kind, _ in prompt.segments]
-            head = sum(len(toks) for _, toks in prompt.segments[: segments.index(SEG_RAG_EXAMPLES)])
-            assert weaver.leaf_prefix(tools) == prompt.tokens[:head]
+    def test_each_leaf_key_is_the_prompt_head_of_a_train_query(self, weaver, bundle, plan, oracle_rag):
+        # The key ends where the query begins, in the prompt of a train query
+        # that retrieves its true tool set, the key's, and ranks the key's
+        # example first.
+        train = {}
+        for sample, example in zip(bundle.train, bundle.top_train_examples()):
+            train.setdefault((tuple(sorted(sample.gt_tools)), example.id), sample)
+        for leaf in plan.cached_leaves:
+            sample = train[leaf.tools, leaf.example_id]
+            examples = oracle_rag.retrieve_examples(sample.query_tokens, sample.gt_tools, 1)
+            prompt = weaver.planner_prompt(sample.query_tokens, sample.gt_tools, examples)
+            key = weaver.leaf_prefix(leaf.tools) + leaf.example_tokens
+            assert key + sample.query_tokens == prompt.tokens
+
+    def test_a_query_ranking_another_example_first_is_served_the_leaf(self, weaver, bundle, plan, populated_store):
+        # Its prompt leaves the cached key inside the key's example: the
+        # served entry is that key cut at the first token the prompt differs
+        # in, which is at least the tool set's leaf.
+        cached = {(leaf.tools, leaf.example_id) for leaf in plan.cached_leaves}
+        keys = populated_store.entries.values()
+        query = bundle.test[0].query_tokens
+        cases = 0
+        for leaf in plan.cached_leaves:
+            for example in bundle.examples:
+                if example.tools <= set(leaf.tools) and (leaf.tools, example.id) not in cached:
+                    prompt = weaver.planner_prompt(query, leaf.tools, [example], store=populated_store)
+                    served = max(common_head(entry.key, prompt.tokens) for entry in keys)
+                    assert prompt.match_len == served >= len(weaver.leaf_prefix(leaf.tools))
+                    assert prompt.cache_entry.key[:served] == prompt.tokens[:served]
+                    assert prompt.cache_entry.token_count > served
+                    cases += 1
+        assert cases
 
     def test_an_uncached_tool_set_is_served_through_its_shared_cluster_run(self, weaver, bundle, plan, populated_store):
         # A tool set that is not cached, but activates the same clusters as a
         # cached one, is served at least through their common cluster run.
-        cached = set(plan.cached_tool_sets)
+        cached = {leaf.tools for leaf in plan.cached_leaves}
         query = bundle.test[0].query_tokens
         cases = 0
         for tools in cached:
