@@ -48,7 +48,7 @@ reference = greedy_decode(model, prompt.tokens, 160)
 print(f"\nplain autoregressive decode: {len(reference)} tokens, {len(reference)} model steps")
 
 for selective in (True, False):
-    out, stats = decode(model, prompt.tokens, lut, n_draft=4, selective=selective, max_tokens=160)
+    out, stats = decode(model, prompt.tokens, (lut,), n_draft=4, selective=selective, max_tokens=160)
     assert out == reference, "speculative output must match greedy decoding"
     mode = "selective " if selective else "non-selective"
     print(
@@ -65,8 +65,8 @@ for s in bundle.test:
     p = planner_prompt(s)
     m = ScriptedModel(p.tokens, bundle.tokenizer.tokenize(render_plan(s.gt_plan)))
     lut_s = build_lut(p.extraction_region(), 3)
-    for label, backup in (("prompt table only", None), ("with the train table", train_table)):
-        out, st = decode(m, p.tokens, lut_s, 4, True, 160, backup=backup)
+    for label, tables in (("prompt table only", (lut_s,)), ("with the train table", (lut_s, train_table))):
+        out, st = decode(m, p.tokens, tables, 4, True, 160)
         assert out == greedy_decode(m, p.tokens, 160)
         rounds[label] += st.rounds
 for label, count in rounds.items():
@@ -78,7 +78,7 @@ retrieved = rag.retrieve_tools(sample.query_tokens, 0.5)
 grammar = PlanGrammar.read(bundle.tokenizer, 160).awaiting(map(bundle.tokenizer.id_of, retrieved))
 print(f"\nplan grammar on the demo query (awaiting {len(grammar.tools)} retrieved tools):")
 for label, g in (("without the grammar", None), ("with the grammar", grammar)):
-    out, st = decode(model, prompt.tokens, lut, 4, True, 160, backup=train_table, grammar=g)
+    out, st = decode(model, prompt.tokens, (lut, train_table), 4, True, 160, grammar=g)
     assert out == reference
     print(f"  {label}: {st.rounds} planner rounds, {st.fallbacks} fallbacks, {st.grammar_drafts} grammar drafts")
 
@@ -89,7 +89,7 @@ for n in (2, 3, 4):
     for s in bundle.test:
         p = planner_prompt(s)
         m = ScriptedModel(p.tokens, bundle.tokenizer.tokenize(render_plan(s.gt_plan)))
-        _, st = decode(m, p.tokens, build_lut(p.extraction_region(), n), 4, True, 160)
+        _, st = decode(m, p.tokens, (build_lut(p.extraction_region(), n),), 4, True, 160)
         gen += st.drafts_generated
         acc += st.drafts_accepted
     print(f"  n={n}: {acc}/{gen} drafts accepted ({acc / gen:.0%})")

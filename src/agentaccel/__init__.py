@@ -24,7 +24,7 @@ from .corpus import (
     load_example_db,
     load_registry,
 )
-from .exspec import DecodeStats, NGramLUT, PlanGrammar, build_lut, decode, draft, verify
+from .exspec import DecodeStats, NGramLUT, PlanGrammar, build_lut, decode, verify
 from .kvstore import CacheEntry, KVStore, ModelGeometry, kv_size
 from .lm import MarkovModel, ScriptedModel, greedy_decode, train_markov
 from .simulator import (

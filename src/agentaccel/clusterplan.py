@@ -159,7 +159,7 @@ class ClusterPlan:
     absent.  `cached_leaves` holds the streams the greedy selection picked,
     in pick order, each with its tool set as sorted tool ids; two may share
     a tool set.  The static head is always cached.  `draft_table`, when
-    present, is the planner's backup draft table.
+    present, is the planner's second draft table, after its prompt's.
     """
 
     clusters: tuple[Cluster, ...]

@@ -7,15 +7,15 @@ verifies a whole draft group in one pass.  Because verification only ever
 commits the target's own greedy choices, the decoded output is token-level
 identical to plain autoregressive decoding in every mode.
 
-Selective mode consults the table before drafting: if the current context
+Selective mode consults the tables before drafting: if the current context
 misses, the round degenerates to a single autoregressive step instead of
 paying a multi-token verification pass that would likely reject everything.
-A decode may also be given a backup table, drafted from only when the
-prompt's table misses: the planner's is counted offline over the train
-split's plans and shipped in the plan.  The planner's decode also has a
-`PlanGrammar`, asked before either table at every draft position: a state
-machine over the output that drafts the plan format's step numbers, `.` and
-`end`.
+A decode drafts from an ordered tuple of tables, the first that hits keeping
+the round: the planner's are its prompt's table, then one counted offline
+over the train split's plans and shipped in the plan.  The planner's decode
+also has a `PlanGrammar`, asked before any table at every draft position: a
+state machine over the output that drafts the plan format's step numbers,
+`.` and `end`.
 
 Decoding counts and does not price: `DecodeStats` records rounds, fallbacks
 and drafts, and `simulator.decode_seconds` turns those counts into modeled
@@ -218,29 +218,25 @@ def _extend_head(head: LutHead, stream: list[int], n: int) -> NGramLUT:
 # The phases of a `PlanGrammar` state: at an empty output, after a step
 # number, after its `.` (the step's call is next), inside the step, after its `;`.
 _START, _NUMBER, _CALL, _BODY, _SEMICOLON = range(5)
-# No token has this id, so a state waiting for it is moved by none.
-_NO_TOKEN = -1
 # The state after `end` or a token off the format: silent for the rest of the decode.
-_DONE = (None, _NO_TOKEN, -1, 0, 0)
+_DONE = (None, -1, 0, 0)
 
 
 @dataclass
 class PlanGrammar:
     """Drafts the fixed tokens of `corpus.render_plan`'s format, `1 . tool ( … ) ; 2 . … ; end of plan`.
 
-    A state is a `(proposal, until, phase, step, named)` tuple read from the
-    output so far.  `proposal` is the token the format fixes next, or None.
-    `until` is None, or the one token that can move the state: every other
-    token leaves it as it is, so a decode steps it only on that token.
-    `step` is the last step number, counted from the output's first token,
-    and `named` has the bit of every awaited tool a step has called.
+    A state is a `(proposal, phase, k, named)` tuple read from the output so
+    far.  `proposal` is the token the format fixes next, or None.  `k` is
+    the last step number, counted from the output's first token, and
+    `named` has the bit of every awaited tool a step has called.
 
     After step number k the grammar proposes `.`; after a step's `;` it
     proposes step number k + 1 while an awaited tool is unnamed, and `end`
     once every one is.  It proposes nothing at an empty output, after
-    `end`, or ever again once a token leaves the format.  `advance` is O(1)
-    and returns a new state, so a draft chain advances a copy and undoes
-    nothing.
+    `end`, or ever again once a token leaves the format.  `step(state,
+    token)` is O(1) and returns a new state, so a draft chain steps a copy
+    and undoes nothing.
 
     Every id is read from a vocabulary without allocating one: a step number
     it lacks is never proposed, and a tool whose id is not one of its words
@@ -255,7 +251,7 @@ class PlanGrammar:
     tools: dict[int, int] = field(default_factory=dict)  # the id of each awaited tool -> its bit
     every_tool: int = 0  # the bits of all awaited tools
 
-    START: ClassVar[tuple] = (None, None, _START, 0, 0)
+    START: ClassVar[tuple] = (None, _START, 0, 0)
 
     @classmethod
     def read(cls, tokenizer, max_steps: int) -> "PlanGrammar":
@@ -276,89 +272,74 @@ class PlanGrammar:
         tools = {tid: 1 << bit for bit, tid in enumerate(ids)}
         return type(self)(self.dot, self.semicolon, self.end, self.steps, self.numbers, tools, (1 << len(tools)) - 1)
 
-    def advance(self, state, token: int) -> tuple:
+    def step(self, state, token: int) -> tuple:
         """The state after `token`."""
-        _, _, phase, step, named = state
+        _, phase, k, named = state
         if phase == _BODY:
+            # Most tokens fall inside a step, which only its `;` ends.
             if token != self.semicolon:
                 return state
-            following = self.end if named == self.every_tool else self.steps.get(step + 1)
-            return following, None, _SEMICOLON, step, named
+            following = self.end if named == self.every_tool else self.steps.get(k + 1)
+            return following, _SEMICOLON, k, named
         if phase == _CALL:
-            # A step's body ends at its `;`, the one token that moves it.
-            return None, self.semicolon, _BODY, step, named | self.tools.get(token, 0)
+            return None, _BODY, k, named | self.tools.get(token, 0)
         if phase == _NUMBER:
-            return (None, None, _CALL, step, named) if token == self.dot else _DONE
-        if phase == _SEMICOLON and token == self.steps.get(step + 1):
-            return self.dot, None, _NUMBER, step + 1, named
+            return (None, _CALL, k, named) if token == self.dot else _DONE
+        if phase == _SEMICOLON and token == self.steps.get(k + 1):
+            return self.dot, _NUMBER, k + 1, named
         if phase == _START and token in self.numbers:
-            return self.dot, None, _NUMBER, self.numbers[token], 0
+            return self.dot, _NUMBER, self.numbers[token], 0
         return _DONE
 
 
 MISS = None
 
 
-def _chain(lut: NGramLUT, backup: NGramLUT | None, context, n_draft: int, grammar: PlanGrammar | None, state):
-    """A round's drafts, whether the backup drafted and how many the grammar proposed; MISS if nothing drafts the first.
+def _chain(tables: tuple[NGramLUT, ...], window: int, context, n_draft: int, grammar: PlanGrammar | None, state):
+    """A round's drafts, the table that kept it (or None) and how many the grammar proposed; MISS if nothing drafts the first.
 
-    At each position the grammar, in `state` advanced by the chain, proposes
-    first.  Where it has nothing, the chain's table drafts: the first of
-    `lut` and `backup` whose lookup hits where the grammar first leaves a
-    position to the tables.  Its later misses emit its filler, as the chain
-    keeps going to full length; verification weeds out bad guesses.  The
-    chain ends early only where the grammar is silent and neither table has
-    a hit yet.
+    At each position the grammar, in `state` stepped by the chain, proposes
+    first.  Where it has nothing, the round's table drafts: the first of
+    `tables` whose lookup hits where the grammar first leaves a position to
+    the tables keeps the round, and only it is asked after that.  Its later
+    misses emit its own filler, as the chain keeps going to full length;
+    verification weeds out bad guesses.  The chain ends early only where
+    the grammar is silent and no table has a hit yet.  `window` is the
+    longest context a table's lookup reads.
     """
-    # The first position is spelled out: a miss there, the round of a
+    # The first position's lookups are inline: a miss there, the round of a
     # decode that falls back, is its commonest round and returns at once.
     if grammar is None or (tok := state[0]) is None:
-        table, tok = lut, lut.lookup(context)
-        if tok is None and backup is not None:
-            table, tok = backup, backup.lookup(context)
-        if tok is None:
+        for table in tables:
+            if (tok := table.lookup(context)) is not None:
+                break
+        else:
             return MISS
         proposed = 0
     else:
         table, proposed = None, 1
-    # Lookups only read the last n-1 tokens, so chain on that window alone.
-    ctx = list(context[-(lut.n - 1 if backup is None or backup.n <= lut.n else backup.n - 1):])
+    # Lookups only read the last `window` tokens, so chain on those alone.
+    ctx = context[-window:]
     drafts = [tok]
     while len(drafts) < n_draft:
         ctx.append(tok)
         if grammar is not None:
-            if state[1] is None or tok == state[1]:
-                state = grammar.advance(state, tok)
-            tok = state[0]
-            if tok is not None:
+            state = grammar.step(state, tok)
+            if (tok := state[0]) is not None:
                 proposed += 1
                 drafts.append(tok)
                 continue
-        if table is None:
-            table, tok = lut, lut.lookup(ctx)
-            if tok is None and backup is not None:
-                table, tok = backup, backup.lookup(ctx)
-            if tok is None:
-                table = None
-                break
-        else:
-            tok = table.lookup(ctx)
-            if tok is None:
+        if table is not None:
+            if (tok := table.lookup(ctx)) is None:
                 tok = table.filler
+        else:
+            for table in tables:
+                if (tok := table.lookup(ctx)) is not None:
+                    break
+            else:
+                return drafts, None, proposed
         drafts.append(tok)
-    return drafts, backup is not None and table is backup, proposed
-
-
-def draft(lut: NGramLUT, context, n_draft: int) -> list[int] | None:
-    """Up to `n_draft` chained draft tokens, or MISS if the first lookup fails.
-
-    Once the first lookup hits, later misses emit the filler token and the
-    chain keeps going to full length; verification weeds out bad guesses.
-    """
-    if n_draft < 1:
-        raise ValueError("n_draft must be at least 1")
-    chain = _chain(lut, None, context, n_draft, None, None)
-    return MISS if chain is MISS else chain[0]
+    return drafts, table, proposed
 
 
 def verify(target: ReferenceModel, context, drafts) -> tuple[int, int]:
@@ -397,7 +378,7 @@ class DecodeStats:
     selective: bool = True
     draft_len: int = DEFAULT_DRAFT_LEN
     lut_size: int = 0
-    backup_rounds: int = 0  # drafting rounds whose table tokens came from the backup table
+    backup_rounds: int = 0  # drafting rounds kept by a table after the first
     grammar_drafts: int = 0  # draft tokens the plan grammar proposed
     truncated: int = 0  # 1 if the decode stopped at max_tokens without reaching EOS
 
@@ -427,29 +408,32 @@ class DecodeStats:
 def decode(
     target: ReferenceModel,
     prompt,
-    lut: NGramLUT,
+    tables: tuple[NGramLUT, ...],
     n_draft: int = DEFAULT_DRAFT_LEN,
     selective: bool = True,
     max_tokens: int = 256,
-    backup: NGramLUT | None = None,
     grammar: PlanGrammar | None = None,
 ) -> tuple[list[int], DecodeStats]:
     """Speculative decoding loop; output always equals greedy_decode.
 
     The target is bound to the prompt once (`ReferenceModel.bind`) and every
-    step of the loop goes to the bound model.  A round drafts from `lut`,
-    or, when its first lookup misses, from `backup`; a `grammar`, advanced
-    over the committed output, proposes before either table at every draft
-    position.  In selective mode a round where nothing drafts costs one
-    plain step.  In non-selective mode every round drafts (fillers on a
-    miss) and pays the full verification pass, which is what makes the two
-    modes comparable on cost while identical on output.
+    step of the loop goes to the bound model.  A round drafts from the
+    first of `tables` whose lookup hits; a `grammar`, stepped over the
+    committed output, proposes before any table at every draft position.
+    In selective mode a round where nothing drafts costs one plain step.
+    In non-selective mode every round drafts (the first table's filler on
+    a miss) and pays the full verification pass, which is what makes the
+    two modes comparable on cost while identical on output.
     """
     if max_tokens < 0:
         raise ValueError("max_tokens must be non-negative")
     if n_draft < 1:
         raise ValueError("n_draft must be at least 1")
-    stats = DecodeStats(selective=selective, draft_len=n_draft, lut_size=len(lut))
+    if not tables:
+        raise ValueError("tables must hold at least one table")
+    first = tables[0]
+    window = max(table.n for table in tables) - 1
+    stats = DecodeStats(selective=selective, draft_len=n_draft, lut_size=len(first))
     target = target.bind(prompt)
     context = list(prompt)
     start = len(context)
@@ -457,7 +441,7 @@ def decode(
     state = None if grammar is None else grammar.START
     done = False
     while not done and len(context) < limit:
-        chain = _chain(lut, backup, context, n_draft, grammar, state)
+        chain = _chain(tables, window, context, n_draft, grammar, state)
         if chain is MISS and selective:
             tok = target.greedy_next(context)
             if tok == EOS_ID:
@@ -468,7 +452,7 @@ def decode(
             stats.fallbacks += 1
             emit = [tok]
         else:
-            drafts, from_backup, proposed = ([lut.filler] * n_draft, False, 0) if chain is MISS else chain
+            drafts, kept, proposed = ([first.filler] * n_draft, None, 0) if chain is MISS else chain
             accepted, corrected = verify(target, context, drafts)
             emit = drafts[:accepted]
             emit.append(corrected)
@@ -478,7 +462,7 @@ def decode(
                 # left out of the per-round accounting.
                 break
             stats.rounds += 1
-            stats.backup_rounds += from_backup
+            stats.backup_rounds += kept is not None and kept is not first
             stats.grammar_drafts += proposed
             stats.drafts_generated += len(drafts)
             stats.drafts_accepted += accepted
@@ -489,8 +473,7 @@ def decode(
         context += emit
         if grammar is not None:
             for tok in emit:
-                if state[1] is None or tok == state[1]:
-                    state = grammar.advance(state, tok)
+                state = grammar.step(state, tok)
             if state is _DONE:
                 grammar = None  # silent for the rest of the decode
     out = context[start:]

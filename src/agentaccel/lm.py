@@ -104,7 +104,7 @@ class _BoundScript(ReferenceModel):
 
 
 class MarkovModel(ReferenceModel):
-    """Order-m chain with add-constant smoothing over the training vocabulary.
+    """Order-m count chain over the training vocabulary.
 
     Unseen (or too-short) contexts back off to the order-0 unigram
     distribution, so the chain is total.  Greedy decoding need not reach
@@ -115,12 +115,11 @@ class MarkovModel(ReferenceModel):
     is found once here, and `next_distribution` stays as its oracle.
     """
 
-    def __init__(self, order: int, counts, unigram, vocab, smoothing: float = 0.0):
+    def __init__(self, order: int, counts, unigram, vocab):
         self.order = order
         self.counts = counts  # dict[tuple, Counter]
         self.unigram = unigram  # Counter
         self.vocab = tuple(sorted(vocab))
-        self.smoothing = smoothing
         members = set(self.vocab)
         self._argmax = {key: self._counter_argmax(counter, members) for key, counter in counts.items() if counter}
         self._fallback = _lowest_argmax(self._distribution(unigram))
@@ -128,14 +127,14 @@ class MarkovModel(ReferenceModel):
     def _counter_argmax(self, counter: Counter, members: set[int]) -> int:
         """Lowest-id argmax of `_distribution(counter)` without building it.
 
-        Smoothing adds the same constant to every count and all share one
-        total, so the most probable tokens are those with the highest count.
-        A positive top count also beats every vocabulary token the counter
-        lacks; any other counter goes through the distribution itself.
+        Every count shares one total, so the most probable tokens are those
+        with the highest count.  A positive top count under a positive total
+        also beats every vocabulary token the counter lacks; any other
+        counter goes through the distribution itself.
         """
         seen = [(count, tok) for tok, count in counter.items() if tok in members]
         top = max((count for count, _ in seen), default=0)
-        if top > 0 and sum(counter.values()) + self.smoothing * len(self.vocab) > 0:
+        if top > 0 and sum(counter.values()) > 0:
             return min(tok for count, tok in seen if count == top)
         return _lowest_argmax(self._distribution(counter))
 
@@ -147,10 +146,10 @@ class MarkovModel(ReferenceModel):
         return self._fallback
 
     def _distribution(self, counter: Counter) -> dict[int, float]:
-        total = sum(counter.values()) + self.smoothing * len(self.vocab)
+        total = sum(counter.values())
         if total <= 0:
             return {tok: 1.0 / len(self.vocab) for tok in self.vocab}
-        return {tok: (counter.get(tok, 0) + self.smoothing) / total for tok in self.vocab}
+        return {tok: counter.get(tok, 0) / total for tok in self.vocab}
 
     def next_distribution(self, context) -> dict[int, float]:
         context = tuple(context)
@@ -162,7 +161,7 @@ class MarkovModel(ReferenceModel):
         return self._distribution(self.unigram)
 
 
-def train_markov(corpus, order: int, smoothing: float = 0.0) -> MarkovModel:
+def train_markov(corpus, order: int) -> MarkovModel:
     """Count context -> successor transitions over a corpus of sequences.
 
     Each sequence is terminated with the end-of-sequence token before
@@ -183,7 +182,7 @@ def train_markov(corpus, order: int, smoothing: float = 0.0) -> MarkovModel:
         for i in range(order, len(seq)):
             key = tuple(seq[i - order: i])
             counts.setdefault(key, Counter())[seq[i]] += 1
-    return MarkovModel(order=order, counts=counts, unigram=unigram, vocab=vocab, smoothing=smoothing)
+    return MarkovModel(order=order, counts=counts, unigram=unigram, vocab=vocab)
 
 
 def greedy_decode(model: ReferenceModel, prompt, max_tokens: int) -> list[int]:

@@ -165,7 +165,7 @@ def _build_markov(bundle: CorpusBundle) -> lm.MarkovModel:
         streams.append(bundle.tokenizer.tokenize(text))
     for ex in bundle.examples:
         streams.append(list(ex.example_tokens))
-    return lm.train_markov(streams, order=2, smoothing=0.0)
+    return lm.train_markov(streams, order=2)
 
 
 def run_queries(
@@ -187,6 +187,8 @@ def run_queries(
     arbiter_head = exspec.count_head(weaver.arbiter_prefix(), settings.n)
     # A plan of at most max_tokens tokens has fewer steps than that.
     grammar = exspec.PlanGrammar.read(bundle.tokenizer, settings.max_tokens)
+    # The planner drafts from the plan's train table where its prompt's table misses.
+    train_tables = () if plan.draft_table is None else (plan.draft_table,)
 
     records = []
     for idx, sample in enumerate(bundle.test):
@@ -202,14 +204,14 @@ def run_queries(
 
         planner_grammar = grammar.awaiting(map(bundle.tokenizer.id_of, retrieved))
         decoded = {}  # role -> (model, prompt, output, decode stats); the planner decodes first
-        for role, prompt, script, head, backup, role_grammar in (
-            ("planner", wp, planner_script, None, plan.draft_table, planner_grammar),
-            ("arbiter", ap, arbiter_script, arbiter_head, None, None),
+        for role, prompt, script, head, trained, role_grammar in (
+            ("planner", wp, planner_script, None, train_tables, planner_grammar),
+            ("arbiter", ap, arbiter_script, arbiter_head, (), None),
         ):
             model = lm.ScriptedModel(prompt.tokens, script) if settings.model == "scripted" else markov
-            lut = exspec.build_lut(prompt.extraction_region(), settings.n, head)
+            tables = (exspec.build_lut(prompt.extraction_region(), settings.n, head), *trained)
             out, stats = exspec.decode(
-                model, prompt.tokens, lut, settings.draft_len, settings.selective, settings.max_tokens, backup, role_grammar
+                model, prompt.tokens, tables, settings.draft_len, settings.selective, settings.max_tokens, role_grammar
             )
             decoded[role] = model, prompt, out, stats.to_dict()
 

@@ -73,6 +73,8 @@ class TaxCurve:
 
     def __init__(self, points=DEFAULT_TAX_POINTS):
         pts = sorted((int(k), float(v)) for k, v in points)
+        if any(a[0] == b[0] for a, b in zip(pts, pts[1:])):
+            raise ValueError("a pass width is listed twice")
         if not pts or pts[0][0] != 1:
             pts = [(1, 1.0)] + [p for p in pts if p[0] > 1]
         if pts[0][1] != 1.0:
@@ -97,8 +99,6 @@ class TaxCurve:
             return pts[-1][1]
         for (k0, v0), (k1, v1) in zip(pts, pts[1:]):
             if k0 <= k <= k1:
-                if k1 == k0:
-                    return v0
                 return v0 + (v1 - v0) * (k - k0) / (k1 - k0)
         return pts[0][1]
 
@@ -408,9 +408,6 @@ class PipelineReport:
             "cells": {name: bd.to_dict() for name, bd in self.cells.items()},
             "speedups": self.speedups,
         }
-
-    def to_csv(self) -> str:
-        return report_csv(self.to_dict())
 
 
 def report_csv(doc: dict) -> str:

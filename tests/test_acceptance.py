@@ -43,7 +43,8 @@ def test_criterion_01_speculative_equivalence():
     markov_pool = []
     for order in (1, 2, 3):
         data = [[rng.randint(1, 9) for _ in range(rng.randint(5, 40))] for _ in range(10)]
-        markov_pool.append((train_markov(data, order=order, smoothing=rng.choice([0.0, 0.2])), data[0][:4]))
+        rng.choice((0, 1))  # unused: it keeps the seeded cases below as they are
+        markov_pool.append((train_markov(data, order=order), data[0][:4]))
     # Scripts in the plan format, for the plan grammar below: step numbers
     # 1-3 are ids 1-3, `.` 4, `;` 5, `end` 6, and ids 7 and 8 are tools.
     plan_rng = random.Random(2026)
@@ -58,10 +59,10 @@ def test_criterion_01_speculative_equivalence():
     pool = scripted_pool + markov_pool
     plan_grammar = exspec.PlanGrammar(4, 5, 6, {1: 1, 2: 2, 3: 3}, {1: 1, 2: 2, 3: 3})
 
-    # Every other pair of cases decodes as the planner does: from an
-    # arbitrary backup table, drawn from its own stream, as the planner's is
-    # counted over the train split, and with the plan grammar, awaiting one
-    # or both tools.
+    # Every other pair of cases decodes as the planner does: from its
+    # region's table and then an arbitrary second table, drawn from its own
+    # stream, as the planner's is counted over the train split, and with the
+    # plan grammar, awaiting one or both tools.
     table_rng = random.Random(2025)
     cases = backed = proposed = 0
     for i in range(520):
@@ -71,16 +72,16 @@ def test_criterion_01_speculative_equivalence():
         selective = bool(i % 2)
         max_tokens = rng.randint(0, 48)
         region = [rng.randint(1, 9) for _ in range(rng.randint(0, 80))]
-        lut = exspec.build_lut(region, n=n)
-        backup = grammar = None
+        tables = (exspec.build_lut(region, n=n),)
+        grammar = None
         if i % 4 >= 2:
             table = [table_rng.randint(0, 9) for _ in range(table_rng.randint(0, 120))]
-            backup = exspec.build_lut(table, n=table_rng.choice([2, 3, 4]))
+            tables += (exspec.build_lut(table, n=table_rng.choice([2, 3, 4])),)
             grammar = plan_grammar.awaiting(table_rng.choice([[7], [8], [7, 8]]))
             backed += 1
-        out, stats = exspec.decode(model, prompt, lut, n_draft, selective, max_tokens, backup, grammar)
+        out, stats = exspec.decode(model, prompt, tables, n_draft, selective, max_tokens, grammar)
         assert out == greedy_decode(model, prompt, max_tokens), (
-            f"divergence at case {i}: n={n} n_draft={n_draft} selective={selective} planner={backup is not None}"
+            f"divergence at case {i}: n={n} n_draft={n_draft} selective={selective} planner={grammar is not None}"
         )
         proposed += stats.grammar_drafts
         cases += 1
@@ -90,7 +91,7 @@ def test_criterion_01_speculative_equivalence():
     assert elapsed < 30.0
     _verdict(
         1,
-        f"{cases} randomized decode cases ({backed} with a backup table and the plan grammar, "
+        f"{cases} randomized decode cases ({backed} with a second table and the plan grammar, "
         f"which drafted {proposed} tokens) token-identical to greedy ({elapsed:.1f}s)",
     )
 
@@ -243,8 +244,8 @@ def test_criterion_06_selective_vs_non_selective():
     model = ScriptedModel((1, 2), script)
     region = [rng_tok for rng_tok in range(500, 560)]
     lut = exspec.build_lut(region, n=3)
-    out_sel, sel = exspec.decode(model, [1, 2], lut, 4, selective=True, max_tokens=200)
-    out_non, non = exspec.decode(model, [1, 2], lut, 4, selective=False, max_tokens=200)
+    out_sel, sel = exspec.decode(model, [1, 2], (lut,), 4, selective=True, max_tokens=200)
+    out_non, non = exspec.decode(model, [1, 2], (lut,), 4, selective=False, max_tokens=200)
     assert out_sel == out_non == list(script)
     assert sel.drafts_accepted == non.drafts_accepted
     assert sel.drafts_generated < non.drafts_generated

@@ -141,7 +141,7 @@ def test_report_csv_equals_to_csv(workdir, tmp_path, capsys):
     report_path.write_text(json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n")
     capsys.readouterr()
     assert run_cli("report", "--report", str(report_path), "--format", "csv") == 0
-    assert capsys.readouterr().out == report.to_csv()
+    assert capsys.readouterr().out == simulator.report_csv(report.to_dict())
 
 
 def test_simulate_missing_trace_fails_cleanly(tmp_path, capsys):
@@ -845,6 +845,7 @@ _DEVICE = {"compute_tops": 1.0, "mem_bw": 1e9, "ssd_bw": 1e9}
         pytest.param("simulate", "--tax", {"11": 0}, id="tax_an_object_of_pair_strings"),
         pytest.param("simulate", "--tax", ["11", "25"], id="tax_pairs_as_strings"),
         pytest.param("simulate", "--tax", [[1, 1.0], [2.5, 1.86]], id="tax_width_not_an_integer"),
+        pytest.param("simulate", "--tax", [[1, 1.0], [1, 1.2]], id="tax_width_twice"),
     ],
 )
 def test_preset_or_file_of_wrong_shape_fails_cleanly(workdir, tmp_path, capsys, command, flag, doc):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agentaccel import pipeline
-from agentaccel.exspec import MISS, NGramLUT, PlanGrammar, build_lut, count_head, decode, draft, verify
+from agentaccel import exspec, pipeline
+from agentaccel.exspec import MISS, NGramLUT, PlanGrammar, build_lut, count_head, decode, verify
 from agentaccel.lm import ReferenceModel, ScriptedModel, greedy_decode, train_markov
 from agentaccel.simulator import MEASURED_TAX, decode_seconds
 from agentaccel.tokenizer import EOS_ID, Tokenizer
@@ -177,6 +177,12 @@ class TestHeadExtension:
             build_lut([1, 2, 3, 4], 3, count_head([1, 2], 2))
 
 
+def _draft(lut, context, n_draft):
+    """The drafts of a round that only `lut` drafts, or MISS."""
+    chain = exspec._chain((lut,), lut.n - 1, list(context), n_draft, None, None)
+    return MISS if chain is MISS else chain[0]
+
+
 class TestDraftWindow:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -187,30 +193,30 @@ class TestDraftWindow:
     )
     def test_long_context_drafts_like_its_last_window(self, stream, n, context, n_draft):
         lut = build_lut(stream, n)
-        assert draft(lut, context, n_draft) == draft(lut, context[-(n - 1):], n_draft)
+        assert _draft(lut, context, n_draft) == _draft(lut, context[-(n - 1):], n_draft)
 
 
 class TestDraft:
     def test_miss_when_context_absent(self):
         lut = build_lut([1, 2, 3], n=3)
-        assert draft(lut, [8, 9], 4) is MISS
+        assert _draft(lut, [8, 9], 4) is MISS
 
     def test_chained_lookups(self):
         # "schedule a meeting with john" as ids; context ends "...schedule a".
         stream = [10, 11, 12, 13, 14]
         lut = build_lut(stream, n=3)
-        assert draft(lut, [99, 10, 11], 2) == [12, 13]
+        assert _draft(lut, [99, 10, 11], 2) == [12, 13]
 
     def test_filler_after_first_hit(self):
         # First lookup hits, the chained one misses: filler pads to length.
         lut = build_lut([1, 2, 3], n=3)
-        drafts = draft(lut, [1, 2], 3)
+        drafts = _draft(lut, [1, 2], 3)
         assert drafts[0] == 3
         assert drafts[1:] == [lut.filler, lut.filler]
 
     def test_full_length_even_with_midway_misses(self):
         lut = build_lut([1, 2, 3, 4], n=3)
-        assert len(draft(lut, [1, 2], 6)) == 6
+        assert len(_draft(lut, [1, 2], 6)) == 6
 
 
 class TestVerify:
@@ -316,7 +322,7 @@ def _verbatim_setup(n=3, draft_len=4):
 class TestDecode:
     def test_verbatim_script_high_acceptance_and_exact_output(self):
         model, prompt, lut, script = _verbatim_setup()
-        out, stats = decode(model, prompt, lut, n_draft=4, selective=True, max_tokens=50)
+        out, stats = decode(model, prompt, (lut,), n_draft=4, selective=True, max_tokens=50)
         assert out == script
         assert out == greedy_decode(model, prompt, 50)
         assert stats.accuracy >= 0.9
@@ -325,7 +331,7 @@ class TestDecode:
         script = [20, 21, 22, 23]
         model = ScriptedModel((1,), script)
         lut = build_lut([50, 51, 52, 53, 54], n=3)
-        out, stats = decode(model, [1], lut, n_draft=4, selective=True, max_tokens=50)
+        out, stats = decode(model, [1], (lut,), n_draft=4, selective=True, max_tokens=50)
         assert out == script
         assert stats.fallbacks == len(out)
         assert stats.drafts_generated == 0
@@ -334,8 +340,8 @@ class TestDecode:
         script = [20, 21, 22, 23]
         model = ScriptedModel((1,), script)
         lut = build_lut([50, 51, 52, 53, 54], n=3)
-        out_sel, sel = decode(model, [1], lut, 4, selective=True, max_tokens=50)
-        out_non, non = decode(model, [1], lut, 4, selective=False, max_tokens=50)
+        out_sel, sel = decode(model, [1], (lut,), 4, selective=True, max_tokens=50)
+        out_non, non = decode(model, [1], (lut,), 4, selective=False, max_tokens=50)
         assert out_sel == out_non == script
         assert non.drafts_generated > 0
         assert sel.drafts_generated < non.drafts_generated
@@ -345,23 +351,23 @@ class TestDecode:
 
     def test_max_tokens_zero(self):
         model, prompt, lut, _ = _verbatim_setup()
-        out, stats = decode(model, prompt, lut, 4, True, 0)
+        out, stats = decode(model, prompt, (lut,), 4, True, 0)
         assert out == []
         assert stats.rounds == 0
 
     def test_truncation_matches_greedy(self):
         model, prompt, lut, script = _verbatim_setup()
         for cap in (1, 2, 3, 5, 7):
-            out, _ = decode(model, prompt, lut, 4, True, cap)
+            out, _ = decode(model, prompt, (lut,), 4, True, cap)
             assert out == greedy_decode(model, prompt, cap)
 
     def test_truncated_counts_only_a_decode_cut_at_max_tokens(self):
         model, prompt, lut, script = _verbatim_setup()
-        assert decode(model, prompt, lut, 4, True, 50)[1].truncated == 0  # the script ends in EOS first
-        assert decode(model, prompt, lut, 4, True, len(script) - 1)[1].truncated == 1
+        assert decode(model, prompt, (lut,), 4, True, 50)[1].truncated == 0  # the script ends in EOS first
+        assert decode(model, prompt, (lut,), 4, True, len(script) - 1)[1].truncated == 1
         # A chain trained on one repeated phrase never reaches EOS from inside it.
         chain = train_markov([[1, 2, 3] * 4], order=2)
-        out, stats = decode(chain, [1, 2], build_lut([1, 2, 3, 1, 2, 3], 3), 4, True, 12)
+        out, stats = decode(chain, [1, 2], (build_lut([1, 2, 3, 1, 2, 3], 3),), 4, True, 12)
         assert out == greedy_decode(chain, [1, 2], 12) and len(out) == 12
         assert stats.truncated == 1
         assert stats.to_dict()["truncated"] == 1
@@ -369,8 +375,8 @@ class TestDecode:
     def test_empty_lut_behaves(self):
         model = ScriptedModel((1,), (5, 6))
         lut = build_lut([], n=3)
-        out_sel, _ = decode(model, [1], lut, 4, True, 10)
-        out_non, _ = decode(model, [1], lut, 4, False, 10)
+        out_sel, _ = decode(model, [1], (lut,), 4, True, 10)
+        out_non, _ = decode(model, [1], (lut,), 4, False, 10)
         assert out_sel == out_non == [5, 6]
 
 
@@ -379,12 +385,12 @@ class TestBackupTable:
         script = [20, 21, 22, 23, 24, 25]
         model = ScriptedModel((1, 2), script)
         backup = build_lut([2, 20, 21, 22, 23, 24, 25], n=2)
-        out, stats = decode(model, [1, 2], build_lut([], n=3), 4, True, 50, backup=backup)
+        out, stats = decode(model, [1, 2], (build_lut([], n=3), backup), 4, True, 50)
         assert out == script
         assert stats.backup_rounds == stats.rounds == 2
         assert stats.fallbacks == 0
         # A prompt table that hits first keeps the backup out.
-        out, stats = decode(model, [1, 2], build_lut([1, 2, 20, 21, 22, 23, 24, 25], n=3), 4, True, 50, backup=backup)
+        out, stats = decode(model, [1, 2], (build_lut([1, 2, 20, 21, 22, 23, 24, 25], n=3), backup), 4, True, 50)
         assert out == script
         assert stats.backup_rounds == 0
 
@@ -393,14 +399,29 @@ class TestBackupTable:
         # whole continuation, and its filler pads past it.
         model = ScriptedModel((5, 5), (7, 8))
         backup = build_lut([5, 7, 8, 8, 8], n=2)
-        assert draft(backup, [5, 5], 3) == [7, 8, 8]
-        out, stats = decode(model, [5, 5], build_lut([1, 2, 9], n=3), 3, True, 10, backup=backup)
+        assert _draft(backup, [5, 5], 3) == [7, 8, 8]
+        out, stats = decode(model, [5, 5], (build_lut([1, 2, 9], n=3), backup), 3, True, 10)
         assert out == [7, 8]
         assert (stats.rounds, stats.backup_rounds, stats.drafts_accepted) == (1, 1, 2)
 
+    def test_a_round_asks_only_the_table_that_kept_it(self):
+        first = build_lut([5, 6], n=2)  # 5 -> 6
+        second = build_lut([2, 5, 9], n=2)  # 2 -> 5, 5 -> 9; filler 2
+        third = build_lut([9, 5, 7], n=2)  # 9 -> 5, 5 -> 7; filler 9
+        tables = (first, second, third)
+        # The second table keeps a round that starts at 2: after 5 it drafts
+        # 9, not the first table's 6, and its own filler where it misses,
+        # though the third table knows 9.
+        assert exspec._chain(tables, 1, [1, 2], 3, None, None) == ([5, 9, 2], second, 0)
+        # Only the third knows 9; after its 5 it drafts 7 where both earlier tables hit.
+        assert exspec._chain(tables, 1, [1, 9], 3, None, None) == ([5, 7, 9], third, 0)
+        out, stats = decode(ScriptedModel((1, 9), (5, 7, 9)), [1, 9], tables, 3, True, 10)
+        assert out == [5, 7, 9]
+        assert (stats.rounds, stats.backup_rounds, stats.drafts_accepted) == (1, 1, 3)
+
     def test_trace_counts(self):
         model, prompt, lut, _ = _verbatim_setup()
-        _, stats = decode(model, prompt, lut, 4, True, 50, backup=build_lut([3, 20, 21], n=3))
+        _, stats = decode(model, prompt, (lut, build_lut([3, 20, 21], n=3)), 4, True, 50)
         doc = stats.to_dict()
         assert doc["lut_size"] == len(lut)
         assert doc["backup_rounds"] == stats.backup_rounds
@@ -422,8 +443,8 @@ class TestBackupTable:
         self, prompt, script, region, table, n, table_n, n_draft, selective, markov, max_tokens
     ):
         model = train_markov([prompt + script, region or [1]], order=2) if markov else ScriptedModel(prompt, script)
-        backup = build_lut(table, table_n)
-        out, stats = decode(model, prompt, build_lut(region, n), n_draft, selective, max_tokens, backup=backup)
+        tables = (build_lut(region, n), build_lut(table, table_n))
+        out, stats = decode(model, prompt, tables, n_draft, selective, max_tokens)
         assert out == greedy_decode(model, prompt, max_tokens)
         assert 0 <= stats.backup_rounds <= stats.rounds - stats.fallbacks
         assert stats.truncated == (len(out) == max_tokens)
@@ -443,7 +464,7 @@ def _proposals(grammar, tokens):
     state, out = grammar.START, []
     for token in tokens:
         out.append(state[0])
-        state = grammar.advance(state, token)
+        state = grammar.step(state, token)
     return out + [state[0]]
 
 
@@ -499,27 +520,28 @@ class TestPlanGrammar:
 
     def test_a_waiting_state_is_moved_only_by_its_token(self):
         tok, grammar = _plan_grammar()
-        state, waited = grammar.START, 0
+        semicolon, state, waited = tok.id_of(";"), grammar.START, 0
         for token in tok.tokenize("1 . get_a ( x ) ; 2 . get_b ( when ) ; end of plan"):
-            if state[1] is not None:
+            following = grammar.step(state, token)
+            if following is state:
                 waited += 1
-                assert all(grammar.advance(state, other) == state for other in range(20) if other != state[1])
-            state = grammar.advance(state, token)
-        # The four tokens of each step's body wait for its `;`; after `end`, `of` and `plan` wait for no token.
-        assert waited == 10 and grammar.advance(state, state[1]) == state
+                assert all(grammar.step(state, other) is state for other in range(20) if other != semicolon)
+            state = following
+        # In each step's body `(`, its argument and `)` wait for its `;`; after `end`, `of` and `plan` wait for no token.
+        assert waited == 8 and all(grammar.step(state, other) is state for other in range(20))
 
     def test_at_most_one_state_step_per_token(self):
         tok, grammar = _plan_grammar()
         steps = []
 
         class Counting(PlanGrammar):
-            def advance(self, state, token):
+            def step(self, state, token):
                 steps.append(token)
-                return super().advance(state, token)
+                return super().step(state, token)
 
         script = tok.tokenize("1 . get_a ( x ) ; 2 . get_b ( when ) ; end of plan")
         model = ScriptedModel([1], script)
-        out, stats = decode(model, [1], build_lut([], 3), 4, True, 50, grammar=Counting(**vars(grammar)))
+        out, stats = decode(model, [1], (build_lut([], 3),), 4, True, 50, grammar=Counting(**vars(grammar)))
         assert out == script
         # Each committed token steps the decode's state once, each chained draft its chain's copy once.
         assert len(steps) <= stats.output_tokens + stats.drafts_generated
@@ -527,7 +549,7 @@ class TestPlanGrammar:
     def test_a_chain_drafts_format_tokens_in_a_row(self):
         tok, grammar = _plan_grammar()
         script = tok.tokenize("1 . get_a ( x ) ; 2 . get_b ( when ) ; end of plan")
-        out, stats = decode(ScriptedModel([1], script), [1], build_lut([], 3), 4, True, 50, grammar=grammar)
+        out, stats = decode(ScriptedModel([1], script), [1], (build_lut([], 3),), 4, True, 50, grammar=grammar)
         assert out == script
         # With no table to draft from, the grammar drafts `.` after `1`, then
         # `2 .` in one chain after the first `;`, then `end`; the rest falls back.
@@ -539,27 +561,34 @@ class TestPlanGrammar:
         script = tok.tokenize("1 . get_a ( x ) ; 2 . get_b ( when ) ; end of plan")
         model = ScriptedModel([1], script)
         lut = build_lut(tok.tokenize("get_a ( x ) ; get_b ( when ) ; end of plan"), 3)
-        out, without = decode(model, [1], lut, 4, True, 50)
-        out_g, with_g = decode(model, [1], lut, 4, True, 50, grammar=grammar)
+        out, without = decode(model, [1], (lut,), 4, True, 50)
+        out_g, with_g = decode(model, [1], (lut,), 4, True, 50, grammar=grammar)
         assert out == out_g == script
         assert without.grammar_drafts == 0 < with_g.grammar_drafts == with_g.to_dict()["grammar_drafts"]
         assert (with_g.rounds, with_g.fallbacks) < (without.rounds, without.fallbacks)
 
 
 class _TableGrammar:
-    """A grammar whose state after a token is drawn from a table keyed by that token: any proposals at all.
+    """A grammar whose state after a token it lists is drawn from its table: any proposals at all.
 
-    The table gives each state's proposal and the one token it waits for, or
-    None; the decode must not step a state on any other token.
+    The table gives the proposal after each token it lists, and under None
+    the one at the start; any other token leaves the state as it is, as a
+    plan step's body does.
     """
 
     def __init__(self, table):
         self.table = table
-        self.START = *table.get(None, (None, None)), None
+        self.START = (table.get(None),)
 
-    def advance(self, state, token):
-        assert state[1] in (None, token)
-        return *self.table.get(token, (None, None)), token
+    def step(self, state, token):
+        return (self.table[token],) if token in self.table else state
+
+
+def _small_plan_grammar(plan_ids):
+    """A plan grammar whose `.`, `;`, `end`, step numbers 1-2 and awaited tool are `plan_ids`, of one small alphabet."""
+    dot, semicolon, end, one, two, tool = plan_ids
+    steps = {1: one, 2: two}
+    return PlanGrammar(dot, semicolon, end, steps, {v: k for k, v in steps.items()}).awaiting([tool])
 
 
 @settings(max_examples=300, deadline=None)
@@ -568,7 +597,7 @@ class _TableGrammar:
     script=st.lists(st.integers(1, 5), max_size=20),
     region=st.lists(st.integers(1, 5), max_size=30),
     table=st.lists(st.integers(0, 5), max_size=60),
-    proposals=st.dictionaries(st.none() | st.integers(0, 5), st.tuples(st.integers(0, 5), st.none() | st.integers(0, 5))),
+    proposals=st.dictionaries(st.none() | st.integers(0, 5), st.none() | st.integers(0, 5)),
     plan_ids=st.none() | st.lists(st.integers(1, 5), min_size=6, max_size=6),
     n=st.integers(2, 4),
     n_draft=st.integers(1, 6),
@@ -580,18 +609,38 @@ def test_decode_equals_greedy_with_any_grammar(
     prompt, script, region, table, proposals, plan_ids, n, n_draft, selective, markov, max_tokens
 ):
     model = train_markov([prompt + script, region or [1]], order=2) if markov else ScriptedModel(prompt, script)
-    if plan_ids is None:
-        grammar = _TableGrammar(proposals)
-    else:
-        # A plan grammar whose `.`, `;`, `end`, step numbers 1-2 and awaited tool share one small alphabet.
-        dot, semicolon, end, one, two, tool = plan_ids
-        steps = {1: one, 2: two}
-        grammar = PlanGrammar(dot, semicolon, end, steps, {v: k for k, v in steps.items()}).awaiting([tool])
-    backup = build_lut(table, 3)
-    out, stats = decode(model, prompt, build_lut(region, n), n_draft, selective, max_tokens, backup, grammar)
+    grammar = _TableGrammar(proposals) if plan_ids is None else _small_plan_grammar(plan_ids)
+    tables = (build_lut(region, n), build_lut(table, 3))
+    out, stats = decode(model, prompt, tables, n_draft, selective, max_tokens, grammar)
     assert out == greedy_decode(model, prompt, max_tokens)
     assert 0 <= stats.grammar_drafts <= stats.drafts_generated
     assert 0 <= stats.backup_rounds <= stats.rounds - stats.fallbacks
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    prompt=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+    script=st.lists(st.integers(1, 5), max_size=20),
+    streams=st.lists(st.tuples(st.lists(st.integers(0, 5), max_size=40), st.integers(2, 4)), min_size=1, max_size=3),
+    plan_ids=st.none() | st.lists(st.integers(1, 5), min_size=6, max_size=6),
+    n_draft=st.integers(1, 6),
+    selective=st.booleans(),
+    markov=st.booleans(),
+    max_tokens=st.integers(0, 30),
+)
+def test_decode_equals_greedy_with_any_ordered_tables(
+    prompt, script, streams, plan_ids, n_draft, selective, markov, max_tokens
+):
+    corpus_data = [prompt + script, *(stream for stream, _ in streams if stream)]
+    model = train_markov(corpus_data, order=2) if markov else ScriptedModel(prompt, script)
+    tables = tuple(build_lut(stream, n) for stream, n in streams)
+    grammar = None if plan_ids is None else _small_plan_grammar(plan_ids)
+    out, stats = decode(model, prompt, tables, n_draft, selective, max_tokens, grammar)
+    assert out == greedy_decode(model, prompt, max_tokens)
+    # A round kept by a table after the first is a drafting round, and needs a second table.
+    assert 0 <= stats.backup_rounds <= stats.rounds - stats.fallbacks
+    if len(tables) == 1:
+        assert stats.backup_rounds == 0
 
 
 def _random_models(rng):
@@ -603,7 +652,7 @@ def _random_models(rng):
         models.append((ScriptedModel(prompt, script), list(prompt)))
     for order in (1, 2, 3):
         corpus_data = [[rng.randint(1, 9) for _ in range(rng.randint(4, 30))] for _ in range(8)]
-        model = train_markov(corpus_data, order=order, smoothing=rng.choice([0.0, 0.3]))
+        model = train_markov(corpus_data, order=order)
         models.append((model, corpus_data[0][:3]))
     return models
 
@@ -621,7 +670,7 @@ class TestEquivalence:
             max_tokens = rng.randint(0, 40)
             region = [rng.randint(1, 9) for _ in range(rng.randint(0, 60))]
             lut = build_lut(region, n=n)
-            out, _ = decode(model, prompt, lut, n_draft, selective, max_tokens)
+            out, _ = decode(model, prompt, (lut,), n_draft, selective, max_tokens)
             assert out == greedy_decode(model, prompt, max_tokens)
             cases += 1
 
@@ -641,7 +690,7 @@ def per_n_stats(bundle, weaver, oracle_rag):
             script = bundle.tokenizer.tokenize(corpus_mod.render_plan(sample.gt_plan))
             model = ScriptedModel(prompt.tokens, script)
             lut = build_lut(prompt.extraction_region(), n)
-            _, stats = decode(model, prompt.tokens, lut, 4, True, 160)
+            _, stats = decode(model, prompt.tokens, (lut,), 4, True, 160)
             gen += stats.drafts_generated
             acc += stats.drafts_accepted
         results[n] = {"generated": gen, "accepted": acc, "accuracy": acc / gen}

@@ -49,12 +49,6 @@ class TestMarkov:
         dist = model.next_distribution([b, c])
         assert dist[EOS_ID] > dist[d]
 
-    def test_smoothing_gives_full_support(self):
-        model = train_markov([[1, 2]], order=1, smoothing=0.5)
-        dist = model.next_distribution([1])
-        assert all(p > 0 for p in dist.values())
-        assert sum(dist.values()) == pytest.approx(1.0)
-
     def test_short_context_falls_back_to_unigram(self):
         model = train_markov([[1, 1, 2]], order=2)
         dist = model.next_distribution([])
@@ -68,8 +62,8 @@ class TestMarkov:
 
     def test_determinism_across_runs(self):
         corpus_data = [[1, 2, 3, 4], [2, 3, 4, 5]]
-        m1 = train_markov(corpus_data, order=2, smoothing=0.1)
-        m2 = train_markov(corpus_data, order=2, smoothing=0.1)
+        m1 = train_markov(corpus_data, order=2)
+        m2 = train_markov(corpus_data, order=2)
         ctx = [2, 3]
         assert m1.next_distribution(ctx) == m2.next_distribution(ctx)
         assert greedy_decode(m1, [1, 2], 20) == greedy_decode(m2, [1, 2], 20)
@@ -95,12 +89,11 @@ class TestMarkovGreedyTable:
     @given(
         corpus_data=st.lists(st.lists(st.integers(1, 4), max_size=12), min_size=1, max_size=6),
         order=st.integers(1, 3),
-        smoothing=st.sampled_from([0.0, 0.3, 1.0]),
         unseen=st.lists(st.lists(st.integers(0, 6), max_size=5), max_size=6),
     )
-    def test_greedy_next_is_lowest_id_argmax_of_distribution(self, corpus_data, order, smoothing, unseen):
+    def test_greedy_next_is_lowest_id_argmax_of_distribution(self, corpus_data, order, unseen):
         # Tokens 1-4 make ties common; 5 and 6 never occur in the corpus.
-        model = train_markov(corpus_data, order=order, smoothing=smoothing)
+        model = train_markov(corpus_data, order=order)
         seen = [list(key) for key in model.counts]
         contexts = seen + [[6, 5] + ctx for ctx in seen] + unseen + [[], [1] * (order - 1)]
         for ctx in contexts:
@@ -108,13 +101,13 @@ class TestMarkovGreedyTable:
 
     def test_tie_between_successors_goes_to_lowest_id(self):
         # After 1 come 3 and 2 once each: both equally likely.
-        model = train_markov([[1, 3], [1, 2]], order=1, smoothing=0.5)
+        model = train_markov([[1, 3], [1, 2]], order=1)
         assert model.greedy_next([1]) == 2
 
     def test_hand_built_counts_outside_the_shortcut(self):
         # Zero counts, successors outside the vocabulary, a non-positive total.
         counts = {(1,): Counter({5: 0}), (2,): Counter({9: 4, 3: 0}), (3,): Counter({3: 1, 5: -10})}
-        model = MarkovModel(1, counts, Counter({3: 2}), vocab={0, 3, 5}, smoothing=0.5)
+        model = MarkovModel(1, counts, Counter({3: 2}), vocab={0, 3, 5})
         for ctx in ([1], [2], [3], [4], []):
             assert model.greedy_next(ctx) == _lowest_id_argmax(model.next_distribution(ctx)), ctx
 
@@ -200,7 +193,7 @@ class TestBoundScripted:
         lut = build_lut(prompt + region, n)
         expected = greedy_decode(model, prompt, max_tokens)
         for selective in (True, False):
-            assert decode(model, prompt, lut, n_draft, selective, max_tokens)[0] == expected
+            assert decode(model, prompt, (lut,), n_draft, selective, max_tokens)[0] == expected
 
     @settings(max_examples=200, deadline=None)
     @given(case=bound_prompts(), drawn=st.lists(st.lists(tokens, max_size=8), max_size=4))
@@ -244,7 +237,7 @@ class TestGreedy:
         assert model.bind([1]) is model
         lut = build_lut([1, 3, 3, 3], n=2)
         for selective in (True, False):
-            assert decode(model, [1], lut, 4, selective, 10)[0] == greedy_decode(model, [1], 10) == [3, 3, 3]
+            assert decode(model, [1], (lut,), 4, selective, 10)[0] == greedy_decode(model, [1], 10) == [3, 3, 3]
 
     def test_negative_max_tokens_rejected(self):
         with pytest.raises(ValueError):

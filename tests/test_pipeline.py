@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -49,13 +50,32 @@ def test_run_queries_drafts_the_planner_from_the_plan_table(bundle, plan):
     assert sum(r.planner.decode["backup_rounds"] for r in with_table) > 0
 
 
+# The fixture run's pin per model: the sha256 of its trace records joined as
+# `json.dumps(record.to_dict(), sort_keys=True)` lines, then the planner's
+# `backup_rounds` and `grammar_drafts` totals.  A change that alters any
+# record updates it and says why.
+_FIXTURE_RUN = {
+    "scripted": ("4351cb652d699bda8da67f5ad963a39c455ac6b9b4a1e09607d831a96044d393", 180, 249),
+    "markov": ("45dfaf4b87f7d0cd8a2d95a953243c1a7ad145034fdcef6c8931a968bee46ece", 87, 0),
+}
+
+
+@pytest.mark.parametrize("model", pipeline.MODELS)
+def test_the_fixture_run_is_pinned(bundle, plan, populated_store, model):
+    carrying = dataclasses.replace(plan, draft_table=pipeline.plan_draft_table(bundle))
+    records = pipeline.run_queries(bundle, carrying, populated_store, pipeline.RunSettings(model=model))
+    text = "\n".join(json.dumps(record.to_dict(), sort_keys=True) for record in records)
+    totals = [sum(r.planner.decode[key] for r in records) for key in ("backup_rounds", "grammar_drafts")]
+    assert (hashlib.sha256(text.encode()).hexdigest(), *totals) == _FIXTURE_RUN[model]
+
+
 @pytest.mark.parametrize("model", pipeline.MODELS)
 def test_the_planner_grammar_awaits_the_retrieved_tools(bundle, plan, monkeypatch, model):
     grammars = []
     decode = exspec.decode
 
     def recording(*args):
-        grammars.append(args[7])
+        grammars.append(args[6])
         return decode(*args)
 
     monkeypatch.setattr(exspec, "decode", recording)

@@ -98,6 +98,12 @@ class TestTaxCurve:
         with pytest.raises(ValueError):
             TaxCurve([(1, 1.5)])
 
+    @pytest.mark.parametrize("points", [[(1, 1.0), (1, 1.2)], [(1, 1.0), (2, 1.86), (2, 1.5)], [(2, 1.5), (2, 1.5)]])
+    def test_a_width_listed_twice_is_refused(self, points):
+        # Sorted, a repeated width would leave tax(1) at 1.2 or tax(2) at 1.86.
+        with pytest.raises(ValueError, match="twice"):
+            TaxCurve(points)
+
 
 class TestDecodeSeconds:
     def test_hand_count(self):
